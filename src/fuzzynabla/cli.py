@@ -90,7 +90,6 @@ def _probe_config(args) -> ProbeConfig:
         probe_count=args.probes,
         agreement_tol=args.agreement_tol,
         richardson=DEFAULT_CONFIG.richardson,
-        subsequence_split=DEFAULT_CONFIG.subsequence_split,
     )
 
 
@@ -109,7 +108,7 @@ def _select_points(ts, spec: str) -> list[float]:
             raise ValidationError("dense point count must be positive")
         cand = [
             t for t in ts.sample_points(max(25, 4 * k))
-            if ts.in_kappa(t) and ts.classify(t).left is Side.DENSE
+            if (pc := ts.classify(t)).in_kappa and pc.left is Side.DENSE
         ]
         if not cand:
             raise ValidationError("the scale has no left-dense points")

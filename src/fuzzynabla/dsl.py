@@ -38,6 +38,7 @@ from .timescale import (
     GeometricGrid,
     ReciprocalGrid,
     TimeScale,
+    _fmt,
     membership_tol,
 )
 
@@ -168,7 +169,7 @@ class PieceRef:
     args: tuple[float, ...]
 
     def label(self) -> str:
-        inner = ",".join(_fmt_num(a) for a in self.args)
+        inner = ",".join(_fmt(a) for a in self.args)
         return f"{self.kind}({inner})"
 
 
@@ -273,7 +274,7 @@ class _Parser:
             self.eat(")")
             if b < a:
                 raise DslSyntaxError(t.line, t.col, "interval(a,b) with a <= b",
-                                     f"a={_fmt_num(a)}, b={_fmt_num(b)}")
+                                     f"a={_fmt(a)}, b={_fmt(b)}")
             return ClosedInterval(a, b)
         if name == "points":
             self.eat("points")
@@ -296,7 +297,7 @@ class _Parser:
             if h <= 0 or b < a:
                 raise DslSyntaxError(t.line, t.col,
                                      "hgrid(start,stop,step) with step > 0 and stop >= start",
-                                     f"start={_fmt_num(a)}, stop={_fmt_num(b)}, step={_fmt_num(h)}")
+                                     f"start={_fmt(a)}, stop={_fmt(b)}, step={_fmt(h)}")
             return ArithmeticGrid(a, b, h)
         if name == "qgrid":
             self.eat("qgrid")
@@ -310,7 +311,7 @@ class _Parser:
             if q <= 1 or kmax < kmin:
                 raise DslSyntaxError(t.line, t.col,
                                      "qgrid(q,kmin,kmax) with q > 1 and kmax >= kmin",
-                                     f"q={_fmt_num(q)}, kmin={kmin}, kmax={kmax}")
+                                     f"q={_fmt(q)}, kmin={kmin}, kmax={kmax}")
             return GeometricGrid(q, kmin, kmax)
         if name == "recip":
             self.eat("recip")
@@ -506,18 +507,12 @@ def parse_function(src: str) -> FuzzyFuncDef:
 # canonical printing
 
 
-def _fmt_num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _print_expr(e: Expr, parent: int = 0) -> str:
     if isinstance(e, Const):
-        s = _fmt_num(e.value)
+        s = _fmt(e.value)
         # a leading minus binds looser than ^, so -2^4 would reparse as -(2^4)
         if e.value < 0 and parent > _PREC["neg"]:
             return f"({s})"
@@ -539,7 +534,7 @@ def _print_expr(e: Expr, parent: int = 0) -> str:
         prec = _PREC[e.op]
         if e.op == "^":
             base = _print_expr(e.left, prec + 1)
-            return f"{base}^{_fmt_num(e.right.value)}"
+            return f"{base}^{_fmt(e.right.value)}"
         left = _print_expr(e.left, prec)
         # binary ops parse left-associative: a right child at the same
         # precedence level must keep its parens to round-trip structurally
@@ -569,14 +564,7 @@ def print_canonical(obj) -> str:
 
 
 def _match_piece(ref: PieceRef, piece) -> bool:
-    kinds = {
-        "interval": ClosedInterval,
-        "points": ExplicitPoints,
-        "hgrid": ArithmeticGrid,
-        "qgrid": GeometricGrid,
-        "recip": ReciprocalGrid,
-    }
-    if not isinstance(piece, kinds[ref.kind]):
+    if piece.kind != ref.kind:
         return False
     actual = piece.canonical_args()
     if len(ref.args) > len(actual):
@@ -685,7 +673,7 @@ def _check_at(d: FuzzyFuncDef, t: float, ts: TimeScale | None) -> None:
         if not (a <= b <= c):
             raise ValidationError(
                 f"tri endpoints out of order at t={t!r}: "
-                f"({_fmt_num(a)}, {_fmt_num(b)}, {_fmt_num(c)})",
+                f"({_fmt(a)}, {_fmt(b)}, {_fmt(c)})",
                 sample={"t": t, "left": a, "peak": b, "right": c})
     else:
         grid = alpha_grid(4)
@@ -739,4 +727,4 @@ def bind_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
     def fn(t: float) -> FuzzyNumber:
         return eval_function(d, t, K, ts)
 
-    return FuzzyFunction(fn, K=K, domain=ts, name=print_canonical(d))
+    return FuzzyFunction(fn, K=K)

@@ -82,6 +82,6 @@ class DslSyntaxError(FuzzyNablaError):
 class ValidationError(FuzzyNablaError):
     """A parsed definition fails its invariants at a sample point."""
 
-    def __init__(self, message: str, sample: float | None = None):
+    def __init__(self, message: str, sample: dict | None = None):
         self.sample = sample
         super().__init__(message)

@@ -382,16 +382,6 @@ def hausdorff(u: FuzzyNumber, v: FuzzyNumber) -> float:
     )
 
 
-def len_alpha(u: FuzzyNumber, alpha: float) -> float:
-    """Width of the cut at level alpha."""
-    return u.len_alpha(alpha)
-
-
-def level(u: FuzzyNumber, alpha: float) -> Interval:
-    """Cut at level alpha."""
-    return u.level(alpha)
-
-
 def triangular(a: float, b: float, c: float, K: int = 100) -> FuzzyNumber:
     return FuzzyNumber.triangular(a, b, c, K)
 

@@ -28,9 +28,10 @@ from .errors import (
     GridMismatch,
     LimitDisagreement,
     NotInDomain,
+    NotInTimeScale,
 )
 from .fuzzy import FuzzyNumber, add, alpha_grid, gh_diff, h_diff, hausdorff, scalar_mul
-from .timescale import PointClass, Side, Stream, TimeScale
+from .timescale import PointClass, Side, TimeScale
 
 # how much larger than the agreement tolerance a subsequence split must be
 # before non-existence is certified rather than left inconclusive
@@ -45,15 +46,12 @@ class ProbeConfig:
     closest probe's quotient and the residual is the spread over the tail
     half. Richardson extrapolation (ratio-2) applies only to synthetic
     streams inside real intervals; generator streams have step ratios near 1
-    where extrapolation is unstable. subsequence_split keeps generator
-    streams separate; turning it off merges them (faster, but switching
-    classification and certified non-existence need the split).
+    where extrapolation is unstable.
     """
 
     probe_count: int = 8
     agreement_tol: float = 1e-6
     richardson: bool = True
-    subsequence_split: bool = True
 
     def __post_init__(self):
         if self.probe_count < 3:
@@ -77,12 +75,9 @@ class DiffCase(Enum):
 class FuzzyFunction:
     """A mapping t -> FuzzyNumber on a fixed level grid, with caching."""
 
-    def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
-                 domain: TimeScale | None = None, name: str = ""):
+    def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100):
         self._fn = fn
         self.K = int(K)
-        self.domain = domain
-        self.name = name
         self._cache: dict[float, FuzzyNumber] = {}
 
     def __call__(self, t: float) -> FuzzyNumber:
@@ -99,8 +94,8 @@ class FuzzyFunction:
         return val
 
     @classmethod
-    def constant(cls, u: FuzzyNumber, domain: TimeScale | None = None) -> "FuzzyFunction":
-        return cls(lambda t: u, K=u.K, domain=domain, name="constant")
+    def constant(cls, u: FuzzyNumber) -> "FuzzyFunction":
+        return cls(lambda t: u, K=u.K)
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +130,16 @@ def _tail_spread(Q: np.ndarray) -> np.ndarray:
 
 
 def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
-                cfg: ProbeConfig) -> list[_StreamData]:
-    """Quotient data for every probe stream on a dense side of t."""
-    streams = ts.approach_streams(t, side, cfg.probe_count)
-    if not cfg.subsequence_split and len(streams) > 1:
-        # the count nearest members of the union, ordered toward t
-        pool = sorted({p for s in streams for p in s.points},
-                      key=lambda p: abs(p - t))
-        keep = sorted(pool[:cfg.probe_count], key=lambda p: -abs(p - t))
-        streams = [Stream("merged", tuple(keep), False)]
+                cfg: ProbeConfig) -> tuple[list[_StreamData], GhNonexistent | None]:
+    """Quotient data for every probe stream on a dense side of t, and the
+    error for the first probe whose generalized difference does not exist.
 
+    The quotients do not need the difference, so a failing probe is recorded
+    and probing goes on: the endpoint report is complete either way.
+    """
+    streams = ts.approach_streams(t, side, cfg.probe_count)
     Ft = f(t)
+    failure = None
     out: list[_StreamData] = []
     for s in streams:
         m = len(s.points)
@@ -158,8 +152,8 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
                 res = gh_diff(Fp, Ft)
             else:
                 res = gh_diff(Ft, Fp)
-            if res.value is None:
-                raise GhNonexistent(
+            if res.value is None and failure is None:
+                failure = GhNonexistent(
                     f"generalized difference does not exist at probe {p!r} "
                     f"({side} of {t!r})",
                     {"probe": p, "side": side, **res.diagnostics},
@@ -192,7 +186,7 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
                 gh_cases=cases,
             )
         )
-    return out
+    return out, failure
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +222,16 @@ class SideData:
 
 @dataclass
 class EndpointReport:
-    """Per-level one-sided endpoint derivative estimates at one point."""
+    """Per-level one-sided endpoint derivative estimates at one point.
+
+    point is the scale's record for t; it is not serialized.
+    """
 
     t: float
     alphas: np.ndarray
     minus: SideData
     plus: SideData
+    point: PointClass
 
     def rows(self) -> list[dict]:
         out = []
@@ -323,44 +321,55 @@ def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
     )
 
 
-def _analyze(f: FuzzyFunction, ts: TimeScale, t: float, cfg: ProbeConfig):
-    """Classification data shared by the derivative and the report."""
-    pc = ts.classify(t)
+def _analyze(f: FuzzyFunction, ts: TimeScale, pc: PointClass, cfg: ProbeConfig):
+    """Endpoint report, probe data and the first failed probe (left side
+    before right) at a classified point."""
+    t = pc.t
     probes: dict[str, list[_StreamData]] = {}
-
-    if pc.left is Side.SCATTERED:
-        minus = _scattered_side(f, t, ts.rho(t))
-    else:
-        streams = _probe_side(f, ts, t, "left", cfg)
+    failure = None
+    sides = []
+    for side, density, neighbor in (("left", pc.left, pc.rho),
+                                    ("right", pc.right, pc.sigma)):
+        if density is Side.SCATTERED:
+            sides.append(_scattered_side(f, t, neighbor))
+            continue
+        streams, failed = _probe_side(f, ts, t, side, cfg)
+        failure = failure or failed
         if streams:
-            probes["left"] = streams
-            minus = _limit_side(streams, cfg)
+            probes[side] = streams
+            sides.append(_limit_side(streams, cfg))
         else:
-            minus = SideData(kind="absent")
+            sides.append(SideData(kind="absent"))
 
-    if pc.right is Side.SCATTERED:
-        sig = ts.sigma(t)
-        plus = _scattered_side(f, t, sig) if sig != t else SideData(kind="absent")
-    else:
-        streams = _probe_side(f, ts, t, "right", cfg)
-        if streams:
-            probes["right"] = streams
-            plus = _limit_side(streams, cfg)
-        else:
-            plus = SideData(kind="absent")
+    minus, plus = sides
+    report = EndpointReport(t=t, alphas=alpha_grid(f.K), minus=minus,
+                            plus=plus, point=pc)
+    return report, probes, failure
 
-    report = EndpointReport(t=t, alphas=alpha_grid(f.K), minus=minus, plus=plus)
-    return pc, report, probes
+
+def _classify_member(ts: TimeScale, t: float) -> PointClass:
+    """The record of t; a non-member is outside the derivative domain."""
+    try:
+        return ts.classify(t)
+    except NotInTimeScale:
+        raise NotInDomain(t, f"point {t!r} is not in the time scale") from None
+
+
+def _classify_in_domain(ts: TimeScale, t: float) -> PointClass:
+    """The record of t, which must lie in the derivative domain."""
+    pc = _classify_member(ts, t)
+    if not pc.in_kappa:
+        raise NotInDomain(
+            t, f"point {t!r} is a right-scattered minimum: outside the "
+               f"derivative domain")
+    return pc
 
 
 def endpoint_derivatives(f: FuzzyFunction, ts: TimeScale, t: float,
                          cfg: ProbeConfig = DEFAULT_CONFIG) -> EndpointReport:
     """One-sided endpoint derivative estimates per level, with existence
     flags and per-generator subsequence limits."""
-    t = float(t)
-    if not ts.contains(t):
-        raise NotInDomain(t, f"point {t!r} is not in the time scale")
-    return _analyze(f, ts, t, cfg)[1]
+    return _analyze(f, ts, _classify_member(ts, float(t)), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +481,7 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 
 
 def classify_case(value: FuzzyNumber | None, report: EndpointReport,
-                  pclass: PointClass, cfg: ProbeConfig = DEFAULT_CONFIG,
+                  cfg: ProbeConfig = DEFAULT_CONFIG,
                   residual: float = 0.0) -> DiffCase:
     """Structure of the derivative at one point.
 
@@ -495,7 +504,7 @@ def classify_case(value: FuzzyNumber | None, report: EndpointReport,
         return (float(np.max(np.abs(vlo - a))) <= ctol
                 and float(np.max(np.abs(vhi - b))) <= ctol)
 
-    if pclass.left is Side.SCATTERED:
+    if report.point.left is Side.SCATTERED:
         m = report.minus
         if m.kind != "scattered":
             return DiffCase.NOT_DIFFERENTIABLE
@@ -558,55 +567,55 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
     scale has points) must settle and agree within cfg.agreement_tol.
 
     Raises NotInDomain outside the derivative domain, GhNonexistent when a
-    required generalized difference fails at the jump or at a probe, and
-    LimitDisagreement when estimates do not settle or sides disagree.
+    required generalized difference fails at a probe or at the jump, and
+    LimitDisagreement when estimates do not settle or sides disagree. Both
+    of the latter carry the endpoint report as endpoint_report.
     """
     t = float(t)
-    if not ts.contains(t):
-        raise NotInDomain(t, f"point {t!r} is not in the time scale")
-    if not ts.in_kappa(t):
-        raise NotInDomain(
-            t, f"point {t!r} is a right-scattered minimum: outside the "
-               f"derivative domain")
-
-    pc, report, probes = _analyze(f, ts, t, cfg)
+    pc = _classify_in_domain(ts, t)
+    report, probes, failure = _analyze(f, ts, pc, cfg)
     evidence: dict = {}
+    try:
+        if failure is not None:
+            raise failure
+        if pc.left is Side.SCATTERED:
+            rho = pc.rho
+            nu = pc.nu
+            res = gh_diff(f(t), f(rho))
+            if res.value is None:
+                raise GhNonexistent(
+                    f"generalized difference of f({t!r}) and f({rho!r}) does not "
+                    f"exist", res.diagnostics)
+            value = scalar_mul(1.0 / nu, res.value)
+            residual = 0.0
+            evidence["path"] = "backward-quotient"
+            evidence["gh_case"] = res.case.value
+            if pc.right is Side.DENSE and "right" in probes:
+                evidence["h_orientations"] = _h_orientations(f, rho, probes["right"])
+        else:
+            value, residual = _dense_value(probes, cfg, t)
+            evidence["path"] = "one-sided-limits"
+            evidence["gh_cases"] = {
+                side: {s.label: s.gh_cases for s in streams}
+                for side, streams in probes.items()
+            }
 
-    if pc.left is Side.SCATTERED:
-        rho = ts.rho(t)
-        nu = t - rho
-        res = gh_diff(f(t), f(rho))
-        if res.value is None:
-            raise GhNonexistent(
-                f"generalized difference of f({t!r}) and f({rho!r}) does not "
-                f"exist", res.diagnostics)
-        value = scalar_mul(1.0 / nu, res.value)
-        residual = 0.0
-        evidence["path"] = "backward-quotient"
-        evidence["gh_case"] = res.case.value
-        if pc.right is Side.DENSE and "right" in probes:
-            evidence["h_orientations"] = _h_orientations(f, rho, probes["right"])
-    else:
-        value, residual = _dense_value(probes, cfg, t)
-        evidence["path"] = "one-sided-limits"
-        evidence["gh_cases"] = {
-            side: {s.label: s.gh_cases for s in streams}
+        evidence["continuity_gaps"] = {
+            side: {
+                s.label: [float(hausdorff(f(p), f(t))) for p in s.points]
+                for s in streams
+            }
             for side, streams in probes.items()
         }
 
-    evidence["continuity_gaps"] = {
-        side: {
-            s.label: [float(hausdorff(f(p), f(t))) for p in s.points]
-            for s in streams
-        }
-        for side, streams in probes.items()
-    }
-
-    case = classify_case(value, report, pc, cfg, residual)
-    if case is DiffCase.NOT_DIFFERENTIABLE:
-        raise LimitDisagreement(
-            f"derivative estimate at {t!r} converged but the endpoint case "
-            f"structure did not resolve", {"residual": residual})
+        case = classify_case(value, report, cfg, residual)
+        if case is DiffCase.NOT_DIFFERENTIABLE:
+            raise LimitDisagreement(
+                f"derivative estimate at {t!r} converged but the endpoint case "
+                f"structure did not resolve", {"residual": residual})
+    except (GhNonexistent, LimitDisagreement) as err:
+        err.endpoint_report = report  # derivative_report reports from it
+        raise
     return DerivativeResult(t, value, case, residual, report, evidence)
 
 
@@ -632,13 +641,12 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     try:
         return nabla_gh(f, ts, t, cfg)
     except (GhNonexistent, LimitDisagreement) as e:
-        report = endpoint_derivatives(f, ts, t, cfg)
         return DerivativeResult(
             t=float(t),
             value=None,
             case=DiffCase.NOT_DIFFERENTIABLE,
             residual=math.inf,
-            endpoint_report=report,
+            endpoint_report=e.endpoint_report,
             evidence={"failure": type(e).__name__, "message": str(e),
                       "diagnostics": _jsonable(getattr(e, "diagnostics", {}))},
         )
@@ -648,16 +656,9 @@ def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,
                  cfg: ProbeConfig = DEFAULT_CONFIG) -> float:
     """Backward derivative of a real-valued function on the scale."""
     t = float(t)
-    if not ts.contains(t):
-        raise NotInDomain(t, f"point {t!r} is not in the time scale")
-    if not ts.in_kappa(t):
-        raise NotInDomain(
-            t, f"point {t!r} is a right-scattered minimum: outside the "
-               f"derivative domain")
-    pc = ts.classify(t)
+    pc = _classify_in_domain(ts, t)
     if pc.left is Side.SCATTERED:
-        rho = ts.rho(t)
-        return (g(t) - g(rho)) / (t - rho)
+        return (g(t) - g(pc.rho)) / pc.nu
 
     gt = g(t)
     ests = []
@@ -695,9 +696,9 @@ def check_rho_identity(f: FuzzyFunction, ts: TimeScale, t: float,
     One of the two reconstructions must hold: f(t) = f(rho(t)) + nu * value,
     or f(rho(t)) = f(t) + (-nu) * value. Returns the smaller residual."""
     r = nabla_gh(f, ts, t, cfg)
-    rho = ts.rho(t)
-    nu = t - rho
-    Ft, Fr = f(t), f(rho)
+    pc = r.endpoint_report.point
+    nu = pc.nu
+    Ft, Fr = f(t), f(pc.rho)
     first = hausdorff(Ft, add(Fr, scalar_mul(nu, r.value)))
     second = hausdorff(Fr, add(Ft, scalar_mul(-nu, r.value)))
     return min(first, second)

@@ -82,14 +82,14 @@ def default_residual_tol(ts: TimeScale, t: float) -> float:
     return 1e-9 if ts.classify(t).left is Side.SCATTERED else 1e-5
 
 
-def _tag_of(result, ts: TimeScale, t: float) -> Tag:
-    if ts.classify(t).left is Side.DENSE:
-        rep = result.endpoint_report
+def _tag_of(result) -> Tag:
+    rep = result.endpoint_report
+    if rep.point.left is Side.DENSE:
         for label, side in (("left", rep.minus), ("right", rep.plus)):
             if side.kind == "limit" and not side.settled:
                 raise EndpointDerivativeMissing(
-                    f"one-sided endpoint derivatives on the {label} of {t!r} "
-                    f"do not settle to single limits")
+                    f"one-sided endpoint derivatives on the {label} of "
+                    f"{result.t!r} do not settle to single limits")
     if result.case is DiffCase.CRISP:
         return Tag.BOTH
     if result.case is DiffCase.CASE_I:
@@ -108,7 +108,7 @@ def tag_i_ii(f: FuzzyFunction, ts: TimeScale, t: float,
     EndpointDerivativeMissing is raised. Switching behavior fits neither
     single ordering and comes back as Neither.
     """
-    return _tag_of(nabla_gh(f, ts, t, cfg), ts, t)
+    return _tag_of(nabla_gh(f, ts, t, cfg))
 
 
 def _tags_compatible(a: Tag, b: Tag) -> bool:
@@ -129,8 +129,8 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
         tol = default_residual_tol(ts, t)
     rf = nabla_gh(f, ts, t, cfg)
     rg = nabla_gh(g, ts, t, cfg)
-    tf = _tag_of(rf, ts, t)
-    tg = _tag_of(rg, ts, t)
+    tf = _tag_of(rf)
+    tg = _tag_of(rg)
     compatible = _tags_compatible(tf, tg)
     checks = [HypothesisCheck(
         "matching-orderings", compatible,
@@ -162,7 +162,7 @@ def _sigma_and_tag(fs: Callable[[float], float], g: FuzzyFunction,
     dfs = nabla_scalar(fs, ts, t, cfg)
     sigma = fs(t) * dfs
     rg = nabla_gh(g, ts, t, cfg)
-    tg = _tag_of(rg, ts, t)
+    tg = _tag_of(rg)
     return dfs, sigma, rg, tg
 
 
@@ -191,7 +191,7 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
 
-    rho = ts.rho(t)
+    rho = rg.endpoint_report.point.rho
     rhs1 = add(scalar_mul(dfs, g(rho)), scalar_mul(fs(t), rg.value))
     rhs2 = add(scalar_mul(fs(rho), rg.value), scalar_mul(dfs, g(t)))
     cross = hausdorff(rhs1, rhs2)
@@ -240,8 +240,7 @@ def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
     slopes: list[float] = []
 
     if pc.left is Side.SCATTERED:
-        rho = ts.rho(t)
-        slopes.append((wt - f(rho).len_alpha(0.0)) / (t - rho))
+        slopes.append((wt - f(pc.rho).len_alpha(0.0)) / pc.nu)
     else:
         for s in ts.approach_streams(t, "left", cfg.probe_count):
             p = s.points[-1]
@@ -295,7 +294,7 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
 
-    rho = ts.rho(t)
+    rho = rg.endpoint_report.point.rho
     h = FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
     direction = len_direction(h, ts, t, cfg)
     if direction == "Undetermined":

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySide, NotInTimeScale
+from .errors import NotInTimeScale
 
 MEMBERSHIP_RTOL = 1e-12
 DENSITY_RTOL = 1e-9
@@ -54,12 +54,29 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class PointClass:
-    """Density classification of one point of a time scale."""
+    """Density classification of one point of a time scale, with its jumps.
+
+    TimeScale.classify builds it once per query; everything downstream reads
+    rho, sigma, nu and in_kappa from here instead of asking the scale again.
+    """
 
     left: Side
     right: Side
     at_min: bool = False
     at_max: bool = False
+    t: float = 0.0
+    rho: float = 0.0
+    sigma: float = 0.0
+
+    @property
+    def nu(self) -> float:
+        """Backward graininess t - rho(t)."""
+        return self.t - self.rho
+
+    @property
+    def in_kappa(self) -> bool:
+        """Whether t lies in the derivative domain (not a right-scattered min)."""
+        return not (self.at_min and self.right is Side.SCATTERED)
 
     @property
     def is_isolated(self) -> bool:
@@ -347,14 +364,6 @@ class ReciprocalGrid:
 
 Piece = ClosedInterval | ExplicitPoints | ArithmeticGrid | GeometricGrid | ReciprocalGrid
 
-_PIECE_KINDS = {
-    "interval": ClosedInterval,
-    "points": ExplicitPoints,
-    "hgrid": ArithmeticGrid,
-    "qgrid": GeometricGrid,
-    "recip": ReciprocalGrid,
-}
-
 
 def piece_from_dict(d: dict) -> Piece:
     kind = d.get("kind")
@@ -446,6 +455,8 @@ class TimeScale:
 
     def contains(self, t: float) -> bool:
         t = float(t)
+        if not math.isfinite(t):
+            return False
         for a, b in self._intervals:
             if a - membership_tol(t) <= t <= b + membership_tol(t):
                 return True
@@ -484,7 +495,17 @@ class TimeScale:
 
     def sigma(self, t: float) -> float:
         """Forward jump: least scale point strictly above t (t itself at the max)."""
-        t = self._require_member(t)
+        return self.classify(t).sigma
+
+    def rho(self, t: float) -> float:
+        """Backward jump: greatest scale point strictly below t (t itself at the min)."""
+        return self.classify(t).rho
+
+    def nu(self, t: float) -> float:
+        """Backward graininess t - rho(t)."""
+        return self.classify(t).nu
+
+    def _sigma(self, t: float) -> float:
         tol = membership_tol(t)
         cands = []
         for a, b in self._intervals:
@@ -497,9 +518,7 @@ class TimeScale:
             cands.append(float(self._points[i]))
         return min(cands) if cands else t
 
-    def rho(self, t: float) -> float:
-        """Backward jump: greatest scale point strictly below t (t itself at the min)."""
-        t = self._require_member(t)
+    def _rho(self, t: float) -> float:
         tol = membership_tol(t)
         cands = []
         for a, b in self._intervals:
@@ -511,10 +530,6 @@ class TimeScale:
         if i > 0:
             cands.append(float(self._points[i - 1]))
         return max(cands) if cands else t
-
-    def nu(self, t: float) -> float:
-        """Backward graininess t - rho(t)."""
-        return t - self.rho(t)
 
     # -- density ------------------------------------------------------------
 
@@ -535,20 +550,24 @@ class TimeScale:
         return False
 
     def classify(self, t: float) -> PointClass:
+        """Every fact about one member point: density per side, jumps and
+        whether it is an extreme. The only place membership is checked."""
         t = self._require_member(t)
         dtol = density_tol(t)
         mtol = membership_tol(t)
+        rho = self._rho(t)
+        sigma = self._sigma(t)
 
         if self._accumulates(t, "left") or self._interval_dense(t, "left"):
             left = Side.DENSE
-        elif t - self.rho(t) <= dtol:
+        elif t - rho <= dtol:
             left = Side.DENSE
         else:
             left = Side.SCATTERED
 
         if self._accumulates(t, "right") or self._interval_dense(t, "right"):
             right = Side.DENSE
-        elif self.sigma(t) - t <= dtol:
+        elif sigma - t <= dtol:
             right = Side.DENSE
         else:
             right = Side.SCATTERED
@@ -556,8 +575,11 @@ class TimeScale:
         return PointClass(
             left=left,
             right=right,
-            at_min=abs(t - self._min) <= mtol,
-            at_max=abs(t - self._max) <= mtol,
+            at_min=bool(abs(t - self._min) <= mtol),
+            at_max=bool(abs(t - self._max) <= mtol),
+            t=t,
+            rho=rho,
+            sigma=sigma,
         )
 
     # -- derivative domain --------------------------------------------------
@@ -575,12 +597,10 @@ class TimeScale:
         return TimeScale(out)
 
     def in_kappa(self, t: float) -> bool:
-        if not self.contains(t):
+        try:
+            return self.classify(t).in_kappa
+        except NotInTimeScale:
             return False
-        m = self._min
-        if abs(t - m) <= membership_tol(t) and self.classify(m).right is Side.SCATTERED:
-            return False
-        return True
 
     def sample_points(self, n: int = 25) -> list[float]:
         """Up to n representative members, deterministic.
@@ -674,48 +694,13 @@ class TimeScale:
                     streams.append(Stream(label, ordered, False))
         return streams
 
-    def approach_sequence(self, t: float, side: str, count: int) -> list[float]:
-        """Strictly monotone members approaching t from one side.
-
-        On a scattered side this is the single jump neighbor. On a dense side,
-        points are drawn from every local generator (per-generator quota) so
-        that interleaved generators are all represented.
-        """
-        t = self._require_member(t)
-        pc = self.classify(t)
-        if side == "right" and pc.right is Side.SCATTERED:
-            return [self.sigma(t)]
-        if side == "left" and pc.left is Side.SCATTERED:
-            return [self.rho(t)]
-
-        streams = self.approach_streams(t, side, count)
-        if not streams:
-            raise EmptySide(f"no points of the scale lie to the {side} of {t!r}")
-        quota = -(-count // len(streams))
-        pool: list[float] = []
-        for s in streams:
-            pool.extend(s.points[-quota:])
-        pool.sort()
-        dedup = []
-        for v in pool:
-            if not dedup or v - dedup[-1] > membership_tol(v):
-                dedup.append(v)
-        if side == "right":
-            dedup.reverse()  # decreasing toward t
-        # drop the farthest extras (front of the list)
-        if len(dedup) > count:
-            dedup = dedup[len(dedup) - count:]
-        return dedup
-
     def left_scattered_points(self) -> list[float]:
         """Realized points of the derivative domain with a backward jump."""
         out = []
         for v in self._points:
-            v = float(v)
-            if not self.in_kappa(v):
-                continue
-            if self.classify(v).left is Side.SCATTERED:
-                out.append(v)
+            pc = self.classify(float(v))
+            if pc.in_kappa and pc.left is Side.SCATTERED:
+                out.append(pc.t)
         return out
 
     # -- serialization --------------------------------------------------

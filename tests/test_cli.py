@@ -70,6 +70,20 @@ class TestDiff:
         assert code == 2
         assert "NotDifferentiable" in out
 
+        # the difference fails at the probes of dense points: still one
+        # row per point, not an abort at the first one
+        code, out, err = run([
+            "diff",
+            "--timescale", "interval(0,2)",
+            "--fn", "endpoints(-2 + alpha + t*(alpha - alpha^2)/2; 2 - alpha)",
+            "--points", "0.5,1,1.5",
+        ], capsys)
+        assert code == 2
+        lines = out.strip().split("\n")
+        assert lines[0] == "t,alpha,d_lower,d_upper,case,residual"
+        assert lines[1:] == [f"{t},,,,NotDifferentiable,inf"
+                             for t in ("0.5", "1.0", "1.5")]
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = [
             "diff",
@@ -297,6 +311,16 @@ class TestConfigErrors:
             "--points", "7.3",
         ], capsys)
         assert code == 1
+        # non-finite points are not members (1e400 parses to inf)
+        for point in ("inf", "1e400"):
+            code, out, err = run([
+                "diff",
+                "--timescale", "interval(0,1)",
+                "--fn", "tri(t,2*t,3*t)",
+                "--points", point,
+            ], capsys)
+            assert code == 1, point
+            assert out == ""
 
     def test_bad_subcommand_usage(self, capsys):
         code, out, err = run(["check", "no-such-theorem",

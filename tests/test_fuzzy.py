@@ -17,8 +17,6 @@ from fuzzynabla.fuzzy import (
     gh_diff,
     h_diff,
     hausdorff,
-    len_alpha,
-    level,
     scalar_mul,
     triangular,
 )
@@ -125,12 +123,12 @@ class TestLevelQueries:
 
     def test_len_alpha(self):
         u = triangular(0, 1, 2)
-        assert len_alpha(u, 0.25) == pytest.approx(1.5, abs=1e-12)
+        assert u.len_alpha(0.25) == pytest.approx(1.5, abs=1e-12)
 
     def test_alpha_range_guard(self):
         u = triangular(0, 1, 2)
         with pytest.raises(AlphaOutOfRange):
-            level(u, 1.5)
+            u.level(1.5)
 
 
 class TestArithmetic:

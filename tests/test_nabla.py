@@ -145,6 +145,30 @@ class TestScatteredDerivative:
         assert math.isinf(rep.residual)
         assert rep.evidence["failure"] == "GhNonexistent"
 
+    def test_probe_without_gh_difference(self):
+        # the lower endpoint's alpha-shape changes with t, so no probe
+        # difference is a fuzzy number; the quotients still exist
+        alphas = np.arange(K + 1) / K
+        ts = TimeScale([ClosedInterval(0.0, 2.0)])
+        ff = FuzzyFunction(lambda t: FuzzyNumber(
+            -2.0 + alphas + t * (alphas - alphas ** 2) / 2.0, 2.0 - alphas), K=K)
+        with pytest.raises(GhNonexistent) as err:
+            nabla_gh(ff, ts, 1.0)
+        assert str(err.value) == (
+            "generalized difference does not exist at probe 0.9999 (left of 1.0)")
+        assert err.value.diagnostics["side"] == "left"
+        rep = derivative_report(ff, ts, 1.0)
+        assert rep.case is DiffCase.NOT_DIFFERENTIABLE
+        assert rep.value is None
+        assert rep.evidence["failure"] == "GhNonexistent"
+        assert rep.evidence["message"] == str(err.value)
+        report = rep.endpoint_report
+        assert report.minus.kind == "limit" and report.plus.kind == "limit"
+        # the upper endpoint 2 - alpha is constant in t
+        assert np.max(np.abs(report.minus.upper)) <= 1e-9
+        assert np.max(np.abs(report.plus.upper)) <= 1e-9
+        assert endpoint_derivatives(ff, ts, 1.0).to_dict() == report.to_dict()
+
     def test_not_in_domain(self):
         f = FuzzyFunction(lambda t: U123 * t, K=K)
         with pytest.raises(NotInDomain):
@@ -237,20 +261,6 @@ class TestAccumulationPoint:
         row_top = rep.rows()[-1]
         assert row_top["dplus_lower"]["exists"] is True
         assert abs(row_top["dplus_lower"]["value"] - 0.5) <= 5e-3
-
-    def test_merged_streams_cannot_certify(self):
-        # truncations chosen so the generators interleave near the cutoff:
-        # merged probing then sees oscillation but cannot certify anything
-        ts = TimeScale([
-            ReciprocalGrid(1.0, 400),
-            ReciprocalGrid(SQRT2, 566),
-            ExplicitPoints((0.0,)),
-        ])
-        f = FuzzyFunction(example_fn, K=K)
-        cfg = ProbeConfig(agreement_tol=2e-2, subsequence_split=False)
-        rep = endpoint_derivatives(f, ts, 0.0, cfg)
-        row0 = rep.rows()[0]
-        assert row0["dplus_lower"]["exists"] is None
 
 
 class TestEndpointReport:

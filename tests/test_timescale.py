@@ -1,5 +1,6 @@
 """Jump operators, density classification, and probe streams."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla.errors import EmptySide, NotInTimeScale
+from fuzzynabla.dsl import parse_timescale
+from fuzzynabla.errors import NotInTimeScale
 from fuzzynabla.timescale import (
     ArithmeticGrid,
     ClosedInterval,
@@ -68,6 +70,11 @@ class TestJumpOperators:
             ts.sigma(0.5)
         with pytest.raises(NotInTimeScale):
             ts.classify(11.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            assert not ts.contains(bad)
+            assert not TimeScale([ClosedInterval(0, 1)]).contains(bad)
+            with pytest.raises(NotInTimeScale):
+                ts.snap(bad)
 
 
 class TestClassify:
@@ -98,6 +105,11 @@ class TestClassify:
         pc1 = ts.classify(1.0)
         assert pc1.at_max
         assert pc1.left is Side.SCATTERED
+        # plain bools, so the record serializes
+        pc0 = parse_timescale("hgrid(0,3,1)").classify(0.0)
+        assert pc0.at_min is True and pc0.at_max is False
+        assert json.loads(json.dumps(pc0.to_dict())) == {
+            "left": "Dense", "right": "Scattered", "at_min": True, "at_max": False}
 
 
 class TestKappa:
@@ -116,6 +128,17 @@ class TestKappa:
         assert k.contains(1.0)
         assert k.min_point == 1.0
 
+    def test_record_matches_kappa(self):
+        ts = TimeScale([ArithmeticGrid(0, 4, 1), ClosedInterval(5, 6)])
+        k = ts.kappa()
+        for t in (0.0, 1.0, 4.0, 5.0, 5.5, 6.0):
+            pc = ts.classify(t)
+            assert pc.in_kappa == k.contains(t) == ts.in_kappa(t)
+        pc = ts.classify(1.0)
+        assert (pc.t, pc.rho, pc.sigma, pc.nu) == (1.0, 0.0, 2.0, 1.0)
+        assert ts.classify(5.0).rho == 4.0 and ts.classify(4.0).sigma == 5.0
+        assert not ts.in_kappa(7.0)
+
     def test_dense_min_kept(self):
         ts = TimeScale([ClosedInterval(0, 1)])
         assert ts.kappa() is ts
@@ -128,7 +151,10 @@ class TestKappa:
 class TestApproach:
     def test_dense_interval_side(self):
         ts = TimeScale([ClosedInterval(0, 1)])
-        seq = ts.approach_sequence(0.5, "right", 3)
+        assert ts.sigma(0.5) == 0.5  # no forward jump inside an interval
+        (stream,) = ts.approach_streams(0.5, "right", 3)
+        assert stream.synthetic
+        seq = stream.points
         assert len(seq) == 3
         assert all(0.5 < s < 0.6 for s in seq)
         # strictly decreasing toward t
@@ -136,23 +162,23 @@ class TestApproach:
 
     def test_scattered_side_gives_jump_neighbor(self):
         ts = TimeScale([ArithmeticGrid(0, 10, 1)])
-        assert ts.approach_sequence(3.0, "left", 5) == [2.0]
+        assert ts.classify(3.0).left is Side.SCATTERED
+        assert ts.rho(3.0) == 2.0
+        # the nearest point of the side's stream is the jump neighbor
+        (left,) = ts.approach_streams(3.0, "left", 5)
+        (right,) = ts.approach_streams(3.0, "right", 5)
+        assert left.nearest == ts.rho(3.0)
+        assert right.nearest == ts.sigma(3.0) == 4.0
 
     def test_interleaves_generators(self):
         ts = two_generator_scale()
-        seq = ts.approach_sequence(0.0, "right", 6)
-        assert len(seq) == 6
-        assert all(s > 0 for s in seq)
-        assert all(a > b for a, b in zip(seq, seq[1:]))
-        # both generators are represented
-        def gen_of(x):
-            n1 = round(1.0 / x)
-            if n1 >= 1 and abs(1.0 / n1 - x) < 1e-12:
-                return "one"
-            return "sqrt2"
-
-        gens = {gen_of(s) for s in seq}
-        assert gens == {"one", "sqrt2"}
+        streams = ts.approach_streams(0.0, "right", 6)
+        assert len(streams) == 2  # one per generator, both represented
+        for s in streams:
+            assert len(s.points) == 6
+            assert all(p > 0 for p in s.points)
+        # sigma picks the nearest point across the interleaved generators
+        assert ts.sigma(0.0) == min(s.nearest for s in streams) == 1.0 / 1000
 
     def test_streams_are_labeled(self):
         ts = two_generator_scale()
@@ -167,13 +193,14 @@ class TestApproach:
 
     def test_empty_side(self):
         ts = TimeScale([ClosedInterval(0, 1)])
-        with pytest.raises(EmptySide):
-            ts.approach_sequence(0.0, "left", 3)
+        assert ts.approach_streams(0.0, "left", 3) == []
+        assert ts.rho(0.0) == 0.0  # at the min, returns t
 
     def test_members_only(self):
         ts = two_generator_scale()
-        for s in ts.approach_sequence(0.0, "right", 8):
-            assert ts.contains(s)
+        for stream in ts.approach_streams(0.0, "right", 8):
+            for s in stream.points:
+                assert ts.contains(s)
 
 
 class TestSerialization:
@@ -232,6 +259,11 @@ def test_dyadic_grid_nu_exact(h, k):
 @settings(max_examples=40, deadline=None)
 def test_approach_monotone_property(n, count):
     ts = two_generator_scale(n)
-    seq = ts.approach_sequence(0.0, "right", count)
-    assert all(a > b for a, b in zip(seq, seq[1:]))
-    assert all(ts.contains(s) for s in seq)
+    for stream in ts.approach_streams(0.0, "right", count):
+        seq = stream.points
+        assert all(a > b for a, b in zip(seq, seq[1:]))
+        assert all(ts.contains(s) for s in seq)
+        # each step toward 0 is a backward jump of the previous probe or
+        # lands further down, never past sigma(0)
+        assert all(ts.rho(a) >= b for a, b in zip(seq, seq[1:]))
+        assert seq[-1] >= ts.sigma(0.0)

@@ -15,6 +15,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,14 +31,14 @@ from .errors import (
     SignHypothesisFailed,
     ValidationError,
 )
-from .fuzzy import gh_diff, GhCase, hausdorff
+from .fuzzy import FuzzyNumber, GhCase, alpha_grid, gh_diff, hausdorff
 from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
     ProbeConfig,
     check_level_consistency,
     check_rho_identity,
-    derivative_report,
+    nabla_many,
 )
 from .rules import (
     Verdict,
@@ -139,6 +140,20 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
 
 
+@functools.lru_cache(maxsize=None)
+def _alpha_cells(K: int) -> tuple[str, ...]:
+    return tuple(repr(a) for a in alpha_grid(K).tolist())
+
+
+def _level_rows(lines: list[str], head: str, u: FuzzyNumber,
+                tail: str = "") -> None:
+    """Append one CSV row per level of u: head,alpha,lower,upper then tail."""
+    lines.extend([
+        f"{head},{a},{lo!r},{hi!r}{tail}"
+        for a, lo, hi in zip(_alpha_cells(u.K), u.lower.tolist(), u.upper.tolist())
+    ])
+
+
 def _bind(args, want: int | None = 1):
     ts = parse_timescale(_read_spec(args.timescale))
     defs = args.fn
@@ -172,7 +187,7 @@ def cmd_diff(args) -> int:
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
 
-    results = [derivative_report(f, ts, t, cfg) for t in points]
+    results = nabla_many(f, ts, points, cfg)
     code = EXIT_OK
     if any(r.case is DiffCase.NOT_DIFFERENTIABLE for r in results):
         code = EXIT_NONEXISTENT
@@ -183,11 +198,11 @@ def cmd_diff(args) -> int:
 
     lines = ["t,alpha,d_lower,d_upper,case,residual"]
     for r in sorted(results, key=lambda r: r.t):
+        tail = f",{r.case.value},{r.residual!r}"
         if r.value is None:
-            lines.append(f"{r.t!r},,,,{r.case.value},{r.residual!r}")
-            continue
-        for a, lo, hi in r.value.csv_rows():
-            lines.append(f"{r.t!r},{a!r},{lo!r},{hi!r},{r.case.value},{r.residual!r}")
+            lines.append(f"{r.t!r},,,{tail}")
+        else:
+            _level_rows(lines, repr(r.t), r.value, tail)
     _emit("\n".join(lines) + "\n", args.out)
     return code
 
@@ -209,8 +224,7 @@ def cmd_tabulate(args) -> int:
 
     lines = ["t,alpha,lower,upper"]
     for t in points:
-        for a, lo, hi in f(t).csv_rows():
-            lines.append(f"{t!r},{a!r},{lo!r},{hi!r}")
+        _level_rows(lines, repr(t), f(t))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -336,7 +350,7 @@ def cmd_check(args) -> int:
         ts, (f,) = _bind(args)
         cfg = _probe_config(args)
         points = _select_points(ts, args.points)
-        results = [derivative_report(f, ts, t, cfg) for t in points]
+        results = nabla_many(f, ts, points, cfg)
         if args.format == "json":
             _emit_json([r.to_dict() for r in results], args.out)
         else:

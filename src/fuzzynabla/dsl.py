@@ -44,6 +44,11 @@ from .timescale import (
 
 SQRT2 = math.sqrt(2.0)
 
+# deepest syntax tree, and deepest nesting of parentheses, arguments and
+# unary minus, the parser accepts; parsing, evaluation and printing recurse
+# once per level
+MAX_DEPTH = 100
+
 _CONSTANTS = {"sqrt2": SQRT2, "pi": math.pi}
 _KEYWORDS = {
     "union", "interval", "points", "hgrid", "qgrid", "recip",
@@ -208,6 +213,8 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # expressions and unary minuses being parsed
+        self.height = 0  # syntax-tree height of the last expression parsed
 
     @property
     def cur(self) -> Token:
@@ -232,6 +239,23 @@ class _Parser:
 
     def done(self) -> bool:
         return self.cur.kind == "END"
+
+    def _too_deep(self, tok: Token):
+        raise DslSyntaxError(tok.line, tok.col,
+                             f"an expression at most {MAX_DEPTH} levels deep",
+                             repr(tok.text))
+
+    def _nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self._too_deep(self.cur)
+
+    def _grow(self, tok: Token, *heights: int) -> int:
+        """Height of a node with children of the given heights, built at tok."""
+        h = 1 + max(heights)
+        if h > MAX_DEPTH:
+            self._too_deep(tok)
+        return h
 
     # numbers ---------------------------------------------------------------
 
@@ -298,7 +322,7 @@ class _Parser:
                 raise DslSyntaxError(t.line, t.col,
                                      "hgrid(start,stop,step) with step > 0 and stop >= start",
                                      f"start={_fmt(a)}, stop={_fmt(b)}, step={_fmt(h)}")
-            return ArithmeticGrid(a, b, h)
+            return self._grid(t, ArithmeticGrid, a, b, h)
         if name == "qgrid":
             self.eat("qgrid")
             self.eat("(")
@@ -312,7 +336,7 @@ class _Parser:
                 raise DslSyntaxError(t.line, t.col,
                                      "qgrid(q,kmin,kmax) with q > 1 and kmax >= kmin",
                                      f"q={_fmt(q)}, kmin={kmin}, kmax={kmax}")
-            return GeometricGrid(q, kmin, kmax)
+            return self._grid(t, GeometricGrid, q, kmin, kmax)
         if name == "recip":
             self.eat("recip")
             self.eat("(")
@@ -325,8 +349,17 @@ class _Parser:
                 raise DslSyntaxError(t.line, t.col, "recip(scale,count) with scale != 0", "0")
             if count < 1:
                 raise DslSyntaxError(tok.line, tok.col, "a positive count", repr(tok.text))
-            return ReciprocalGrid(scale, count)
+            return self._grid(t, ReciprocalGrid, scale, count)
         self._fail("a piece (interval, points, hgrid, qgrid, recip)")
+
+    def _grid(self, tok: Token, cls, *args):
+        # the arguments passed the checks above; what is left is spacing
+        try:
+            return cls(*args)
+        except ValueError as err:
+            raise DslSyntaxError(tok.line, tok.col,
+                                 "grid points farther apart than the "
+                                 "membership tolerance", str(err)) from None
 
     def timescale(self) -> TimeScale:
         if self.at("union"):
@@ -344,34 +377,45 @@ class _Parser:
     # expressions -----------------------------------------------------------
 
     def expr(self, allow_alpha: bool) -> Expr:
+        self._nest()
         node = self.term(allow_alpha)
+        height = self.height
         while self.at("+") or self.at("-"):
-            op = self.eat().text
+            tok = self.eat()
             rhs = self.term(allow_alpha)
-            node = BinOp(op, node, rhs)
+            height = self._grow(tok, height, self.height)
+            node = BinOp(tok.text, node, rhs)
+        self.depth -= 1
+        self.height = height
         return node
 
     def term(self, allow_alpha: bool) -> Expr:
         node = self.unary(allow_alpha)
+        height = self.height
         while self.at("*") or self.at("/"):
-            op = self.eat().text
+            tok = self.eat()
             rhs = self.unary(allow_alpha)
-            node = BinOp(op, node, rhs)
+            height = self._grow(tok, height, self.height)
+            node = BinOp(tok.text, node, rhs)
+        self.height = height
         return node
 
     def unary(self, allow_alpha: bool) -> Expr:
         if self.at("-"):
-            self.eat("-")
+            tok = self.eat("-")
+            self._nest()
             arg = self.unary(allow_alpha)
+            self.depth -= 1
             if isinstance(arg, Const):
                 return Const(-arg.value)
+            self.height = self._grow(tok, self.height)
             return Neg(arg)
         return self.power(allow_alpha)
 
     def power(self, allow_alpha: bool) -> Expr:
         base = self.atom(allow_alpha)
         if self.at("^"):
-            self.eat("^")
+            caret = self.eat("^")
             t = self.cur
             neg = False
             if self.at("-"):
@@ -384,6 +428,7 @@ class _Parser:
             if val != int(val):
                 raise DslSyntaxError(t.line, t.col, "an integer exponent", repr(etok.text))
             e = -int(val) if neg else int(val)
+            self.height = self._grow(caret, self.height, 1)
             return BinOp("^", base, Const(float(e)))
         return base
 
@@ -391,6 +436,7 @@ class _Parser:
         t = self.cur
         if t.kind == "NUM":
             self.pos += 1
+            self.height = 1
             return Const(float(t.text))
         if self.at("("):
             self.eat("(")
@@ -403,11 +449,13 @@ class _Parser:
                 self.eat("(")
                 node = self.expr(allow_alpha)
                 self.eat(")")
+                self.height = self._grow(t, self.height)
                 return Sqrt(node)
             if t.text == "piecewise":
                 return self.piecewise(allow_alpha)
             if t.text == "t":
                 self.pos += 1
+                self.height = 1
                 return Name("t")
             if t.text == "alpha":
                 if not allow_alpha:
@@ -416,20 +464,25 @@ class _Parser:
                                          "available in endpoints definitions)",
                                          "'alpha'")
                 self.pos += 1
+                self.height = 1
                 return Name("alpha")
             if t.text in _CONSTANTS:
                 self.pos += 1
+                self.height = 1
                 return Name(t.text)
         self._fail("a number, name, or '('")
 
     def piecewise(self, allow_alpha: bool) -> Piecewise:
-        self.eat("piecewise")
+        t = self.eat("piecewise")
         self.eat("(")
         arms = [self.arm(allow_alpha)]
+        height = self.height
         while self.at(","):
             self.eat(",")
             arms.append(self.arm(allow_alpha))
+            height = max(height, self.height)
         self.eat(")")
+        self.height = self._grow(t, height)
         return Piecewise(tuple(arms))
 
     def arm(self, allow_alpha: bool) -> Arm:

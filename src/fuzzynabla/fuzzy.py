@@ -299,64 +299,61 @@ def scalar_mul(k: float, u: FuzzyNumber) -> FuzzyNumber:
     return FuzzyNumber(k * u.upper, k * u.lower, validate=False)
 
 
-def _mono_report(arr: np.ndarray, tol: float, direction: str) -> str:
-    """'ok' or the first index where arr fails to be monotone as required."""
-    if len(arr) <= 1:
-        return "ok"
-    d = np.diff(arr)
-    if direction == "nondecreasing":
-        bad = np.nonzero(d < -tol)[0]
-    else:
-        bad = np.nonzero(d > tol)[0]
-    if len(bad) == 0:
-        return "ok"
-    return f"not {direction} at level index {int(bad[0])}"
+def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray):
+    """Row-wise existence of the two gH constructions.
+
+    d_lo and d_hi are (N, K+1) stacks of candidate endpoints u^- - v^- and
+    u^+ - v^+. Case (i) exists when d_lo is non-decreasing, d_hi is
+    non-increasing and d_lo <= d_hi; case (ii) is the same test with the
+    roles swapped. Violations up to MONO_RTOL * (1 + row magnitude) are
+    forgiven. Returns (ok_i, ok_ii, tol), one entry per row.
+    """
+    mag_lo = np.abs(d_lo).max(axis=1)
+    mag_hi = np.abs(d_hi).max(axis=1)
+    # max(mag_lo, mag_hi) with Python's max(): NaN in mag_lo wins, NaN in
+    # mag_hi loses
+    tol = MONO_RTOL * (1.0 + np.where(mag_hi > mag_lo, mag_hi, mag_lo))
+    col = tol[:, None]
+    dl = d_lo[:, 1:] - d_lo[:, :-1]
+    dh = d_hi[:, 1:] - d_hi[:, :-1]
+    gap = d_lo - d_hi
+    ok_i = ~(((dl < -col) | (dh > col)).any(axis=1) | (gap.max(axis=1) > tol))
+    ok_ii = ~(((dh < -col) | (dl > col)).any(axis=1) | (gap.min(axis=1) < -tol))
+    return ok_i, ok_ii, tol
+
+
+def _gh_problems(lo: np.ndarray, hi: np.ndarray, tol: float) -> str:
+    """Why (lo, hi) is not a fuzzy number: the constraints it violates."""
+    probs = []
+    bad = np.nonzero(lo[1:] - lo[:-1] < -tol)[0]
+    if len(bad):
+        probs.append(f"lower candidate not nondecreasing at level index {bad[0]}")
+    bad = np.nonzero(hi[1:] - hi[:-1] > tol)[0]
+    if len(bad):
+        probs.append(f"upper candidate not nonincreasing at level index {bad[0]}")
+    gap = lo - hi
+    if gap.max() > tol:
+        probs.append(f"lower exceeds upper at level index {gap.argmax()}")
+    return "; ".join(probs)
 
 
 def gh_diff(u: FuzzyNumber, v: FuzzyNumber) -> GhDiffResult:
     """Generalized difference u gh- v.
 
     Candidate endpoints are d_lo = u^- - v^- and d_hi = u^+ - v^+. The
-    case (i) value is (d_lo, d_hi); case (ii) swaps them. A case exists when
-    its lower candidate is non-decreasing, its upper candidate is
-    non-increasing, and lower <= upper, all within the monotonicity
-    forgiveness. When neither case holds the result is None and diagnostics
-    name the violated constraint.
+    case (i) value is (d_lo, d_hi); case (ii) swaps them. Existence is
+    gh_exists on the one row; when neither case holds the result is None
+    and diagnostics name the violated constraints.
     """
     _require_same_grid(u, v)
     d_lo = u.lower - v.lower
     d_hi = u.upper - v.upper
-    mag = max(np.max(np.abs(d_lo)), np.max(np.abs(d_hi)), 0.0)
-    tol = MONO_RTOL * (1.0 + mag)
-
-    diag: dict[str, str] = {}
-
-    probs_i = []
-    r = _mono_report(d_lo, tol, "nondecreasing")
-    if r != "ok":
-        probs_i.append("lower candidate " + r)
-    r = _mono_report(d_hi, tol, "nonincreasing")
-    if r != "ok":
-        probs_i.append("upper candidate " + r)
-    gap = d_lo - d_hi
-    if np.max(gap) > tol:
-        probs_i.append(f"lower exceeds upper at level index {int(np.argmax(gap))}")
-    diag["case_i"] = "ok" if not probs_i else "; ".join(probs_i)
-
-    probs_ii = []
-    r = _mono_report(d_hi, tol, "nondecreasing")
-    if r != "ok":
-        probs_ii.append("lower candidate " + r)
-    r = _mono_report(d_lo, tol, "nonincreasing")
-    if r != "ok":
-        probs_ii.append("upper candidate " + r)
-    gap = d_hi - d_lo
-    if np.max(gap) > tol:
-        probs_ii.append(f"lower exceeds upper at level index {int(np.argmax(gap))}")
-    diag["case_ii"] = "ok" if not probs_ii else "; ".join(probs_ii)
-
-    ok_i = not probs_i
-    ok_ii = not probs_ii
+    ok_i, ok_ii, tol = gh_exists(d_lo[None], d_hi[None])
+    ok_i, ok_ii, tol = bool(ok_i[0]), bool(ok_ii[0]), tol[0]
+    diag = {
+        "case_i": "ok" if ok_i else _gh_problems(d_lo, d_hi, tol),
+        "case_ii": "ok" if ok_ii else _gh_problems(d_hi, d_lo, tol),
+    }
     if ok_i and ok_ii:
         return GhDiffResult(FuzzyNumber(d_lo, d_hi), GhCase.BOTH, diag)
     if ok_i:

@@ -30,7 +30,17 @@ from .errors import (
     NotInDomain,
     NotInTimeScale,
 )
-from .fuzzy import FuzzyNumber, add, alpha_grid, gh_diff, h_diff, hausdorff, scalar_mul
+from .fuzzy import (
+    FuzzyNumber,
+    GhCase,
+    add,
+    alpha_grid,
+    gh_diff,
+    gh_exists,
+    h_diff,
+    hausdorff,
+    scalar_mul,
+)
 from .timescale import PointClass, Side, TimeScale
 
 # how much larger than the agreement tolerance a subsequence split must be
@@ -273,12 +283,25 @@ class EndpointReport:
         return {"t": self.t, "levels": self.rows()}
 
 
-def _scattered_side(f: FuzzyFunction, t: float, neighbor: float) -> SideData:
-    Ft, Fn = f(t), f(neighbor)
-    dt = neighbor - t
-    lo = (Fn.lower - Ft.lower) / dt
-    hi = (Fn.upper - Ft.upper) / dt
-    n = f.K + 1
+def _levels(nums) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K+1) stacks of the lower and upper cuts of N fuzzy numbers."""
+    return np.stack([u.lower for u in nums]), np.stack([u.upper for u in nums])
+
+
+def _row(u: FuzzyNumber) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts of one fuzzy number as a one-row stack."""
+    return u.lower[None], u.upper[None]
+
+
+def _quotients(Ft, Fn, dt):
+    """Exact one-sided quotients (F(n) - F(t)) / (n - t) of (lower, upper)
+    level arrays: one point's cuts with a float dt, or (N, K+1) stacks with
+    dt of shape (N, 1)."""
+    return (Fn[0] - Ft[0]) / dt, (Fn[1] - Ft[1]) / dt
+
+
+def _scattered(lo: np.ndarray, hi: np.ndarray) -> SideData:
+    n = len(lo)
     return SideData(
         kind="scattered",
         lower=lo,
@@ -287,6 +310,12 @@ def _scattered_side(f: FuzzyFunction, t: float, neighbor: float) -> SideData:
         upper_exists=np.ones(n, dtype=int),
         residual=np.zeros(n),
     )
+
+
+def _scattered_side(f: FuzzyFunction, t: float, neighbor: float) -> SideData:
+    Ft, Fn = f(t), f(neighbor)
+    return _scattered(*_quotients((Ft.lower, Ft.upper), (Fn.lower, Fn.upper),
+                                  neighbor - t))
 
 
 def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
@@ -480,6 +509,70 @@ def _dense_value(probes: dict[str, list[_StreamData]],
     return FuzzyNumber(lo, hi, validate=False), residual
 
 
+# ---------------------------------------------------------------------------
+# the jump quotient
+
+
+# indexed by 2 * case_i_exists + case_ii_exists
+_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
+# indexed by the codes of _jump_case
+_JUMP_CASES = (DiffCase.NOT_DIFFERENTIABLE, DiffCase.CRISP, DiffCase.CASE_I,
+               DiffCase.CASE_II)
+
+
+def _jump_case(vlo, vhi, m_lo, m_hi, ctol: float) -> np.ndarray:
+    """Row-wise case at left-scattered points, as codes into _JUMP_CASES.
+
+    A crisp value short-circuits; otherwise the value must match the
+    backward quotient (m_lo, m_hi) in its own order (CaseI) or swapped
+    (CaseII).
+    """
+    def near(a, b):
+        return np.abs(a - b).max(axis=1) <= ctol
+
+    crisp = (vhi - vlo).max(axis=1) <= ctol
+    aligned = near(vlo, m_lo) & near(vhi, m_hi)
+    swapped = near(vlo, m_hi) & near(vhi, m_lo)
+    return np.where(crisp, 1, np.where(aligned, 2, 3 * swapped))
+
+
+@dataclass
+class _Jumps:
+    """The jump quotient at a stack of left-scattered points, one row each.
+
+    certified rows have a gH difference with finite levels and a resolved
+    case; every other row is left to the per-point path.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    gh_case: list[GhCase]
+    case: list[DiffCase]
+    finite: np.ndarray
+    certified: list[bool]
+
+
+def _jump_rows(Ft, Fr, nu: np.ndarray, minus, cfg: ProbeConfig) -> _Jumps:
+    """[f(t) gH- f(rho)] / nu per row of the level stacks Ft and Fr, with
+    the case decided against the backward quotients minus = (lower, upper)."""
+    d_lo = Ft[0] - Fr[0]
+    d_hi = Ft[1] - Fr[1]
+    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
+    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
+    # case (i), alone or with (ii), keeps the candidates' order
+    keep = ok_i[:, None]
+    k = (1.0 / nu)[:, None]
+    lower = k * np.where(keep, d_lo, d_hi)
+    upper = k * np.where(keep, d_hi, d_lo)
+    # classify_case's tolerance at residual 0
+    codes = _jump_case(lower, upper, minus[0], minus[1],
+                       max(cfg.agreement_tol, 0.0))
+    gh = [_GH_CASES[c] for c in (2 * ok_i + ok_ii).tolist()]
+    case = [_JUMP_CASES[c] for c in codes.tolist()]
+    certified = ((ok_i | ok_ii) & finite & (codes > 0)).tolist()
+    return _Jumps(lower, upper, gh, case, finite, certified)
+
+
 def classify_case(value: FuzzyNumber | None, report: EndpointReport,
                   cfg: ProbeConfig = DEFAULT_CONFIG,
                   residual: float = 0.0) -> DiffCase:
@@ -497,22 +590,18 @@ def classify_case(value: FuzzyNumber | None, report: EndpointReport,
         return DiffCase.NOT_DIFFERENTIABLE
     ctol = max(cfg.agreement_tol, 2.0 * residual)
     vlo, vhi = value.lower, value.upper
+    m = report.minus
+    if report.point.left is Side.SCATTERED and m.kind == "scattered":
+        code = _jump_case(vlo[None], vhi[None], m.lower[None], m.upper[None], ctol)
+        return _JUMP_CASES[int(code[0])]
     if float(np.max(vhi - vlo)) <= ctol:
         return DiffCase.CRISP
+    if report.point.left is Side.SCATTERED:
+        return DiffCase.NOT_DIFFERENTIABLE
 
     def match(a: np.ndarray, b: np.ndarray) -> bool:
         return (float(np.max(np.abs(vlo - a))) <= ctol
                 and float(np.max(np.abs(vhi - b))) <= ctol)
-
-    if report.point.left is Side.SCATTERED:
-        m = report.minus
-        if m.kind != "scattered":
-            return DiffCase.NOT_DIFFERENTIABLE
-        if match(m.lower, m.upper):
-            return DiffCase.CASE_I
-        if match(m.upper, m.lower):
-            return DiffCase.CASE_II
-        return DiffCase.NOT_DIFFERENTIABLE
 
     sides = {}
     if report.minus.kind == "limit":
@@ -580,20 +669,25 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
             raise failure
         if pc.left is Side.SCATTERED:
             rho = pc.rho
-            nu = pc.nu
-            res = gh_diff(f(t), f(rho))
-            if res.value is None:
+            Ft, Fr = f(t), f(rho)
+            m = report.minus
+            jump = _jump_rows(_row(Ft), _row(Fr), np.array([pc.nu]),
+                              (m.lower[None], m.upper[None]), cfg)
+            if jump.gh_case[0] is GhCase.NONE or not jump.finite[0]:
+                res = gh_diff(Ft, Fr)  # raises OrderViolation on non-finite levels
                 raise GhNonexistent(
                     f"generalized difference of f({t!r}) and f({rho!r}) does not "
                     f"exist", res.diagnostics)
-            value = scalar_mul(1.0 / nu, res.value)
+            value = FuzzyNumber(jump.lower[0], jump.upper[0], validate=False)
+            case = jump.case[0]
             residual = 0.0
             evidence["path"] = "backward-quotient"
-            evidence["gh_case"] = res.case.value
+            evidence["gh_case"] = jump.gh_case[0].value
             if pc.right is Side.DENSE and "right" in probes:
                 evidence["h_orientations"] = _h_orientations(f, rho, probes["right"])
         else:
             value, residual = _dense_value(probes, cfg, t)
+            case = classify_case(value, report, cfg, residual)
             evidence["path"] = "one-sided-limits"
             evidence["gh_cases"] = {
                 side: {s.label: s.gh_cases for s in streams}
@@ -608,7 +702,6 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
             for side, streams in probes.items()
         }
 
-        case = classify_case(value, report, cfg, residual)
         if case is DiffCase.NOT_DIFFERENTIABLE:
             raise LimitDisagreement(
                 f"derivative estimate at {t!r} converged but the endpoint case "
@@ -650,6 +743,79 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
             evidence={"failure": type(e).__name__, "message": str(e),
                       "diagnostics": _jsonable(getattr(e, "diagnostics", {}))},
         )
+
+
+def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
+               cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
+    """derivative_report at every point, in order.
+
+    Points with a jump on both sides, and a left-scattered maximum, need
+    only the jump quotient; they share one array pass. Every other point,
+    and every row that pass does not certify, takes derivative_report
+    itself. Results, raised errors and the points f is evaluated at, in
+    order, are those of the loop over derivative_report.
+    """
+    out: list = []
+    jumps: list[tuple[int, PointClass, tuple]] = []
+    try:
+        for t in points:
+            pc = _classify_in_domain(ts, float(t))
+            if _jump_only(ts, pc, cfg):
+                nums = (f(pc.t), f(pc.rho))
+                if pc.right is Side.SCATTERED:
+                    nums += (f(pc.sigma),)
+                jumps.append((len(out), pc, nums))
+                out.append(None)
+            else:
+                out.append(derivative_report(f, ts, t, cfg))
+    except Exception:
+        # a jump row before the failing point may fail first
+        _fill_jumps(f, ts, jumps, out, cfg)
+        raise
+    _fill_jumps(f, ts, jumps, out, cfg)
+    return out
+
+
+def _jump_only(ts: TimeScale, pc: PointClass, cfg: ProbeConfig) -> bool:
+    """Whether the derivative at pc involves no probing at all."""
+    if pc.left is not Side.SCATTERED:
+        return False
+    return pc.right is Side.SCATTERED or (
+        pc.at_max and not ts.approach_streams(pc.t, "right", cfg.probe_count))
+
+
+def _fill_jumps(f: FuzzyFunction, ts: TimeScale, jumps, out: list,
+                cfg: ProbeConfig) -> None:
+    """Put the result of every queued jump row into its slot of out."""
+    if not jumps:
+        return
+    pcs = [pc for _, pc, _ in jumps]
+    T = np.array([pc.t for pc in pcs])
+    Ft = _levels([nums[0] for _, _, nums in jumps])
+    Fr = _levels([nums[1] for _, _, nums in jumps])
+    back = _quotients(Ft, Fr, (np.array([pc.rho for pc in pcs]) - T)[:, None])
+    minus = [_scattered(lo, hi) for lo, hi in zip(*back)]
+    plus = [SideData(kind="absent") for _ in pcs]
+    right = [i for i, pc in enumerate(pcs) if pc.right is Side.SCATTERED]
+    if right:
+        fwd = _quotients((Ft[0][right], Ft[1][right]),
+                         _levels([jumps[i][2][2] for i in right]),
+                         (np.array([pcs[i].sigma for i in right]) - T[right])[:, None])
+        for i, lo, hi in zip(right, *fwd):
+            plus[i] = _scattered(lo, hi)
+    jump = _jump_rows(Ft, Fr, np.array([pc.nu for pc in pcs]), back, cfg)
+    alphas = alpha_grid(f.K)
+    for i, (slot, pc, _) in enumerate(jumps):
+        if not jump.certified[i]:
+            out[slot] = derivative_report(f, ts, pc.t, cfg)
+            continue
+        report = EndpointReport(t=pc.t, alphas=alphas, minus=minus[i],
+                                plus=plus[i], point=pc)
+        out[slot] = DerivativeResult(
+            pc.t, FuzzyNumber(jump.lower[i], jump.upper[i], validate=False),
+            jump.case[i], 0.0, report,
+            {"path": "backward-quotient", "gh_case": jump.gh_case[i].value,
+             "continuity_gaps": {}})
 
 
 def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,

@@ -41,6 +41,18 @@ def density_tol(t: float) -> float:
     return DENSITY_RTOL * max(1.0, abs(t))
 
 
+def _require_resolvable(grid) -> None:
+    """Reject a grid with consecutive points within the membership tolerance:
+    the scale would merge them into one member and change every jump."""
+    pts = grid.realized()
+    close = np.diff(pts) <= MEMBERSHIP_RTOL * np.maximum(1.0, np.abs(pts[1:]))
+    if np.any(close):
+        k = int(np.argmax(close))
+        raise ValueError(
+            f"{grid.label()}: consecutive points {_fmt(pts[k])} and "
+            f"{_fmt(pts[k + 1])} are within the membership tolerance")
+
+
 def _fmt(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -213,6 +225,7 @@ class ArithmeticGrid:
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
         object.__setattr__(self, "step", float(self.step))
+        _require_resolvable(self)
 
     def _count(self) -> int:
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -259,6 +272,7 @@ class GeometricGrid:
         object.__setattr__(self, "base", float(self.base))
         object.__setattr__(self, "kmin", int(self.kmin))
         object.__setattr__(self, "kmax", int(self.kmax))
+        _require_resolvable(self)
 
     def realized(self) -> np.ndarray:
         return self.base ** np.arange(self.kmin, self.kmax + 1, dtype=float)
@@ -310,6 +324,7 @@ class ReciprocalGrid:
             raise ValueError("recip count must be at least 1")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "count", int(self.count))
+        _require_resolvable(self)
 
     def realized(self) -> np.ndarray:
         pts = self.scale / np.arange(1, self.count + 1, dtype=float)
@@ -619,7 +634,7 @@ class TimeScale:
         forced = {self._min, self._max}
         if self.contains(0.0):
             forced.add(self.snap(0.0))
-        idx = np.unique(np.linspace(0, len(allpts) - 1, n).round().astype(int))
+        idx = np.linspace(0, len(allpts) - 1, n).round().astype(int).tolist()
         chosen = sorted({allpts[i] for i in idx} | forced)
         while len(chosen) > n:
             spare = next((c for c in chosen[1:-1] if c not in forced), None)

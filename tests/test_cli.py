@@ -1,6 +1,7 @@
 """End-to-end command line runs: formats, exit codes, determinism."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -295,6 +296,20 @@ class TestConfigErrors:
         ], capsys)
         assert code == 1
         assert "line 1, col" in err
+        # too deep to parse, or to evaluate once parsed
+        for spec in ("(" * 3000 + "t" + ")" * 3000,
+                     "+".join(["t"] * 2000),
+                     "t" + "-t" * 1999):
+            code, out, err = run([
+                "check", "product1",
+                "--timescale", "hgrid(0,4,1)",
+                "--fn", "tri(t, t+1, t+2)",
+                "--scalar-fn=" + spec,
+                "--points", "2",
+            ], capsys)
+            assert code == 1
+            assert err.startswith("error: line 1, col ")
+            assert err.count("\n") == 1
 
     def test_missing_fn(self, capsys):
         code, out, err = run([
@@ -347,3 +362,30 @@ class TestConfigErrors:
             "--levels", "2",
         ], capsys)
         assert code == 0
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_SCALE = "union(points(-2,-1), interval(0,1), points(2,3))"
+# the peak drops at 2 so that f(2) gH- f(1) exists in neither case
+GOLDEN_FN = ("tri(t-1-t^2, piecewise(in points(2) => t-4, in points(-2) => t, "
+             "in interval => t), t+1+t^2)")
+# isolated, jump with a dense right side, dense interior, jump without a
+# gH difference, the max
+GOLDEN_POINTS = "--points=-1,0,0.5,2,3"
+
+
+class TestGoldenBytes:
+    """Literal outputs recorded from an earlier build: every byte must stay."""
+
+    @pytest.mark.parametrize("argv, code, name", [
+        (["diff", GOLDEN_POINTS], 2, "diff.csv"),
+        (["diff", GOLDEN_POINTS, "--format", "json"], 2, "diff.json"),
+        (["check", "characterize", GOLDEN_POINTS], 2, "characterize.csv"),
+        (["tabulate", "--points=-2,-1,0,0.5,2,3"], 0, "tabulate.csv"),
+    ])
+    def test_output_bytes(self, argv, code, name, capsys):
+        got_code, out, err = run(argv + [
+            "--timescale", GOLDEN_SCALE, "--fn", GOLDEN_FN, "--levels", "2"],
+            capsys)
+        assert got_code == code
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fuzzynabla.dsl import (
+    MAX_DEPTH,
     Arm,
     BinOp,
     Const,
@@ -85,6 +86,21 @@ class TestTimescaleParsing:
             parse_timescale("interval(0, 1) extra")
         assert "end of input" in str(e.value)
 
+    def test_grid_finer_than_membership_tolerance(self):
+        # 100 points 1e-7 apart near 1e6, where members merge within 1e-6
+        with pytest.raises(ValueError):
+            ArithmeticGrid(1e6, 1e6 + 1e-5, 1e-7)
+        with pytest.raises(DslSyntaxError) as e:
+            parse_timescale("union(points(0), hgrid(1000000, 1000000.00001, 1e-7))")
+        assert (e.value.line, e.value.col) == (1, 18)
+        with pytest.raises(DslSyntaxError):
+            parse_timescale("recip(1, 2000000)")
+        with pytest.raises(DslSyntaxError):
+            parse_timescale("qgrid(2, -60, 0)")
+        # coinciding points of different pieces still merge
+        ts = parse_timescale("union(hgrid(0, 1, 0.5), points(1.0000000000001))")
+        assert list(ts.discrete_points) == [0.0, 0.5, 1.0]
+
 
 class TestScalarExpressions:
     def test_precedence(self):
@@ -148,6 +164,35 @@ class TestPositionedErrors:
         with pytest.raises(DslSyntaxError) as e:
             parse_scalar("(1 + ")
         assert "line 1, col" in str(e.value)
+
+    def test_depth_limit(self):
+        n = MAX_DEPTH
+        deepest = [
+            "(" * (n - 1) + "t" + ")" * (n - 1),
+            "sqrt(" * (n - 1) + "t" + ")" * (n - 1),
+            "-" * (n - 1) + "t",
+            "+".join(["t"] * n),
+            "t" + "-t" * (n - 1),
+            "t" + "*t" * (n - 1),
+        ]
+        for src in deepest:
+            e = parse_scalar(src)
+            eval_expr(e, 0.5)
+            assert parse_scalar(print_canonical(e)) == e
+        arms = "t"
+        for _ in range(n - 1):
+            arms = f"piecewise(in hgrid => {arms})"
+        e = parse_scalar(arms)
+        assert eval_expr(e, 1.0, ts=TimeScale([ArithmeticGrid(0, 2, 1)])) == 1.0
+        assert parse_scalar(print_canonical(e)) == e
+        for src, col in [("(" * n + "t" + ")" * n, n + 1),
+                         ("sqrt(" * n + "t" + ")" * n, 5 * n + 1),
+                         ("-" * n + "t", n + 1),
+                         ("+".join(["t"] * (n + 1)), 2 * n),
+                         ("t" + "*t" * n, 2 * n)]:
+            with pytest.raises(DslSyntaxError) as err:
+                parse_scalar(src)
+            assert (err.value.line, err.value.col) == (1, col), src
 
 
 class TestFunctionDefs:

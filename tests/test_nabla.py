@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla.errors import GhNonexistent, LimitDisagreement, NotInDomain
+from fuzzynabla import nabla
+from fuzzynabla.errors import (
+    GhNonexistent,
+    LimitDisagreement,
+    NotInDomain,
+    OrderViolation,
+)
 from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
 from fuzzynabla.nabla import (
     DiffCase,
@@ -21,6 +27,7 @@ from fuzzynabla.nabla import (
     derivative_report,
     endpoint_derivatives,
     nabla_gh,
+    nabla_many,
     nabla_scalar,
 )
 from fuzzynabla.timescale import (
@@ -365,3 +372,100 @@ class TestConfig:
     def test_tol_positive(self):
         with pytest.raises(ValueError):
             ProbeConfig(agreement_tol=0.0)
+
+
+class TestNablaMany:
+    """nabla_many is the loop over derivative_report, point for point."""
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return [json.dumps(r.to_dict(), sort_keys=True) for r in run()]
+        except Exception as err:
+            return type(err), str(err)
+
+    @staticmethod
+    def logged(fn):
+        log = []
+
+        def g(t):
+            log.append(t)
+            return fn(t)
+
+        return FuzzyFunction(g, K=K), log
+
+    piece = st.one_of(
+        st.builds(lambda a, n, h: ArithmeticGrid(a, a + n * h, h),
+                  st.integers(-4, 4).map(float), st.integers(1, 6),
+                  st.sampled_from([0.25, 0.5, 1.0])),
+        st.builds(lambda k, n: GeometricGrid(2.0, k, k + n),
+                  st.integers(-3, 2), st.integers(1, 4)),
+        st.builds(ReciprocalGrid, st.sampled_from([1.0, -1.0, SQRT2, 3.0]),
+                  st.integers(1, 10)),
+    )
+    interval = st.builds(lambda a, w: ClosedInterval(a, a + w),
+                         st.integers(-5, 5).map(float),
+                         st.sampled_from([0.5, 1.0, 2.0]))
+
+    @given(
+        pieces=st.lists(piece, min_size=1, max_size=3),
+        extra=st.lists(interval, max_size=1),
+        idx=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8),
+        # the minimum is outside the domain when right-scattered
+        stray=st.sampled_from([False, False, False, True]),
+        coef=st.tuples(st.sampled_from([0.0, 1.0, -2.0]),
+                       st.sampled_from([0.0, 0.5]),
+                       st.sampled_from([0.0, 0.7]),
+                       st.sampled_from([0.0, 1.3]),
+                       st.sampled_from([1.0, 1.0, 1.0, 1e308])),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_derivative_report_loop(self, pieces, extra, idx, stray,
+                                            coef):
+        p, q, r, s, mag = coef
+        ts = TimeScale(pieces + extra)
+        cand = [t for t in ts.sample_points(40) if ts.in_kappa(t)]
+        pts = [cand[i % len(cand)] for i in idx]
+        if stray:
+            pts.insert(idx[0] % len(pts), ts.min_point)
+
+        def fn(t):
+            # the two widths move independently, so some jumps have no gH
+            # difference; r = s = 0 gives crisp derivatives
+            m = p * t + q * math.sin(3.0 * t)
+            wl = 1.0 + r * math.cos(2.0 * t) ** 2
+            wr = 1.0 + s * math.sin(t) ** 2
+            return triangular(mag * (m - wl), mag * m, mag * (m + wr), K)
+
+        f_loop, log_loop = self.logged(fn)
+        f_many, log_many = self.logged(fn)
+        loop = self.outcome(lambda: [derivative_report(f_loop, ts, t) for t in pts])
+        many = self.outcome(lambda: nabla_many(f_many, ts, pts))
+        assert many == loop
+        # the same points in the same order; after a failure, nabla_many may
+        # have gone on to evaluate later jump points
+        if isinstance(loop, list):
+            assert log_many == log_loop
+        else:
+            assert log_many[:len(log_loop)] == log_loop
+
+    def test_overflow_row(self):
+        # f is finite at -1 and 1; only the jump difference overflows
+        ts = TimeScale([ExplicitPoints((-1.0, 1.0))])
+        f = FuzzyFunction(lambda t: triangular(1e308 * t, 1e308 * t, 1e308 * t, K),
+                          K=K)
+        for run in (lambda: derivative_report(f, ts, 1.0),
+                    lambda: nabla_many(f, ts, [1.0])):
+            with pytest.raises(OrderViolation, match="level arrays must be finite"):
+                run()
+
+    def test_isolated_points_skip_the_per_point_path(self, monkeypatch):
+        f = FuzzyFunction(lambda t: U123 * (t * t), K=K)
+        pts = [float(k) for k in range(1, 21)]
+        expect = [derivative_report(f, ZZ, t).to_dict() for t in pts]
+
+        def per_point(*args):
+            raise AssertionError("per-point path taken")
+
+        monkeypatch.setattr(nabla, "derivative_report", per_point)
+        assert [r.to_dict() for r in nabla_many(f, ZZ, pts)] == expect

@@ -167,6 +167,18 @@ class TestGhDiff:
         assert res.diagnostics["case_i"] != "ok"
         assert res.diagnostics["case_ii"] != "ok"
 
+    def test_nan_candidate_leaves_other_tests_on(self):
+        # a NaN upper candidate must not make the tolerance NaN and so
+        # switch off the tests on the lower one
+        u = FuzzyNumber([0.0, 1.0, 2.0], [np.nan, 3.0, 2.0], validate=False)
+        v = FuzzyNumber([0.0, 2.0, 4.0], [5.0, 4.5, 4.0], validate=False)
+        res = gh_diff(u, v)
+        assert res.case is GhCase.NONE
+        assert res.diagnostics == {
+            "case_i": "lower candidate not nondecreasing at level index 0",
+            "case_ii": "lower candidate not nondecreasing at level index 1",
+        }
+
     def test_self_difference_is_both(self):
         u = triangular(1, 2, 4)
         res = gh_diff(u, u)

@@ -454,8 +454,10 @@ class TestNablaMany:
         ts = TimeScale([ExplicitPoints((-1.0, 1.0))])
         f = FuzzyFunction(lambda t: triangular(1e308 * t, 1e308 * t, 1e308 * t, K),
                           K=K)
+        # 5 is not a member, but the loop fails at 1 before reaching it
         for run in (lambda: derivative_report(f, ts, 1.0),
-                    lambda: nabla_many(f, ts, [1.0])):
+                    lambda: nabla_many(f, ts, [1.0]),
+                    lambda: nabla_many(f, ts, [1.0, 5.0])):
             with pytest.raises(OrderViolation, match="level arrays must be finite"):
                 run()
 

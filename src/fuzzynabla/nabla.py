@@ -129,6 +129,20 @@ class _StreamData:
     gh_cases: list[str]
 
 
+# indexed by 2 * case_i_exists + case_ii_exists
+_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
+
+
+def _gh_rows(U, V):
+    """U gH- V row by row on level stacks: the candidate endpoints, which
+    cases exist, and whether the candidates are finite."""
+    d_lo = U[0] - V[0]
+    d_hi = U[1] - V[1]
+    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
+    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
+    return d_lo, d_hi, ok_i, ok_ii, finite
+
+
 def _probe_cases(Ft: FuzzyNumber, Fp: list[FuzzyNumber], P, points,
                  t: float, side: str) -> tuple[list[str], GhNonexistent | None]:
     """gH case of f(p) gH- f(t) (right side) or f(t) gH- f(p) (left side)
@@ -528,21 +542,9 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 # the jump quotient
 
 
-# indexed by 2 * case_i_exists + case_ii_exists
-_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
 # indexed by the codes of _jump_case
 _JUMP_CASES = (DiffCase.NOT_DIFFERENTIABLE, DiffCase.CRISP, DiffCase.CASE_I,
                DiffCase.CASE_II)
-
-
-def _gh_rows(U, V):
-    """U gH- V row by row on level stacks: the candidate endpoints, which
-    cases exist, and whether the candidates are finite."""
-    d_lo = U[0] - V[0]
-    d_hi = U[1] - V[1]
-    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
-    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
-    return d_lo, d_hi, ok_i, ok_ii, finite
 
 
 def _jump_case(vlo, vhi, m_lo, m_hi, ctol: float) -> np.ndarray:

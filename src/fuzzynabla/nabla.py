@@ -129,40 +129,6 @@ class _StreamData:
     gh_cases: list[str]
 
 
-# indexed by 2 * case_i_exists + case_ii_exists
-_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
-
-
-def _gh_rows(U, V):
-    """U gH- V row by row on level stacks: the candidate endpoints, which
-    cases exist, and whether the candidates are finite."""
-    d_lo = U[0] - V[0]
-    d_hi = U[1] - V[1]
-    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
-    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
-    return d_lo, d_hi, ok_i, ok_ii, finite
-
-
-def _probe_cases(Ft: FuzzyNumber, Fp: list[FuzzyNumber], P, points,
-                 t: float, side: str) -> tuple[list[str], GhNonexistent | None]:
-    """gH case of f(p) gH- f(t) (right side) or f(t) gH- f(p) (left side)
-    at every evaluated probe (P stacks their levels), and the error for the
-    first whose difference does not exist. A difference that exists with
-    non-finite levels raises OrderViolation through gh_diff's validation."""
-    T = _row(Ft)
-    _, _, ok_i, ok_ii, finite = _gh_rows(P, T) if side == "right" else _gh_rows(T, P)
-    failure = None
-    for j in np.flatnonzero(~(ok_i | ok_ii) | ~finite).tolist():
-        res = gh_diff(Fp[j], Ft) if side == "right" else gh_diff(Ft, Fp[j])
-        if failure is None:
-            failure = GhNonexistent(
-                f"generalized difference does not exist at probe {points[j]!r} "
-                f"({side} of {t!r})",
-                {"probe": points[j], "side": side, **res.diagnostics},
-            )
-    return [_GH_CASES[c].value for c in (2 * ok_i + ok_ii).tolist()], failure
-
-
 def _tail_spread(Q: np.ndarray) -> np.ndarray:
     """Max pairwise spread per column over the trailing half (>= 2 rows)."""
     m = len(Q)
@@ -186,21 +152,26 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
     failure = None
     out: list[_StreamData] = []
     for s in streams:
-        Fp: list[FuzzyNumber] = []
-        try:
-            for p in s.points:
-                Fp.append(f(p))
-        except Exception:
-            # a probe before the failing one may fail first
-            if Fp:
-                _probe_cases(Ft, Fp, _levels(Fp), s.points, t, side)
-            raise
-        P = _levels(Fp)
-        cases, failed = _probe_cases(Ft, Fp, P, s.points, t, side)
-        failure = failure or failed
         m = len(s.points)
-        Qlo, Qhi = _quotients((Ft.lower, Ft.upper), P,
-                              (np.array(s.points) - t)[:, None])
+        Qlo = np.empty((m, f.K + 1))
+        Qhi = np.empty((m, f.K + 1))
+        cases = []
+        for j, p in enumerate(s.points):
+            Fp = f(p)
+            if side == "right":
+                res = gh_diff(Fp, Ft)
+            else:
+                res = gh_diff(Ft, Fp)
+            if res.value is None and failure is None:
+                failure = GhNonexistent(
+                    f"generalized difference does not exist at probe {p!r} "
+                    f"({side} of {t!r})",
+                    {"probe": p, "side": side, **res.diagnostics},
+                )
+            cases.append(res.case.value)
+            dt = p - t
+            Qlo[j] = (Fp.lower - Ft.lower) / dt
+            Qhi[j] = (Fp.upper - Ft.upper) / dt
 
         Vlo = np.minimum(Qlo, Qhi)
         Vhi = np.maximum(Qlo, Qhi)
@@ -542,6 +513,8 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 # the jump quotient
 
 
+# indexed by 2 * case_i_exists + case_ii_exists
+_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
 # indexed by the codes of _jump_case
 _JUMP_CASES = (DiffCase.NOT_DIFFERENTIABLE, DiffCase.CRISP, DiffCase.CASE_I,
                DiffCase.CASE_II)
@@ -582,7 +555,10 @@ class _Jumps:
 def _jump_rows(Ft, Fr, nu: np.ndarray, minus, cfg: ProbeConfig) -> _Jumps:
     """[f(t) gH- f(rho)] / nu per row of the level stacks Ft and Fr, with
     the case decided against the backward quotients minus = (lower, upper)."""
-    d_lo, d_hi, ok_i, ok_ii, finite = _gh_rows(Ft, Fr)
+    d_lo = Ft[0] - Fr[0]
+    d_hi = Ft[1] - Fr[1]
+    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
+    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
     # case (i), alone or with (ii), keeps the candidates' order
     keep = ok_i[:, None]
     k = (1.0 / nu)[:, None]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .dsl import bind_function, eval_function, parse_function, parse_timescale
@@ -87,11 +88,25 @@ def _read_spec(arg: str) -> str:
 
 
 def _probe_config(args) -> ProbeConfig:
-    return ProbeConfig(
-        probe_count=args.probes,
-        agreement_tol=args.agreement_tol,
-        richardson=DEFAULT_CONFIG.richardson,
-    )
+    try:
+        return ProbeConfig(
+            probe_count=args.probes,
+            agreement_tol=args.agreement_tol,
+            richardson=DEFAULT_CONFIG.richardson,
+        )
+    except ValueError as err:
+        raise ValidationError(
+            f"--probes {args.probes} --agreement-tol {args.agreement_tol!r}: "
+            f"{err}") from None
+
+
+def _residual_tol(args) -> float | None:
+    """--residual-tol, which must be finite and not negative when given."""
+    tol = args.residual_tol
+    if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+        raise ValidationError(
+            f"--residual-tol must be finite and not negative, got {tol!r}")
+    return tol
 
 
 def _select_points(ts, spec: str) -> list[float]:
@@ -281,7 +296,7 @@ def _verdict_code(verdicts) -> int:
     return EXIT_OK
 
 
-def _residual_rows(args, checker) -> int:
+def _residual_rows(args, checker, given: float | None) -> int:
     """Shared driver for the two identity checks with scalar residuals."""
     ts, (f,) = _bind(args)
     cfg = _probe_config(args)
@@ -290,7 +305,7 @@ def _residual_rows(args, checker) -> int:
     rows = []
     verdicts = []
     for t in points:
-        tol = args.residual_tol or default_residual_tol(ts, t)
+        tol = default_residual_tol(ts, t) if given is None else given
         residual = checker(f, ts, t, cfg)
         verdict = Verdict.VERIFIED if residual <= tol else Verdict.RESIDUAL_EXCEEDED
         verdicts.append(verdict)
@@ -341,10 +356,11 @@ def _check_named_sign(rep, theorem: str) -> None:
 
 def cmd_check(args) -> int:
     theorem = args.theorem
+    tol = _residual_tol(args)
     if theorem == "rho-identity":
-        return _residual_rows(args, check_rho_identity)
+        return _residual_rows(args, check_rho_identity, tol)
     if theorem == "level-consistency":
-        return _residual_rows(args, check_level_consistency)
+        return _residual_rows(args, check_level_consistency, tol)
 
     if theorem == "characterize":
         ts, (f,) = _bind(args)
@@ -366,7 +382,7 @@ def cmd_check(args) -> int:
         cfg = _probe_config(args)
         points = _select_points(ts, args.points)
         reports = [
-            (t, sum_rule(f, g, ts, t, cfg, tol=args.residual_tol))
+            (t, sum_rule(f, g, ts, t, cfg, tol=tol))
             for t in points
         ]
         return _rule_rows(args, reports)
@@ -379,9 +395,9 @@ def cmd_check(args) -> int:
     reports = []
     for t in points:
         if theorem == "product-interval":
-            rep = product_interval(fs, g, ts, t, cfg, tol=args.residual_tol)
+            rep = product_interval(fs, g, ts, t, cfg, tol=tol)
         else:
-            rep = product_fuzzy(fs, g, ts, t, cfg, tol=args.residual_tol)
+            rep = product_fuzzy(fs, g, ts, t, cfg, tol=tol)
             _check_named_sign(rep, theorem)
         reports.append((t, rep))
     return _rule_rows(args, reports)

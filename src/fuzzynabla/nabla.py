@@ -66,8 +66,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.probe_count < 3:
             raise ValueError("probe_count must be at least 3")
-        if self.agreement_tol <= 0:
-            raise ValueError("agreement_tol must be positive")
+        if not (self.agreement_tol > 0 and math.isfinite(self.agreement_tol)):
+            raise ValueError("agreement_tol must be positive and finite")
 
 
 DEFAULT_CONFIG = ProbeConfig()
@@ -283,39 +283,19 @@ class EndpointReport:
         return {"t": self.t, "levels": self.rows()}
 
 
-def _levels(nums) -> tuple[np.ndarray, np.ndarray]:
-    """(N, K+1) stacks of the lower and upper cuts of N fuzzy numbers."""
-    return np.stack([u.lower for u in nums]), np.stack([u.upper for u in nums])
-
-
-def _row(u: FuzzyNumber) -> tuple[np.ndarray, np.ndarray]:
-    """The cuts of one fuzzy number as a one-row stack."""
-    return u.lower[None], u.upper[None]
-
-
-def _quotients(Ft, Fn, dt):
-    """Exact one-sided quotients (F(n) - F(t)) / (n - t) of (lower, upper)
-    level arrays: one point's cuts with a float dt, or (N, K+1) stacks with
-    dt of shape (N, 1)."""
-    return (Fn[0] - Ft[0]) / dt, (Fn[1] - Ft[1]) / dt
-
-
-def _scattered(lo: np.ndarray, hi: np.ndarray) -> SideData:
-    n = len(lo)
+def _scattered_side(f: FuzzyFunction, t: float, neighbor: float) -> SideData:
+    """The exact quotient (f(neighbor) - f(t)) / (neighbor - t) toward a jump."""
+    Ft, Fn = f(t), f(neighbor)
+    dt = neighbor - t
+    n = f.K + 1
     return SideData(
         kind="scattered",
-        lower=lo,
-        upper=hi,
+        lower=(Fn.lower - Ft.lower) / dt,
+        upper=(Fn.upper - Ft.upper) / dt,
         lower_exists=np.ones(n, dtype=int),
         upper_exists=np.ones(n, dtype=int),
         residual=np.zeros(n),
     )
-
-
-def _scattered_side(f: FuzzyFunction, t: float, neighbor: float) -> SideData:
-    Ft, Fn = f(t), f(neighbor)
-    return _scattered(*_quotients((Ft.lower, Ft.upper), (Fn.lower, Fn.upper),
-                                  neighbor - t))
 
 
 def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
@@ -538,49 +518,50 @@ def _jump_case(vlo, vhi, m_lo, m_hi, ctol: float) -> np.ndarray:
 
 @dataclass
 class _Jumps:
-    """The jump quotient at a stack of left-scattered points, one row each.
-
-    certified rows have a gH difference with finite levels and a resolved
-    case; every other row is left to the per-point path.
-    """
+    """The jump quotient at a stack of left-scattered points, one row each."""
 
     lower: np.ndarray
     upper: np.ndarray
     gh_case: list[GhCase]
     case: list[DiffCase]
     finite: np.ndarray
-    certified: list[bool]
 
 
-def _jump_rows(Ft, Fr, nu: np.ndarray, minus, cfg: ProbeConfig) -> _Jumps:
-    """[f(t) gH- f(rho)] / nu per row of the level stacks Ft and Fr, with
-    the case decided against the backward quotients minus = (lower, upper)."""
-    d_lo = Ft[0] - Fr[0]
-    d_hi = Ft[1] - Fr[1]
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """(N, K+1) stack of N level arrays; a single row is a view, not a copy."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _jump_rows(f: FuzzyFunction, reports: list[EndpointReport],
+               cfg: ProbeConfig) -> _Jumps:
+    """[f(t) gH- f(rho)] / nu at the left-scattered point of each report,
+    one row each, with the case decided against its backward quotient."""
+    Ft = [f(r.t) for r in reports]
+    Fr = [f(r.point.rho) for r in reports]
+    d_lo = _stack([u.lower for u in Ft]) - _stack([u.lower for u in Fr])
+    d_hi = _stack([u.upper for u in Ft]) - _stack([u.upper for u in Fr])
     ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
     finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
     # case (i), alone or with (ii), keeps the candidates' order
     keep = ok_i[:, None]
-    k = (1.0 / nu)[:, None]
+    k = (1.0 / np.array([r.point.nu for r in reports]))[:, None]
     lower = k * np.where(keep, d_lo, d_hi)
     upper = k * np.where(keep, d_hi, d_lo)
-    # classify_case's tolerance at residual 0
-    codes = _jump_case(lower, upper, minus[0], minus[1],
-                       max(cfg.agreement_tol, 0.0))
+    codes = _jump_case(lower, upper, _stack([r.minus.lower for r in reports]),
+                       _stack([r.minus.upper for r in reports]),
+                       cfg.agreement_tol)
     gh = [_GH_CASES[c] for c in (2 * ok_i + ok_ii).tolist()]
     case = [_JUMP_CASES[c] for c in codes.tolist()]
-    certified = ((ok_i | ok_ii) & finite & (codes > 0)).tolist()
-    return _Jumps(lower, upper, gh, case, finite, certified)
+    return _Jumps(lower, upper, gh, case, finite)
 
 
 def classify_case(value: FuzzyNumber | None, report: EndpointReport,
                   cfg: ProbeConfig = DEFAULT_CONFIG,
                   residual: float = 0.0) -> DiffCase:
-    """Structure of the derivative at one point.
+    """Structure of the derivative at a left-dense point (a left-scattered
+    one is decided by the jump quotient's _jump_case).
 
-    Crisp values short-circuit. At a left-scattered point the backward
-    quotient decides between the two orderings (the forward jump quotient is
-    diagnostic only). At left-dense points the one-sided estimates decide:
+    Crisp values short-circuit. Otherwise the one-sided estimates decide:
     matching orders on the participating sides give the plain cases; a
     correctly-ordered right side against a swapped left side is the third
     (switching) case, the mirror image the fourth. When one-sided limits
@@ -590,14 +571,8 @@ def classify_case(value: FuzzyNumber | None, report: EndpointReport,
         return DiffCase.NOT_DIFFERENTIABLE
     ctol = max(cfg.agreement_tol, 2.0 * residual)
     vlo, vhi = value.lower, value.upper
-    m = report.minus
-    if report.point.left is Side.SCATTERED and m.kind == "scattered":
-        code = _jump_case(vlo[None], vhi[None], m.lower[None], m.upper[None], ctol)
-        return _JUMP_CASES[int(code[0])]
     if float(np.max(vhi - vlo)) <= ctol:
         return DiffCase.CRISP
-    if report.point.left is Side.SCATTERED:
-        return DiffCase.NOT_DIFFERENTIABLE
 
     def match(a: np.ndarray, b: np.ndarray) -> bool:
         return (float(np.max(np.abs(vlo - a))) <= ctol
@@ -647,44 +622,40 @@ def classify_case(value: FuzzyNumber | None, report: EndpointReport,
     return DiffCase.NOT_DIFFERENTIABLE
 
 
-def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
-             cfg: ProbeConfig = DEFAULT_CONFIG) -> DerivativeResult:
-    """The backward derivative of f at t.
+def _derive(f: FuzzyFunction, report: EndpointReport,
+            probes: dict[str, list[_StreamData]],
+            failure: GhNonexistent | None, cfg: ProbeConfig,
+            jump: _Jumps | None = None, i: int = 0) -> DerivativeResult:
+    """The derivative at a point from its one analysis: row i of the jump
+    pass at a left-scattered point (a one-row pass of its own when jump is
+    None), the probed limit at a left-dense one.
 
-    Left-scattered t: exact quotient of the generalized difference by the
-    graininess (residual 0). Left-dense t: both one-sided limits (where the
-    scale has points) must settle and agree within cfg.agreement_tol.
-
-    Raises NotInDomain outside the derivative domain, GhNonexistent when a
-    required generalized difference fails at a probe or at the jump, and
-    LimitDisagreement when estimates do not settle or sides disagree. Both
-    of the latter carry the endpoint report as endpoint_report.
+    Raises the first failed probe, GhNonexistent for a jump without a gH
+    difference and LimitDisagreement for a limit or case that does not
+    resolve, each carrying report as endpoint_report.
     """
-    t = float(t)
-    pc = _classify_in_domain(ts, t)
-    report, probes, failure = _analyze(f, ts, pc, cfg)
+    pc = report.point
+    t = pc.t
     evidence: dict = {}
     try:
         if failure is not None:
             raise failure
         if pc.left is Side.SCATTERED:
-            rho = pc.rho
-            Ft, Fr = f(t), f(rho)
-            m = report.minus
-            jump = _jump_rows(_row(Ft), _row(Fr), np.array([pc.nu]),
-                              (m.lower[None], m.upper[None]), cfg)
-            if jump.gh_case[0] is GhCase.NONE or not jump.finite[0]:
-                res = gh_diff(Ft, Fr)  # raises OrderViolation on non-finite levels
+            if jump is None:
+                jump = _jump_rows(f, [report], cfg)
+            if jump.gh_case[i] is GhCase.NONE or not jump.finite[i]:
+                res = gh_diff(f(t), f(pc.rho))  # raises OrderViolation on non-finite levels
                 raise GhNonexistent(
-                    f"generalized difference of f({t!r}) and f({rho!r}) does not "
-                    f"exist", res.diagnostics)
-            value = FuzzyNumber(jump.lower[0], jump.upper[0], validate=False)
-            case = jump.case[0]
+                    f"generalized difference of f({t!r}) and f({pc.rho!r}) does "
+                    f"not exist", res.diagnostics)
+            value = FuzzyNumber(jump.lower[i], jump.upper[i], validate=False)
+            case = jump.case[i]
             residual = 0.0
             evidence["path"] = "backward-quotient"
-            evidence["gh_case"] = jump.gh_case[0].value
-            if pc.right is Side.DENSE and "right" in probes:
-                evidence["h_orientations"] = _h_orientations(f, rho, probes["right"])
+            evidence["gh_case"] = jump.gh_case[i].value
+            if "right" in probes:
+                evidence["h_orientations"] = _h_orientations(f, pc.rho,
+                                                             probes["right"])
         else:
             value, residual = _dense_value(probes, cfg, t)
             case = classify_case(value, report, cfg, residual)
@@ -707,9 +678,26 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
                 f"derivative estimate at {t!r} converged but the endpoint case "
                 f"structure did not resolve", {"residual": residual})
     except (GhNonexistent, LimitDisagreement) as err:
-        err.endpoint_report = report  # derivative_report reports from it
+        err.endpoint_report = report  # _reported builds its row from it
         raise
     return DerivativeResult(t, value, case, residual, report, evidence)
+
+
+def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
+             cfg: ProbeConfig = DEFAULT_CONFIG) -> DerivativeResult:
+    """The backward derivative of f at t.
+
+    Left-scattered t: exact quotient of the generalized difference by the
+    graininess (residual 0). Left-dense t: both one-sided limits (where the
+    scale has points) must settle and agree within cfg.agreement_tol.
+
+    Raises NotInDomain outside the derivative domain, GhNonexistent when a
+    required generalized difference fails at a probe or at the jump, and
+    LimitDisagreement when estimates do not settle or sides disagree. Both
+    of the latter carry the endpoint report as endpoint_report.
+    """
+    pc = _classify_in_domain(ts, float(t))
+    return _derive(f, *_analyze(f, ts, pc, cfg), cfg)
 
 
 def _h_orientations(f: FuzzyFunction, rho: float,
@@ -726,16 +714,14 @@ def _h_orientations(f: FuzzyFunction, rho: float,
     return {"forward": fwd, "backward": bwd}
 
 
-def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
-                      cfg: ProbeConfig = DEFAULT_CONFIG) -> DerivativeResult:
-    """nabla_gh, but failures come back as a NotDifferentiable result with
-    the reason in evidence instead of an exception (NotInDomain still
-    raises: asking outside the domain is a caller error)."""
+def _reported(derive: Callable[..., DerivativeResult], *args) -> DerivativeResult:
+    """derive(*args), with a GhNonexistent or LimitDisagreement turned into
+    a NotDifferentiable result that carries the reason in evidence."""
     try:
-        return nabla_gh(f, ts, t, cfg)
+        return derive(*args)
     except (GhNonexistent, LimitDisagreement) as e:
         return DerivativeResult(
-            t=float(t),
+            t=e.endpoint_report.t,
             value=None,
             case=DiffCase.NOT_DIFFERENTIABLE,
             residual=math.inf,
@@ -745,77 +731,42 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
         )
 
 
+def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
+                      cfg: ProbeConfig = DEFAULT_CONFIG) -> DerivativeResult:
+    """nabla_gh, but failures come back as a NotDifferentiable result with
+    the reason in evidence instead of an exception (NotInDomain still
+    raises: asking outside the domain is a caller error)."""
+    return _reported(nabla_gh, f, ts, t, cfg)
+
+
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
                cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
     """derivative_report at every point, in order.
 
-    Points with a jump on both sides, and a left-scattered maximum, need
-    only the jump quotient; they share one array pass. Every other point,
-    and every row that pass does not certify, takes derivative_report
-    itself. Results, raised errors and the points f is evaluated at, in
-    order, are those of the loop over derivative_report.
+    Each point is classified and analysed once. The jump quotients of the
+    left-scattered points without a failed probe share one array pass after
+    the loop; every other point gets its result at once. Results, raised
+    errors and the points f is evaluated at, in order, are those of the
+    loop over derivative_report.
     """
     out: list = []
-    jumps: list[tuple[int, PointClass, tuple]] = []
+    queued: list[tuple[int, tuple]] = []
     try:
         for t in points:
-            pc = _classify_in_domain(ts, float(t))
-            if _jump_only(ts, pc, cfg):
-                nums = (f(pc.t), f(pc.rho))
-                if pc.right is Side.SCATTERED:
-                    nums += (f(pc.sigma),)
-                jumps.append((len(out), pc, nums))
+            analysis = _analyze(f, ts, _classify_in_domain(ts, float(t)), cfg)
+            report, _, failure = analysis
+            if failure is None and report.point.left is Side.SCATTERED:
+                queued.append((len(out), analysis))
                 out.append(None)
             else:
-                out.append(derivative_report(f, ts, t, cfg))
-    except Exception:
-        # a jump row before the failing point may fail first
-        _fill_jumps(f, ts, jumps, out, cfg)
-        raise
-    _fill_jumps(f, ts, jumps, out, cfg)
+                out.append(_reported(_derive, f, *analysis, cfg))
+    finally:
+        # also when a point fails: a queued row before it may fail first
+        if queued:
+            jump = _jump_rows(f, [a[0] for _, a in queued], cfg)
+            for i, (slot, analysis) in enumerate(queued):
+                out[slot] = _reported(_derive, f, *analysis, cfg, jump, i)
     return out
-
-
-def _jump_only(ts: TimeScale, pc: PointClass, cfg: ProbeConfig) -> bool:
-    """Whether the derivative at pc involves no probing at all."""
-    if pc.left is not Side.SCATTERED:
-        return False
-    return pc.right is Side.SCATTERED or (
-        pc.at_max and not ts.approach_streams(pc.t, "right", cfg.probe_count))
-
-
-def _fill_jumps(f: FuzzyFunction, ts: TimeScale, jumps, out: list,
-                cfg: ProbeConfig) -> None:
-    """Put the result of every queued jump row into its slot of out."""
-    if not jumps:
-        return
-    pcs = [pc for _, pc, _ in jumps]
-    T = np.array([pc.t for pc in pcs])
-    Ft = _levels([nums[0] for _, _, nums in jumps])
-    Fr = _levels([nums[1] for _, _, nums in jumps])
-    back = _quotients(Ft, Fr, (np.array([pc.rho for pc in pcs]) - T)[:, None])
-    minus = [_scattered(lo, hi) for lo, hi in zip(*back)]
-    plus = [SideData(kind="absent") for _ in pcs]
-    right = [i for i, pc in enumerate(pcs) if pc.right is Side.SCATTERED]
-    if right:
-        fwd = _quotients((Ft[0][right], Ft[1][right]),
-                         _levels([jumps[i][2][2] for i in right]),
-                         (np.array([pcs[i].sigma for i in right]) - T[right])[:, None])
-        for i, lo, hi in zip(right, *fwd):
-            plus[i] = _scattered(lo, hi)
-    jump = _jump_rows(Ft, Fr, np.array([pc.nu for pc in pcs]), back, cfg)
-    alphas = alpha_grid(f.K)
-    for i, (slot, pc, _) in enumerate(jumps):
-        if not jump.certified[i]:
-            out[slot] = derivative_report(f, ts, pc.t, cfg)
-            continue
-        report = EndpointReport(t=pc.t, alphas=alphas, minus=minus[i],
-                                plus=plus[i], point=pc)
-        out[slot] = DerivativeResult(
-            pc.t, FuzzyNumber(jump.lower[i], jump.upper[i], validate=False),
-            jump.case[i], 0.0, report,
-            {"path": "backward-quotient", "gh_case": jump.gh_case[i].value,
-             "continuity_gaps": {}})
 
 
 def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,

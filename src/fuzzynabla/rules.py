@@ -29,7 +29,7 @@ from .nabla import (
     nabla_gh,
     nabla_scalar,
 )
-from .timescale import Side, TimeScale
+from .timescale import PointClass, Side, TimeScale
 
 
 class Verdict(Enum):
@@ -77,9 +77,14 @@ class RuleReport:
         }
 
 
-def default_residual_tol(ts: TimeScale, t: float) -> float:
+def _point_tol(pc: PointClass) -> float:
     """Exact quotients get a tight bound; probed limits a looser one."""
-    return 1e-9 if ts.classify(t).left is Side.SCATTERED else 1e-5
+    return 1e-9 if pc.left is Side.SCATTERED else 1e-5
+
+
+def default_residual_tol(ts: TimeScale, t: float) -> float:
+    """The residual tolerance the checkers use at t unless given one."""
+    return _point_tol(ts.classify(t))
 
 
 def _tag_of(result) -> Tag:
@@ -117,6 +122,33 @@ def _tags_compatible(a: Tag, b: Tag) -> bool:
     return a == b or Tag.BOTH in (a, b)
 
 
+def _graded(rule: str, checks: list[HypothesisCheck], h: FuzzyFunction,
+            ts: TimeScale, t: float, cfg: ProbeConfig, extras: dict,
+            failed_rhs: FuzzyNumber | None, measure) -> RuleReport:
+    """The report for the derivative of h at t against the rule's other side.
+
+    measure(nabla h) gives (lhs, rhs, residual). A failed hypothesis is
+    HypothesisFailed whatever the numbers say; otherwise the residual must
+    be within extras["tol"]. When nabla h does not exist the residual is
+    infinite, the right-hand side is failed_rhs and the reason goes into
+    extras["failure"].
+    """
+    try:
+        dh = nabla_gh(h, ts, t, cfg).value
+    except (GhNonexistent, LimitDisagreement) as err:
+        extras["failure"] = str(err)
+        lhs, rhs, residual = None, failed_rhs, float("inf")
+    else:
+        lhs, rhs, residual = measure(dh)
+    if not all(c.passed for c in checks):
+        verdict = Verdict.HYPOTHESIS_FAILED
+    elif lhs is not None and residual <= extras["tol"]:
+        verdict = Verdict.VERIFIED
+    else:
+        verdict = Verdict.RESIDUAL_EXCEEDED
+    return RuleReport(rule, checks, lhs, rhs, residual, verdict, extras)
+
+
 def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
              cfg: ProbeConfig = DEFAULT_CONFIG,
              tol: float | None = None) -> RuleReport:
@@ -125,8 +157,6 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     Hypothesis: both summands realize the same endpoint ordering (a crisp
     derivative is compatible with either).
     """
-    if tol is None:
-        tol = default_residual_tol(ts, t)
     rf = nabla_gh(f, ts, t, cfg)
     rg = nabla_gh(g, ts, t, cfg)
     tf = _tag_of(rf)
@@ -138,23 +168,11 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     rhs = add(rf.value, rg.value)
 
     h = FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K)
+    if tol is None:
+        tol = _point_tol(rf.endpoint_report.point)
     extras = {"tag_f": tf.value, "tag_g": tg.value, "tol": tol}
-    try:
-        lhs = nabla_gh(h, ts, t, cfg).value
-    except (GhNonexistent, LimitDisagreement) as err:
-        extras["failure"] = str(err)
-        verdict = (Verdict.HYPOTHESIS_FAILED if not compatible
-                   else Verdict.RESIDUAL_EXCEEDED)
-        return RuleReport("sum", checks, None, rhs, float("inf"), verdict, extras)
-
-    residual = hausdorff(lhs, rhs)
-    if not compatible:
-        verdict = Verdict.HYPOTHESIS_FAILED
-    elif residual <= tol:
-        verdict = Verdict.VERIFIED
-    else:
-        verdict = Verdict.RESIDUAL_EXCEEDED
-    return RuleReport("sum", checks, lhs, rhs, residual, verdict, extras)
+    return _graded("sum", checks, h, ts, t, cfg, extras, rhs,
+                   lambda lhs: (lhs, rhs, hausdorff(lhs, rhs)))
 
 
 def _sigma_and_tag(fs: Callable[[float], float], g: FuzzyFunction,
@@ -177,8 +195,6 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     < 0 with ordering II. Both arrangements of the right-hand side are
     checked; their worst deviation is the residual.
     """
-    if tol is None:
-        tol = default_residual_tol(ts, t)
     dfs, sigma, rg, tg = _sigma_and_tag(fs, g, ts, t, cfg)
     sign_ok = (
         (sigma > 0 and tg in (Tag.I, Tag.BOTH))
@@ -197,6 +213,8 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     cross = hausdorff(rhs1, rhs2)
 
     h = FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
+    if tol is None:
+        tol = _point_tol(rg.endpoint_report.point)
     extras = {
         "sigma": sigma,
         "tag_g": tg.value,
@@ -204,24 +222,9 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
         "rhs_cross_gap": cross,
         "tol": tol,
     }
-    try:
-        lhs = nabla_gh(h, ts, t, cfg).value
-    except (GhNonexistent, LimitDisagreement) as err:
-        extras["failure"] = str(err)
-        verdict = (Verdict.HYPOTHESIS_FAILED if not sign_ok
-                   else Verdict.RESIDUAL_EXCEEDED)
-        return RuleReport("product-fuzzy", checks, None, rhs1, float("inf"),
-                          verdict, extras)
-
-    residual = max(hausdorff(lhs, rhs1), hausdorff(lhs, rhs2))
-    if not sign_ok:
-        verdict = Verdict.HYPOTHESIS_FAILED
-    elif residual <= tol:
-        verdict = Verdict.VERIFIED
-    else:
-        verdict = Verdict.RESIDUAL_EXCEEDED
-    return RuleReport("product-fuzzy", checks, lhs, rhs1, residual, verdict,
-                      extras)
+    return _graded("product-fuzzy", checks, h, ts, t, cfg, extras, rhs1,
+                   lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
+                                               hausdorff(lhs, rhs2))))
 
 
 def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -280,8 +283,6 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
     When the width is locally constant both selected forms are evaluated
     and the better one is reported.
     """
-    if tol is None:
-        tol = default_residual_tol(ts, t)
     dfs, sigma, rg, tg = _sigma_and_tag(fs, g, ts, t, cfg)
     sign_ok = (
         (sigma < 0 and tg in (Tag.I, Tag.BOTH))
@@ -301,6 +302,8 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
         raise LengthDirectionUndetermined(
             f"width slopes of the product disagree in sign around {t!r}")
 
+    if tol is None:
+        tol = _point_tol(rg.endpoint_report.point)
     extras = {
         "sigma": sigma,
         "tag_g": tg.value,
@@ -308,48 +311,33 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
         "len_direction": direction,
         "tol": tol,
     }
-    try:
-        dh = nabla_gh(h, ts, t, cfg).value
-    except (GhNonexistent, LimitDisagreement) as err:
-        extras["failure"] = str(err)
-        verdict = (Verdict.HYPOTHESIS_FAILED if not sign_ok
-                   else Verdict.RESIDUAL_EXCEEDED)
-        return RuleReport("product-interval", checks, None, None, float("inf"),
-                          verdict, extras)
-
     use_tag = tg if tg in (Tag.I, Tag.II) else (Tag.I if sigma < 0 else Tag.II)
 
-    def widening_eq():
-        if use_tag is Tag.I:
-            return (add(dh, scalar_mul(-dfs, g(rho))),
-                    scalar_mul(fs(t), rg.value), "widening")
-        return (add(dh, scalar_mul(-fs(rho), rg.value)),
-                scalar_mul(dfs, g(t)), "widening")
+    def measure(dh):
+        def widening_eq():
+            if use_tag is Tag.I:
+                return (add(dh, scalar_mul(-dfs, g(rho))),
+                        scalar_mul(fs(t), rg.value), "widening")
+            return (add(dh, scalar_mul(-fs(rho), rg.value)),
+                    scalar_mul(dfs, g(t)), "widening")
 
-    def narrowing_eq():
-        if use_tag is Tag.I:
-            return (add(dh, scalar_mul(-fs(t), rg.value)),
-                    scalar_mul(dfs, g(rho)), "narrowing")
-        return (add(dh, scalar_mul(-dfs, g(t))),
-                scalar_mul(fs(rho), rg.value), "narrowing")
+        def narrowing_eq():
+            if use_tag is Tag.I:
+                return (add(dh, scalar_mul(-fs(t), rg.value)),
+                        scalar_mul(dfs, g(rho)), "narrowing")
+            return (add(dh, scalar_mul(-dfs, g(t))),
+                    scalar_mul(fs(rho), rg.value), "narrowing")
 
-    if direction == "Increasing":
-        candidates = [widening_eq()]
-    elif direction == "Decreasing":
-        candidates = [narrowing_eq()]
-    else:
-        candidates = [widening_eq(), narrowing_eq()]
+        if direction == "Increasing":
+            candidates = [widening_eq()]
+        elif direction == "Decreasing":
+            candidates = [narrowing_eq()]
+        else:
+            candidates = [widening_eq(), narrowing_eq()]
 
-    best = min(candidates, key=lambda c: hausdorff(c[0], c[1]))
-    lhs, rhs, form = best
-    residual = hausdorff(lhs, rhs)
-    extras["equation"] = form
+        lhs, rhs, form = min(candidates, key=lambda c: hausdorff(c[0], c[1]))
+        extras["equation"] = form
+        return lhs, rhs, hausdorff(lhs, rhs)
 
-    if not sign_ok:
-        verdict = Verdict.HYPOTHESIS_FAILED
-    elif residual <= tol:
-        verdict = Verdict.VERIFIED
-    else:
-        verdict = Verdict.RESIDUAL_EXCEEDED
-    return RuleReport("product-interval", checks, lhs, rhs, residual, verdict,
-                      extras)
+    return _graded("product-interval", checks, h, ts, t, cfg, extras, None,
+                   measure)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -285,6 +286,18 @@ class TestCheck:
         assert code == 0
         assert "SwitchingIII" in out
 
+    @pytest.mark.parametrize("theorem", ["rho-identity", "level-consistency"])
+    def test_zero_residual_tol_is_honoured(self, theorem, capsys):
+        # the residual here is round-off: about 1e-16, under the 1e-9 default
+        argv = ["check", theorem, "--timescale", "hgrid(0,1,0.1)",
+                "--fn", "tri(t*t, 2*t*t+t, 3*t*t+2*t)", "--points", "0.3"]
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert ",1e-09,Verified" in out
+        code, out, err = run(argv + ["--residual-tol", "0"], capsys)
+        assert code == 2
+        assert ",0.0,ResidualExceeded" in out
+
 
 class TestConfigErrors:
     def test_bad_dsl_positioned_message(self, capsys):
@@ -310,6 +323,42 @@ class TestConfigErrors:
             assert code == 1
             assert err.startswith("error: line 1, col ")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", [
+        ["--probes", "2"],
+        ["--agreement-tol", "0"],
+        ["--agreement-tol", "-1"],
+        # inf would call the 0-cut [1, 3] crisp; nan would fail every point
+        ["--agreement-tol", "inf"],
+        ["--agreement-tol", "nan"],
+    ])
+    def test_bad_probe_settings(self, flag, capsys):
+        for cmd in (["diff"], ["check", "characterize"]):
+            code, out, err = run(cmd + [
+                "--timescale", "hgrid(0,5,1)",
+                "--fn", "tri(t,2*t,3*t)",
+                "--points", "2",
+            ] + flag, capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "-0.5e-9", "inf", "nan"])
+    def test_bad_residual_tol(self, tol, capsys):
+        for theorem, extra in (("rho-identity", []),
+                               ("level-consistency", []),
+                               ("sum", ["--fn", "tri(t, t+1, t+2)"]),
+                               ("product1", ["--scalar-fn", "t+1"])):
+            code, out, err = run([
+                "check", theorem,
+                "--timescale", "hgrid(0,5,1)",
+                "--fn", "tri(t,2*t,3*t)",
+                "--points", "2",
+                "--residual-tol=" + tol,
+            ] + extra, capsys)
+            assert code == 1, theorem
+            assert out == ""
+            assert err.startswith("error: --residual-tol") and err.count("\n") == 1
 
     def test_missing_fn(self, capsys):
         code, out, err = run([
@@ -362,6 +411,30 @@ class TestConfigErrors:
             "--levels", "2",
         ], capsys)
         assert code == 0
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `fuzzynabla` command in the README's CLI block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("fuzzynabla ")]
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        assert len(readme_commands()) >= 4
+
+    @pytest.mark.parametrize("argv", readme_commands(),
+                             ids=lambda argv: " ".join(argv[:2]))
+    def test_example_exits_0(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert out
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

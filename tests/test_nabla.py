@@ -373,6 +373,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProbeConfig(agreement_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tol_finite(self, tol):
+        # inf would make every derivative crisp, nan every point fail
+        with pytest.raises(ValueError):
+            ProbeConfig(agreement_tol=tol)
+
 
 class TestNablaMany:
     """nabla_many is the loop over derivative_report, point for point."""
@@ -471,3 +477,60 @@ class TestNablaMany:
 
         monkeypatch.setattr(nabla, "derivative_report", per_point)
         assert [r.to_dict() for r in nabla_many(f, ZZ, pts)] == expect
+
+
+# isolated points (-3, -2, 2), a jump with a dense right side (0), dense
+# points (0.5), a jump on the right only (1, 3 is the max)
+MIXED = TimeScale([ArithmeticGrid(-3.0, -1.0, 1.0), ClosedInterval(0.0, 1.0),
+                   ExplicitPoints((2.0, 3.0))])
+
+
+def parabola_tri(t):
+    return triangular(t - 1.0 - t * t, t, t + 1.0 + t * t, K)
+
+
+def right_gh_fails(t):
+    """Constant up to 0, so the jump difference at 0 exists, but f(p) gH-
+    f(0) exists for no p > 0: the lower difference p a(1-a)/20 rises and
+    falls in a."""
+    a = np.arange(K + 1) / K
+    return FuzzyNumber(-2.0 + a + max(t, 0.0) * (a - a * a) / 20.0, 2.0 - a)
+
+
+class TestOnePipeline:
+    """nabla_many classifies and analyses each point once and builds every
+    jump result the way derivative_report does."""
+
+    def test_one_classify_per_point(self, monkeypatch):
+        calls = []
+        classify = TimeScale.classify
+
+        def counted(self, t):
+            calls.append(t)
+            return classify(self, t)
+
+        monkeypatch.setattr(TimeScale, "classify", counted)
+        pts = [-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+        results = nabla_many(FuzzyFunction(parabola_tri, K=K), MIXED, pts)
+        assert [r.t for r in results] == pts
+        assert calls == pts
+
+    @pytest.mark.parametrize("fn, case", [
+        # the support narrows from [-3, 1] at -1 to [-1, 1] at 0
+        (parabola_tri, DiffCase.CASE_II),
+        (right_gh_fails, DiffCase.NOT_DIFFERENTIABLE),
+    ])
+    def test_jump_with_dense_right_side(self, fn, case):
+        ts = TimeScale([ArithmeticGrid(-3.0, -1.0, 1.0), ClosedInterval(0.0, 1.0)])
+        single = derivative_report(FuzzyFunction(fn, K=K), ts, 0.0)
+        (many,) = nabla_many(FuzzyFunction(fn, K=K), ts, [0.0])
+        assert many.case is single.case is case
+        assert json.dumps(many.to_dict(), sort_keys=True) == json.dumps(
+            single.to_dict(), sort_keys=True)
+        if case is DiffCase.NOT_DIFFERENTIABLE:
+            assert many.evidence["failure"] == "GhNonexistent"
+            assert many.evidence["diagnostics"]["side"] == "right"
+        else:
+            assert many.evidence["path"] == "backward-quotient"
+            assert many.evidence["h_orientations"] == single.evidence["h_orientations"]
+            assert many.evidence["continuity_gaps"]["right"]

@@ -9,6 +9,7 @@ import pytest
 from fuzzynabla.errors import (
     EndpointDerivativeMissing,
     LengthDirectionUndetermined,
+    NotInDomain,
     SignHypothesisFailed,
 )
 from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
@@ -284,3 +285,18 @@ class TestDefaults:
     def test_residual_tol_by_point_class(self):
         assert default_residual_tol(ZZ, 4.0) == 1e-9
         assert default_residual_tol(UNIT, 0.5) == 1e-5
+
+    def test_checkers_default_to_the_point_class_tol(self):
+        f, g = grow(U123), grow(triangular(0.0, 1.0, 3.0, K))
+        for ts, t in ((ZZ, 4.0), (UNIT, 0.5)):
+            want = default_residual_tol(ts, t)
+            assert sum_rule(f, g, ts, t).extras["tol"] == want
+            assert product_fuzzy(lambda s: s + 1.0, g, ts, t).extras["tol"] == want
+
+    def test_non_member_is_outside_the_domain(self):
+        f, g = grow(U123), grow(U123)
+        for tol in (None, 1e-9):
+            with pytest.raises(NotInDomain):
+                sum_rule(f, g, ZZ, 4.5, tol=tol)
+            with pytest.raises(NotInDomain):
+                product_fuzzy(lambda s: s + 1.0, g, ZZ, 4.5, tol=tol)

@@ -89,11 +89,8 @@ def _read_spec(arg: str) -> str:
 
 def _probe_config(args) -> ProbeConfig:
     try:
-        return ProbeConfig(
-            probe_count=args.probes,
-            agreement_tol=args.agreement_tol,
-            richardson=DEFAULT_CONFIG.richardson,
-        )
+        return ProbeConfig(probe_count=args.probes,
+                           agreement_tol=args.agreement_tol)
     except ValueError as err:
         raise ValidationError(
             f"--probes {args.probes} --agreement-tol {args.agreement_tol!r}: "
@@ -406,28 +403,28 @@ def cmd_check(args) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
-def _add_run_flags(p, with_points: bool = True) -> None:
+def _add_run_flags(p, probing: bool, residual: bool) -> None:
+    """Scale, function and point flags, --levels, and only the tuning flags
+    the command reads: --probes and --agreement-tol when it derives,
+    --residual-tol when it checks residuals."""
     p.add_argument("--timescale", required=True,
                    help="scale expression, or @file")
     p.add_argument("--fn", action="append",
                    help="function definition, or @file (repeatable)")
-    if with_points:
-        p.add_argument("--points", default="all-scattered",
-                       help='"1,2,3", "all-scattered" or "dense:k"')
-    _add_tuning_flags(p)
-    _add_output_flags(p)
-
-
-def _add_tuning_flags(p) -> None:
+    p.add_argument("--points", default="all-scattered",
+                   help='"1,2,3", "all-scattered" or "dense:k"')
     p.add_argument("--levels", type=int, default=100, metavar="K",
                    help="level grid resolution (default 100)")
-    p.add_argument("--probes", type=int, default=DEFAULT_CONFIG.probe_count,
-                   metavar="N", help="probes per approach stream")
-    p.add_argument("--agreement-tol", type=float,
-                   default=DEFAULT_CONFIG.agreement_tol,
-                   help="limit agreement tolerance")
-    p.add_argument("--residual-tol", type=float, default=None,
-                   help="identity residual tolerance (default: by point class)")
+    if probing:
+        p.add_argument("--probes", type=int, default=DEFAULT_CONFIG.probe_count,
+                       metavar="N", help="probes per approach stream")
+        p.add_argument("--agreement-tol", type=float,
+                       default=DEFAULT_CONFIG.agreement_tol,
+                       help="limit agreement tolerance")
+    if residual:
+        p.add_argument("--residual-tol", type=float, default=None,
+                       help="identity residual tolerance (default: by point class)")
+    _add_output_flags(p)
 
 
 def _add_output_flags(p) -> None:
@@ -443,11 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diff", help="derivative table over selected points")
-    _add_run_flags(p)
+    _add_run_flags(p, probing=True, residual=False)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("tabulate", help="function values over selected points")
-    _add_run_flags(p)
+    _add_run_flags(p, probing=False, residual=False)
     p.set_defaults(func=cmd_tabulate)
 
     p = sub.add_parser("ghdiff", help="generalized difference of two numbers")
@@ -471,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", choices=THEOREMS)
     p.add_argument("--scalar-fn", default=None,
                    help="real-valued factor for product rules, or @file")
-    _add_run_flags(p)
+    _add_run_flags(p, probing=True, residual=True)
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -61,7 +61,6 @@ class ProbeConfig:
 
     probe_count: int = 8
     agreement_tol: float = 1e-6
-    richardson: bool = True
 
     def __post_init__(self):
         if self.probe_count < 3:
@@ -175,7 +174,7 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
 
         Vlo = np.minimum(Qlo, Qhi)
         Vhi = np.maximum(Qlo, Qhi)
-        if cfg.richardson and s.synthetic and m >= 2:
+        if s.synthetic and m >= 2:
             Qlo = 2.0 * Qlo[1:] - Qlo[:-1]
             Qhi = 2.0 * Qhi[1:] - Qhi[:-1]
             Vlo = 2.0 * Vlo[1:] - Vlo[:-1]
@@ -495,25 +494,6 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 
 # indexed by 2 * case_i_exists + case_ii_exists
 _GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
-# indexed by the codes of _jump_case
-_JUMP_CASES = (DiffCase.NOT_DIFFERENTIABLE, DiffCase.CRISP, DiffCase.CASE_I,
-               DiffCase.CASE_II)
-
-
-def _jump_case(vlo, vhi, m_lo, m_hi, ctol: float) -> np.ndarray:
-    """Row-wise case at left-scattered points, as codes into _JUMP_CASES.
-
-    A crisp value short-circuits; otherwise the value must match the
-    backward quotient (m_lo, m_hi) in its own order (CaseI) or swapped
-    (CaseII).
-    """
-    def near(a, b):
-        return np.abs(a - b).max(axis=1) <= ctol
-
-    crisp = (vhi - vlo).max(axis=1) <= ctol
-    aligned = near(vlo, m_lo) & near(vhi, m_hi)
-    swapped = near(vlo, m_hi) & near(vhi, m_lo)
-    return np.where(crisp, 1, np.where(aligned, 2, 3 * swapped))
 
 
 @dataclass
@@ -532,34 +512,38 @@ def _stack(rows: list[np.ndarray]) -> np.ndarray:
     return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
-def _jump_rows(f: FuzzyFunction, reports: list[EndpointReport],
+def _jump_rows(f: FuzzyFunction, points: list[PointClass],
                cfg: ProbeConfig) -> _Jumps:
-    """[f(t) gH- f(rho)] / nu at the left-scattered point of each report,
-    one row each, with the case decided against its backward quotient."""
-    Ft = [f(r.t) for r in reports]
-    Fr = [f(r.point.rho) for r in reports]
+    """[f(t) gH- f(rho)] / nu at each left-scattered point, one row each.
+
+    The case is the gH difference's own: Crisp when the value's width is
+    within the agreement tolerance, else CaseI when case (i) exists, else
+    CaseII (rows where neither exists are rejected by _derive).
+    """
+    Ft = [f(pc.t) for pc in points]
+    Fr = [f(pc.rho) for pc in points]
     d_lo = _stack([u.lower for u in Ft]) - _stack([u.lower for u in Fr])
     d_hi = _stack([u.upper for u in Ft]) - _stack([u.upper for u in Fr])
     ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
     finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
     # case (i), alone or with (ii), keeps the candidates' order
     keep = ok_i[:, None]
-    k = (1.0 / np.array([r.point.nu for r in reports]))[:, None]
+    k = (1.0 / np.array([pc.nu for pc in points]))[:, None]
     lower = k * np.where(keep, d_lo, d_hi)
     upper = k * np.where(keep, d_hi, d_lo)
-    codes = _jump_case(lower, upper, _stack([r.minus.lower for r in reports]),
-                       _stack([r.minus.upper for r in reports]),
-                       cfg.agreement_tol)
+    crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol
     gh = [_GH_CASES[c] for c in (2 * ok_i + ok_ii).tolist()]
-    case = [_JUMP_CASES[c] for c in codes.tolist()]
+    case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
+            for c, i in zip(crisp.tolist(), ok_i.tolist())]
     return _Jumps(lower, upper, gh, case, finite)
 
 
-def classify_case(value: FuzzyNumber | None, report: EndpointReport,
+def classify_case(value: FuzzyNumber, report: EndpointReport,
                   cfg: ProbeConfig = DEFAULT_CONFIG,
                   residual: float = 0.0) -> DiffCase:
-    """Structure of the derivative at a left-dense point (a left-scattered
-    one is decided by the jump quotient's _jump_case).
+    """Structure of the derivative at a left-dense point, whose report has
+    at least one probed side (a left-scattered one takes its gH case in
+    _jump_rows).
 
     Crisp values short-circuit. Otherwise the one-sided estimates decide:
     matching orders on the participating sides give the plain cases; a
@@ -567,8 +551,6 @@ def classify_case(value: FuzzyNumber | None, report: EndpointReport,
     (switching) case, the mirror image the fourth. When one-sided limits
     split by generator, the aligned stream's side plays that role.
     """
-    if value is None:
-        return DiffCase.NOT_DIFFERENTIABLE
     ctol = max(cfg.agreement_tol, 2.0 * residual)
     vlo, vhi = value.lower, value.upper
     if float(np.max(vhi - vlo)) <= ctol:
@@ -583,8 +565,6 @@ def classify_case(value: FuzzyNumber | None, report: EndpointReport,
         sides["minus"] = report.minus
     if report.plus.kind == "limit":
         sides["plus"] = report.plus
-    if not sides:
-        return DiffCase.NOT_DIFFERENTIABLE
 
     if all(s.settled for s in sides.values()):
         al = {name: match(s.lower, s.upper) for name, s in sides.items()}
@@ -642,7 +622,7 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
             raise failure
         if pc.left is Side.SCATTERED:
             if jump is None:
-                jump = _jump_rows(f, [report], cfg)
+                jump = _jump_rows(f, [pc], cfg)
             if jump.gh_case[i] is GhCase.NONE or not jump.finite[i]:
                 res = gh_diff(f(t), f(pc.rho))  # raises OrderViolation on non-finite levels
                 raise GhNonexistent(
@@ -763,7 +743,7 @@ def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
     finally:
         # also when a point fails: a queued row before it may fail first
         if queued:
-            jump = _jump_rows(f, [a[0] for _, a in queued], cfg)
+            jump = _jump_rows(f, [a[0].point for _, a in queued], cfg)
             for i, (slot, analysis) in enumerate(queued):
                 out[slot] = _reported(_derive, f, *analysis, cfg, jump, i)
     return out
@@ -788,7 +768,7 @@ def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,
         streams = ts.approach_streams(t, side, cfg.probe_count)
         for s in streams:
             q = np.array([(g(p) - gt) / (p - t) for p in s.points])
-            if cfg.richardson and s.synthetic and len(q) >= 2:
+            if s.synthetic and len(q) >= 2:
                 q = 2.0 * q[1:] - q[:-1]
             ests.append(float(q[-1]))
             worst_tail = max(worst_tail, float(_tail_spread(q[:, None])[0]))
@@ -844,7 +824,7 @@ def check_level_consistency(f: FuzzyFunction, ts: TimeScale, t: float,
             ilo, ihi = min(dlo, dhi), max(dlo, dhi)
             cut = r.value.level(k / K if K else 0.0)
             worst = max(worst, abs(ilo - cut.lo), abs(ihi - cut.hi))
-        return worst
+        return float(worst)
 
     # dense: replicate the estimation per level with scalar arithmetic
     sides = []
@@ -869,7 +849,7 @@ def check_level_consistency(f: FuzzyFunction, ts: TimeScale, t: float,
                     b = (Fp.upper[k] - Ft.upper[k]) / (p - t)
                     q_lo.append(min(a, b))
                     q_hi.append(max(a, b))
-                if cfg.richardson and s.synthetic and len(q_lo) >= 2:
+                if s.synthetic and len(q_lo) >= 2:
                     q_lo = [2 * q_lo[j + 1] - q_lo[j] for j in range(len(q_lo) - 1)]
                     q_hi = [2 * q_hi[j + 1] - q_hi[j] for j in range(len(q_hi) - 1)]
                 s_lo.append(q_lo[-1])
@@ -880,4 +860,4 @@ def check_level_consistency(f: FuzzyFunction, ts: TimeScale, t: float,
         ihi = sum(side_his) / len(side_his)
         cut = r.value.level(k / K if K else 0.0)
         worst = max(worst, abs(ilo - cut.lo), abs(ihi - cut.hi))
-    return worst
+    return float(worst)

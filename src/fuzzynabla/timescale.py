@@ -555,15 +555,6 @@ class TimeScale:
                 return True
         return False
 
-    def _interval_dense(self, t: float, side: str) -> bool:
-        tol = membership_tol(t)
-        for a, b in self._intervals:
-            if side == "right" and a - tol <= t < b - tol:
-                return True
-            if side == "left" and a + tol < t <= b + tol:
-                return True
-        return False
-
     def classify(self, t: float) -> PointClass:
         """Every fact about one member point: density per side, jumps and
         whether it is an extreme. The only place membership is checked."""
@@ -573,19 +564,12 @@ class TimeScale:
         rho = self._rho(t)
         sigma = self._sigma(t)
 
-        if self._accumulates(t, "left") or self._interval_dense(t, "left"):
-            left = Side.DENSE
-        elif t - rho <= dtol:
-            left = Side.DENSE
-        else:
-            left = Side.SCATTERED
-
-        if self._accumulates(t, "right") or self._interval_dense(t, "right"):
-            right = Side.DENSE
-        elif sigma - t <= dtol:
-            right = Side.DENSE
-        else:
-            right = Side.SCATTERED
+        # rho and sigma are t itself inside an interval, so the gap decides
+        # interval density too; only an accumulation point needs a test
+        dense_left = self._accumulates(t, "left") or t - rho <= dtol
+        dense_right = self._accumulates(t, "right") or sigma - t <= dtol
+        left = Side.DENSE if dense_left else Side.SCATTERED
+        right = Side.DENSE if dense_right else Side.SCATTERED
 
         return PointClass(
             left=left,

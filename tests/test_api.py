@@ -1,6 +1,14 @@
-"""The public surface: a name leaves `fuzzynabla.__all__` only on purpose."""
+"""The public surface: a name leaves `fuzzynabla.__all__` only on purpose,
+and every name the benchmark tracer wraps stays in place."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import fuzzynabla
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "AlphaOutOfRange",
@@ -75,3 +83,16 @@ def test_all_is_snapshot():
     assert fuzzynabla.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(fuzzynabla, name), name
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps package functions and methods by name;
+    # installing patches the package, so it runs in a child process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+        cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr

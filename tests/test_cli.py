@@ -294,9 +294,23 @@ class TestCheck:
         code, out, err = run(argv, capsys)
         assert code == 0
         assert ",1e-09,Verified" in out
+        # the residual cell is a plain float, not a numpy scalar's repr
+        float(out.splitlines()[1].split(",")[1])
         code, out, err = run(argv + ["--residual-tol", "0"], capsys)
         assert code == 2
         assert ",0.0,ResidualExceeded" in out
+
+    @pytest.mark.parametrize("fn, case", [
+        ("tri(1e10*t,2e10*t,3e10*t)", "CaseI"),
+        ("tri(3e10*(t-3),2e10*(t-3),1e10*(t-3))", "CaseII"),
+    ])
+    def test_large_magnitude_jumps(self, fn, case, capsys):
+        code, out, err = run([
+            "check", "characterize", "--timescale", "hgrid(0,3,0.3)",
+            "--fn", fn, "--points", "0.9,2.1"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [f"0.8999999999999999,{case},0.0",
+                                        f"2.1,{case},0.0"]
 
 
 class TestConfigErrors:
@@ -359,6 +373,20 @@ class TestConfigErrors:
             assert code == 1, theorem
             assert out == ""
             assert err.startswith("error: --residual-tol") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd, flag", [
+        ("tabulate", ["--probes", "5"]),
+        ("tabulate", ["--agreement-tol", "1e-3"]),
+        ("tabulate", ["--residual-tol", "1e-3"]),
+        ("diff", ["--residual-tol", "1e-3"]),
+    ])
+    def test_flag_the_command_does_not_read(self, cmd, flag, capsys):
+        code, out, err = run([
+            cmd, "--timescale", "hgrid(0,5,1)", "--fn", "tri(t,2*t,3*t)",
+            "--points", "2"] + flag, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in err
 
     def test_missing_fn(self, capsys):
         code, out, err = run([

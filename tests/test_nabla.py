@@ -17,7 +17,14 @@ from fuzzynabla.errors import (
     NotInDomain,
     OrderViolation,
 )
-from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
+from fuzzynabla.fuzzy import (
+    FuzzyNumber,
+    GhCase,
+    crisp,
+    gh_diff,
+    hausdorff,
+    triangular,
+)
 from fuzzynabla.nabla import (
     DiffCase,
     FuzzyFunction,
@@ -94,11 +101,6 @@ class TestScalar:
     def test_dense_cubic_richardson(self):
         val = nabla_scalar(lambda t: t ** 3, UNIT, 0.7)
         assert abs(val - 1.47) <= 1e-8
-
-    def test_without_richardson_needs_looser_tol(self):
-        cfg = ProbeConfig(richardson=False, agreement_tol=1e-3)
-        val = nabla_scalar(lambda t: t ** 3, UNIT, 0.7, cfg)
-        assert abs(val - 1.47) <= 1e-3
 
     def test_min_point_excluded(self):
         with pytest.raises(NotInDomain):
@@ -534,3 +536,80 @@ class TestOnePipeline:
             assert many.evidence["path"] == "backward-quotient"
             assert many.evidence["h_orientations"] == single.evidence["h_orientations"]
             assert many.evidence["continuity_gaps"]["right"]
+
+
+class TestJumpCase:
+    """A jump's case is the case of its gH difference f(t) gH- f(rho)."""
+
+    @pytest.mark.parametrize("fn, case", [
+        # the width 2e10 t grows
+        (lambda t: triangular(1e10 * t, 2e10 * t, 3e10 * t, K), DiffCase.CASE_I),
+        # -f has the width of f, so it is case (i) too
+        (lambda t: -triangular(1e10 * t, 2e10 * t, 3e10 * t, K), DiffCase.CASE_I),
+        # the width 2e10 (3 - t) shrinks
+        (lambda t: triangular(3e10 * (t - 3), 2e10 * (t - 3), 1e10 * (t - 3), K),
+         DiffCase.CASE_II),
+    ])
+    def test_large_magnitude(self, fn, case):
+        # the gH quotient and the backward endpoint quotient differ by
+        # round-off far above the absolute agreement tolerance here
+        ts = TimeScale([ArithmeticGrid(0.0, 3.0, 0.3)])
+        pts = [ts.snap(0.9), ts.snap(2.1)]
+        f = FuzzyFunction(fn, K=K)
+        for r in [nabla_gh(f, ts, t) for t in pts] + nabla_many(f, ts, pts):
+            assert r.case is case
+            pc = ts.classify(r.t)
+            expect = gh_diff(f(r.t), f(pc.rho)).value * (1.0 / pc.nu)
+            # 1e-15 of the values' magnitude, about 1e11
+            assert hausdorff(r.value, expect) <= 1e-4
+
+    @pytest.mark.parametrize("tol, case", [(1e-6, DiffCase.CRISP),
+                                           (1e-8, DiffCase.CASE_I)])
+    def test_crisp_within_agreement_tol(self, tol, case):
+        # the derivative's width is 2e-7 at every jump of ZZ
+        f = FuzzyFunction(lambda t: triangular(t - 1e-7 * t, t, t + 1e-7 * t, K),
+                          K=K)
+        cfg = ProbeConfig(agreement_tol=tol)
+        assert nabla_gh(f, ZZ, 3.0, cfg).case is case
+        assert nabla_many(f, ZZ, [3.0], cfg)[0].case is case
+
+    @given(
+        pieces=st.lists(TestNablaMany.piece, min_size=1, max_size=3),
+        coef=st.tuples(st.sampled_from([0.0, 1.0, -2.0]),
+                       st.sampled_from([0.0, 0.5]),
+                       st.sampled_from([0.0, 0.7]),
+                       st.sampled_from([0.0, 1.3]),
+                       st.sampled_from([1.0, 1e6, 1e10, 1e13])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_case_is_gh_case(self, pieces, coef):
+        p, q, r, s, mag = coef
+        ts = TimeScale(pieces)
+        cfg = ProbeConfig()
+
+        def fn(t):
+            m = p * t + q * math.sin(3.0 * t)
+            wl = 1.0 + r * math.cos(2.0 * t) ** 2
+            wr = 1.0 + s * math.sin(t) ** 2
+            return triangular(mag * (m - wl), mag * m, mag * (m + wr), K)
+
+        f = FuzzyFunction(fn, K=K)
+        pts = ts.left_scattered_points()
+        for t, res in zip(pts, nabla_many(f, ts, pts, cfg)):
+            pc = ts.classify(t)
+            gh = gh_diff(f(t), f(pc.rho))
+            if gh.case is GhCase.NONE:
+                assert res.evidence["failure"] == "GhNonexistent"
+                continue
+            if res.value is None:
+                # the jump exists; only a dense right side may fail
+                assert res.evidence["diagnostics"]["side"] == "right"
+                continue
+            quot = gh.value * (1.0 / pc.nu)
+            if float(np.max(quot.upper - quot.lower)) <= cfg.agreement_tol:
+                expect = DiffCase.CRISP
+            elif gh.case in (GhCase.CASE_I, GhCase.BOTH):
+                expect = DiffCase.CASE_I
+            else:
+                expect = DiffCase.CASE_II
+            assert res.case is expect

@@ -37,13 +37,14 @@ from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
     ProbeConfig,
-    check_level_consistency,
-    check_rho_identity,
+    _level_residual,
+    _rho_residual,
+    nabla_gh,
     nabla_many,
 )
 from .rules import (
     Verdict,
-    default_residual_tol,
+    _point_tol,
     product_fuzzy,
     product_interval,
     sum_rule,
@@ -293,8 +294,10 @@ def _verdict_code(verdicts) -> int:
     return EXIT_OK
 
 
-def _residual_rows(args, checker, given: float | None) -> int:
-    """Shared driver for the two identity checks with scalar residuals."""
+def _residual_rows(args, measure, given: float | None) -> int:
+    """The shared loop of the two identity checks with scalar residuals:
+    measure(f, ts, derivative, cfg) is the check's residual from the
+    derivative at t, whose point record also gives the default tol."""
     ts, (f,) = _bind(args)
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
@@ -302,8 +305,9 @@ def _residual_rows(args, checker, given: float | None) -> int:
     rows = []
     verdicts = []
     for t in points:
-        tol = default_residual_tol(ts, t) if given is None else given
-        residual = checker(f, ts, t, cfg)
+        r = nabla_gh(f, ts, t, cfg)
+        tol = _point_tol(r.endpoint_report.point) if given is None else given
+        residual = measure(f, ts, r, cfg)
         verdict = Verdict.VERIFIED if residual <= tol else Verdict.RESIDUAL_EXCEEDED
         verdicts.append(verdict)
         rows.append({"t": t, "residual": residual, "tol": tol,
@@ -355,9 +359,10 @@ def cmd_check(args) -> int:
     theorem = args.theorem
     tol = _residual_tol(args)
     if theorem == "rho-identity":
-        return _residual_rows(args, check_rho_identity, tol)
+        return _residual_rows(args, lambda f, ts, r, cfg: _rho_residual(f, r),
+                              tol)
     if theorem == "level-consistency":
-        return _residual_rows(args, check_level_consistency, tol)
+        return _residual_rows(args, _level_residual, tol)
 
     if theorem == "characterize":
         ts, (f,) = _bind(args)

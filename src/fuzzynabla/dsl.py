@@ -39,6 +39,7 @@ from .timescale import (
     ReciprocalGrid,
     TimeScale,
     _fmt,
+    _membership_tols,
     membership_tol,
 )
 
@@ -759,11 +760,229 @@ def eval_function(d: FuzzyFuncDef, t: float, K: int = 100,
     return FuzzyNumber(np.array(lo, dtype=float), np.array(hi, dtype=float))
 
 
+# ---------------------------------------------------------------------------
+# vector evaluation
+#
+# A compiled expression evaluates at a column of points t, shape (n, 1), and
+# a row of levels alpha, shape (1, K+1), in one pass. Its value broadcasts
+# to (n, K+1): (n, 1) when it depends on t alone, (1, K+1) on alpha alone, a
+# float on neither. With the value comes a mask of the n rows where
+# eval_expr raises (None when no row can fail); the values in those rows are
+# meaningless. Every operation is the one eval_expr applies to the same
+# operands, so each row is bit for bit eval_expr's value at that t.
+
+
+class _NotCompiled(Exception):
+    """An expression outside the vector form: a non-constant exponent, or a
+    power of a piecewise whose arms are alpha arrays at some points only."""
+
+
+def _alpha_kind(e: Expr) -> str:
+    """Whether eval_expr's value of e is an alpha array at "always",
+    "never" or only "some" points (a piecewise whose arms differ)."""
+    if isinstance(e, Name):
+        return "always" if e.ident == "alpha" else "never"
+    if isinstance(e, BinOp):
+        kinds = {_alpha_kind(e.left), _alpha_kind(e.right)}
+        return ("always" if "always" in kinds
+                else "some" if "some" in kinds else "never")
+    if isinstance(e, (Neg, Sqrt)):
+        return _alpha_kind(e.arg)
+    if isinstance(e, Piecewise):
+        kinds = {_alpha_kind(a.body) for a in e.arms}
+        return kinds.pop() if len(kinds) == 1 else "some"
+    return "never"
+
+
+def _rows(cond, n: int) -> np.ndarray:
+    """The rows (of n) where cond holds at some level."""
+    cond = np.asarray(cond)
+    if cond.ndim == 0:
+        return np.full(n, bool(cond))
+    return np.broadcast_to(cond.any(axis=1), (n,))
+
+
+def _either(a, b):
+    if a is None:
+        return b
+    return a if b is None else a | b
+
+
+def _compile(e: Expr, ts: TimeScale):
+    """e as a function (t, alpha) -> (value, failing rows); see above."""
+    if isinstance(e, Const):
+        v = e.value
+        return lambda t, alpha: (v, None)
+    if isinstance(e, Name):
+        if e.ident == "t":
+            return lambda t, alpha: (t, None)
+        if e.ident == "alpha":
+            return lambda t, alpha: ((0.0, _rows(True, len(t))) if alpha is None
+                                     else (alpha, None))
+        v = _CONSTANTS[e.ident]
+        return lambda t, alpha: (v, None)
+    if isinstance(e, Neg):
+        arg = _compile(e.arg, ts)
+
+        def neg(t, alpha):
+            v, bad = arg(t, alpha)
+            return -v, bad
+        return neg
+    if isinstance(e, Sqrt):
+        return _compile_sqrt(_compile(e.arg, ts))
+    if isinstance(e, Piecewise):
+        return _compile_piecewise(e, ts)
+    if isinstance(e, BinOp):
+        left, right = _compile(e.left, ts), _compile(e.right, ts)
+        if e.op == "^":
+            if not isinstance(e.right, Const):
+                raise _NotCompiled
+            return _compile_power(left, int(e.right.value), _alpha_kind(e.left))
+        return _compile_arith(e.op, left, right)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _compile_sqrt(arg):
+    def sqrt(t, alpha):
+        v, bad = arg(t, alpha)
+        if isinstance(v, float):
+            if v < 0:
+                return math.nan, _rows(True, len(t))
+            return math.sqrt(v), bad
+        return np.sqrt(v), _either(bad, _rows(v < 0, len(t)))
+    return sqrt
+
+
+def _compile_arith(op: str, left, right):
+    def arith(t, alpha):
+        a, bad_a = left(t, alpha)
+        b, bad_b = right(t, alpha)
+        bad = _either(bad_a, bad_b)
+        if op == "+":
+            return a + b, bad
+        if op == "-":
+            return a - b, bad
+        if op == "*":
+            return a * b, bad
+        zero = _rows(np.asarray(b) == 0, len(t))
+        if isinstance(a, float) and isinstance(b, float) and b == 0:
+            return math.nan, zero
+        return a / b, _either(bad, zero)
+    return arith
+
+
+def _power_float(x: float, e: int) -> tuple[float, bool]:
+    try:
+        return x ** e, False
+    except ArithmeticError:  # overflow, or 0 to a negative power
+        return math.nan, True
+
+
+def _compile_power(base, e: int, alpha_kind: str):
+    if alpha_kind == "some":
+        # eval_expr takes numpy's power at some points and float ** int at
+        # others, which a mask of rows does not follow
+        raise _NotCompiled
+
+    def power(t, alpha):
+        v, bad = base(t, alpha)
+        if isinstance(v, float):
+            x, fails = _power_float(v, e)
+            return x, _either(bad, _rows(fails, len(t)))
+        if alpha_kind == "always":
+            # eval_expr raises an array to the power: numpy's power, which
+            # gives the same bits for a row and for a stack of rows
+            return v ** e, bad
+        # eval_expr's float ** int, point by point: numpy's power differs
+        # from it in the last bit for a few percent of inputs
+        col = v[:, 0].tolist()
+        try:
+            return np.array([x ** e for x in col]).reshape(-1, 1), bad
+        except ArithmeticError:
+            vals, fails = zip(*(_power_float(x, e) for x in col))
+            return (np.array(vals).reshape(-1, 1),
+                    _either(bad, np.array(fails)))
+    return power
+
+
+def _arm_mask(pieces: list, t: np.ndarray) -> np.ndarray:
+    """_arm_applies at every entry of t, for the pieces an arm names."""
+    hit = np.zeros(len(t), dtype=bool)
+    for piece in pieces:
+        hit |= piece.contains_many(t)
+        if isinstance(piece, ReciprocalGrid):
+            hit |= np.abs(t) <= _membership_tols(t)
+    return hit
+
+
+def _compile_piecewise(e: Piecewise, ts: TimeScale):
+    arms = [([p for p in ts.pieces if _match_piece(a.piece, p)],
+             _compile(a.body, ts)) for a in e.arms]
+
+    def piecewise(t, alpha):
+        n = len(t)
+        free = np.ones(n, dtype=bool)  # rows no earlier arm took
+        parts = []
+        for pieces, body in arms:
+            took = free & _arm_mask(pieces, t[:, 0])
+            if took.any():
+                parts.append((took, *body(t[took], alpha)))
+                free &= ~took
+        width = max((np.shape(v)[1] for _, v, _ in parts if np.ndim(v)),
+                    default=1)
+        out = np.full((n, width), math.nan)
+        bad = free.copy()  # no arm covers these rows
+        for took, v, b in parts:
+            out[took] = v
+            if b is not None:
+                bad[took] |= b
+        return out, bad
+    return piecewise
+
+
+def compile_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
+    """The definition as a vector form of eval_function: a function of a
+    vector of points t that returns the (len(t), K+1) lower and upper level
+    stacks, row i bit for bit eval_function(d, t[i], K, ts). Where
+    eval_function raises, it raises the error eval_function raises at the
+    first such t. None when the definition has no vector form."""
+    exprs = ((d.left, d.peak, d.right) if isinstance(d, TriDef)
+             else (d.lower, d.upper))
+    try:
+        fns = [_compile(x, ts) for x in exprs]
+    except _NotCompiled:
+        return None
+    grid = alpha_grid(K)
+
+    def levels(t):
+        t = np.asarray(t, dtype=float)
+        col = t.reshape(-1, 1)
+        n = len(t)
+        with np.errstate(all="ignore"):
+            if isinstance(d, TriDef):
+                (a, ba), (b, bb), (c, bc) = (fn(col, None) for fn in fns)
+                a, b, c = (np.broadcast_to(x, col.shape) for x in (a, b, c))
+                bad = _either(_either(ba, bb), bc)
+                bad = _either(bad, _rows(~((a <= b) & (b <= c)), n))
+                lo, hi = a + grid * (b - a), c + grid * (b - c)
+            else:
+                (lo, bl), (hi, bh) = (fn(col, grid.reshape(1, -1)) for fn in fns)
+                bad = _either(bl, bh)
+                lo = np.array(np.broadcast_to(lo, (n, K + 1)), dtype=float)
+                hi = np.array(np.broadcast_to(hi, (n, K + 1)), dtype=float)
+        if bad is not None and bad.any():
+            eval_function(d, float(t[int(np.argmax(bad))]), K, ts)
+            raise AssertionError("eval_function does not fail where its vector form does")
+        return lo, hi
+    return levels
+
+
 def bind_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
     """Attach a definition to a scale, validating it on sampled members.
 
     Checks piecewise coverage and level structure at up to 25 sampled points
-    (always including min, max and 0 when present). Returns a FuzzyFunction.
+    (always including min, max and 0 when present). Returns a FuzzyFunction
+    with the definition's vector form.
     """
     from .nabla import FuzzyFunction
 
@@ -780,4 +999,4 @@ def bind_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
     def fn(t: float) -> FuzzyNumber:
         return eval_function(d, t, K, ts)
 
-    return FuzzyFunction(fn, K=K)
+    return FuzzyFunction(fn, K=K, vector=compile_function(d, ts, K))

@@ -322,6 +322,21 @@ def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray):
     return ok_i, ok_ii, tol
 
 
+def invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows of (N, K+1) level stacks that FuzzyNumber.validate rejects:
+    non-finite levels, or cut invariants broken by more than MONO_RTOL *
+    (1 + row magnitude)."""
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        tol = MONO_RTOL * (1.0 + np.maximum(np.abs(lo).max(axis=1),
+                                            np.abs(hi).max(axis=1)))
+        bad = (lo - hi).max(axis=1) > tol
+        if lo.shape[1] > 1:
+            bad |= np.diff(lo, axis=1).min(axis=1) < -tol
+            bad |= np.diff(hi, axis=1).max(axis=1) > tol
+    return ~finite | bad
+
+
 def _gh_problems(lo: np.ndarray, hi: np.ndarray, tol: float) -> str:
     """Why (lo, hi) is not a fuzzy number: the constraints it violates."""
     probs = []

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    FuzzyNablaError,
     GhNonexistent,
     GridMismatch,
     LimitDisagreement,
@@ -39,6 +40,7 @@ from .fuzzy import (
     gh_exists,
     h_diff,
     hausdorff,
+    invalid_rows,
     scalar_mul,
 )
 from .timescale import PointClass, Side, TimeScale
@@ -82,12 +84,21 @@ class DiffCase(Enum):
 
 
 class FuzzyFunction:
-    """A mapping t -> FuzzyNumber on a fixed level grid, with caching."""
+    """A mapping t -> FuzzyNumber on a fixed level grid, with caching.
 
-    def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100):
+    vector, when given, is the same mapping at a vector of points in one
+    pass: it returns (N, K+1) stacks of lower and upper endpoints whose
+    rows are bit for bit the levels fn returns, and raises what fn raises
+    at the first point where fn raises (bind_function passes the compiled
+    definition).
+    """
+
+    def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
+                 vector: Callable[[np.ndarray], tuple] | None = None):
         self._fn = fn
         self.K = int(K)
         self._cache: dict[float, FuzzyNumber] = {}
+        self._vector = vector
 
     def __call__(self, t: float) -> FuzzyNumber:
         t = float(t)
@@ -101,6 +112,20 @@ class FuzzyFunction:
             raise GridMismatch(f"function declared K={self.K} but returned K={val.K}")
         self._cache[t] = val
         return val
+
+    def stack(self, t) -> tuple[np.ndarray, np.ndarray] | None:
+        """The (N, K+1) lower and upper level stacks of f at the points t,
+        validated row by row as __call__ validates one value: the first
+        invalid row raises its OrderViolation. None when f has no vector
+        form. The memo cache is neither read nor filled."""
+        if self._vector is None:
+            return None
+        lo, hi = self._vector(np.asarray(t, dtype=float))
+        bad = invalid_rows(lo, hi)
+        if bad.any():
+            i = int(np.argmax(bad))
+            FuzzyNumber(lo[i], hi[i])  # raises that row's OrderViolation
+        return lo, hi
 
     @classmethod
     def constant(cls, u: FuzzyNumber) -> "FuzzyFunction":
@@ -492,6 +517,11 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 # the jump quotient
 
 
+# round-off that f(t) - f(rho) may leave in a jump's width, relative to the
+# operands' magnitude (4 ulps): within it, a crisp-width function keeps a
+# crisp derivative at any magnitude
+JUMP_ROUND_OFF = 4.0 * np.finfo(float).eps
+
 # indexed by 2 * case_i_exists + case_ii_exists
 _GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
 
@@ -512,30 +542,44 @@ def _stack(rows: list[np.ndarray]) -> np.ndarray:
     return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
-def _jump_rows(f: FuzzyFunction, points: list[PointClass],
-               cfg: ProbeConfig) -> _Jumps:
-    """[f(t) gH- f(rho)] / nu at each left-scattered point, one row each.
+def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
+               fr_hi: np.ndarray, nu: np.ndarray, cfg: ProbeConfig) -> _Jumps:
+    """[f(t) gH- f(rho)] / nu at each left-scattered point, one row each,
+    from (N, K+1) stacks of f's levels at the points (ft) and at their
+    rho (fr).
 
     The case is the gH difference's own: Crisp when the value's width is
-    within the agreement tolerance, else CaseI when case (i) exists, else
-    CaseII (rows where neither exists are rejected by _derive).
+    within the agreement tolerance plus the round-off of f(t) - f(rho)
+    over nu (JUMP_ROUND_OFF of the operands' magnitude), else CaseI when
+    case (i) exists, else CaseII (rows where neither exists are rejected by
+    _derive).
     """
-    Ft = [f(pc.t) for pc in points]
-    Fr = [f(pc.rho) for pc in points]
-    d_lo = _stack([u.lower for u in Ft]) - _stack([u.lower for u in Fr])
-    d_hi = _stack([u.upper for u in Ft]) - _stack([u.upper for u in Fr])
+    d_lo = ft_lo - fr_lo
+    d_hi = ft_hi - fr_hi
     ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
     finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
     # case (i), alone or with (ii), keeps the candidates' order
     keep = ok_i[:, None]
-    k = (1.0 / np.array([pc.nu for pc in points]))[:, None]
+    k = (1.0 / nu)[:, None]
     lower = k * np.where(keep, d_lo, d_hi)
     upper = k * np.where(keep, d_hi, d_lo)
-    crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol
+    # the operands' magnitude is that of their supports, where the cuts nest
+    mag = np.abs([ft_lo[:, 0], ft_hi[:, 0], fr_lo[:, 0], fr_hi[:, 0]]).max(axis=0)
+    crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu
     gh = [_GH_CASES[c] for c in (2 * ok_i + ok_ii).tolist()]
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), ok_i.tolist())]
     return _Jumps(lower, upper, gh, case, finite)
+
+
+def _jumps_at(f: FuzzyFunction, points: list[PointClass],
+              cfg: ProbeConfig) -> _Jumps:
+    """_jump_rows at classified left-scattered points, from f's values."""
+    Ft = [f(pc.t) for pc in points]
+    Fr = [f(pc.rho) for pc in points]
+    return _jump_rows(_stack([u.lower for u in Ft]), _stack([u.upper for u in Ft]),
+                      _stack([u.lower for u in Fr]), _stack([u.upper for u in Fr]),
+                      np.array([pc.nu for pc in points]), cfg)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -622,7 +666,7 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
             raise failure
         if pc.left is Side.SCATTERED:
             if jump is None:
-                jump = _jump_rows(f, [pc], cfg)
+                jump = _jumps_at(f, [pc], cfg)
             if jump.gh_case[i] is GhCase.NONE or not jump.finite[i]:
                 res = gh_diff(f(t), f(pc.rho))  # raises OrderViolation on non-finite levels
                 raise GhNonexistent(
@@ -719,31 +763,88 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     return _reported(nabla_gh, f, ts, t, cfg)
 
 
+def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
+             cfg: ProbeConfig) -> list[DerivativeResult | None]:
+    """derivative_report at every point that is a realized jump with a jump
+    or nothing on its right, from one evaluation of f's vector form over
+    these points, their rho and their sigma. None at every other point; at
+    every point when f has no vector form, or when the stacks raise or
+    hold a non-finite jump, so the loop meets the error where it arises."""
+    out: list = [None] * len(points)
+    if f._vector is None:
+        return out
+    rows = [(slot, pc) for slot, pc in enumerate(ts._realized_classes(points))
+            if pc is not None and pc.left is Side.SCATTERED
+            and (pc.right is Side.SCATTERED or pc.at_max)]
+    if not rows:
+        return out
+    t = np.array([pc.t for _, pc in rows])
+    rho = np.array([pc.rho for _, pc in rows])
+    sigma = np.array([pc.sigma for _, pc in rows])
+    at, where = np.unique(np.concatenate([t, rho, sigma]), return_inverse=True)
+    try:
+        lo, hi = f.stack(at)
+    except (FuzzyNablaError, ArithmeticError):
+        return out
+    it, ir, isg = np.split(where, 3)
+    jump = _jump_rows(lo[it], hi[it], lo[ir], hi[ir], t - rho, cfg)
+    if not jump.finite.all():
+        return out
+
+    # the endpoint report's exact quotients toward rho and sigma (0/0 at
+    # the maximum, whose right side is absent)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minus = [(lo[ir] - lo[it]) / (rho - t)[:, None],
+                 (hi[ir] - hi[it]) / (rho - t)[:, None]]
+        plus = [(lo[isg] - lo[it]) / (sigma - t)[:, None],
+                (hi[isg] - hi[it]) / (sigma - t)[:, None]]
+    alphas = alpha_grid(f.K)
+    exact = np.ones(f.K + 1, dtype=int)
+    zero = np.zeros(f.K + 1)
+
+    def side(stacks, r):
+        return SideData("scattered", stacks[0][r], stacks[1][r], exact, exact,
+                        zero)
+
+    for r, (slot, pc) in enumerate(rows):
+        plus_side = (side(plus, r) if pc.right is Side.SCATTERED
+                     else SideData(kind="absent"))
+        report = EndpointReport(pc.t, alphas, side(minus, r), plus_side, pc)
+        out[slot] = _reported(_derive, f, report, {}, None, cfg, jump, r)
+    return out
+
+
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
                cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
     """derivative_report at every point, in order.
 
-    Each point is classified and analysed once. The jump quotients of the
-    left-scattered points without a failed probe share one array pass after
-    the loop; every other point gets its result at once. Results, raised
-    errors and the points f is evaluated at, in order, are those of the
-    loop over derivative_report.
+    For a function with a vector form (a bound definition), the points that
+    are realized jumps with a jump or nothing on their right take their
+    results from stacks of f at them and their neighbours, in one array
+    pass. Every other point is classified and analysed once, in order; the
+    jump quotients of its left-scattered points without a failed probe
+    share one array pass after the loop, and every other point gets its
+    result at once. Results, raised errors and, for a plain callable, the
+    points f is evaluated at, in order, are those of the loop over
+    derivative_report.
     """
-    out: list = []
+    points = [float(t) for t in points]
+    out = _stacked(f, ts, points, cfg)
     queued: list[tuple[int, tuple]] = []
     try:
-        for t in points:
-            analysis = _analyze(f, ts, _classify_in_domain(ts, float(t)), cfg)
+        for slot, t in enumerate(points):
+            if out[slot] is not None:
+                continue
+            analysis = _analyze(f, ts, _classify_in_domain(ts, t), cfg)
             report, _, failure = analysis
             if failure is None and report.point.left is Side.SCATTERED:
-                queued.append((len(out), analysis))
-                out.append(None)
+                queued.append((slot, analysis))
             else:
-                out.append(_reported(_derive, f, *analysis, cfg))
+                out[slot] = _reported(_derive, f, *analysis, cfg)
     finally:
         # also when a point fails: a queued row before it may fail first
         if queued:
-            jump = _jump_rows(f, [a[0].point for _, a in queued], cfg)
+            jump = _jumps_at(f, [a[0].point for _, a in queued], cfg)
             for i, (slot, analysis) in enumerate(queued):
                 out[slot] = _reported(_derive, f, *analysis, cfg, jump, i)
     return out
@@ -792,10 +893,14 @@ def check_rho_identity(f: FuzzyFunction, ts: TimeScale, t: float,
 
     One of the two reconstructions must hold: f(t) = f(rho(t)) + nu * value,
     or f(rho(t)) = f(t) + (-nu) * value. Returns the smaller residual."""
-    r = nabla_gh(f, ts, t, cfg)
+    return _rho_residual(f, nabla_gh(f, ts, t, cfg))
+
+
+def _rho_residual(f: FuzzyFunction, r: DerivativeResult) -> float:
+    """check_rho_identity from the derivative r it takes at its point."""
     pc = r.endpoint_report.point
     nu = pc.nu
-    Ft, Fr = f(t), f(pc.rho)
+    Ft, Fr = f(pc.t), f(pc.rho)
     first = hausdorff(Ft, add(Fr, scalar_mul(nu, r.value)))
     second = hausdorff(Fr, add(Ft, scalar_mul(-nu, r.value)))
     return min(first, second)
@@ -809,13 +914,20 @@ def check_level_consistency(f: FuzzyFunction, ts: TimeScale, t: float,
     The per-level path works on plain floats: backward quotient of the
     interval endpoints at a left-scattered point, probed one-sided interval
     quotients at a left-dense point. No fuzzy machinery is reused."""
-    r = nabla_gh(f, ts, t, cfg)
-    pc = ts.classify(t)
+    return _level_residual(f, ts, nabla_gh(f, ts, t, cfg), cfg)
+
+
+def _level_residual(f: FuzzyFunction, ts: TimeScale, r: DerivativeResult,
+                    cfg: ProbeConfig) -> float:
+    """check_level_consistency from the derivative r it takes at its point,
+    whose record gives the point's class and rho."""
+    pc = r.endpoint_report.point
+    t = pc.t
     K = f.K
     worst = 0.0
 
     if pc.left is Side.SCATTERED:
-        rho = ts.rho(t)
+        rho = pc.rho
         nu = t - rho
         Ft, Fr = f(t), f(rho)
         for k in range(K + 1):

@@ -237,7 +237,13 @@ def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
     slopes from their probe streams; conflicting signs come back as
     Undetermined. Never raises.
     """
-    pc = ts.classify(t)
+    return _len_direction(f, ts, ts.classify(t), cfg)
+
+
+def _len_direction(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
+                   cfg: ProbeConfig) -> str:
+    """len_direction at the point of the record pc."""
+    t = pc.t
     wt = f(t).len_alpha(0.0)
     tol = cfg.agreement_tol * max(1.0, abs(wt))
     slopes: list[float] = []
@@ -295,15 +301,16 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
 
-    rho = rg.endpoint_report.point.rho
+    pc = rg.endpoint_report.point
+    rho = pc.rho
     h = FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
-    direction = len_direction(h, ts, t, cfg)
+    direction = _len_direction(h, ts, pc, cfg)
     if direction == "Undetermined":
         raise LengthDirectionUndetermined(
             f"width slopes of the product disagree in sign around {t!r}")
 
     if tol is None:
-        tol = _point_tol(rg.endpoint_report.point)
+        tol = _point_tol(pc)
     extras = {
         "sigma": sigma,
         "tag_g": tg.value,

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import NotInTimeScale
 
 MEMBERSHIP_RTOL = 1e-12
-DENSITY_RTOL = 1e-9
 
 # window factor for deciding which discrete generators count as "local" to a
 # dense side: pieces whose nearest point is more than NEIGHBOR_WINDOW times
@@ -37,15 +36,16 @@ def membership_tol(t: float) -> float:
     return MEMBERSHIP_RTOL * max(1.0, abs(t))
 
 
-def density_tol(t: float) -> float:
-    return DENSITY_RTOL * max(1.0, abs(t))
+def _membership_tols(t: np.ndarray) -> np.ndarray:
+    """membership_tol at every entry of t."""
+    return MEMBERSHIP_RTOL * np.maximum(1.0, np.abs(t))
 
 
 def _require_resolvable(grid) -> None:
     """Reject a grid with consecutive points within the membership tolerance:
     the scale would merge them into one member and change every jump."""
     pts = grid.realized()
-    close = np.diff(pts) <= MEMBERSHIP_RTOL * np.maximum(1.0, np.abs(pts[1:]))
+    close = np.diff(pts) <= _membership_tols(pts[1:])
     if np.any(close):
         k = int(np.argmax(close))
         raise ValueError(
@@ -160,6 +160,11 @@ class ClosedInterval:
         tol = membership_tol(t)
         return self.a - tol <= t <= self.b + tol
 
+    def contains_many(self, t: np.ndarray) -> np.ndarray:
+        """contains at every entry of t."""
+        tol = _membership_tols(t)
+        return (self.a - tol <= t) & (t <= self.b + tol)
+
     def label(self) -> str:
         return f"interval({_fmt(self.a)},{_fmt(self.b)})"
 
@@ -198,6 +203,16 @@ class ExplicitPoints:
     def contains(self, t: float) -> bool:
         tol = membership_tol(t)
         return any(abs(t - v) <= tol for v in self.values)
+
+    def contains_many(self, t: np.ndarray) -> np.ndarray:
+        """contains at every entry of t: the nearest values are the two
+        around t's place among them."""
+        vals = np.array(self.values)
+        i = np.searchsorted(vals, t)
+        below = vals[np.maximum(i - 1, 0)]
+        above = vals[np.minimum(i, len(vals) - 1)]
+        tol = _membership_tols(t)
+        return (np.abs(t - below) <= tol) | (np.abs(t - above) <= tol)
 
     def label(self) -> str:
         return f"points({','.join(_fmt(v) for v in self.values)})"
@@ -246,6 +261,14 @@ class ArithmeticGrid:
         k = round((t - self.start) / self.step)
         return abs(self.start + k * self.step - t) <= tol
 
+    def contains_many(self, t: np.ndarray) -> np.ndarray:
+        """contains at every entry of t (np.rint rounds half to even, as
+        round does)."""
+        tol = _membership_tols(t)
+        k = np.rint((t - self.start) / self.step)
+        return ((t >= self.start - tol) & (t <= self.max_value() + tol)
+                & (np.abs(self.start + k * self.step - t) <= tol))
+
     def label(self) -> str:
         return f"hgrid({_fmt(self.start)},{_fmt(self.stop)},{_fmt(self.step)})"
 
@@ -291,6 +314,11 @@ class GeometricGrid:
         if k < self.kmin or k > self.kmax:
             return False
         return abs(self.base**k - t) <= tol
+
+    def contains_many(self, t: np.ndarray) -> np.ndarray:
+        """contains at every entry of t, point by point: np.log and
+        np.power can differ from math.log and float ** int in the last bit."""
+        return np.array([self.contains(x) for x in t.tolist()], dtype=bool)
 
     def label(self) -> str:
         return f"qgrid({_fmt(self.base)},{self.kmin},{self.kmax})"
@@ -357,6 +385,16 @@ class ReciprocalGrid:
             return False
         return abs(self.scale / n - t) <= tol
 
+    def contains_many(self, t: np.ndarray) -> np.ndarray:
+        """contains at every entry of t."""
+        tol = _membership_tols(t)
+        at_zero = np.abs(t) <= tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = np.rint(self.scale / t)
+            hit = ((n >= 1) & (n <= self.count)
+                   & (np.abs(self.scale / n - t) <= tol))
+        return np.where(at_zero, self.include_zero, hit)
+
     def predicate_contains(self, t: float) -> bool:
         # for piecewise membership predicates the accumulation point counts
         # as part of the generator even when not realized by this piece
@@ -412,13 +450,8 @@ class TimeScale:
         # canonical order: by minimum, then label for ties
         self._pieces = tuple(sorted(pieces, key=lambda p: (p.min_value(), p.label())))
 
-        pts = np.concatenate([p.realized() for p in self._pieces])
-        pts = np.sort(pts)
-        keep = []
-        for v in pts:
-            if not keep or v - keep[-1] > membership_tol(v):
-                keep.append(float(v))
-        self._points = np.array(keep)
+        self._points = _merge_close(
+            np.sort(np.concatenate([p.realized() for p in self._pieces])))
         self._points.flags.writeable = False
 
         ivs = sorted(
@@ -440,6 +473,7 @@ class TimeScale:
             raise ValueError("time scale is empty")
         self._min = min(lo)
         self._max = max(hi)
+        self._jumps = self._realized_jumps()
 
     # -- basic accessors ----------------------------------------------------
 
@@ -555,25 +589,84 @@ class TimeScale:
                 return True
         return False
 
+    def _realized_jumps(self) -> tuple[np.ndarray, ...]:
+        """rho, sigma and the two density masks of every realized point, in
+        one pass: the comparisons of _rho, _sigma and _accumulates, made on
+        the whole array."""
+        pts = self._points
+        n = len(pts)
+        tol = _membership_tols(pts)
+        i = np.searchsorted(pts, pts - tol)
+        rho = np.where(i > 0, pts[np.maximum(i - 1, 0)], -np.inf)
+        j = np.searchsorted(pts, pts + tol)
+        sigma = np.where(j < n, pts[np.minimum(j, n - 1)], np.inf)
+        inside_left = np.zeros(n, dtype=bool)
+        inside_right = np.zeros(n, dtype=bool)
+        for a, b in self._intervals:
+            past = pts > b + tol
+            rho = np.where(past, np.maximum(rho, b), rho)
+            inside_left |= ~past & (pts >= a + tol)
+            before = pts < a - tol
+            sigma = np.where(before, np.minimum(sigma, a), sigma)
+            inside_right |= ~before & (pts <= b - tol)
+        # no neighbour on a side, or inside an interval: the jump is t itself
+        rho = np.where(inside_left | (rho == -np.inf), pts, rho)
+        sigma = np.where(inside_right | (sigma == np.inf), pts, sigma)
+        at_zero = np.abs(pts) <= tol
+        sides = {p.accumulation_side() for p in self._pieces
+                 if isinstance(p, ReciprocalGrid)}
+        dense_left = (rho == pts) | (at_zero & ("left" in sides))
+        dense_right = (sigma == pts) | (at_zero & ("right" in sides))
+        return rho, sigma, dense_left, dense_right
+
+    def _realized_class(self, i: int) -> PointClass:
+        """The record of the i-th realized point, read from the arrays."""
+        t = float(self._points[i])
+        rho, sigma, dense_left, dense_right = self._jumps
+        mtol = membership_tol(t)
+        return PointClass(
+            left=Side.DENSE if dense_left[i] else Side.SCATTERED,
+            right=Side.DENSE if dense_right[i] else Side.SCATTERED,
+            at_min=bool(abs(t - self._min) <= mtol),
+            at_max=bool(abs(t - self._max) <= mtol),
+            t=t,
+            rho=float(rho[i]),
+            sigma=float(sigma[i]),
+        )
+
+    def _realized_classes(self, points) -> list[PointClass | None]:
+        """classify(t) for every t that is exactly a realized point, read
+        from the arrays built with the scale; None for every other t."""
+        t = np.asarray(points, dtype=float)
+        if not len(self._points) or not len(t):
+            return [None] * len(t)
+        i = np.minimum(np.searchsorted(self._points, t), len(self._points) - 1)
+        hit = self._points[i] == t
+        return [self._realized_class(k) if h else None
+                for k, h in zip(i.tolist(), hit.tolist())]
+
     def classify(self, t: float) -> PointClass:
         """Every fact about one member point: density per side, jumps and
-        whether it is an extreme. The only place membership is checked."""
+        whether it is an extreme.
+
+        A side is dense only by structure: its jump is t itself (inside an
+        interval and at the extremes), or a reciprocal grid accumulates at
+        0 from that side. A realized point reads its record from the arrays
+        built with the scale; any other point is checked for membership
+        here."""
+        t = float(t)
+        i = int(np.searchsorted(self._points, t))
+        if i < len(self._points) and self._points[i] == t:
+            return self._realized_class(i)
         t = self._require_member(t)
-        dtol = density_tol(t)
         mtol = membership_tol(t)
         rho = self._rho(t)
         sigma = self._sigma(t)
-
-        # rho and sigma are t itself inside an interval, so the gap decides
-        # interval density too; only an accumulation point needs a test
-        dense_left = self._accumulates(t, "left") or t - rho <= dtol
-        dense_right = self._accumulates(t, "right") or sigma - t <= dtol
-        left = Side.DENSE if dense_left else Side.SCATTERED
-        right = Side.DENSE if dense_right else Side.SCATTERED
-
+        dense_left = rho == t or self._accumulates(t, "left")
+        dense_right = sigma == t or self._accumulates(t, "right")
         return PointClass(
-            left=left,
-            right=right,
+            left=Side.DENSE if dense_left else Side.SCATTERED,
+            right=Side.DENSE if dense_right else Side.SCATTERED,
             at_min=bool(abs(t - self._min) <= mtol),
             at_max=bool(abs(t - self._max) <= mtol),
             t=t,
@@ -687,7 +780,7 @@ class TimeScale:
             dmin = min(d for _, _, d, _ in discrete)
             for s in streams:
                 dmin = min(dmin, abs(s.points[-1] - t))
-            window = max(NEIGHBOR_WINDOW * dmin, density_tol(t))
+            window = max(NEIGHBOR_WINDOW * dmin, mtol)
             for label, ordered, dist, accum in discrete:
                 if accum or dist <= window:
                     streams.append(Stream(label, ordered, False))
@@ -695,12 +788,11 @@ class TimeScale:
 
     def left_scattered_points(self) -> list[float]:
         """Realized points of the derivative domain with a backward jump."""
-        out = []
-        for v in self._points:
-            pc = self.classify(float(v))
-            if pc.in_kappa and pc.left is Side.SCATTERED:
-                out.append(pc.t)
-        return out
+        pts = self._points
+        _, _, dense_left, dense_right = self._jumps
+        at_min = np.abs(pts - self._min) <= _membership_tols(pts)
+        in_kappa = ~(at_min & ~dense_right)
+        return pts[in_kappa & ~dense_left].tolist()
 
     # -- serialization --------------------------------------------------
 
@@ -717,6 +809,23 @@ class TimeScale:
     @classmethod
     def from_json(cls, s: str) -> "TimeScale":
         return cls.from_dict(json.loads(s))
+
+
+def _merge_close(pts: np.ndarray) -> np.ndarray:
+    """Sorted points without those within the membership tolerance of the
+    last point kept before them."""
+    if len(pts) < 2:
+        return pts
+    close = np.diff(pts) <= _membership_tols(pts[1:])
+    if not np.any(close[1:] & close[:-1]):
+        # a point follows a dropped one only when it is far from it, and so
+        # far from the last point kept
+        return pts[np.concatenate(([True], ~close))]
+    keep = [float(pts[0])]
+    for v in pts[1:].tolist():
+        if v - keep[-1] > membership_tol(v):
+            keep.append(v)
+    return np.array(keep)
 
 
 def _drop_min_point(p: Piece, m: float) -> Piece | None:

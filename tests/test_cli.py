@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from fuzzynabla.cli import main
+from fuzzynabla.timescale import TimeScale
 
 EXAMPLE_SCALE = "union(recip(1,400), recip(sqrt2,400), points(0))"
 EXAMPLE_FN = (
@@ -312,6 +313,45 @@ class TestCheck:
         assert out.splitlines()[1:] == [f"0.8999999999999999,{case},0.0",
                                         f"2.1,{case},0.0"]
 
+    def test_crisp_jump_at_large_magnitude(self, capsys):
+        # f(t) has width 2 at every t, so every jump derivative is crisp;
+        # f(t) - f(rho) carries round-off of about 1e-6 near 1e10
+        code, out, err = run([
+            "check", "characterize", "--timescale", "hgrid(0,3,0.3)",
+            "--fn", "tri(1e10*t-1,1e10*t,1e10*t+1)", "--points", "0.9,2.1,3"],
+            capsys)
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+            "Crisp"] * 3
+
+    def test_jump_between_close_generators(self, capsys):
+        # t = sqrt2/9990 lies 6.5e-11 above rho = 1/7064: both isolated
+        code, out, err = run([
+            "check", "characterize",
+            "--timescale", "union(recip(1,10000), recip(sqrt2,10000), points(0))",
+            "--fn", EXAMPLE_FN, "--points", "0.00014156291915646597"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "0.00014156291915646597,CaseII,0.0"
+
+    @pytest.mark.parametrize("theorem", ["rho-identity", "level-consistency"])
+    def test_identity_checks_classify_once(self, theorem, capsys, monkeypatch):
+        calls = []
+        classify = TimeScale.classify
+
+        def counted(self, t):
+            calls.append(t)
+            return classify(self, t)
+
+        monkeypatch.setattr(TimeScale, "classify", counted)
+        # jumps, a dense point and a jump with a dense right side
+        code, out, err = run([
+            "check", theorem,
+            "--timescale", "union(hgrid(-3,-1,1), interval(0,1), points(2))",
+            "--fn", "tri(t-1-t*t, t, t+1+t*t)", "--levels", "8",
+            "--points=-2,-1,0,0.5,2"], capsys)
+        assert code == 0, out
+        assert calls == [-2.0, -1.0, 0.0, 0.5, 2.0]
+
 
 class TestConfigErrors:
     def test_bad_dsl_positioned_message(self, capsys):
@@ -489,4 +529,15 @@ class TestGoldenBytes:
             "--timescale", GOLDEN_SCALE, "--fn", GOLDEN_FN, "--levels", "2"],
             capsys)
         assert got_code == code
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt, name", [("csv", "jump.csv"),
+                                           ("json", "jump.json")])
+    def test_piecewise_jump_table(self, fmt, name, capsys):
+        # every left-scattered point of the README scale at n = 20
+        code, out, err = run([
+            "diff", "--timescale", "union(recip(1,20), recip(sqrt2,20), points(0))",
+            "--fn", EXAMPLE_FN, "--points", "all-scattered", "--levels", "2",
+            "--format", fmt], capsys)
+        assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")

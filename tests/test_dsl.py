@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuzzynabla.dsl import (
     MAX_DEPTH,
@@ -18,9 +20,12 @@ from fuzzynabla.dsl import (
     Piecewise,
     Sqrt,
     TriDef,
+    _compile,
     _finish,
+    _NotCompiled,
     _Parser,
     bind_function,
+    compile_function,
     eval_expr,
     eval_function,
     parse_function,
@@ -28,8 +33,9 @@ from fuzzynabla.dsl import (
     parse_timescale,
     print_canonical,
 )
-from fuzzynabla.errors import DslSyntaxError, ValidationError
-from fuzzynabla.fuzzy import hausdorff, triangular
+from fuzzynabla.errors import DslSyntaxError, OrderViolation, ValidationError
+from fuzzynabla.fuzzy import alpha_grid, hausdorff, triangular
+from fuzzynabla.nabla import FuzzyFunction
 from fuzzynabla.timescale import (
     ArithmeticGrid,
     ClosedInterval,
@@ -353,3 +359,151 @@ class TestRandomRoundTrips:
                 continue
             v2 = eval_expr(parse_scalar(printed), 1.75)
             assert v1 == pytest.approx(v2, abs=1e-12)
+
+
+# every piece kind, with members on both sides of 0 and an interval
+VECTOR_SCALE = TimeScale([
+    ClosedInterval(2.0, 3.0),
+    ExplicitPoints((-1.5, 0.0, 1.75)),
+    ArithmeticGrid(-1.0, 1.0, 0.25),
+    GeometricGrid(2.0, -2, 2),
+    ReciprocalGrid(1.0, 8),
+    ReciprocalGrid(-SQRT2, 6),
+])
+VECTOR_REFS = [PieceRef("interval", (2.0,)), PieceRef("points", (-1.5,)),
+               PieceRef("hgrid", (-1.0,)), PieceRef("qgrid", (2.0,)),
+               PieceRef("recip", (1.0,)), PieceRef("recip", (-SQRT2,))]
+# members, interval points, and points no arm may cover
+VECTOR_POINTS = sorted(set(VECTOR_SCALE.discrete_points.tolist())
+                       | {2.25, 2.5, 3.0, 0.3, -0.7, 5.0, 1e-13})
+
+
+def _exprs(alpha: bool):
+    leaves = st.one_of(
+        st.builds(Const, st.sampled_from([0.0, 1.0, -2.0, 0.5, 3.0, 1e200])),
+        st.sampled_from([Name("t"), Name("t"), Name("sqrt2"), Name("pi")]
+                        + [Name("alpha")] * (2 if alpha else 0)))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Sqrt, children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(lambda b, e: BinOp("^", b, Const(float(e))), children,
+                      st.integers(-3, 5)),
+            st.builds(lambda arms: Piecewise(tuple(arms)),
+                      st.lists(st.builds(Arm, st.sampled_from(VECTOR_REFS),
+                                         children), min_size=1, max_size=3)))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+EXPRS = {False: _exprs(False), True: _exprs(True)}
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ValidationError, ArithmeticError) as err:
+        return type(err), str(err), getattr(err, "sample", None)
+
+
+def _same_bits(a, b) -> bool:
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestVectorForm:
+    """A compiled expression evaluates many points in one pass and gives,
+    row by row, the bits of eval_expr, with the rows where eval_expr
+    raises; compile_function raises the error of the first such t."""
+
+    @given(data=st.data(), with_alpha=st.booleans(),
+           pts=st.lists(st.sampled_from(VECTOR_POINTS), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eval_expr(self, data, with_alpha, pts):
+        e = data.draw(EXPRS[with_alpha])
+        try:
+            fn = _compile(e, VECTOR_SCALE)
+        except _NotCompiled:
+            # only a power of a piecewise that is an alpha array at some
+            # points and a float at others has no vector form
+            assume(False)
+        alpha = alpha_grid(4) if with_alpha else None
+        width = 5 if with_alpha else 1
+        with np.errstate(all="ignore"):
+            got, failing = fn(np.array(pts).reshape(-1, 1),
+                              None if alpha is None else alpha.reshape(1, -1))
+        rows = np.broadcast_to(got, (len(pts), width))
+        if failing is None:
+            failing = np.zeros(len(pts), dtype=bool)
+        for t, row, fails in zip(pts, rows, failing.tolist()):
+            want = _outcome(lambda: eval_expr(e, t, alpha, VECTOR_SCALE))
+            assert isinstance(want, tuple) == fails
+            if not fails:
+                assert _same_bits(row, np.broadcast_to(want, (width,)))
+
+    @pytest.mark.parametrize("e", [2, -1, 3, -3, 5])
+    def test_power_is_float_power(self, e):
+        # numpy's power differs from float ** int in the last bit for a few
+        # percent of inputs; the vector form gives Python's
+        rng = np.random.default_rng(e + 10)
+        t = rng.uniform(0.1, 10.0, 2000)
+        got, _ = _compile(BinOp("^", Name("t"), Const(float(e))),
+                          VECTOR_SCALE)(t.reshape(-1, 1), None)
+        assert got[:, 0].tolist() == [x ** e for x in t.tolist()]
+
+    @pytest.mark.parametrize("src", [
+        EXAMPLE_FN,
+        "endpoints(t - (1-alpha)*(t^2+1); t + (1-alpha)*(t^2+1))",
+        "endpoints(alpha^3 * sqrt(t^2+1); 2 + t^2/(1+alpha))",
+        "tri(piecewise(in hgrid(-1) => t^-2, in qgrid(2) => sqrt(t), in recip(1) => 1/t), "
+        "3, piecewise(in interval(2) => 4 + t, in points(-1.5) => 5, in recip(-sqrt2) => 4))",
+    ])
+    def test_function_stacks(self, src):
+        d = parse_function(src)
+        ts = parse_timescale(EXAMPLE_SCALE) if src == EXAMPLE_FN else VECTOR_SCALE
+        pts = (ts.discrete_points.tolist() if ts is not VECTOR_SCALE
+               else VECTOR_POINTS)
+        scalar = [_outcome(lambda: eval_function(d, t, 6, ts)) for t in pts]
+        first_error = next((s for s in scalar if isinstance(s, tuple)), None)
+        got = _outcome(lambda: compile_function(d, ts, 6)(pts))
+        if first_error is not None:
+            assert got == first_error
+            pts = [t for t, s in zip(pts, scalar) if not isinstance(s, tuple)]
+            scalar = [s for s in scalar if not isinstance(s, tuple)]
+            got = compile_function(d, ts, 6)(pts)
+        lo, hi = got
+        for i, u in enumerate(scalar):
+            assert _same_bits(lo[i], u.lower) and _same_bits(hi[i], u.upper)
+
+    def test_stack_validates_rows(self):
+        # levels nest everywhere but at t = 0, where the lower end falls
+        ts = parse_timescale("hgrid(-2,2,1)")
+        d = parse_function("endpoints(alpha*(t^2 - 1/2)/10; 1)")
+        f = FuzzyFunction(lambda t: eval_function(d, t, 4, ts), K=4,
+                          vector=compile_function(d, ts, 4))
+        pts = [-2.0, -1.0, 1.0, 2.0]
+        lo, hi = f.stack(pts)
+        assert all(_same_bits(lo[i], f(t).lower) for i, t in enumerate(pts))
+        with pytest.raises(OrderViolation) as stacked:
+            f.stack([2.0, 0.0, -1.0])
+        with pytest.raises(OrderViolation) as single:
+            f(0.0)
+        assert str(stacked.value) == str(single.value)
+
+    def test_uncovered_arm_names_first_t(self):
+        d = parse_function("tri(piecewise(in recip(1) => t), 1, 2)")
+        levels = compile_function(d, VECTOR_SCALE, 4)
+        with pytest.raises(ValidationError, match=r"t=0\.3\b") as err:
+            levels([1.0, 0.5, 0.3, -0.7])
+        assert err.value.sample == {"t": 0.3}
+
+    def test_bound_function_has_vector_form(self):
+        ts = parse_timescale(EXAMPLE_SCALE)
+        f = bind_function(parse_function(EXAMPLE_FN), ts, K=8)
+        pts = ts.discrete_points.tolist()
+        lo, hi = f.stack(pts)
+        assert lo.shape == hi.shape == (len(pts), 9)
+        assert all(_same_bits(lo[i], f(t).lower) and _same_bits(hi[i], f(t).upper)
+                   for i, t in enumerate(pts))
+        assert FuzzyFunction(f, K=8).stack(pts) is None

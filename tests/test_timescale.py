@@ -203,6 +203,82 @@ class TestApproach:
                 assert ts.contains(s)
 
 
+class TestStructuralDensity:
+    """A side is dense only by structure: its jump is t itself, or a
+    reciprocal grid accumulates at 0 from that side. A gap, however small,
+    is a jump."""
+
+    def test_close_generators_stay_scattered(self):
+        # sqrt2/9990 lies 6.5e-11 above 1/7064; the closest pair of the
+        # scale is 1.3e-12 apart
+        ts = parse_timescale("union(recip(1,10000), recip(sqrt2,10000), points(0))")
+        t = 0.00014156291915646597
+        pc = ts.classify(t)
+        assert (pc.left, pc.right) == (Side.SCATTERED, Side.SCATTERED)
+        assert 0 < pc.nu < 1e-9
+        pts = ts.left_scattered_points()
+        # every member but 0, the minimum
+        assert len(pts) == 20000 and t in pts
+
+    def test_window_floor_is_membership_tol(self):
+        # the interval's probes reach 1.6e-14 from 0, so only generators
+        # within 1e3 times that join the side; points(5e-10) is farther
+        ts = TimeScale([ClosedInterval(0.0, 4e-12), ExplicitPoints((5e-10,))])
+        streams = ts.approach_streams(0.0, "right", 8)
+        assert [s.label for s in streams] == ["interval(0,4e-12)"]
+        assert streams[0].nearest < 2e-14
+
+    def test_merge_keeps_first_of_each_cluster(self):
+        # each point is within the membership tolerance of the one before;
+        # the third is not within it of the first, which is kept
+        ts = TimeScale([ExplicitPoints((0.0,)), ExplicitPoints((0.7e-12,)),
+                        ExplicitPoints((1.4e-12,)), ExplicitPoints((1.0,))])
+        assert ts.discrete_points.tolist() == [0.0, 1.4e-12, 1.0]
+
+    def test_arrays_hold_the_scalar_jumps(self):
+        ts = TimeScale([ClosedInterval(-1.0, 0.0), ArithmeticGrid(-2.0, 1.0, 0.5),
+                        ReciprocalGrid(-1.0, 5, include_zero=True),
+                        GeometricGrid(2.0, 0, 3), ExplicitPoints((8.0 + 1e-13,))])
+        for i, t in enumerate(ts.discrete_points.tolist()):
+            pc = ts._realized_class(i)
+            assert (pc.t, pc.rho, pc.sigma) == (t, ts._rho(t), ts._sigma(t))
+            assert (pc.left is Side.DENSE) == (
+                pc.rho == t or ts._accumulates(t, "left"))
+            assert (pc.right is Side.DENSE) == (
+                pc.sigma == t or ts._accumulates(t, "right"))
+
+
+finite_pieces = st.one_of(
+    st.builds(lambda a, n, h: ArithmeticGrid(a, a + n * h, h),
+              st.integers(-4, 4).map(float), st.integers(1, 8),
+              st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0])),
+    st.builds(GeometricGrid, st.sampled_from([1.5, 2.0, 10.0]),
+              st.integers(-4, 0), st.integers(0, 4)),
+    st.builds(ReciprocalGrid, st.sampled_from([1.0, -1.0, SQRT2, -SQRT2, 3.0]),
+              st.integers(1, 60), st.booleans()),
+    st.builds(lambda v: ExplicitPoints(tuple(v)),
+              st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=4)),
+)
+
+
+@given(st.lists(finite_pieces, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_finite_members_are_left_scattered(pieces):
+    """Every realized point other than the minimum and a left accumulation
+    point at 0 is left-scattered, and its rho is the previous point."""
+    ts = TimeScale(pieces)
+    pts = ts.discrete_points.tolist()
+    accumulates_left = any(isinstance(p, ReciprocalGrid) and p.scale < 0
+                           for p in pieces)
+    for prev, t in zip(pts, pts[1:]):
+        pc = ts.classify(t)
+        if accumulates_left and abs(t) <= 1e-12:
+            assert pc.left is Side.DENSE
+            continue
+        assert pc.left is Side.SCATTERED and pc.rho == prev
+        assert t in ts.left_scattered_points()
+
+
 class TestSerialization:
     def test_round_trip(self):
         ts = TimeScale(

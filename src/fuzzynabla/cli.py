@@ -359,8 +359,7 @@ def cmd_check(args) -> int:
     theorem = args.theorem
     tol = _residual_tol(args)
     if theorem == "rho-identity":
-        return _residual_rows(args, lambda f, ts, r, cfg: _rho_residual(f, r),
-                              tol)
+        return _residual_rows(args, _rho_residual, tol)
     if theorem == "level-consistency":
         return _residual_rows(args, _level_residual, tol)
 

@@ -39,7 +39,6 @@ from .timescale import (
     ReciprocalGrid,
     TimeScale,
     _fmt,
-    _membership_tols,
     membership_tol,
 )
 
@@ -906,12 +905,14 @@ def _compile_power(base, e: int, alpha_kind: str):
 
 
 def _arm_mask(pieces: list, t: np.ndarray) -> np.ndarray:
-    """_arm_applies at every entry of t, for the pieces an arm names."""
+    """_arm_applies at every entry of t, for the pieces an arm names: in
+    one pass for a reciprocal grid, point by point for the others."""
     hit = np.zeros(len(t), dtype=bool)
     for piece in pieces:
-        hit |= piece.contains_many(t)
         if isinstance(piece, ReciprocalGrid):
-            hit |= np.abs(t) <= _membership_tols(t)
+            hit |= piece.predicate_contains_many(t)
+        else:
+            hit |= np.array([piece.contains(x) for x in t.tolist()], dtype=bool)
     return hit
 
 

@@ -307,15 +307,16 @@ class EndpointReport:
         return {"t": self.t, "levels": self.rows()}
 
 
-def _scattered_side(f: FuzzyFunction, t: float, neighbor: float) -> SideData:
-    """The exact quotient (f(neighbor) - f(t)) / (neighbor - t) toward a jump."""
-    Ft, Fn = f(t), f(neighbor)
-    dt = neighbor - t
-    n = f.K + 1
+def _scattered_side(ft_lo: np.ndarray, ft_hi: np.ndarray, fn_lo: np.ndarray,
+                    fn_hi: np.ndarray, dt: float) -> SideData:
+    """The exact quotient (f(neighbor) - f(t)) / (neighbor - t) toward a
+    jump, from the levels of f at t (ft) and at the neighbor (fn) and
+    dt = neighbor - t."""
+    n = len(ft_lo)
     return SideData(
         kind="scattered",
-        lower=(Fn.lower - Ft.lower) / dt,
-        upper=(Fn.upper - Ft.upper) / dt,
+        lower=(fn_lo - ft_lo) / dt,
+        upper=(fn_hi - ft_hi) / dt,
         lower_exists=np.ones(n, dtype=int),
         upper_exists=np.ones(n, dtype=int),
         residual=np.zeros(n),
@@ -364,7 +365,9 @@ def _analyze(f: FuzzyFunction, ts: TimeScale, pc: PointClass, cfg: ProbeConfig):
     for side, density, neighbor in (("left", pc.left, pc.rho),
                                     ("right", pc.right, pc.sigma)):
         if density is Side.SCATTERED:
-            sides.append(_scattered_side(f, t, neighbor))
+            Ft, Fn = f(t), f(neighbor)
+            sides.append(_scattered_side(Ft.lower, Ft.upper, Fn.lower, Fn.upper,
+                                         neighbor - t))
             continue
         streams, failed = _probe_side(f, ts, t, side, cfg)
         failure = failure or failed
@@ -771,8 +774,6 @@ def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
     every point when f has no vector form, or when the stacks raise or
     hold a non-finite jump, so the loop meets the error where it arises."""
     out: list = [None] * len(points)
-    if f._vector is None:
-        return out
     rows = [(slot, pc) for slot, pc in enumerate(ts._realized_classes(points))
             if pc is not None and pc.left is Side.SCATTERED
             and (pc.right is Side.SCATTERED or pc.at_max)]
@@ -783,33 +784,25 @@ def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
     sigma = np.array([pc.sigma for _, pc in rows])
     at, where = np.unique(np.concatenate([t, rho, sigma]), return_inverse=True)
     try:
-        lo, hi = f.stack(at)
+        stacks = f.stack(at)
     except (FuzzyNablaError, ArithmeticError):
         return out
+    if stacks is None:
+        return out
+    lo, hi = stacks
     it, ir, isg = np.split(where, 3)
     jump = _jump_rows(lo[it], hi[it], lo[ir], hi[ir], t - rho, cfg)
     if not jump.finite.all():
         return out
 
-    # the endpoint report's exact quotients toward rho and sigma (0/0 at
-    # the maximum, whose right side is absent)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        minus = [(lo[ir] - lo[it]) / (rho - t)[:, None],
-                 (hi[ir] - hi[it]) / (rho - t)[:, None]]
-        plus = [(lo[isg] - lo[it]) / (sigma - t)[:, None],
-                (hi[isg] - hi[it]) / (sigma - t)[:, None]]
     alphas = alpha_grid(f.K)
-    exact = np.ones(f.K + 1, dtype=int)
-    zero = np.zeros(f.K + 1)
-
-    def side(stacks, r):
-        return SideData("scattered", stacks[0][r], stacks[1][r], exact, exact,
-                        zero)
-
     for r, (slot, pc) in enumerate(rows):
-        plus_side = (side(plus, r) if pc.right is Side.SCATTERED
-                     else SideData(kind="absent"))
-        report = EndpointReport(pc.t, alphas, side(minus, r), plus_side, pc)
+        i, n = it[r], ir[r]
+        minus = _scattered_side(lo[i], hi[i], lo[n], hi[n], pc.rho - pc.t)
+        n = isg[r]
+        plus = (_scattered_side(lo[i], hi[i], lo[n], hi[n], pc.sigma - pc.t)
+                if pc.right is Side.SCATTERED else SideData(kind="absent"))
+        report = EndpointReport(pc.t, alphas, minus, plus, pc)
         out[slot] = _reported(_derive, f, report, {}, None, cfg, jump, r)
     return out
 
@@ -893,11 +886,13 @@ def check_rho_identity(f: FuzzyFunction, ts: TimeScale, t: float,
 
     One of the two reconstructions must hold: f(t) = f(rho(t)) + nu * value,
     or f(rho(t)) = f(t) + (-nu) * value. Returns the smaller residual."""
-    return _rho_residual(f, nabla_gh(f, ts, t, cfg))
+    return _rho_residual(f, ts, nabla_gh(f, ts, t, cfg), cfg)
 
 
-def _rho_residual(f: FuzzyFunction, r: DerivativeResult) -> float:
-    """check_rho_identity from the derivative r it takes at its point."""
+def _rho_residual(f: FuzzyFunction, ts: TimeScale, r: DerivativeResult,
+                  cfg: ProbeConfig) -> float:
+    """check_rho_identity from the derivative r it takes at its point
+    (ts and cfg are unused: the signature is _level_residual's)."""
     pc = r.endpoint_report.point
     nu = pc.nu
     Ft, Fr = f(pc.t), f(pc.rho)

@@ -160,11 +160,6 @@ class ClosedInterval:
         tol = membership_tol(t)
         return self.a - tol <= t <= self.b + tol
 
-    def contains_many(self, t: np.ndarray) -> np.ndarray:
-        """contains at every entry of t."""
-        tol = _membership_tols(t)
-        return (self.a - tol <= t) & (t <= self.b + tol)
-
     def label(self) -> str:
         return f"interval({_fmt(self.a)},{_fmt(self.b)})"
 
@@ -203,16 +198,6 @@ class ExplicitPoints:
     def contains(self, t: float) -> bool:
         tol = membership_tol(t)
         return any(abs(t - v) <= tol for v in self.values)
-
-    def contains_many(self, t: np.ndarray) -> np.ndarray:
-        """contains at every entry of t: the nearest values are the two
-        around t's place among them."""
-        vals = np.array(self.values)
-        i = np.searchsorted(vals, t)
-        below = vals[np.maximum(i - 1, 0)]
-        above = vals[np.minimum(i, len(vals) - 1)]
-        tol = _membership_tols(t)
-        return (np.abs(t - below) <= tol) | (np.abs(t - above) <= tol)
 
     def label(self) -> str:
         return f"points({','.join(_fmt(v) for v in self.values)})"
@@ -261,14 +246,6 @@ class ArithmeticGrid:
         k = round((t - self.start) / self.step)
         return abs(self.start + k * self.step - t) <= tol
 
-    def contains_many(self, t: np.ndarray) -> np.ndarray:
-        """contains at every entry of t (np.rint rounds half to even, as
-        round does)."""
-        tol = _membership_tols(t)
-        k = np.rint((t - self.start) / self.step)
-        return ((t >= self.start - tol) & (t <= self.max_value() + tol)
-                & (np.abs(self.start + k * self.step - t) <= tol))
-
     def label(self) -> str:
         return f"hgrid({_fmt(self.start)},{_fmt(self.stop)},{_fmt(self.step)})"
 
@@ -314,11 +291,6 @@ class GeometricGrid:
         if k < self.kmin or k > self.kmax:
             return False
         return abs(self.base**k - t) <= tol
-
-    def contains_many(self, t: np.ndarray) -> np.ndarray:
-        """contains at every entry of t, point by point: np.log and
-        np.power can differ from math.log and float ** int in the last bit."""
-        return np.array([self.contains(x) for x in t.tolist()], dtype=bool)
 
     def label(self) -> str:
         return f"qgrid({_fmt(self.base)},{self.kmin},{self.kmax})"
@@ -385,20 +357,19 @@ class ReciprocalGrid:
             return False
         return abs(self.scale / n - t) <= tol
 
-    def contains_many(self, t: np.ndarray) -> np.ndarray:
-        """contains at every entry of t."""
-        tol = _membership_tols(t)
-        at_zero = np.abs(t) <= tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n = np.rint(self.scale / t)
-            hit = ((n >= 1) & (n <= self.count)
-                   & (np.abs(self.scale / n - t) <= tol))
-        return np.where(at_zero, self.include_zero, hit)
-
     def predicate_contains(self, t: float) -> bool:
         # for piecewise membership predicates the accumulation point counts
         # as part of the generator even when not realized by this piece
         return self.contains(t) or abs(t) <= membership_tol(t)
+
+    def predicate_contains_many(self, t: np.ndarray) -> np.ndarray:
+        """predicate_contains at every entry of t."""
+        tol = _membership_tols(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = np.rint(self.scale / t)
+            hit = ((n >= 1) & (n <= self.count)
+                   & (np.abs(self.scale / n - t) <= tol))
+        return hit | (np.abs(t) <= tol)
 
     def label(self) -> str:
         return f"recip({_fmt(self.scale)},{self.count})"
@@ -450,8 +421,13 @@ class TimeScale:
         # canonical order: by minimum, then label for ties
         self._pieces = tuple(sorted(pieces, key=lambda p: (p.min_value(), p.label())))
 
-        self._points = _merge_close(
-            np.sort(np.concatenate([p.realized() for p in self._pieces])))
+        pts = np.concatenate([p.realized() for p in self._pieces])
+        pts = np.sort(pts)
+        keep = []
+        for v in pts:
+            if not keep or v - keep[-1] > membership_tol(v):
+                keep.append(float(v))
+        self._points = np.array(keep)
         self._points.flags.writeable = False
 
         ivs = sorted(
@@ -809,23 +785,6 @@ class TimeScale:
     @classmethod
     def from_json(cls, s: str) -> "TimeScale":
         return cls.from_dict(json.loads(s))
-
-
-def _merge_close(pts: np.ndarray) -> np.ndarray:
-    """Sorted points without those within the membership tolerance of the
-    last point kept before them."""
-    if len(pts) < 2:
-        return pts
-    close = np.diff(pts) <= _membership_tols(pts[1:])
-    if not np.any(close[1:] & close[:-1]):
-        # a point follows a dropped one only when it is far from it, and so
-        # far from the last point kept
-        return pts[np.concatenate(([True], ~close))]
-    keep = [float(pts[0])]
-    for v in pts[1:].tolist():
-        if v - keep[-1] > membership_tol(v):
-            keep.append(v)
-    return np.array(keep)
 
 
 def _drop_min_point(p: Piece, m: float) -> Piece | None:

@@ -17,6 +17,7 @@ from fuzzynabla.fuzzy import (
     gh_diff,
     h_diff,
     hausdorff,
+    invalid_rows,
     scalar_mul,
     triangular,
 )
@@ -293,3 +294,32 @@ def test_metric_triangle_style_inequality(p, q, r, s):
 @settings(max_examples=60, deadline=None)
 def test_scalar_mul_validates(p, k):
     scalar_mul(k, triangular(*p, K=16)).validate()
+
+
+# rows of a triangular number nudged by a few times the validator's
+# tolerance, so that some rows pass and some fail by a hair
+nudged_rows = st.lists(
+    st.tuples(tri_params, st.lists(st.sampled_from(
+        [0.0, 0.0, 0.5e-10, -0.5e-10, 3e-10, -3e-10, math.inf, math.nan]),
+        min_size=8, max_size=8)),
+    min_size=1, max_size=6)
+
+
+@given(nudged_rows)
+@settings(max_examples=200, deadline=None)
+def test_invalid_rows_is_validate(rows):
+    lo, hi = [], []
+    for p, noise in rows:
+        u = triangular(*p, K=3)
+        lo.append(u.lower + np.array(noise[:4]) * (1 + u.magnitude()))
+        hi.append(u.upper + np.array(noise[4:]) * (1 + u.magnitude()))
+    want = []
+    for a, b in zip(lo, hi):
+        try:
+            FuzzyNumber(a, b)
+            want.append(False)
+        except OrderViolation:
+            want.append(True)
+    with np.errstate(invalid="ignore"):
+        got = invalid_rows(np.array(lo), np.array(hi))
+    assert got.tolist() == want

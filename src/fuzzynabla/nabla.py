@@ -127,10 +127,6 @@ class FuzzyFunction:
             FuzzyNumber(lo[i], hi[i])  # raises that row's OrderViolation
         return lo, hi
 
-    @classmethod
-    def constant(cls, u: FuzzyNumber) -> "FuzzyFunction":
-        return cls(lambda t: u, K=u.K)
-
 
 # ---------------------------------------------------------------------------
 # probing
@@ -232,9 +228,11 @@ class SideData:
     """One-sided endpoint derivative data at a point.
 
     kind is 'scattered' (exact jump quotient), 'limit' (probed dense side)
-    or 'absent' (no points on that side). exists flags per level are
-    1 (limit established), 0 (certified not to exist: two labeled
-    subsequences disagree beyond 10x tolerance) or -1 (inconclusive).
+    or 'absent' (no points on that side). The exists flags and the residual
+    belong to a limit side: per level, a flag is 1 (limit established), 0
+    (certified not to exist: two labeled subsequences disagree beyond 10x
+    tolerance) or -1 (inconclusive). A scattered side holds only its
+    quotient; it is settled, with residual 0.
     """
 
     kind: str
@@ -275,11 +273,12 @@ class EndpointReport:
                 return {"value": None, "exists": None, "residual": None,
                         "subsequence_limits": {}}
             arr = side.lower if which == "lower" else side.upper
-            ex = side.lower_exists if which == "lower" else side.upper_exists
-            flag = True if side.kind == "scattered" else (
-                True if ex[k] == 1 else False if ex[k] == 0 else None
-            )
-            res = 0.0 if side.kind == "scattered" else float(side.residual[k])
+            if side.kind == "scattered":
+                flag, res = True, 0.0
+            else:
+                ex = (side.lower_exists if which == "lower" else side.upper_exists)[k]
+                flag = True if ex == 1 else False if ex == 0 else None
+                res = float(side.residual[k])
             subs = {
                 label: float((lo if which == "lower" else hi)[k])
                 for label, (lo, hi) in side.streams.items()
@@ -312,15 +311,8 @@ def _scattered_side(ft_lo: np.ndarray, ft_hi: np.ndarray, fn_lo: np.ndarray,
     """The exact quotient (f(neighbor) - f(t)) / (neighbor - t) toward a
     jump, from the levels of f at t (ft) and at the neighbor (fn) and
     dt = neighbor - t."""
-    n = len(ft_lo)
-    return SideData(
-        kind="scattered",
-        lower=(fn_lo - ft_lo) / dt,
-        upper=(fn_hi - ft_hi) / dt,
-        lower_exists=np.ones(n, dtype=int),
-        upper_exists=np.ones(n, dtype=int),
-        residual=np.zeros(n),
-    )
+    return SideData(kind="scattered", lower=(fn_lo - ft_lo) / dt,
+                    upper=(fn_hi - ft_hi) / dt)
 
 
 def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
@@ -540,11 +532,6 @@ class _Jumps:
     finite: np.ndarray
 
 
-def _stack(rows: list[np.ndarray]) -> np.ndarray:
-    """(N, K+1) stack of N level arrays; a single row is a view, not a copy."""
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
-
-
 def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
                fr_hi: np.ndarray, nu: np.ndarray, cfg: ProbeConfig) -> _Jumps:
     """[f(t) gH- f(rho)] / nu at each left-scattered point, one row each,
@@ -575,14 +562,11 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     return _Jumps(lower, upper, gh, case, finite)
 
 
-def _jumps_at(f: FuzzyFunction, points: list[PointClass],
-              cfg: ProbeConfig) -> _Jumps:
-    """_jump_rows at classified left-scattered points, from f's values."""
-    Ft = [f(pc.t) for pc in points]
-    Fr = [f(pc.rho) for pc in points]
-    return _jump_rows(_stack([u.lower for u in Ft]), _stack([u.upper for u in Ft]),
-                      _stack([u.lower for u in Fr]), _stack([u.upper for u in Fr]),
-                      np.array([pc.nu for pc in points]), cfg)
+def _jump_at(f: FuzzyFunction, pc: PointClass, cfg: ProbeConfig) -> _Jumps:
+    """_jump_rows at one classified left-scattered point, from f's values."""
+    Ft, Fr = f(pc.t), f(pc.rho)
+    return _jump_rows(Ft.lower[None], Ft.upper[None], Fr.lower[None],
+                      Fr.upper[None], np.array([pc.nu]), cfg)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -653,9 +637,9 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
             probes: dict[str, list[_StreamData]],
             failure: GhNonexistent | None, cfg: ProbeConfig,
             jump: _Jumps | None = None, i: int = 0) -> DerivativeResult:
-    """The derivative at a point from its one analysis: row i of the jump
-    pass at a left-scattered point (a one-row pass of its own when jump is
-    None), the probed limit at a left-dense one.
+    """The derivative at a point from its one analysis: row i of jump (or
+    the point's own quotient when jump is None) at a left-scattered point,
+    the probed limit at a left-dense one.
 
     Raises the first failed probe, GhNonexistent for a jump without a gH
     difference and LimitDisagreement for a limit or case that does not
@@ -669,7 +653,7 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
             raise failure
         if pc.left is Side.SCATTERED:
             if jump is None:
-                jump = _jumps_at(f, [pc], cfg)
+                jump = _jump_at(f, pc, cfg)
             if jump.gh_case[i] is GhCase.NONE or not jump.finite[i]:
                 res = gh_diff(f(t), f(pc.rho))  # raises OrderViolation on non-finite levels
                 raise GhNonexistent(
@@ -772,7 +756,8 @@ def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
     or nothing on its right, from one evaluation of f's vector form over
     these points, their rho and their sigma. None at every other point; at
     every point when f has no vector form, or when the stacks raise or
-    hold a non-finite jump, so the loop meets the error where it arises."""
+    hold a non-finite jump, so derivative_report meets the error where it
+    arises."""
     out: list = [None] * len(points)
     rows = [(slot, pc) for slot, pc in enumerate(ts._realized_classes(points))
             if pc is not None and pc.left is Side.SCATTERED
@@ -813,34 +798,13 @@ def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
 
     For a function with a vector form (a bound definition), the points that
     are realized jumps with a jump or nothing on their right take their
-    results from stacks of f at them and their neighbours, in one array
-    pass. Every other point is classified and analysed once, in order; the
-    jump quotients of its left-scattered points without a failed probe
-    share one array pass after the loop, and every other point gets its
-    result at once. Results, raised errors and, for a plain callable, the
-    points f is evaluated at, in order, are those of the loop over
-    derivative_report.
+    results from one array pass (_stacked); every other point is
+    derivative_report, in order.
     """
     points = [float(t) for t in points]
     out = _stacked(f, ts, points, cfg)
-    queued: list[tuple[int, tuple]] = []
-    try:
-        for slot, t in enumerate(points):
-            if out[slot] is not None:
-                continue
-            analysis = _analyze(f, ts, _classify_in_domain(ts, t), cfg)
-            report, _, failure = analysis
-            if failure is None and report.point.left is Side.SCATTERED:
-                queued.append((slot, analysis))
-            else:
-                out[slot] = _reported(_derive, f, *analysis, cfg)
-    finally:
-        # also when a point fails: a queued row before it may fail first
-        if queued:
-            jump = _jumps_at(f, [a[0].point for _, a in queued], cfg)
-            for i, (slot, analysis) in enumerate(queued):
-                out[slot] = _reported(_derive, f, *analysis, cfg, jump, i)
-    return out
+    return [r if r is not None else derivative_report(f, ts, t, cfg)
+            for t, r in zip(points, out)]
 
 
 def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,

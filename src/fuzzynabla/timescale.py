@@ -90,14 +90,6 @@ class PointClass:
         """Whether t lies in the derivative domain (not a right-scattered min)."""
         return not (self.at_min and self.right is Side.SCATTERED)
 
-    @property
-    def is_isolated(self) -> bool:
-        return self.left is Side.SCATTERED and self.right is Side.SCATTERED
-
-    @property
-    def is_dense(self) -> bool:
-        return self.left is Side.DENSE and self.right is Side.DENSE
-
     def to_dict(self) -> dict:
         return {
             "left": self.left.value,

@@ -414,6 +414,27 @@ class TestConfigErrors:
             assert out == ""
             assert err.startswith("error: --residual-tol") and err.count("\n") == 1
 
+    # a power that overflows, or 0 to a negative power: in a definition at
+    # a point bind does not sample (7.5), in --scalar-fn, and at --at
+    @pytest.mark.parametrize("argv, t", [
+        (cmd + ["--timescale", "union(hgrid(0,600,1), points(7.5))", "--fn",
+                f"tri(t, t, t + piecewise(in points(7.5) => {power}, "
+                f"in hgrid(0) => 0))", "--levels", "2"], 7.5)
+        for power in ("1e300^2", "0^-1")
+        for cmd in (["diff"], ["tabulate"],
+                    ["check", "characterize", "--points", "7.5"])
+    ] + [
+        (["check", "product1", "--timescale", "hgrid(1,20,1)", "--scalar-fn",
+          "t^400", "--fn", "tri(t,t+1,t+2)", "--points", "10"], 10.0),
+        (["ghdiff", "tri(t^400,t^400,t^400)", "tri(0,1,2)", "--at", "10"], 10.0),
+    ])
+    def test_failing_power(self, argv, t, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: power fails at t={t!r}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("cmd, flag", [
         ("tabulate", ["--probes", "5"]),
         ("tabulate", ["--agreement-tol", "1e-3"]),

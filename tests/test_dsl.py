@@ -355,7 +355,7 @@ class TestRandomRoundTrips:
             printed = print_canonical(tree)
             try:
                 v1 = eval_expr(tree, 1.75)
-            except (ValidationError, OverflowError, ZeroDivisionError):
+            except ValidationError:
                 continue
             v2 = eval_expr(parse_scalar(printed), 1.75)
             assert v1 == pytest.approx(v2, abs=1e-12)

@@ -15,6 +15,7 @@ from fuzzynabla.fuzzy import (
     add,
     crisp,
     gh_diff,
+    gh_exists,
     h_diff,
     hausdorff,
     invalid_rows,
@@ -281,6 +282,36 @@ def test_gh_reconstruction_property(p, q):
         assert hausdorff(add(v, res.value), u) <= scale
     elif res.case is GhCase.CASE_II:
         assert hausdorff(add(u, scalar_mul(-1.0, res.value)), v) <= scale
+
+
+# pairs of numbers whose difference is often Both: v is u shifted
+gh_pairs = st.one_of(
+    st.tuples(tri_params, tri_params),
+    st.tuples(tri_params, st.floats(-10, 10)).map(
+        lambda ps: (ps[0], tuple(x + ps[1] for x in ps[0]))),
+)
+_MIRRORED = {GhCase.CASE_I: GhCase.CASE_II, GhCase.CASE_II: GhCase.CASE_I,
+             GhCase.BOTH: GhCase.BOTH, GhCase.NONE: GhCase.NONE}
+
+
+@given(gh_pairs)
+@settings(max_examples=200, deadline=None)
+def test_gh_antisymmetry(pair):
+    # v gH- u = -(u gH- v) (Stefanini, FSS 161, 2010)
+    u, v = (triangular(*p, K=20) for p in pair)
+    uv, vu = gh_diff(u, v), gh_diff(v, u)
+    assert vu.case is _MIRRORED[uv.case]
+    if uv.case is GhCase.NONE:
+        return
+    neg = scalar_mul(-1.0, uv.value)
+    if uv.case is GhCase.BOTH:
+        # either construction may be taken: they agree within the tolerance
+        tol = gh_exists((u.lower - v.lower)[None], (u.upper - v.upper)[None])[2][0]
+        assert hausdorff(vu.value, neg) <= tol
+    else:
+        # exactly, though a zero may change sign
+        assert np.array_equal(vu.value.lower, neg.lower)
+        assert np.array_equal(vu.value.upper, neg.upper)
 
 
 @given(tri_params, tri_params, tri_params, tri_params)

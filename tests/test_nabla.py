@@ -458,12 +458,8 @@ class TestNablaMany:
         loop = self.outcome(lambda: [derivative_report(f_loop, ts, t) for t in pts])
         many = self.outcome(lambda: nabla_many(f_many, ts, pts))
         assert many == loop
-        # the same points in the same order; after a failure, nabla_many may
-        # have gone on to evaluate later jump points
-        if isinstance(loop, list):
-            assert log_many == log_loop
-        else:
-            assert log_many[:len(log_loop)] == log_loop
+        # the same points in the same order, also when the loop raises
+        assert log_many == log_loop
 
     def test_overflow_row(self):
         # f is finite at -1 and 1; only the jump difference overflows
@@ -476,17 +472,6 @@ class TestNablaMany:
                     lambda: nabla_many(f, ts, [1.0, 5.0])):
             with pytest.raises(OrderViolation, match="level arrays must be finite"):
                 run()
-
-    def test_isolated_points_skip_the_per_point_path(self, monkeypatch):
-        f = FuzzyFunction(lambda t: U123 * (t * t), K=K)
-        pts = [float(k) for k in range(1, 21)]
-        expect = [derivative_report(f, ZZ, t).to_dict() for t in pts]
-
-        def per_point(*args):
-            raise AssertionError("per-point path taken")
-
-        monkeypatch.setattr(nabla, "derivative_report", per_point)
-        assert [r.to_dict() for r in nabla_many(f, ZZ, pts)] == expect
 
 
 def unchecked(src: str, ts: TimeScale, K: int = K) -> FuzzyFunction:
@@ -548,7 +533,7 @@ class TestStackedMany:
         ("tri(piecewise(in points(3) => 9, in hgrid(0) => t), 7, 8)", ValidationError),
         # f(3) overflows
         ("tri(t, t, t + piecewise(in points(3) => 1e300^2, in hgrid(0) => 0))",
-         OverflowError),
+         ValidationError),
     ])
     def test_error_in_the_middle(self, src, error):
         ts = TimeScale([ArithmeticGrid(0.0, 6.0, 1.0), ExplicitPoints((3.0, 3.5))])

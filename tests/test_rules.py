@@ -173,7 +173,7 @@ class TestProductFuzzy:
     def test_linear_scalar_constant_fuzzy(self):
         # fs = t against a constant g: the derivative of t*g is g itself
         # and the right side reduces to 1*g(rho) + t*0.
-        g = FuzzyFunction.constant(U123)
+        g = FuzzyFunction(lambda t: U123, K=K)
         rep = product_fuzzy(lambda t: t, g, ZZ, 4.0)
         assert rep.verdict is Verdict.VERIFIED
         assert rep.residual <= 1e-12

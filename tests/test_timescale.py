@@ -81,14 +81,12 @@ class TestClassify:
     def test_isolated_grid_point(self):
         ts = TimeScale([ArithmeticGrid(0, 10, 1)])
         pc = ts.classify(3.0)
-        assert pc.left is Side.SCATTERED
-        assert pc.right is Side.SCATTERED
-        assert pc.is_isolated
+        assert pc.left is pc.right is Side.SCATTERED
 
     def test_interval_interior_dense(self):
         ts = TimeScale([ClosedInterval(0, 1)])
         pc = ts.classify(0.5)
-        assert pc.is_dense
+        assert pc.left is pc.right is Side.DENSE
 
     def test_declared_accumulation_at_zero(self):
         ts = two_generator_scale()

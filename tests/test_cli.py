@@ -534,6 +534,16 @@ GOLDEN_FN = ("tri(t-1-t^2, piecewise(in points(2) => t-4, in points(-2) => t, "
 # isolated, jump with a dense right side, dense interior, jump without a
 # gH difference, the max
 GOLDEN_POINTS = "--points=-1,0,0.5,2,3"
+# the rule checks: f realizes ordering II through 0 and I after it, g
+# realizes II except at 2, and f + g has no gH difference at 3
+GOLDEN_RULE_FN = "tri(t-1-t^2, t, t+1+t^2)"
+GOLDEN_SUM_G = (
+    "tri(piecewise(in points(2,3) => 6*t-42, in interval(0,1) => 2*t-5, "
+    "in points(-2,-1) => 2*t-5), "
+    "piecewise(in points(2,3) => -6*t, in interval(0,1) => t, "
+    "in points(-2,-1) => t), "
+    "piecewise(in points(2,3) => 30-6*t, in interval(0,1) => 5, "
+    "in points(-2,-1) => 5))")
 
 
 class TestGoldenBytes:
@@ -550,6 +560,21 @@ class TestGoldenBytes:
             "--timescale", GOLDEN_SCALE, "--fn", GOLDEN_FN, "--levels", "2"],
             capsys)
         assert got_code == code
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["sum", "--fn", GOLDEN_RULE_FN, "--fn", GOLDEN_SUM_G], "sum.csv"),
+        (["sum", "--fn", GOLDEN_RULE_FN, "--fn", GOLDEN_SUM_G,
+          "--format", "json"], "sum.json"),
+        (["product-interval", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "1-t/4"],
+         "product-interval.csv"),
+        (["product1", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "t+3"],
+         "product1.csv"),
+    ])
+    def test_rule_bytes(self, argv, name, capsys):
+        code, out, err = run(["check", *argv, GOLDEN_POINTS, "--timescale",
+                              GOLDEN_SCALE, "--levels", "2"], capsys)
+        assert code == 3, err
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("fmt, name", [("csv", "jump.csv"),

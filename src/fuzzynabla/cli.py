@@ -42,13 +42,7 @@ from .nabla import (
     nabla_gh,
     nabla_many,
 )
-from .rules import (
-    Verdict,
-    _point_tol,
-    product_fuzzy,
-    product_interval,
-    sum_rule,
-)
+from .rules import Verdict, _graded_many, _point_tol
 from .timescale import Side
 
 EXIT_OK = 0
@@ -183,13 +177,19 @@ def _bind(args, want: int | None = 1):
 
 
 def _scalar_fn(args):
-    """Compile --scalar-fn into a float -> float callable."""
-    from .dsl import eval_expr, parse_scalar
+    """Compile --scalar-fn into a float -> float callable, with its vector
+    form (None when the expression has none) as the attribute vector."""
+    from .dsl import compile_scalar, eval_expr, parse_scalar
 
     if not args.scalar_fn:
         raise ValidationError("--scalar-fn is required for product rules")
     expr = parse_scalar(_read_spec(args.scalar_fn))
-    return lambda t: float(eval_expr(expr, t))
+
+    def fs(t):
+        return float(eval_expr(expr, t))
+
+    fs.vector = compile_scalar(expr)
+    return fs
 
 
 # -- diff ------------------------------------------------------------------
@@ -382,26 +382,20 @@ def cmd_check(args) -> int:
         ts, (f, g) = _bind(args, want=2)
         cfg = _probe_config(args)
         points = _select_points(ts, args.points)
-        reports = [
-            (t, sum_rule(f, g, ts, t, cfg, tol=tol))
-            for t in points
-        ]
-        return _rule_rows(args, reports)
+        reports = _graded_many("sum", f, g, ts, points, cfg, tol)
+        return _rule_rows(args, list(zip(points, reports)))
 
     # product rules: one fuzzy --fn plus --scalar-fn
     ts, (g,) = _bind(args)
     fs = _scalar_fn(args)
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
-    reports = []
-    for t in points:
-        if theorem == "product-interval":
-            rep = product_interval(fs, g, ts, t, cfg, tol=tol)
-        else:
-            rep = product_fuzzy(fs, g, ts, t, cfg, tol=tol)
+    rule = "product-interval" if theorem == "product-interval" else "product-fuzzy"
+    reports = _graded_many(rule, fs, g, ts, points, cfg, tol)
+    if rule == "product-fuzzy":
+        for rep in reports:
             _check_named_sign(rep, theorem)
-        reports.append((t, rep))
-    return _rule_rows(args, reports)
+    return _rule_rows(args, list(zip(points, reports)))
 
 
 # -- argument plumbing -------------------------------------------------------

@@ -750,45 +750,69 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     return _reported(nabla_gh, f, ts, t, cfg)
 
 
-def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
-             cfg: ProbeConfig) -> list[DerivativeResult | None]:
-    """derivative_report at every point that is a realized jump with a jump
-    or nothing on its right, from one evaluation of f's vector form over
-    these points, their rho and their sigma. None at every other point; at
-    every point when f has no vector form, or when the stacks raise or
-    hold a non-finite jump, so derivative_report meets the error where it
-    arises."""
-    out: list = [None] * len(points)
+def _jump_columns(ts: TimeScale, points: list[float]):
+    """The points the stacked pass takes: (slot, record) of every realized
+    jump among points with a jump or nothing on its right, the sorted
+    unique points among their t, rho and sigma, and each row's indices
+    into those for t, rho and sigma."""
     rows = [(slot, pc) for slot, pc in enumerate(ts._realized_classes(points))
             if pc is not None and pc.left is Side.SCATTERED
             and (pc.right is Side.SCATTERED or pc.at_max)]
     if not rows:
-        return out
+        return rows, None, None
     t = np.array([pc.t for _, pc in rows])
     rho = np.array([pc.rho for _, pc in rows])
     sigma = np.array([pc.sigma for _, pc in rows])
     at, where = np.unique(np.concatenate([t, rho, sigma]), return_inverse=True)
-    try:
-        stacks = f.stack(at)
-    except (FuzzyNablaError, ArithmeticError):
-        return out
-    if stacks is None:
-        return out
-    lo, hi = stacks
-    it, ir, isg = np.split(where, 3)
-    jump = _jump_rows(lo[it], hi[it], lo[ir], hi[ir], t - rho, cfg)
-    if not jump.finite.all():
-        return out
+    return rows, at, np.split(where, 3)
 
-    alphas = alpha_grid(f.K)
-    for r, (slot, pc) in enumerate(rows):
+
+def _jump_results(f: FuzzyFunction, lo: np.ndarray, hi: np.ndarray, rows,
+                  index, cfg: ProbeConfig):
+    """derivative_report at every row of _jump_columns, one at a time, from
+    f's level stacks (lo, hi) at its unique points. None when a jump
+    quotient is not finite (derivative_report raises there); f itself is
+    called only at a jump without a gH difference."""
+    it, ir, isg = index
+    nu = np.array([pc.nu for _, pc in rows])
+    jump = _jump_rows(lo[it], hi[it], lo[ir], hi[ir], nu, cfg)
+    if not jump.finite.all():
+        return None
+    alphas = alpha_grid(lo.shape[1] - 1)
+
+    def result(r: int, pc: PointClass) -> DerivativeResult:
         i, n = it[r], ir[r]
         minus = _scattered_side(lo[i], hi[i], lo[n], hi[n], pc.rho - pc.t)
         n = isg[r]
         plus = (_scattered_side(lo[i], hi[i], lo[n], hi[n], pc.sigma - pc.t)
                 if pc.right is Side.SCATTERED else SideData(kind="absent"))
         report = EndpointReport(pc.t, alphas, minus, plus, pc)
-        out[slot] = _reported(_derive, f, report, {}, None, cfg, jump, r)
+        return _reported(_derive, f, report, {}, None, cfg, jump, r)
+
+    return (result(r, pc) for r, (_, pc) in enumerate(rows))
+
+
+def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
+             cfg: ProbeConfig) -> list[DerivativeResult | None]:
+    """derivative_report at every point that _jump_columns takes, from one
+    evaluation of f's vector form over these points, their rho and their
+    sigma. None at every other point; at every point when f has no vector
+    form, or when the stacks raise or hold a non-finite jump, so
+    derivative_report meets the error where it arises."""
+    out: list = [None] * len(points)
+    if f._vector is None:
+        return out
+    rows, at, index = _jump_columns(ts, points)
+    if not rows:
+        return out
+    try:
+        lo, hi = f.stack(at)
+    except (FuzzyNablaError, ArithmeticError):
+        return out
+    results = _jump_results(f, lo, hi, rows, index, cfg)
+    if results is not None:
+        for (slot, _), r in zip(rows, results):
+            out[slot] = r
     return out
 
 
@@ -810,8 +834,13 @@ def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
 def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,
                  cfg: ProbeConfig = DEFAULT_CONFIG) -> float:
     """Backward derivative of a real-valued function on the scale."""
-    t = float(t)
-    pc = _classify_in_domain(ts, t)
+    return _scalar_at(g, ts, _classify_in_domain(ts, float(t)), cfg)
+
+
+def _scalar_at(g: Callable[[float], float], ts: TimeScale, pc: PointClass,
+               cfg: ProbeConfig) -> float:
+    """nabla_scalar at the point of the record pc."""
+    t = pc.t
     if pc.left is Side.SCATTERED:
         return (g(t) - g(pc.rho)) / pc.nu
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .errors import (
     EndpointDerivativeMissing,
-    GhNonexistent,
+    FuzzyNablaError,
     LengthDirectionUndetermined,
-    LimitDisagreement,
     SignHypothesisFailed,
 )
 from .fuzzy import FuzzyNumber, add, hausdorff, scalar_mul
@@ -26,8 +27,14 @@ from .nabla import (
     DiffCase,
     FuzzyFunction,
     ProbeConfig,
+    _analyze,
+    _classify_in_domain,
+    _derive,
+    _jump_columns,
+    _jump_results,
+    _reported,
+    _scalar_at,
     nabla_gh,
-    nabla_scalar,
 )
 from .timescale import PointClass, Side, TimeScale
 
@@ -122,10 +129,15 @@ def _tags_compatible(a: Tag, b: Tag) -> bool:
     return a == b or Tag.BOTH in (a, b)
 
 
-def _graded(rule: str, checks: list[HypothesisCheck], h: FuzzyFunction,
-            ts: TimeScale, t: float, cfg: ProbeConfig, extras: dict,
+def _at(ts: TimeScale, pc: PointClass, cfg: ProbeConfig):
+    """nabla(fn) for the per-point rules: the derivative of fn at the point
+    of pc from one analysis, raising where nabla_gh raises."""
+    return lambda fn: _derive(fn, *_analyze(fn, ts, pc, cfg), cfg)
+
+
+def _graded(rule: str, checks: list[HypothesisCheck], nabla, h, extras: dict,
             failed_rhs: FuzzyNumber | None, measure) -> RuleReport:
-    """The report for the derivative of h at t against the rule's other side.
+    """The report for the derivative of h against the rule's other side.
 
     measure(nabla h) gives (lhs, rhs, residual). A failed hypothesis is
     HypothesisFailed whatever the numbers say; otherwise the residual must
@@ -133,13 +145,12 @@ def _graded(rule: str, checks: list[HypothesisCheck], h: FuzzyFunction,
     infinite, the right-hand side is failed_rhs and the reason goes into
     extras["failure"].
     """
-    try:
-        dh = nabla_gh(h, ts, t, cfg).value
-    except (GhNonexistent, LimitDisagreement) as err:
-        extras["failure"] = str(err)
+    dh = _reported(nabla, h)
+    if dh.value is None:
+        extras["failure"] = dh.evidence["message"]
         lhs, rhs, residual = None, failed_rhs, float("inf")
     else:
-        lhs, rhs, residual = measure(dh)
+        lhs, rhs, residual = measure(dh.value)
     if not all(c.passed for c in checks):
         verdict = Verdict.HYPOTHESIS_FAILED
     elif lhs is not None and residual <= extras["tol"]:
@@ -147,6 +158,10 @@ def _graded(rule: str, checks: list[HypothesisCheck], h: FuzzyFunction,
     else:
         verdict = Verdict.RESIDUAL_EXCEEDED
     return RuleReport(rule, checks, lhs, rhs, residual, verdict, extras)
+
+
+def _product_of(fs: Callable[[float], float], g: FuzzyFunction) -> FuzzyFunction:
+    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
 
 
 def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
@@ -157,8 +172,16 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     Hypothesis: both summands realize the same endpoint ordering (a crisp
     derivative is compatible with either).
     """
-    rf = nabla_gh(f, ts, t, cfg)
-    rg = nabla_gh(g, ts, t, cfg)
+    pc = _classify_in_domain(ts, float(t))
+    h = FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K)
+    return _sum_graded(f, g, h, pc, _at(ts, pc, cfg), tol)
+
+
+def _sum_graded(f, g, h, pc: PointClass, nabla, tol: float | None) -> RuleReport:
+    """sum_rule at the point of pc, where h is f + g and nabla(fn) is the
+    derivative of fn there."""
+    rf = nabla(f)
+    rg = nabla(g)
     tf = _tag_of(rf)
     tg = _tag_of(rg)
     compatible = _tags_compatible(tf, tg)
@@ -167,21 +190,34 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
         f"f is {tf.value}, g is {tg.value}")]
     rhs = add(rf.value, rg.value)
 
-    h = FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K)
     if tol is None:
-        tol = _point_tol(rf.endpoint_report.point)
+        tol = _point_tol(pc)
     extras = {"tag_f": tf.value, "tag_g": tg.value, "tol": tol}
-    return _graded("sum", checks, h, ts, t, cfg, extras, rhs,
+    return _graded("sum", checks, nabla, h, extras, rhs,
                    lambda lhs: (lhs, rhs, hausdorff(lhs, rhs)))
 
 
-def _sigma_and_tag(fs: Callable[[float], float], g: FuzzyFunction,
-                   ts: TimeScale, t: float, cfg: ProbeConfig):
-    dfs = nabla_scalar(fs, ts, t, cfg)
-    sigma = fs(t) * dfs
-    rg = nabla_gh(g, ts, t, cfg)
+def _sign_checked(fs, g, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
+                  nabla, sign_i: float, enforce: bool):
+    """nabla fs, sigma = fs(t) * nabla fs, g's derivative and tag, and the
+    product rules' hypothesis that sigma has the sign of sign_i with g
+    realizing ordering I, or the other sign with ordering II."""
+    dfs = _scalar_at(fs, ts, pc, cfg)
+    sigma = fs(pc.t) * dfs
+    rg = nabla(g)
     tg = _tag_of(rg)
-    return dfs, sigma, rg, tg
+    signed = sign_i * sigma
+    sign_ok = (
+        (signed > 0 and tg in (Tag.I, Tag.BOTH))
+        or (signed < 0 and tg in (Tag.II, Tag.BOTH))
+    )
+    checks = [HypothesisCheck(
+        "sign-matches-ordering", sign_ok,
+        f"fs(t)*nabla_fs(t) = {sigma:.6g}, g is {tg.value}")]
+    if enforce and not sign_ok:
+        raise SignHypothesisFailed(
+            f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
+    return dfs, sigma, rg, tg, checks
 
 
 def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
@@ -195,26 +231,25 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     < 0 with ordering II. Both arrangements of the right-hand side are
     checked; their worst deviation is the residual.
     """
-    dfs, sigma, rg, tg = _sigma_and_tag(fs, g, ts, t, cfg)
-    sign_ok = (
-        (sigma > 0 and tg in (Tag.I, Tag.BOTH))
-        or (sigma < 0 and tg in (Tag.II, Tag.BOTH))
-    )
-    checks = [HypothesisCheck(
-        "sign-matches-ordering", sign_ok,
-        f"fs(t)*nabla_fs(t) = {sigma:.6g}, g is {tg.value}")]
-    if enforce and not sign_ok:
-        raise SignHypothesisFailed(
-            f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
+    pc = _classify_in_domain(ts, float(t))
+    return _product_fuzzy_graded(fs, g, _product_of(fs, g), ts, pc, cfg,
+                                 _at(ts, pc, cfg), tol, enforce)
 
-    rho = rg.endpoint_report.point.rho
+
+def _product_fuzzy_graded(fs, g, h, ts: TimeScale, pc: PointClass,
+                          cfg: ProbeConfig, nabla, tol: float | None,
+                          enforce: bool) -> RuleReport:
+    """product_fuzzy at the point of pc, where h is fs * g and nabla(fn) is
+    the derivative of fn there."""
+    dfs, sigma, rg, tg, checks = _sign_checked(fs, g, ts, pc, cfg, nabla, 1.0,
+                                               enforce)
+    t, rho = pc.t, pc.rho
     rhs1 = add(scalar_mul(dfs, g(rho)), scalar_mul(fs(t), rg.value))
     rhs2 = add(scalar_mul(fs(rho), rg.value), scalar_mul(dfs, g(t)))
     cross = hausdorff(rhs1, rhs2)
 
-    h = FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
     if tol is None:
-        tol = _point_tol(rg.endpoint_report.point)
+        tol = _point_tol(pc)
     extras = {
         "sigma": sigma,
         "tag_g": tg.value,
@@ -222,7 +257,7 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
         "rhs_cross_gap": cross,
         "tol": tol,
     }
-    return _graded("product-fuzzy", checks, h, ts, t, cfg, extras, rhs1,
+    return _graded("product-fuzzy", checks, nabla, h, extras, rhs1,
                    lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
                                                hausdorff(lhs, rhs2))))
 
@@ -289,21 +324,19 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
     When the width is locally constant both selected forms are evaluated
     and the better one is reported.
     """
-    dfs, sigma, rg, tg = _sigma_and_tag(fs, g, ts, t, cfg)
-    sign_ok = (
-        (sigma < 0 and tg in (Tag.I, Tag.BOTH))
-        or (sigma > 0 and tg in (Tag.II, Tag.BOTH))
-    )
-    checks = [HypothesisCheck(
-        "sign-matches-ordering", sign_ok,
-        f"fs(t)*nabla_fs(t) = {sigma:.6g}, g is {tg.value}")]
-    if enforce and not sign_ok:
-        raise SignHypothesisFailed(
-            f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
+    pc = _classify_in_domain(ts, float(t))
+    return _product_interval_graded(fs, g, _product_of(fs, g), ts, pc, cfg,
+                                    _at(ts, pc, cfg), tol, enforce)
 
-    pc = rg.endpoint_report.point
-    rho = pc.rho
-    h = FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
+
+def _product_interval_graded(fs, g, h, ts: TimeScale, pc: PointClass,
+                             cfg: ProbeConfig, nabla, tol: float | None,
+                             enforce: bool) -> RuleReport:
+    """product_interval at the point of pc, where h is fs * g and nabla(fn)
+    is the derivative of fn there."""
+    dfs, sigma, rg, tg, checks = _sign_checked(fs, g, ts, pc, cfg, nabla, -1.0,
+                                               enforce)
+    t, rho = pc.t, pc.rho
     direction = _len_direction(h, ts, pc, cfg)
     if direction == "Undetermined":
         raise LengthDirectionUndetermined(
@@ -346,5 +379,94 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
         extras["equation"] = form
         return lhs, rhs, hausdorff(lhs, rhs)
 
-    return _graded("product-interval", checks, h, ts, t, cfg, extras, None,
-                   measure)
+    return _graded("product-interval", checks, nabla, h, extras, None, measure)
+
+
+# ---------------------------------------------------------------------------
+# the batched pass
+
+
+def _levels_at(at: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The function whose value at each entry of at is that row of the
+    level stacks (lo, hi)."""
+    row = {s: i for i, s in enumerate(at.tolist())}
+    return lambda s: FuzzyNumber(lo[row[s]], hi[row[s]], validate=False)
+
+
+def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
+             cfg: ProbeConfig, tol: float | None) -> list[RuleReport | None]:
+    """The rule's report at every point that nabla_many's stacked pass
+    takes, graded from one evaluation of each function's vector form over
+    these points, their rho and their sigma. None at every other point, at
+    a point where f or g has no derivative or the grading raises, and at
+    every point when a vector form is missing, raises or gives a
+    non-finite jump."""
+    out: list = [None] * len(points)
+    vector = a._vector if rule == "sum" else getattr(a, "vector", None)
+    if vector is None or g._vector is None or (rule == "sum" and a.K != g.K):
+        return out
+    rows, at, index = _jump_columns(ts, points)
+    if not rows:
+        return out
+    try:
+        glo, ghi = g.stack(at)
+        if rule == "sum":
+            flo, fhi = a.stack(at)
+            hlo, hhi = flo + glo, fhi + ghi  # add, level by level
+        else:
+            k = vector(at)[:, None]
+            # scalar_mul: a negative factor swaps the endpoints
+            hlo = np.where(k >= 0, k * glo, k * ghi)
+            hhi = np.where(k >= 0, k * ghi, k * glo)
+    except (FuzzyNablaError, ArithmeticError):
+        return out
+
+    G, H = _levels_at(at, glo, ghi), _levels_at(at, hlo, hhi)
+    if rule == "sum":
+        F = _levels_at(at, flo, fhi)
+        parts = [(F, flo, fhi), (G, glo, ghi)]
+
+        def grade(pc, nabla):
+            return _sum_graded(F, G, H, pc, nabla, tol)
+    else:
+        fs = dict(zip(at.tolist(), k[:, 0].tolist())).__getitem__
+        graded = (_product_fuzzy_graded if rule == "product-fuzzy"
+                  else _product_interval_graded)
+        parts = [(G, glo, ghi)]
+
+        def grade(pc, nabla):
+            return graded(fs, G, H, ts, pc, cfg, nabla, tol, False)
+    parts.append((H, hlo, hhi))
+    derived = [_jump_results(fn, lo, hi, rows, index, cfg) for fn, lo, hi in parts]
+    if any(d is None for d in derived):
+        return out
+
+    fns = [fn for fn, _, _ in parts]
+    for (slot, pc), *results in zip(rows, *derived):
+        if any(r.value is None for r in results[:-1]):
+            continue  # f or g has no derivative: the per-point rule raises
+        try:
+            out[slot] = grade(pc, dict(zip(fns, results)).__getitem__)
+        except (EndpointDerivativeMissing, LengthDirectionUndetermined):
+            continue  # the per-point rule raises it at its turn
+    return out
+
+
+def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
+                 cfg: ProbeConfig = DEFAULT_CONFIG,
+                 tol: float | None = None) -> list[RuleReport]:
+    """The per-point rule at every point, in order: sum_rule(a, g, ...)
+    for rule "sum", product_fuzzy or product_interval(a, g, ...) with a as
+    the real factor for "product-fuzzy" and "product-interval".
+
+    The points nabla_many's stacked pass takes are graded from the vector
+    forms of f and g (a.vector for a real factor: its values at an array of
+    points, bit for bit a's); every other point is the per-point rule, in
+    order, so its results and errors are the loop's.
+    """
+    points = [float(t) for t in points]
+    per_point = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
+                 "product-interval": product_interval}[rule]
+    batch = _batched(rule, a, g, ts, points, cfg, tol)
+    return [rep if rep is not None else per_point(a, g, ts, t, cfg, tol=tol)
+            for t, rep in zip(points, batch)]

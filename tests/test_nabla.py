@@ -605,6 +605,21 @@ class TestOnePipeline:
         assert [r.t for r in results] == pts
         assert calls == pts
 
+    def test_plain_callable_skips_the_stacked_pass(self, monkeypatch):
+        pts = [-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+        expect = TestNablaMany.outcome(lambda: [
+            derivative_report(FuzzyFunction(parabola_tri, K=K), MIXED, t)
+            for t in pts])
+
+        def refuse(self, points):
+            raise AssertionError("a plain callable reached the stacked pass")
+
+        monkeypatch.setattr(TimeScale, "_realized_classes", refuse)
+        got = TestNablaMany.outcome(
+            lambda: nabla_many(FuzzyFunction(parabola_tri, K=K), MIXED, pts))
+        assert got == expect
+        assert isinstance(got, list)
+
     @pytest.mark.parametrize("fn, case", [
         # the support narrows from [-3, 1] at -1 to [-1, 1] at 0
         (parabola_tri, DiffCase.CASE_II),

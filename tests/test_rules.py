@@ -1,11 +1,18 @@
 """Rule checkers: ordering tags, the sum rule and both product rules.
 Hand-worked instances pin every equation branch."""
 
+import argparse
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fuzzynabla import rules
+from fuzzynabla.cli import _scalar_fn
+from fuzzynabla.dsl import compile_function, eval_function, parse_function
 from fuzzynabla.errors import (
     EndpointDerivativeMissing,
     LengthDirectionUndetermined,
@@ -16,6 +23,7 @@ from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
 from fuzzynabla.nabla import FuzzyFunction, ProbeConfig
 from fuzzynabla.rules import (
     RuleReport,
+    _graded_many,
     Tag,
     Verdict,
     default_residual_tol,
@@ -300,3 +308,147 @@ class TestDefaults:
                 sum_rule(f, g, ZZ, 4.5, tol=tol)
             with pytest.raises(NotInDomain):
                 product_fuzzy(lambda s: s + 1.0, g, ZZ, 4.5, tol=tol)
+
+    @pytest.mark.parametrize("check", [
+        lambda f, ts, t: sum_rule(f, f, ts, t),
+        lambda f, ts, t: product_fuzzy(lambda s: s + 4.0, f, ts, t),
+        lambda f, ts, t: product_interval(lambda s: 1.0 - s / 10.0, f, ts, t),
+    ])
+    def test_one_classify_per_check(self, check, monkeypatch):
+        calls = []
+        classify = TimeScale.classify
+
+        def counted(self, t):
+            calls.append(t)
+            return classify(self, t)
+
+        monkeypatch.setattr(TimeScale, "classify", counted)
+        # isolated points, a jump with a dense right side, a dense point,
+        # a jump on the right only and the max
+        ts = TimeScale([ArithmeticGrid(-3.0, -1.0, 1.0), ClosedInterval(0.0, 1.0),
+                        ExplicitPoints((2.0, 3.0))])
+        f = FuzzyFunction(
+            lambda t: triangular(t - 1.0 - t * t, t, t + 1.0 + t * t, K), K=K)
+        pts = [-2.0, -1.0, 0.0, 0.5, 2.0, 3.0]
+        for t in pts:
+            check(f, ts, t)
+        assert calls == pts
+
+
+# The batched pass against the per-point loop. Every source is an unchecked
+# binding, so a definition may fail where it is evaluated.
+BATCH_K = 4
+BATCH_F = [
+    "tri(t-1-t^2, t, t+1+t^2)",  # ordering II left of 0, I right of it
+    "endpoints(t - (1-alpha)*(t^2+1); t + (1-alpha)*(t^2+1))",
+    "tri(-1, t^2, 1+2*t^2)",  # f + the first g has no gH difference
+    "tri(-100, t + sqrt(t^2), 100)",  # no gH difference at jumps right of 0
+    "endpoints(alpha*t^2 - 2; 2 - alpha*sqrt(t^2+1))",  # levels fail to nest
+    "tri(t, t, t)",  # crisp
+    "tri(t, 7, 8)",  # endpoints out of order for t > 7
+]
+BATCH_G = [
+    "tri(-100, -2*t^2, -2*t^2)",
+    "tri(-1-sqrt(t^2), 0, 1+sqrt(t^2))",  # width kink at 0: Undetermined
+    "endpoints(t - 2; t + 2 + t*t)",
+    "tri(t-1-t^2, t, t+1+t^2)",
+    "endpoints(alpha*t^2 - 2; 2 - alpha*sqrt(t^2+1))",
+]
+BATCH_FS = ["1 - t/10", "t + 4", "2", "t", "1/(t-0.75)", "(t+5)^2"]
+BATCH_RULES = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
+               "product-interval": product_interval}
+
+
+def batch_function(src: str, ts: TimeScale, plain: bool) -> FuzzyFunction:
+    d = parse_function(src)
+    vector = None if plain else compile_function(d, ts, BATCH_K)
+    return FuzzyFunction(lambda t: eval_function(d, t, BATCH_K, ts), K=BATCH_K,
+                         vector=vector)
+
+
+class TestBatchedPass:
+    """The CLI's rule pass (_graded_many) gives the per-point rule's report
+    at every point, or raises its error at the same point."""
+
+    piece = st.one_of(
+        st.builds(lambda a, n, h: ArithmeticGrid(a, a + n * h, h),
+                  st.integers(-4, 3).map(float), st.integers(1, 5),
+                  st.sampled_from([0.5, 1.0])),
+        st.builds(lambda xs: ExplicitPoints(tuple(xs)),
+                  st.lists(st.sampled_from([-3.5, -1.25, 0.0, 0.75, 2.5, 7.5]),
+                           min_size=1, max_size=3, unique=True)),
+        st.builds(lambda a, w: ClosedInterval(a, a + w),
+                  st.integers(-3, 3).map(float), st.sampled_from([0.5, 1.0])),
+    )
+
+    @staticmethod
+    def outcome(run, log):
+        try:
+            return [json.dumps(r.to_dict(), sort_keys=True) for r in run()]
+        except Exception as err:
+            return type(err), str(err), log[-1] if log else None
+
+    @given(
+        pieces=st.lists(piece, min_size=1, max_size=3),
+        rule=st.sampled_from(sorted(BATCH_RULES)),
+        f_src=st.sampled_from(BATCH_F),
+        g_src=st.sampled_from(BATCH_G),
+        fs_src=st.sampled_from(BATCH_FS),
+        plain=st.sampled_from([False, False, False, True]),
+        tol=st.sampled_from([None, None, 0.0]),
+        extra=st.lists(st.integers(0, 10 ** 6), max_size=4),
+    )
+    @example(  # f is NotDifferentiable at 1
+        pieces=[ArithmeticGrid(-3.0, 2.0, 1.0)], rule="sum", f_src=BATCH_F[3],
+        g_src=BATCH_G[2], fs_src="2", plain=False, tol=None, extra=[])
+    @example(  # f + g has no gH difference at the jumps
+        pieces=[ArithmeticGrid(-2.0, 2.0, 1.0), ClosedInterval(3.0, 4.0)],
+        rule="sum", f_src=BATCH_F[2], g_src=BATCH_G[0], fs_src="2",
+        plain=False, tol=None, extra=[])
+    @example(  # failed sign hypotheses, and a zero tolerance
+        pieces=[ArithmeticGrid(-2.0, 3.0, 0.5)], rule="product-fuzzy",
+        f_src=BATCH_F[0], g_src=BATCH_G[3], fs_src="1 - t/10", plain=False,
+        tol=0.0, extra=[])
+    @example(  # the product's width direction is Undetermined at 0
+        pieces=[ArithmeticGrid(-3.0, -1.0, 1.0), ClosedInterval(0.0, 1.0),
+                ExplicitPoints((2.5,))],
+        rule="product-interval", f_src=BATCH_F[0], g_src=BATCH_G[1],
+        fs_src="2", plain=False, tol=None, extra=[2])
+    @example(  # g has no vector form
+        pieces=[ArithmeticGrid(-2.0, 3.0, 1.0)], rule="product-interval",
+        f_src=BATCH_F[0], g_src=BATCH_G[3], fs_src="1 - t/10", plain=True,
+        tol=None, extra=[])
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_point_loop(self, pieces, rule, f_src, g_src, fs_src,
+                                   plain, tol, extra):
+        ts = TimeScale(pieces)
+        cand = [t for t in ts.sample_points(40) if ts.in_kappa(t)]
+        pts = ts.left_scattered_points() + [cand[i % len(cand)] for i in extra]
+        cfg = ProbeConfig()
+        if rule == "sum":
+            def first():
+                return batch_function(f_src, ts, False)
+        else:
+            def first():
+                return _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
+
+        log = []
+        per_point = BATCH_RULES[rule]
+
+        def logged(a, g, ts, t, cfg, tol):
+            log.append(t)
+            return per_point(a, g, ts, t, cfg, tol=tol)
+
+        with mock.patch.object(rules, per_point.__name__, logged):
+            many = self.outcome(lambda: _graded_many(
+                rule, first(), batch_function(g_src, ts, plain), ts, pts, cfg,
+                tol), log)
+            log_many = list(log)
+            log.clear()
+            g = batch_function(g_src, ts, plain)
+            a = first()
+            loop = self.outcome(lambda: [logged(a, g, ts, t, cfg, tol)
+                                         for t in pts], log)
+        assert many == loop
+        if plain:
+            assert log_many == log

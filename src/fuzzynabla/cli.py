@@ -20,7 +20,13 @@ import json
 import math
 import sys
 
-from .dsl import bind_function, eval_function, parse_function, parse_timescale
+from .dsl import (
+    bind_function,
+    compile_scalar,
+    eval_function,
+    parse_function,
+    parse_timescale,
+)
 from .errors import (
     EndpointDerivativeMissing,
     FuzzyNablaError,
@@ -176,19 +182,24 @@ def _bind(args, want: int | None = 1):
     return ts, fns
 
 
-def _scalar_fn(args):
-    """Compile --scalar-fn into a float -> float callable, with its vector
-    form (None when the expression has none) as the attribute vector."""
-    from .dsl import compile_scalar, eval_expr, parse_scalar
+def _scalar_expr(args):
+    """The parsed --scalar-fn expression."""
+    from .dsl import parse_scalar
 
     if not args.scalar_fn:
         raise ValidationError("--scalar-fn is required for product rules")
-    expr = parse_scalar(_read_spec(args.scalar_fn))
+    return parse_scalar(_read_spec(args.scalar_fn))
+
+
+def _scalar_fn(args):
+    """Compile --scalar-fn into a float -> float callable."""
+    from .dsl import eval_expr
+
+    expr = _scalar_expr(args)
 
     def fs(t):
         return float(eval_expr(expr, t))
 
-    fs.vector = compile_scalar(expr)
     return fs
 
 
@@ -388,10 +399,11 @@ def cmd_check(args) -> int:
     # product rules: one fuzzy --fn plus --scalar-fn
     ts, (g,) = _bind(args)
     fs = _scalar_fn(args)
+    vector = compile_scalar(_scalar_expr(args))
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
     rule = "product-interval" if theorem == "product-interval" else "product-fuzzy"
-    reports = _graded_many(rule, fs, g, ts, points, cfg, tol)
+    reports = _graded_many(rule, fs, g, ts, points, cfg, tol, vector)
     if rule == "product-fuzzy":
         for rep in reports:
             _check_named_sign(rep, theorem)

@@ -113,13 +113,12 @@ class FuzzyFunction:
         self._cache[t] = val
         return val
 
-    def stack(self, t) -> tuple[np.ndarray, np.ndarray] | None:
+    def stack(self, t) -> tuple[np.ndarray, np.ndarray]:
         """The (N, K+1) lower and upper level stacks of f at the points t,
         validated row by row as __call__ validates one value: the first
-        invalid row raises its OrderViolation. None when f has no vector
-        form. The memo cache is neither read nor filled."""
-        if self._vector is None:
-            return None
+        invalid row raises its OrderViolation. Only for f with a vector
+        form (_vector is not None). The memo cache is neither read nor
+        filled."""
         lo, hi = self._vector(np.asarray(t, dtype=float))
         bad = invalid_rows(lo, hi)
         if bad.any():

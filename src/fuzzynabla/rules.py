@@ -394,16 +394,18 @@ def _levels_at(at: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
-             cfg: ProbeConfig, tol: float | None) -> list[RuleReport | None]:
+             cfg: ProbeConfig, tol: float | None,
+             vector: Callable[[np.ndarray], np.ndarray] | None
+             ) -> list[RuleReport | None]:
     """The rule's report at every point that nabla_many's stacked pass
     takes, graded from one evaluation of each function's vector form over
-    these points, their rho and their sigma. None at every other point, at
-    a point where f or g has no derivative or the grading raises, and at
-    every point when a vector form is missing, raises or gives a
-    non-finite jump."""
+    these points, their rho and their sigma (vector is the real factor's).
+    None at every other point, at a point where f or g has no derivative or
+    the grading raises, and at every point when a vector form is missing,
+    raises or gives a non-finite jump."""
     out: list = [None] * len(points)
-    vector = a._vector if rule == "sum" else getattr(a, "vector", None)
-    if vector is None or g._vector is None or (rule == "sum" and a.K != g.K):
+    first = a._vector if rule == "sum" else vector
+    if first is None or g._vector is None:
         return out
     rows, at, index = _jump_columns(ts, points)
     if not rows:
@@ -453,20 +455,22 @@ def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
 
 
 def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
-                 cfg: ProbeConfig = DEFAULT_CONFIG,
-                 tol: float | None = None) -> list[RuleReport]:
+                 cfg: ProbeConfig = DEFAULT_CONFIG, tol: float | None = None,
+                 vector: Callable[[np.ndarray], np.ndarray] | None = None
+                 ) -> list[RuleReport]:
     """The per-point rule at every point, in order: sum_rule(a, g, ...)
     for rule "sum", product_fuzzy or product_interval(a, g, ...) with a as
     the real factor for "product-fuzzy" and "product-interval".
 
     The points nabla_many's stacked pass takes are graded from the vector
-    forms of f and g (a.vector for a real factor: its values at an array of
-    points, bit for bit a's); every other point is the per-point rule, in
-    order, so its results and errors are the loop's.
+    forms of f and g (for a real factor, vector: its values at an array of
+    points, bit for bit a's, as dsl.compile_scalar gives them); every other
+    point is the per-point rule, in order, so its results and errors are the
+    loop's.
     """
     points = [float(t) for t in points]
     per_point = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
                  "product-interval": product_interval}[rule]
-    batch = _batched(rule, a, g, ts, points, cfg, tol)
+    batch = _batched(rule, a, g, ts, points, cfg, tol, vector)
     return [rep if rep is not None else per_point(a, g, ts, t, cfg, tol=tol)
             for t, rep in zip(points, batch)]

@@ -506,4 +506,4 @@ class TestVectorForm:
         assert lo.shape == hi.shape == (len(pts), 9)
         assert all(_same_bits(lo[i], f(t).lower) and _same_bits(hi[i], f(t).upper)
                    for i, t in enumerate(pts))
-        assert FuzzyFunction(f, K=8).stack(pts) is None
+        assert FuzzyFunction(f, K=8)._vector is None

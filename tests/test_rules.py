@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from fuzzynabla import rules
 from fuzzynabla.cli import _scalar_fn
-from fuzzynabla.dsl import compile_function, eval_function, parse_function
+from fuzzynabla.dsl import (
+    compile_function,
+    compile_scalar,
+    eval_function,
+    parse_function,
+    parse_scalar,
+)
 from fuzzynabla.errors import (
     EndpointDerivativeMissing,
     LengthDirectionUndetermined,
@@ -426,9 +432,13 @@ class TestBatchedPass:
         pts = ts.left_scattered_points() + [cand[i % len(cand)] for i in extra]
         cfg = ProbeConfig()
         if rule == "sum":
+            vector = None
+
             def first():
                 return batch_function(f_src, ts, False)
         else:
+            vector = compile_scalar(parse_scalar(fs_src))
+
             def first():
                 return _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
 
@@ -442,7 +452,7 @@ class TestBatchedPass:
         with mock.patch.object(rules, per_point.__name__, logged):
             many = self.outcome(lambda: _graded_many(
                 rule, first(), batch_function(g_src, ts, plain), ts, pts, cfg,
-                tol), log)
+                tol, vector), log)
             log_many = list(log)
             log.clear()
             g = batch_function(g_src, ts, plain)

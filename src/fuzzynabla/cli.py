@@ -107,6 +107,13 @@ def _residual_tol(args) -> float | None:
     return tol
 
 
+def _levels(args) -> int:
+    """--levels, which must not be negative."""
+    if args.levels < 0:
+        raise ValidationError(f"--levels must not be negative, got {args.levels}")
+    return args.levels
+
+
 def _select_points(ts, spec: str) -> list[float]:
     if spec == "all-scattered":
         pts = ts.left_scattered_points()
@@ -168,6 +175,7 @@ def _level_rows(lines: list[str], head: str, u: FuzzyNumber,
 
 
 def _bind(args, want: int | None = 1):
+    K = _levels(args)
     ts = parse_timescale(_read_spec(args.timescale))
     defs = args.fn
     if not defs:
@@ -176,7 +184,7 @@ def _bind(args, want: int | None = 1):
         raise ValidationError(
             f"expected {want} --fn definition(s), got {len(defs)}")
     fns = [
-        bind_function(parse_function(_read_spec(d)), ts, K=args.levels)
+        bind_function(parse_function(_read_spec(d)), ts, K=K)
         for d in defs
     ]
     return ts, fns
@@ -262,8 +270,9 @@ def _eval_number(src: str, at: float, K: int):
 
 
 def cmd_ghdiff(args) -> int:
-    u = _eval_number(args.u, args.at, args.levels)
-    v = _eval_number(args.v, args.at, args.levels)
+    K = _levels(args)
+    u = _eval_number(args.u, args.at, K)
+    v = _eval_number(args.v, args.at, K)
     res = gh_diff(u, v)
 
     if args.format == "json":
@@ -288,8 +297,9 @@ def cmd_ghdiff(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    u = _eval_number(args.u, args.at, args.levels)
-    v = _eval_number(args.v, args.at, args.levels)
+    K = _levels(args)
+    u = _eval_number(args.u, args.at, K)
+    v = _eval_number(args.v, args.at, K)
     _emit(f"{hausdorff(u, v)!r}\n", args.out)
     return EXIT_OK
 

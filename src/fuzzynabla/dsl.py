@@ -273,6 +273,8 @@ class _Parser:
             val = _CONSTANTS[t.text]
         else:
             self._fail("a number")
+        if not math.isfinite(val):
+            raise DslSyntaxError(t.line, t.col, "a finite number", repr(t.text))
         return -val if neg else val
 
     def integer(self) -> int:
@@ -296,8 +298,9 @@ class _Parser:
             self.eat(",")
             b = self.number()
             self.eat(")")
-            if b < a:
-                raise DslSyntaxError(t.line, t.col, "interval(a,b) with a <= b",
+            if b < a or not math.isfinite(b - a):
+                raise DslSyntaxError(t.line, t.col,
+                                     "interval(a,b) with a <= b and a finite width",
                                      f"a={_fmt(a)}, b={_fmt(b)}")
             return ClosedInterval(a, b)
         if name == "points":
@@ -353,12 +356,13 @@ class _Parser:
         self._fail("a piece (interval, points, hgrid, qgrid, recip)")
 
     def _grid(self, tok: Token, cls, *args):
-        # the arguments passed the checks above; what is left is spacing
+        # the arguments passed the checks above; what is left is the
+        # realized points: in the float range and resolvable
         try:
             return cls(*args)
         except ValueError as err:
             raise DslSyntaxError(tok.line, tok.col,
-                                 "grid points farther apart than the "
+                                 "finite grid points farther apart than the "
                                  "membership tolerance", str(err)) from None
 
     def timescale(self) -> TimeScale:
@@ -425,7 +429,7 @@ class _Parser:
                 self._fail("an integer exponent")
             etok = self.eat(kind="NUM")
             val = float(etok.text)
-            if val != int(val):
+            if not math.isfinite(val) or val != int(val):
                 raise DslSyntaxError(t.line, t.col, "an integer exponent", repr(etok.text))
             e = -int(val) if neg else int(val)
             self.height = self._grow(caret, self.height, 1)

@@ -88,9 +88,11 @@ class FuzzyFunction:
 
     vector, when given, is the same mapping at a vector of points in one
     pass: it returns (N, K+1) stacks of lower and upper endpoints whose
-    rows are bit for bit the levels fn returns, and raises what fn raises
-    at the first point where fn raises (bind_function passes the compiled
-    definition).
+    rows are bit for bit the levels fn returns, and raises when fn raises
+    at any of the points; callers then call fn point by point, in order,
+    which raises fn's own error (bind_function passes the compiled
+    definition, which raises that error itself). The memo cache holds
+    values of fn only: stack neither reads nor fills it.
     """
 
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
@@ -133,7 +135,9 @@ class FuzzyFunction:
 
 @dataclass
 class _StreamData:
-    """Slope data for one probe stream on one side (columns = levels)."""
+    """Slope data for one probe stream on one side (columns = levels), with
+    f's level rows at its points and the Hausdorff distance of each from
+    f(t)."""
 
     label: str
     synthetic: bool
@@ -146,6 +150,9 @@ class _StreamData:
     vhi_est: np.ndarray
     v_tail: np.ndarray
     gh_cases: list[str]
+    lower: np.ndarray
+    upper: np.ndarray
+    gaps: list[float]
 
 
 def _tail_spread(Q: np.ndarray) -> np.ndarray:
@@ -158,43 +165,100 @@ def _tail_spread(Q: np.ndarray) -> np.ndarray:
     return tail.max(axis=0) - tail.min(axis=0)
 
 
+def _gh_rows(d_lo: np.ndarray, d_hi: np.ndarray):
+    """gh_exists on (N, K+1) stacks of candidate endpoints, and the rows
+    where gh_diff raises instead of answering: a case holds but a level is
+    not finite, so its value fails validation."""
+    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
+    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
+    return ok_i, ok_ii, (ok_i | ok_ii) & ~finite
+
+
+def _side_levels(f: FuzzyFunction, pts: list[float]):
+    """The (N, K+1) lower and upper level rows of f at pts and None: one
+    stack when f has a vector form and the stack does not raise, else f(p)
+    in order. When f(p) fails (FuzzyNablaError or ArithmeticError), the
+    rows before p and that error, so that the caller raises first what
+    those rows raise."""
+    if f._vector is not None:
+        try:
+            lo, hi = f.stack(pts)
+            return lo, hi, None
+        except (FuzzyNablaError, ArithmeticError):
+            pass  # f(p), in order, meets the error where it arises
+    lo = np.empty((len(pts), f.K + 1))
+    hi = np.empty_like(lo)
+    for j, p in enumerate(pts):
+        try:
+            Fp = f(p)
+        except (FuzzyNablaError, ArithmeticError) as err:
+            return lo[:j], hi[:j], err
+        lo[j], hi[j] = Fp.lower, Fp.upper
+    return lo, hi, None
+
+
 def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
                 cfg: ProbeConfig) -> tuple[list[_StreamData], GhNonexistent | None]:
     """Quotient data for every probe stream on a dense side of t, and the
     error for the first probe whose generalized difference does not exist.
 
-    The quotients do not need the difference, so a failing probe is recorded
-    and probing goes on: the endpoint report is complete either way.
+    One row pass over f's levels at the side's probes, in stream order,
+    gives the quotients, the gH cases (the test is row-wise, so one
+    gh_exists call labels every probe as gh_diff would), and the
+    continuity gaps; gh_diff runs only at the first failing probe. The
+    quotients do not need the difference, so a failing probe is recorded
+    and the report is complete either way.
     """
     streams = ts.approach_streams(t, side, cfg.probe_count)
     Ft = f(t)
-    failure = None
-    out: list[_StreamData] = []
-    for s in streams:
-        m = len(s.points)
-        Qlo = np.empty((m, f.K + 1))
-        Qhi = np.empty((m, f.K + 1))
-        cases = []
-        for j, p in enumerate(s.points):
-            Fp = f(p)
-            if side == "right":
-                res = gh_diff(Fp, Ft)
-            else:
-                res = gh_diff(Ft, Fp)
-            if res.value is None and failure is None:
-                failure = GhNonexistent(
-                    f"generalized difference does not exist at probe {p!r} "
-                    f"({side} of {t!r})",
-                    {"probe": p, "side": side, **res.diagnostics},
-                )
-            cases.append(res.case.value)
-            dt = p - t
-            Qlo[j] = (Fp.lower - Ft.lower) / dt
-            Qhi[j] = (Fp.upper - Ft.upper) / dt
+    pts = [p for s in streams for p in s.points]
+    if not pts:
+        return [], None
+    lo, hi, err = _side_levels(f, pts)
+    d_lo = lo - Ft.lower
+    d_hi = hi - Ft.upper
+    # f(p) gH- f(t) on the right, f(t) gH- f(p) on the left
+    if side == "right":
+        ok_i, ok_ii, raises = _gh_rows(d_lo, d_hi)
+    else:
+        ok_i, ok_ii, raises = _gh_rows(-d_lo, -d_hi)
 
+    def gh_at(j: int):
+        Fp = FuzzyNumber(lo[j], hi[j], validate=False)
+        return gh_diff(Fp, Ft) if side == "right" else gh_diff(Ft, Fp)
+
+    if raises.any():
+        gh_at(int(np.argmax(raises)))  # raises its OrderViolation
+    if err is not None:
+        raise err
+    failure = None
+    missing = ~(ok_i | ok_ii)
+    if missing.any():
+        j = int(np.argmax(missing))
+        res = gh_at(j)
+        failure = GhNonexistent(
+            f"generalized difference does not exist at probe {pts[j]!r} "
+            f"({side} of {t!r})",
+            {"probe": pts[j], "side": side, **res.diagnostics},
+        )
+    cases = [_GH_CASES[c].value for c in (2 * ok_i + ok_ii).tolist()]
+    dt = (np.array(pts) - t)[:, None]
+    Q_lo = d_lo / dt
+    Q_hi = d_hi / dt
+    # hausdorff(f(p), f(t)): Python's max of the two endpoint distances
+    a = np.abs(d_lo).max(axis=1)
+    b = np.abs(d_hi).max(axis=1)
+    gaps = np.where(b > a, b, a).tolist()
+
+    out: list[_StreamData] = []
+    start = 0
+    for s in streams:
+        rows = slice(start, start + len(s.points))
+        start = rows.stop
+        Qlo, Qhi = Q_lo[rows], Q_hi[rows]
         Vlo = np.minimum(Qlo, Qhi)
         Vhi = np.maximum(Qlo, Qhi)
-        if s.synthetic and m >= 2:
+        if s.synthetic and len(s.points) >= 2:
             Qlo = 2.0 * Qlo[1:] - Qlo[:-1]
             Qhi = 2.0 * Qhi[1:] - Qhi[:-1]
             Vlo = 2.0 * Vlo[1:] - Vlo[:-1]
@@ -212,7 +276,10 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
                 vlo_est=Vlo[-1].copy(),
                 vhi_est=Vhi[-1].copy(),
                 v_tail=np.maximum(_tail_spread(Vlo), _tail_spread(Vhi)),
-                gh_cases=cases,
+                gh_cases=cases[rows],
+                lower=lo[rows],
+                upper=hi[rows],
+                gaps=gaps[rows],
             )
         )
     return out, failure
@@ -664,7 +731,7 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
             evidence["path"] = "backward-quotient"
             evidence["gh_case"] = jump.gh_case[i].value
             if "right" in probes:
-                evidence["h_orientations"] = _h_orientations(f, pc.rho,
+                evidence["h_orientations"] = _h_orientations(f(pc.rho),
                                                              probes["right"])
         else:
             value, residual = _dense_value(probes, cfg, t)
@@ -676,10 +743,7 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
             }
 
         evidence["continuity_gaps"] = {
-            side: {
-                s.label: [float(hausdorff(f(p), f(t))) for p in s.points]
-                for s in streams
-            }
+            side: {s.label: s.gaps for s in streams}
             for side, streams in probes.items()
         }
 
@@ -710,18 +774,21 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
     return _derive(f, *_analyze(f, ts, pc, cfg), cfg)
 
 
-def _h_orientations(f: FuzzyFunction, rho: float,
-                    streams: list[_StreamData]) -> dict:
-    """Which classical-difference orientations appear among right probes."""
-    fwd = bwd = 0
-    Fr = f(rho)
-    for s in streams:
-        for p in s.points:
-            if h_diff(f(p), Fr) is not None:
-                fwd += 1
-            if h_diff(Fr, f(p)) is not None:
-                bwd += 1
-    return {"forward": fwd, "backward": bwd}
+def _h_orientations(Fr: FuzzyNumber, streams: list[_StreamData]) -> dict:
+    """Which classical-difference orientations appear among right probes:
+    how many of f(p) -H f(rho) and of f(rho) -H f(p) exist (h_diff), from
+    the probes' level rows, with Fr = f(rho)."""
+    lo = np.concatenate([s.lower for s in streams])
+    hi = np.concatenate([s.upper for s in streams])
+    fwd, _, fwd_raises = _gh_rows(lo - Fr.lower, hi - Fr.upper)
+    bwd, _, bwd_raises = _gh_rows(Fr.lower - lo, Fr.upper - hi)
+    raises = fwd_raises | bwd_raises
+    if raises.any():
+        j = int(np.argmax(raises))
+        Fp = FuzzyNumber(lo[j], hi[j], validate=False)
+        h_diff(Fp, Fr)
+        h_diff(Fr, Fp)  # one of the two raises its OrderViolation
+    return {"forward": int(fwd.sum()), "backward": int(bwd.sum())}
 
 
 def _reported(derive: Callable[..., DerivativeResult], *args) -> DerivativeResult:

@@ -160,8 +160,45 @@ def _graded(rule: str, checks: list[HypothesisCheck], nabla, h, extras: dict,
     return RuleReport(rule, checks, lhs, rhs, residual, verdict, extras)
 
 
+def _scaled(k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """scalar_mul row by row, k[i] times the row (lo[i], hi[i]): a negative
+    factor swaps the endpoints."""
+    k = k[:, None]
+    return np.where(k >= 0, k * lo, k * hi), np.where(k >= 0, k * hi, k * lo)
+
+
+def _sum_of(f: FuzzyFunction, g: FuzzyFunction) -> FuzzyFunction:
+    """f + g, with a vector form when f and g have one: their stacks added
+    level by level."""
+    vector = None
+    if f._vector is not None and g._vector is not None:
+        def vector(t):
+            (flo, fhi), (glo, ghi) = f.stack(t), g.stack(t)
+            return flo + glo, fhi + ghi
+    return FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K, vector=vector)
+
+
+class _Factor:
+    """A real factor fs together with vector, its values at an array of
+    points, bit for bit fs's (as dsl.compile_scalar gives them)."""
+
+    def __init__(self, fs: Callable[[float], float],
+                 vector: Callable[[np.ndarray], np.ndarray]):
+        self.fs = fs
+        self.vector = vector
+
+    def __call__(self, t: float) -> float:
+        return self.fs(t)
+
+
 def _product_of(fs: Callable[[float], float], g: FuzzyFunction) -> FuzzyFunction:
-    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
+    """fs * g, with a vector form when fs is a _Factor and g has one: g's
+    stack scaled row by row."""
+    vector = None
+    if isinstance(fs, _Factor) and g._vector is not None:
+        def vector(t):
+            return _scaled(fs.vector(t), *g.stack(t))
+    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K, vector=vector)
 
 
 def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
@@ -173,8 +210,7 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     derivative is compatible with either).
     """
     pc = _classify_in_domain(ts, float(t))
-    h = FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K)
-    return _sum_graded(f, g, h, pc, _at(ts, pc, cfg), tol)
+    return _sum_graded(f, g, _sum_of(f, g), pc, _at(ts, pc, cfg), tol)
 
 
 def _sum_graded(f, g, h, pc: PointClass, nabla, tol: float | None) -> RuleReport:
@@ -416,10 +452,8 @@ def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
             flo, fhi = a.stack(at)
             hlo, hhi = flo + glo, fhi + ghi  # add, level by level
         else:
-            k = vector(at)[:, None]
-            # scalar_mul: a negative factor swaps the endpoints
-            hlo = np.where(k >= 0, k * glo, k * ghi)
-            hhi = np.where(k >= 0, k * ghi, k * glo)
+            k = vector(at)
+            hlo, hhi = _scaled(k, glo, ghi)
     except (FuzzyNablaError, ArithmeticError):
         return out
 
@@ -431,7 +465,7 @@ def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
         def grade(pc, nabla):
             return _sum_graded(F, G, H, pc, nabla, tol)
     else:
-        fs = dict(zip(at.tolist(), k[:, 0].tolist())).__getitem__
+        fs = dict(zip(at.tolist(), k.tolist())).__getitem__
         graded = (_product_fuzzy_graded if rule == "product-fuzzy"
                   else _product_interval_graded)
         parts = [(G, glo, ghi)]
@@ -466,11 +500,14 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     forms of f and g (for a real factor, vector: its values at an array of
     points, bit for bit a's, as dsl.compile_scalar gives them); every other
     point is the per-point rule, in order, so its results and errors are the
-    loop's.
+    loop's. There, a product fs * g takes a vector form from vector and g's,
+    so its probed sides are stacked too.
     """
     points = [float(t) for t in points]
     per_point = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
                  "product-interval": product_interval}[rule]
     batch = _batched(rule, a, g, ts, points, cfg, tol, vector)
+    if rule != "sum" and vector is not None:
+        a = _Factor(a, vector)
     return [rep if rep is not None else per_point(a, g, ts, t, cfg, tol=tol)
             for t, rep in zip(points, batch)]

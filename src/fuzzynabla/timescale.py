@@ -42,9 +42,12 @@ def _membership_tols(t: np.ndarray) -> np.ndarray:
 
 
 def _require_resolvable(grid) -> None:
-    """Reject a grid with consecutive points within the membership tolerance:
-    the scale would merge them into one member and change every jump."""
+    """Reject a grid with points beyond the float range, or with consecutive
+    points within the membership tolerance: the scale would merge them into
+    one member and change every jump."""
     pts = grid.realized()
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{grid.label()}: points beyond the float range")
     close = np.diff(pts) <= _membership_tols(pts[1:])
     if np.any(close):
         k = int(np.argmax(close))
@@ -54,7 +57,7 @@ def _require_resolvable(grid) -> None:
 
 
 def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(float(x))
 
@@ -217,6 +220,8 @@ class ArithmeticGrid:
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
         object.__setattr__(self, "step", float(self.step))
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValueError(f"{self.label()}: stop - start beyond the float range")
         _require_resolvable(self)
 
     def _count(self) -> int:
@@ -267,7 +272,8 @@ class GeometricGrid:
         _require_resolvable(self)
 
     def realized(self) -> np.ndarray:
-        return self.base ** np.arange(self.kmin, self.kmax + 1, dtype=float)
+        with np.errstate(over="ignore"):  # inf is rejected in construction
+            return self.base ** np.arange(self.kmin, self.kmax + 1, dtype=float)
 
     def min_value(self) -> float:
         return self.base**self.kmin
@@ -344,7 +350,10 @@ class ReciprocalGrid:
             return True
         if abs(t) <= tol:
             return False
-        n = round(self.scale / t)
+        q = self.scale / t
+        if not math.isfinite(q):  # |t| too small for any member
+            return False
+        n = round(q)
         if n < 1 or n > self.count:
             return False
         return abs(self.scale / n - t) <= tol
@@ -357,7 +366,7 @@ class ReciprocalGrid:
     def predicate_contains_many(self, t: np.ndarray) -> np.ndarray:
         """predicate_contains at every entry of t."""
         tol = _membership_tols(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             n = np.rint(self.scale / t)
             hit = ((n >= 1) & (n <= self.count)
                    & (np.abs(self.scale / n - t) <= tol))

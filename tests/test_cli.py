@@ -1,12 +1,16 @@
 """End-to-end command line runs: formats, exit codes, determinism."""
 
 import json
+import math
 import pathlib
 import shlex
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fuzzynabla.cli import main
+from fuzzynabla.cli import THEOREMS, main
+from fuzzynabla.errors import FuzzyNablaError
 from fuzzynabla.timescale import TimeScale
 
 EXAMPLE_SCALE = "union(recip(1,400), recip(sqrt2,400), points(0))"
@@ -447,6 +451,60 @@ class TestConfigErrors:
         assert err.startswith(f"error: power fails at t={t!r}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("scale, found", [
+        # grids whose points overflow to inf
+        ("qgrid(2,0,1100)", "found qgrid(2,0,1100): points beyond the float range"),
+        ("qgrid(1e300,0,2)", "points beyond the float range"),
+        ("hgrid(-1e308,1e308,1e307)", "stop - start beyond the float range"),
+        ("interval(-1e308,1e308)", "found a=-1e+308, b=1e+308"),
+        ("points(0, 1e400)", "expected a finite number, found '1e400'"),
+    ])
+    def test_scale_beyond_float_range(self, scale, found, capsys):
+        code, out, err = run([
+            "diff", "--timescale", scale, "--fn", "tri(t,t,t)", "--points", "1",
+        ], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1, col ") and err.count("\n") == 1
+        assert found in err
+
+    @pytest.mark.parametrize("argv, code, err_start", [
+        # an exponent beyond the float range
+        (["ghdiff", "tri(t^1e400, 1, 2)", "tri(0,1,2)"], 1,
+         "error: line 1, col 7: expected an integer exponent, found '1e400'"),
+        # a definition that overflows at bind's samples
+        (["tabulate", "--timescale", "hgrid(0,3,1)", "--fn",
+          "tri(t, 1e300*1e300, t)", "--points", "1"], 1,
+         "error: definition is invalid at every sample point: tri endpoints "
+         "out of order at t=0.0: (0, inf, 0)"),
+        # the first arm asks recip(-1e308,34) about the members of
+        # recip(2,40), where -1e308/t overflows
+        (["tabulate", "--timescale", "union(recip(2,40), recip(-1e308,34))",
+          "--fn", "tri(t, t+1, piecewise(in recip(-1e308) => t+3, "
+          "in recip(2) => t+2))", "--points", "1"], 0, ""),
+    ])
+    def test_overflow_found_by_fuzzing(self, argv, code, err_start, capsys):
+        got, out, err = run(argv + ["--levels", "1"], capsys)
+        assert got == code
+        assert err.startswith(err_start) and err.count("\n") == (code != 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["diff", "--timescale", "hgrid(0,3,1)", "--fn", "tri(t,t+1,t+2)"],
+        ["tabulate", "--timescale", "hgrid(0,3,1)", "--fn", "tri(t,t+1,t+2)"],
+        ["check", "characterize", "--timescale", "hgrid(0,3,1)",
+         "--fn", "tri(t,t+1,t+2)"],
+        ["check", "product1", "--timescale", "hgrid(0,3,1)",
+         "--fn", "tri(t,t+1,t+2)", "--scalar-fn", "t+1"],
+        ["ghdiff", "tri(0,1,2)", "tri(0,1,3)"],
+        ["metric", "tri(0,1,2)", "tri(0,1,3)"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_negative_levels(self, argv, capsys):
+        for levels in ("-1", "-7"):
+            code, out, err = run(argv + ["--levels=" + levels], capsys)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: --levels must not be negative, got {levels}\n"
+
     @pytest.mark.parametrize("cmd, flag", [
         ("tabulate", ["--probes", "5"]),
         ("tabulate", ["--agreement-tol", "1e-3"]),
@@ -599,3 +657,122 @@ class TestGoldenBytes:
             "--format", fmt], capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv, name", [
+        # two labeled streams on the right of 0 that split: NotDifferentiable
+        (["--timescale", "union(recip(1,20), recip(sqrt2,20), points(0))",
+          "--fn", EXAMPLE_FN, "--points", "0"], "probe.json"),
+        # the gH difference fails at a left probe of each point
+        (["--timescale", "interval(0,2)", "--fn",
+          "endpoints(-2 + alpha + t*(alpha - alpha^2)/2; 2 - alpha)",
+          "--points", "0.5,1.5"], "probe_fail.json"),
+    ])
+    def test_probe_bytes(self, argv, name, capsys):
+        code, out, err = run(["diff", *argv, "--levels", "2", "--format", "json"],
+                             capsys)
+        assert code == 2
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# Random command lines for main. Grids stay at most a few hundred points:
+# the size of a grid is not checked before it is built.
+FUZZ_NUMS = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(["0.5", "-2.5", "sqrt2", "pi", "1e-12", "1e-300", "1e300",
+                     "-1e308", "1e308", "1e400"]),
+)
+
+
+@st.composite
+def fuzz_piece(draw):
+    kind = draw(st.sampled_from(["interval", "points", "hgrid", "qgrid", "recip"]))
+    if kind == "interval":
+        if draw(st.booleans()):
+            return f"interval({draw(FUZZ_NUMS)},{draw(FUZZ_NUMS)})"
+        a = draw(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 1e300, -1e308]))
+        b = a + draw(st.sampled_from([0.0, 0.5, 2.0, 1e300]))
+        return f"interval({a!r},{b if math.isfinite(b) else 1e308!r})"
+    if kind == "points":
+        return f"points({','.join(draw(st.lists(FUZZ_NUMS, min_size=1, max_size=4)))})"
+    if kind == "hgrid":
+        a = draw(st.sampled_from([0.0, -1.0, 2.5, 1e-300, 1e300, -1e308]))
+        h = draw(st.sampled_from([1.0, 0.5, 0.1, 1e-12, 1e-300, 1e300, 1e307]))
+        b = a + draw(st.integers(0, 150)) * h
+        return f"hgrid({a!r},{b if math.isfinite(b) else 1e308!r},{h!r})"
+    if kind == "qgrid":
+        q = draw(st.sampled_from(["2", "1.5", "10", "sqrt2", "1e300", "1.0000000001"]))
+        k = draw(st.one_of(st.integers(-5, 5), st.integers(-1100, 1100)))
+        return f"qgrid({q},{k},{k + draw(st.integers(0, 30))})"
+    return f"recip({draw(FUZZ_NUMS)},{draw(st.integers(-1, 100))})"
+
+
+def fuzz_expr(alpha: bool):
+    leaves = [st.just("t"), st.just("t"), FUZZ_NUMS] + (
+        [st.just("alpha")] if alpha else [])
+    return st.recursive(st.one_of(*leaves), lambda c: st.one_of(
+        st.tuples(c, st.sampled_from("+-*/"), c).map(" ".join).map("({})".format),
+        st.tuples(c, st.sampled_from(["2", "3", "-1", "0", "400", "1e400"])).map(
+            lambda x: f"({x[0]})^{x[1]}"),
+        c.map("sqrt({})".format),
+        c.map("sqrt(({})^2)".format),
+        st.tuples(c, c).map(lambda x: (
+            f"piecewise(in interval => {x[0]}, in points => {x[1]}, "
+            f"in hgrid => {x[0]}, in qgrid => {x[1]}, in recip => {x[0]})")),
+    ), max_leaves=4)
+
+
+FUZZ_FN = st.one_of(
+    # ordered wherever the parts are finite
+    st.tuples(fuzz_expr(False), fuzz_expr(False), fuzz_expr(False)).map(
+        lambda x: f"tri({x[0]}, {x[0]} + ({x[1]})^2, {x[0]} + ({x[1]})^2 + ({x[2]})^2)"),
+    st.tuples(fuzz_expr(False), fuzz_expr(False), fuzz_expr(False)).map(
+        lambda x: f"endpoints({x[0]} - (1 - alpha)*({x[1]})^2; "
+                  f"{x[0]} + (1 - alpha)*({x[2]})^2)"),
+    st.tuples(fuzz_expr(False), fuzz_expr(False), fuzz_expr(False)).map(
+        lambda x: f"tri({x[0]}, {x[1]}, {x[2]})"),
+    st.tuples(fuzz_expr(True), fuzz_expr(True)).map(
+        lambda x: f"endpoints({x[0]}; {x[1]})"),
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    cmd = draw(st.sampled_from(["diff", "tabulate", "check", "ghdiff", "metric"]))
+    levels = "--levels=" + draw(st.sampled_from(["0", "1", "2", "4", "4", "4", "-1"]))
+    if cmd in ("ghdiff", "metric"):
+        return [cmd, draw(FUZZ_FN), draw(FUZZ_FN), "--at", draw(FUZZ_NUMS), levels]
+    argv = [cmd]
+    if cmd == "check":
+        theorem = draw(st.sampled_from(THEOREMS))
+        argv.append(theorem)
+        if theorem == "sum":
+            argv += ["--fn", draw(FUZZ_FN)]
+        if theorem.startswith("product"):
+            argv.append("--scalar-fn=" + draw(fuzz_expr(False)))
+    pieces = draw(st.lists(fuzz_piece(), min_size=1, max_size=3))
+    points = draw(st.one_of(
+        st.sampled_from(["all-scattered", "dense:1", "dense:3"]),
+        st.lists(FUZZ_NUMS, min_size=1, max_size=3).map(",".join)))
+    argv += ["--timescale", f"union({', '.join(pieces)})", "--fn", draw(FUZZ_FN),
+             "--points=" + points, levels]
+    if cmd != "tabulate" and draw(st.booleans()):
+        argv += ["--probes", draw(st.sampled_from(["2", "3", "8"])),
+                 "--agreement-tol", draw(st.sampled_from(["1e-6", "1e-3", "0"]))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+class TestMainFuzz:
+    @given(argv=fuzz_argv())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_exit_code_or_package_error(self, argv, capsys):
+        try:
+            code = main(argv)
+        except FuzzyNablaError:
+            return
+        finally:
+            capsys.readouterr()
+        assert code in (0, 1, 2, 3)

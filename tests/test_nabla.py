@@ -51,6 +51,7 @@ from fuzzynabla.timescale import (
     ExplicitPoints,
     GeometricGrid,
     ReciprocalGrid,
+    Side,
     TimeScale,
 )
 
@@ -474,12 +475,13 @@ class TestNablaMany:
                 run()
 
 
-def unchecked(src: str, ts: TimeScale, K: int = K) -> FuzzyFunction:
+def unchecked(src: str, ts: TimeScale, K: int = K,
+              plain: bool = False) -> FuzzyFunction:
     """bind_function without its sampled checks, so a definition may fail
-    at chosen points."""
+    at chosen points; plain leaves out the vector form."""
     d = parse_function(src)
     return FuzzyFunction(lambda t: eval_function(d, t, K, ts), K=K,
-                         vector=compile_function(d, ts, K))
+                         vector=None if plain else compile_function(d, ts, K))
 
 
 README_FN = ("tri(piecewise(in recip(1) => -2, in recip(sqrt2) => t-2), "
@@ -720,3 +722,116 @@ class TestJumpCase:
             else:
                 expect = DiffCase.CASE_II
             assert res.case is expect
+
+
+class TestStackedProbes:
+    """A probed side takes f's levels at its probes from one stack of the
+    vector form, or from f(p) in order when there is none or it raises;
+    both give the same reports, and raise the same errors."""
+
+    @staticmethod
+    def outcomes(f, ts, pts):
+        return [TestNablaMany.outcome(lambda: [run(f, ts, t)])
+                for t in pts for run in (derivative_report, endpoint_derivatives)]
+
+    def same_as_plain(self, stacked, plain, ts, pts):
+        got = self.outcomes(stacked, ts, pts)
+        assert got == self.outcomes(plain, ts, pts)
+        return got
+
+    @given(
+        pieces=st.lists(TestNablaMany.piece, max_size=2),
+        intervals=st.lists(TestNablaMany.interval, min_size=1, max_size=2),
+        src=st.sampled_from([
+            README_FN,
+            "tri(t^3 - 1, t^2, t^2 + 1 + t^4)",
+            "endpoints(t - (1-alpha)*(t^2+1); t + (1-alpha)*(t^2+1))",
+            # no gH difference at the probes; levels fail to nest for |t| > 1.49
+            "endpoints(-2 + alpha + t*(alpha - alpha^2)/2; 2 - alpha)",
+            "endpoints(alpha*t^2 - 2; 2 - alpha*sqrt(t^2+1))",
+            # width kink at 0, endpoints out of order for t > 7
+            "tri(-1-sqrt(t^2), 0, 1+sqrt(t^2))",
+            "tri(t, 7, 8)",
+            "tri(piecewise(in hgrid => 0, in qgrid => t, in recip => t^2, "
+            "in interval => -1), 1, 2)",
+        ]),
+        idx=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_callable(self, pieces, intervals, src, idx):
+        ts = TimeScale(pieces + intervals)
+        dense = [t for t in ts.sample_points(40)
+                 if (pc := ts.classify(t)).left is Side.DENSE
+                 or pc.right is Side.DENSE]
+        pts = [dense[i % len(dense)] for i in idx]
+        self.same_as_plain(unchecked(src, ts), unchecked(src, ts, plain=True),
+                           ts, pts)
+
+    # the right probes of 0.5 on interval(0,1) are 0.5 + 1e-4 / 2^k, k = 0..7;
+    # the third to the sixth lie inside the band
+    BAND = (0.5 + 2e-6, 0.5 + 3e-5)
+
+    @classmethod
+    def pair(cls, fn):
+        """fn as a plain callable, and with a vector form that stacks fn's
+        values, raising at the first point where fn raises or whose levels
+        are out of order."""
+        def vector(t):
+            rows = [fn(float(p)) for p in t]
+            return (np.array([u.lower for u in rows]),
+                    np.array([u.upper for u in rows]))
+        return FuzzyFunction(fn, K=K, vector=vector), FuzzyFunction(fn, K=K)
+
+    def test_vector_form_raises_partway_through_a_side(self):
+        ts = TimeScale([ClosedInterval(0.0, 1.0)])
+
+        def fails_in_band(t):
+            if self.BAND[0] < t < self.BAND[1]:
+                raise ValidationError(f"no value at t={t!r}")
+            return triangular(t * t - 1.0, t, t + 1.0, K)
+
+        def crosses_in_band(t):
+            # the plain callable does not validate: inside the band the
+            # levels cross, and only the stack's row check raises
+            u = triangular(t * t - 1.0, t, t + 1.0, K)
+            if self.BAND[0] < t < self.BAND[1]:
+                return FuzzyNumber(u.upper, u.lower, validate=False)
+            return u
+
+        got = self.same_as_plain(*self.pair(fails_in_band), ts, [0.25, 0.5])
+        assert got[2] == (ValidationError, "no value at t=0.500025")
+        stacked, plain = self.pair(crosses_in_band)
+        probes = [p for s in ts.approach_streams(0.5, "right", 8) for p in s.points]
+        with pytest.raises(OrderViolation):
+            stacked.stack(probes)
+        got = self.same_as_plain(stacked, plain, ts, [0.25, 0.5])
+        assert json.loads(got[2][0])["case"] == "NotDifferentiable"
+
+    def test_earlier_probe_raises_first(self):
+        # f's levels at the second right probe of 0.5 are not finite, so
+        # its gH difference raises; f itself raises at the third probe
+        ts = TimeScale([ClosedInterval(0.0, 1.0)])
+
+        def fn(t):
+            if t == 0.500025:
+                raise ValidationError(f"no value at t={t!r}")
+            u = triangular(t - 1.0, t, t + 1.0, K)
+            if t == 0.50005:
+                return FuzzyNumber(u.lower, u.upper + math.inf, validate=False)
+            return u
+
+        for f in self.pair(fn):
+            with pytest.raises(OrderViolation, match="level arrays must be finite"):
+                derivative_report(f, ts, 0.5)
+
+    def test_orientation_overflow_raises(self):
+        # 0 jumps from -1 and is dense on the right, where f(p) - f(-1)
+        # overflows: the classical difference raises as it does on one probe
+        ts = TimeScale([ExplicitPoints((-1.0,)), ClosedInterval(0.0, 1.0)])
+
+        def fn(t):
+            return crisp(-1e308 if t < 0 else 1e308 if t > 0 else 0.0, K)
+
+        for f in self.pair(fn):
+            with pytest.raises(OrderViolation, match="level arrays must be finite"):
+                derivative_report(f, ts, 0.0)

@@ -20,6 +20,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .dsl import (
     bind_function,
     compile_scalar,
@@ -345,11 +347,11 @@ def _residual_rows(args, measure, given: float | None) -> int:
 
 
 def _rule_rows(args, reports_by_t) -> int:
-    rows = [{"t": t, **rep.to_dict()} for t, rep in reports_by_t]
     verdicts = [rep.verdict for _, rep in reports_by_t]
 
     if args.format == "json":
-        _emit_json(rows, args.out)
+        _emit_json([{"t": t, **rep.to_dict()} for t, rep in reports_by_t],
+                   args.out)
     else:
         lines = ["t,rule,verdict,residual,hypotheses"]
         for t, rep in reports_by_t:
@@ -501,7 +503,10 @@ def main(argv=None) -> int:
     except _UsageError:
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        # every result is checked for finiteness, so numpy's floating-point
+        # warnings would only put noise ahead of the one-line error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (GhNonexistent, LimitDisagreement, EndpointDerivativeMissing,
             LengthDirectionUndetermined) as err:
         print(f"error: {err}", file=sys.stderr)

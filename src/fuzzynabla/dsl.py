@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DslSyntaxError, NotInTimeScale, ValidationError
 from .fuzzy import FuzzyNumber, alpha_grid
 from .timescale import (
+    MAX_GRID_POINTS,
     ArithmeticGrid,
     ClosedInterval,
     ExplicitPoints,
@@ -357,13 +358,14 @@ class _Parser:
 
     def _grid(self, tok: Token, cls, *args):
         # the arguments passed the checks above; what is left is the
-        # realized points: in the float range and resolvable
+        # realized points: not too many, in the float range and resolvable
         try:
             return cls(*args)
         except ValueError as err:
             raise DslSyntaxError(tok.line, tok.col,
-                                 "finite grid points farther apart than the "
-                                 "membership tolerance", str(err)) from None
+                                 f"at most {MAX_GRID_POINTS} finite grid points "
+                                 "farther apart than the membership tolerance",
+                                 str(err)) from None
 
     def timescale(self) -> TimeScale:
         if self.at("union"):

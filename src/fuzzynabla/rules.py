@@ -430,54 +430,45 @@ def _levels_at(at: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
-             cfg: ProbeConfig, tol: float | None,
-             vector: Callable[[np.ndarray], np.ndarray] | None
-             ) -> list[RuleReport | None]:
+             cfg: ProbeConfig, tol: float | None) -> list[RuleReport | None]:
     """The rule's report at every point that nabla_many's stacked pass
-    takes, graded from one evaluation of each function's vector form over
-    these points, their rho and their sigma (vector is the real factor's).
-    None at every other point, at a point where f or g has no derivative or
-    the grading raises, and at every point when a vector form is missing,
-    raises or gives a non-finite jump."""
+    takes, graded from one evaluation of each function's vector form (h's
+    is the rule's own: _sum_of or _product_of) over these points, their rho
+    and their sigma. None at every other point, at a point where f or g has
+    no derivative or the grading raises, and at every point when a vector
+    form is missing, raises or gives a non-finite jump."""
     out: list = [None] * len(points)
-    first = a._vector if rule == "sum" else vector
-    if first is None or g._vector is None:
+    if rule == "sum":
+        h, parts = _sum_of(a, g), [a, g]
+    else:
+        h, parts = _product_of(a, g), [g]
+    if h._vector is None:
         return out
     rows, at, index = _jump_columns(ts, points)
     if not rows:
         return out
     try:
-        glo, ghi = g.stack(at)
-        if rule == "sum":
-            flo, fhi = a.stack(at)
-            hlo, hhi = flo + glo, fhi + ghi  # add, level by level
-        else:
-            k = vector(at)
-            hlo, hhi = _scaled(k, glo, ghi)
+        stacks = [fn.stack(at) for fn in (*parts, h)]
+        k = None if rule == "sum" else a.vector(at)
     except (FuzzyNablaError, ArithmeticError):
         return out
 
-    G, H = _levels_at(at, glo, ghi), _levels_at(at, hlo, hhi)
+    fns = [_levels_at(at, lo, hi) for lo, hi in stacks]
     if rule == "sum":
-        F = _levels_at(at, flo, fhi)
-        parts = [(F, flo, fhi), (G, glo, ghi)]
-
         def grade(pc, nabla):
-            return _sum_graded(F, G, H, pc, nabla, tol)
+            return _sum_graded(*fns, pc, nabla, tol)
     else:
         fs = dict(zip(at.tolist(), k.tolist())).__getitem__
         graded = (_product_fuzzy_graded if rule == "product-fuzzy"
                   else _product_interval_graded)
-        parts = [(G, glo, ghi)]
 
         def grade(pc, nabla):
-            return graded(fs, G, H, ts, pc, cfg, nabla, tol, False)
-    parts.append((H, hlo, hhi))
-    derived = [_jump_results(fn, lo, hi, rows, index, cfg) for fn, lo, hi in parts]
+            return graded(fs, *fns, ts, pc, cfg, nabla, tol, False)
+    derived = [_jump_results(fn, lo, hi, rows, index, cfg)
+               for fn, (lo, hi) in zip(fns, stacks)]
     if any(d is None for d in derived):
         return out
 
-    fns = [fn for fn, _, _ in parts]
     for (slot, pc), *results in zip(rows, *derived):
         if any(r.value is None for r in results[:-1]):
             continue  # f or g has no derivative: the per-point rule raises
@@ -506,8 +497,8 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     points = [float(t) for t in points]
     per_point = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
                  "product-interval": product_interval}[rule]
-    batch = _batched(rule, a, g, ts, points, cfg, tol, vector)
     if rule != "sum" and vector is not None:
         a = _Factor(a, vector)
+    batch = _batched(rule, a, g, ts, points, cfg, tol)
     return [rep if rep is not None else per_point(a, g, ts, t, cfg, tol=tol)
             for t, rep in zip(points, batch)]

@@ -41,10 +41,23 @@ def _membership_tols(t: np.ndarray) -> np.ndarray:
     return MEMBERSHIP_RTOL * np.maximum(1.0, np.abs(t))
 
 
-def _require_resolvable(grid) -> None:
-    """Reject a grid with points beyond the float range, or with consecutive
-    points within the membership tolerance: the scale would merge them into
-    one member and change every jump."""
+# most points one grid may have. A grid is realized as arrays of its points
+# several times over (here, in the scale's merge, in every probe-stream
+# query), and the scale merges its points in a Python loop at about a
+# second per million: past this count a grid costs more time and memory than
+# any run can use, so it is refused before it is built. The largest grid a
+# test, the README or a benchmark workload builds has 10,000 points.
+MAX_GRID_POINTS = 1_000_000
+
+
+def _require_resolvable(grid, count: int) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS points (count, known
+    before any point is built), with points beyond the float range, or with
+    consecutive points within the membership tolerance: the scale would
+    merge them into one member and change every jump."""
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"{grid.label()}: {count} points, more than the "
+                         f"{MAX_GRID_POINTS} a grid may have")
     pts = grid.realized()
     if not np.isfinite(pts).all():
         raise ValueError(f"{grid.label()}: points beyond the float range")
@@ -100,6 +113,20 @@ class PointClass:
             "at_min": self.at_min,
             "at_max": self.at_max,
         }
+
+
+def _point_class(t: float, rho, sigma, dense_left, dense_right,
+                 at_min, at_max) -> PointClass:
+    """The record of t from its entries of TimeScale._jumps_at."""
+    return PointClass(
+        left=Side.DENSE if dense_left else Side.SCATTERED,
+        right=Side.DENSE if dense_right else Side.SCATTERED,
+        at_min=bool(at_min),
+        at_max=bool(at_max),
+        t=t,
+        rho=float(rho),
+        sigma=float(sigma),
+    )
 
 
 @dataclass(frozen=True)
@@ -222,7 +249,7 @@ class ArithmeticGrid:
         object.__setattr__(self, "step", float(self.step))
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ValueError(f"{self.label()}: stop - start beyond the float range")
-        _require_resolvable(self)
+        _require_resolvable(self, self._count())
 
     def _count(self) -> int:
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -269,7 +296,7 @@ class GeometricGrid:
         object.__setattr__(self, "base", float(self.base))
         object.__setattr__(self, "kmin", int(self.kmin))
         object.__setattr__(self, "kmax", int(self.kmax))
-        _require_resolvable(self)
+        _require_resolvable(self, self.kmax - self.kmin + 1)
 
     def realized(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf is rejected in construction
@@ -322,7 +349,7 @@ class ReciprocalGrid:
             raise ValueError("recip count must be at least 1")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "count", int(self.count))
-        _require_resolvable(self)
+        _require_resolvable(self, self.count)
 
     def realized(self) -> np.ndarray:
         pts = self.scale / np.arange(1, self.count + 1, dtype=float)
@@ -450,7 +477,7 @@ class TimeScale:
             raise ValueError("time scale is empty")
         self._min = min(lo)
         self._max = max(hi)
-        self._jumps = self._realized_jumps()
+        self._jumps = self._jumps_at(self._points)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -531,54 +558,23 @@ class TimeScale:
         """Backward graininess t - rho(t)."""
         return self.classify(t).nu
 
-    def _sigma(self, t: float) -> float:
-        tol = membership_tol(t)
-        cands = []
-        for a, b in self._intervals:
-            if t < a - tol:
-                cands.append(a)
-            elif t <= b - tol:
-                return t  # interior or left edge: points just above t
-        i = np.searchsorted(self._points, t + tol)
-        if i < len(self._points):
-            cands.append(float(self._points[i]))
-        return min(cands) if cands else t
+    # -- the point record -----------------------------------------------------
 
-    def _rho(self, t: float) -> float:
-        tol = membership_tol(t)
-        cands = []
-        for a, b in self._intervals:
-            if t > b + tol:
-                cands.append(b)
-            elif t >= a + tol:
-                return t
-        i = np.searchsorted(self._points, t - tol)
-        if i > 0:
-            cands.append(float(self._points[i - 1]))
-        return max(cands) if cands else t
+    def _jumps_at(self, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """rho, sigma, the two density masks and the at_min/at_max masks of
+        every member point in pts: the one formula for a point's record.
 
-    # -- density ------------------------------------------------------------
-
-    def _accumulates(self, t: float, side: str) -> bool:
-        tol = membership_tol(t)
-        for p in self._pieces:
-            if isinstance(p, ReciprocalGrid) and abs(t) <= tol and p.accumulation_side() == side:
-                return True
-        return False
-
-    def _realized_jumps(self) -> tuple[np.ndarray, ...]:
-        """rho, sigma and the two density masks of every realized point, in
-        one pass: the comparisons of _rho, _sigma and _accumulates, made on
-        the whole array."""
-        pts = self._points
-        n = len(pts)
+        The scale runs it once on its realized points and classify on a
+        one-entry array for any other member. rho and sigma are the nearest
+        members below and above t, beyond its membership tolerance; inside
+        an interval, or with no member on a side, the jump is t itself."""
+        realized = self._points
         tol = _membership_tols(pts)
-        i = np.searchsorted(pts, pts - tol)
-        rho = np.where(i > 0, pts[np.maximum(i - 1, 0)], -np.inf)
-        j = np.searchsorted(pts, pts + tol)
-        sigma = np.where(j < n, pts[np.minimum(j, n - 1)], np.inf)
-        inside_left = np.zeros(n, dtype=bool)
-        inside_right = np.zeros(n, dtype=bool)
+        ends = np.concatenate(([-np.inf], realized, [np.inf]))
+        rho = ends[np.searchsorted(realized, pts - tol)]
+        sigma = ends[np.searchsorted(realized, pts + tol) + 1]
+        inside_left = np.zeros(len(pts), dtype=bool)
+        inside_right = np.zeros(len(pts), dtype=bool)
         for a, b in self._intervals:
             past = pts > b + tol
             rho = np.where(past, np.maximum(rho, b), rho)
@@ -586,30 +582,22 @@ class TimeScale:
             before = pts < a - tol
             sigma = np.where(before, np.minimum(sigma, a), sigma)
             inside_right |= ~before & (pts <= b - tol)
-        # no neighbour on a side, or inside an interval: the jump is t itself
         rho = np.where(inside_left | (rho == -np.inf), pts, rho)
         sigma = np.where(inside_right | (sigma == np.inf), pts, sigma)
+        # a side is dense only by structure: its jump is t itself, or a
+        # reciprocal grid accumulates at 0 from that side
         at_zero = np.abs(pts) <= tol
         sides = {p.accumulation_side() for p in self._pieces
                  if isinstance(p, ReciprocalGrid)}
         dense_left = (rho == pts) | (at_zero & ("left" in sides))
         dense_right = (sigma == pts) | (at_zero & ("right" in sides))
-        return rho, sigma, dense_left, dense_right
+        at_min = np.abs(pts - self._min) <= tol
+        at_max = np.abs(pts - self._max) <= tol
+        return rho, sigma, dense_left, dense_right, at_min, at_max
 
     def _realized_class(self, i: int) -> PointClass:
         """The record of the i-th realized point, read from the arrays."""
-        t = float(self._points[i])
-        rho, sigma, dense_left, dense_right = self._jumps
-        mtol = membership_tol(t)
-        return PointClass(
-            left=Side.DENSE if dense_left[i] else Side.SCATTERED,
-            right=Side.DENSE if dense_right[i] else Side.SCATTERED,
-            at_min=bool(abs(t - self._min) <= mtol),
-            at_max=bool(abs(t - self._max) <= mtol),
-            t=t,
-            rho=float(rho[i]),
-            sigma=float(sigma[i]),
-        )
+        return _point_class(float(self._points[i]), *(a[i] for a in self._jumps))
 
     def _realized_classes(self, points) -> list[PointClass | None]:
         """classify(t) for every t that is exactly a realized point, read
@@ -624,32 +612,17 @@ class TimeScale:
 
     def classify(self, t: float) -> PointClass:
         """Every fact about one member point: density per side, jumps and
-        whether it is an extreme.
+        whether it is an extreme, all from _jumps_at.
 
-        A side is dense only by structure: its jump is t itself (inside an
-        interval and at the extremes), or a reciprocal grid accumulates at
-        0 from that side. A realized point reads its record from the arrays
-        built with the scale; any other point is checked for membership
-        here."""
+        A realized point reads its record from the arrays built with the
+        scale; any other point is checked for membership and runs the same
+        formula on its own."""
         t = float(t)
         i = int(np.searchsorted(self._points, t))
         if i < len(self._points) and self._points[i] == t:
             return self._realized_class(i)
         t = self._require_member(t)
-        mtol = membership_tol(t)
-        rho = self._rho(t)
-        sigma = self._sigma(t)
-        dense_left = rho == t or self._accumulates(t, "left")
-        dense_right = sigma == t or self._accumulates(t, "right")
-        return PointClass(
-            left=Side.DENSE if dense_left else Side.SCATTERED,
-            right=Side.DENSE if dense_right else Side.SCATTERED,
-            at_min=bool(abs(t - self._min) <= mtol),
-            at_max=bool(abs(t - self._max) <= mtol),
-            t=t,
-            rho=rho,
-            sigma=sigma,
-        )
+        return _point_class(t, *(a[0] for a in self._jumps_at(np.array([t]))))
 
     # -- derivative domain --------------------------------------------------
 
@@ -765,11 +738,9 @@ class TimeScale:
 
     def left_scattered_points(self) -> list[float]:
         """Realized points of the derivative domain with a backward jump."""
-        pts = self._points
-        _, _, dense_left, dense_right = self._jumps
-        at_min = np.abs(pts - self._min) <= _membership_tols(pts)
+        _, _, dense_left, dense_right, at_min, _ = self._jumps
         in_kappa = ~(at_min & ~dense_right)
-        return pts[in_kappa & ~dense_left].tolist()
+        return self._points[in_kappa & ~dense_left].tolist()
 
     # -- serialization --------------------------------------------------
 

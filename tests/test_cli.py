@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import shlex
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from fuzzynabla.cli import THEOREMS, main
 from fuzzynabla.errors import FuzzyNablaError
-from fuzzynabla.timescale import TimeScale
+from fuzzynabla.timescale import (
+    MAX_GRID_POINTS,
+    ArithmeticGrid,
+    GeometricGrid,
+    ReciprocalGrid,
+    TimeScale,
+)
 
 EXAMPLE_SCALE = "union(recip(1,400), recip(sqrt2,400), points(0))"
 EXAMPLE_FN = (
@@ -488,6 +495,36 @@ class TestConfigErrors:
         assert got == code
         assert err.startswith(err_start) and err.count("\n") == (code != 0)
 
+    def test_no_numpy_warnings(self, capsys):
+        # inf * 0 at alpha = 0, then inf - inf in the nesting check
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([
+                "tabulate", "--timescale", "hgrid(0,3,1)", "--fn",
+                "endpoints(t*1e300*1e300*alpha; t*1e300*1e300)",
+                "--points", "1", "--levels", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: level arrays must be finite\n"
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("scale, count", [
+        ("hgrid(0,1e308,1e300)", 100000001),
+        (f"recip(1,{MAX_GRID_POINTS + 1})", MAX_GRID_POINTS + 1),
+        (f"qgrid(2,-1,{MAX_GRID_POINTS})", MAX_GRID_POINTS + 2),
+    ])
+    def test_grid_over_the_point_bound(self, scale, count, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the grid was built")
+        for cls in (ArithmeticGrid, GeometricGrid, ReciprocalGrid):
+            monkeypatch.setattr(cls, "realized", refuse)
+        code, out, err = run([
+            "diff", "--timescale", f"union(points(0), {scale})",
+            "--fn", "tri(t,t,t)", "--points", "1",
+        ], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1, col 18: ") and err.count("\n") == 1
+        assert f"{count} points, more than the {MAX_GRID_POINTS}" in err
+
     @pytest.mark.parametrize("argv", [
         ["diff", "--timescale", "hgrid(0,3,1)", "--fn", "tri(t,t+1,t+2)"],
         ["tabulate", "--timescale", "hgrid(0,3,1)", "--fn", "tri(t,t+1,t+2)"],
@@ -683,6 +720,11 @@ FUZZ_NUMS = st.one_of(
 )
 
 
+# more points than a grid may have: the parser refuses them before
+# building the grid
+OVER_THE_BOUND = st.integers(MAX_GRID_POINTS + 1, 10**18)
+
+
 @st.composite
 def fuzz_piece(draw):
     kind = draw(st.sampled_from(["interval", "points", "hgrid", "qgrid", "recip"]))
@@ -697,13 +739,13 @@ def fuzz_piece(draw):
     if kind == "hgrid":
         a = draw(st.sampled_from([0.0, -1.0, 2.5, 1e-300, 1e300, -1e308]))
         h = draw(st.sampled_from([1.0, 0.5, 0.1, 1e-12, 1e-300, 1e300, 1e307]))
-        b = a + draw(st.integers(0, 150)) * h
+        b = a + draw(st.integers(0, 150) | OVER_THE_BOUND) * h
         return f"hgrid({a!r},{b if math.isfinite(b) else 1e308!r},{h!r})"
     if kind == "qgrid":
         q = draw(st.sampled_from(["2", "1.5", "10", "sqrt2", "1e300", "1.0000000001"]))
         k = draw(st.one_of(st.integers(-5, 5), st.integers(-1100, 1100)))
-        return f"qgrid({q},{k},{k + draw(st.integers(0, 30))})"
-    return f"recip({draw(FUZZ_NUMS)},{draw(st.integers(-1, 100))})"
+        return f"qgrid({q},{k},{k + draw(st.integers(0, 30) | OVER_THE_BOUND)})"
+    return f"recip({draw(FUZZ_NUMS)},{draw(st.integers(-1, 100) | OVER_THE_BOUND)})"
 
 
 def fuzz_expr(alpha: bool):

@@ -233,18 +233,6 @@ class TestStructuralDensity:
                         ExplicitPoints((1.4e-12,)), ExplicitPoints((1.0,))])
         assert ts.discrete_points.tolist() == [0.0, 1.4e-12, 1.0]
 
-    def test_arrays_hold_the_scalar_jumps(self):
-        ts = TimeScale([ClosedInterval(-1.0, 0.0), ArithmeticGrid(-2.0, 1.0, 0.5),
-                        ReciprocalGrid(-1.0, 5, include_zero=True),
-                        GeometricGrid(2.0, 0, 3), ExplicitPoints((8.0 + 1e-13,))])
-        for i, t in enumerate(ts.discrete_points.tolist()):
-            pc = ts._realized_class(i)
-            assert (pc.t, pc.rho, pc.sigma) == (t, ts._rho(t), ts._sigma(t))
-            assert (pc.left is Side.DENSE) == (
-                pc.rho == t or ts._accumulates(t, "left"))
-            assert (pc.right is Side.DENSE) == (
-                pc.sigma == t or ts._accumulates(t, "right"))
-
 
 finite_pieces = st.one_of(
     st.builds(lambda a, n, h: ArithmeticGrid(a, a + n * h, h),
@@ -275,6 +263,57 @@ def test_finite_members_are_left_scattered(pieces):
             continue
         assert pc.left is Side.SCATTERED and pc.rho == prev
         assert t in ts.left_scattered_points()
+
+
+def brute_force_record(pieces, ts, t):
+    """(left, right, at_min, at_max, t, rho, sigma) of member t, by scanning
+    the scale's realized points and its pieces' interval endpoints."""
+    tol = 1e-12 * max(1.0, abs(t))
+    pts = ts.discrete_points.tolist()
+    ivs = [(p.a, p.b) for p in pieces if isinstance(p, ClosedInterval) and p.a < p.b]
+    if any(a + tol <= t <= b + tol for a, b in ivs):
+        rho = t  # members just below t
+    else:
+        rho = max([s for s in pts if s < t - tol]
+                  + [b for _, b in ivs if b < t - tol], default=t)
+    if any(a - tol <= t <= b - tol for a, b in ivs):
+        sigma = t  # members just above t
+    else:
+        sigma = min([s for s in pts if s >= t + tol]
+                    + [a for a, _ in ivs if a > t + tol], default=t)
+    piles = {"right" if p.scale > 0 else "left" for p in pieces
+             if isinstance(p, ReciprocalGrid) and abs(t) <= tol}
+    lo = min(pts + [a for a, _ in ivs])
+    hi = max(pts + [b for _, b in ivs])
+    side = {True: Side.DENSE, False: Side.SCATTERED}
+    return (side[rho == t or "left" in piles], side[sigma == t or "right" in piles],
+            abs(t - lo) <= tol, abs(t - hi) <= tol, t, rho, sigma)
+
+
+intervals = st.builds(lambda a, w: ClosedInterval(a, a + w),
+                      st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0]),
+                      st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+
+
+@given(st.lists(st.one_of(finite_pieces, intervals), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_classify_matches_brute_force(pieces):
+    """classify gives the brute-force record at every member tried: realized
+    points, interval endpoints and interiors, 0 next to a reciprocal grid,
+    and members within the tolerance of a realized point."""
+    ts = TimeScale(pieces)
+    cand = {0.0}
+    for s in ts.discrete_points.tolist():
+        cand |= {s, s - 0.4e-12 * max(1.0, abs(s)), s + 0.4e-12 * max(1.0, abs(s))}
+    for p in pieces:
+        if isinstance(p, ClosedInterval):
+            cand |= {p.a + f * (p.b - p.a) for f in (0.0, 0.25, 0.5, 1.0)}
+    members = [t for t in sorted(cand) if ts.contains(t)]
+    assert members
+    for t in members:
+        pc = ts.classify(t)
+        assert (pc.left, pc.right, pc.at_min, pc.at_max, pc.t, pc.rho, pc.sigma) == (
+            brute_force_record(pieces, ts, t)), t
 
 
 class TestSerialization:

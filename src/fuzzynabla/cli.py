@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -150,16 +151,97 @@ def _select_points(ts, spec: str) -> list[float]:
     return sorted(set(out))
 
 
-def _emit(text: str, out_path: str | None) -> None:
+# the number of points whose CSV rows are joined into one write: at 101
+# levels about 2 MB of text, so a table's memory does not grow with it
+CSV_CHUNK_POINTS = 256
+
+_INDENT = "  "
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the output's chunks to out_path, or to stdout without one.
+
+    Every command's output goes through here. Callers pass chunks that
+    are formatted lazily from results that all exist, so a point that
+    fails leaves no output: the file is opened only here.
+    """
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+def _emit_json(items: Iterable, out_path: str | None) -> None:
+    """Emit the JSON array of items, formatting one element at a time."""
+    _emit(_json_chunks(items), out_path)
+
+
+def _csv_chunks(header: str, items: list, row) -> Iterator[str]:
+    """The header line, then row(item) (an item's lines) for each item,
+    joined CSV_CHUNK_POINTS items at a time."""
+    yield header + "\n"
+    for start in range(0, len(items), CSV_CHUNK_POINTS):
+        chunk = items[start:start + CSV_CHUNK_POINTS]
+        yield "\n".join([row(x) for x in chunk]) + "\n"
+
+
+def _json_text(o, level: int = 0) -> str:
+    """json.dumps(o, indent=2, sort_keys=True) for o nested level deep.
+
+    Floats go through float.__repr__ (NaN and infinities as json writes
+    them), strings and keys through encode_basestring_ascii. Keys must be
+    str; any type json does not encode raises TypeError, as json does.
+    """
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        return ("[" + inner
+                + ("," + inner).join([_json_text(v, level + 1) for v in o])
+                + "\n" + _INDENT * level + "]")
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        inner = "\n" + _INDENT * (level + 1)
+        return ("{" + inner
+                + ("," + inner).join([_encode_str(k) + ": "
+                                      + _json_text(o[k], level + 1)
+                                      for k in sorted(o)])
+                + "\n" + _INDENT * level + "}")
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_chunks(items: Iterable) -> Iterator[str]:
+    """json.dumps(list(items), indent=2, sort_keys=True) + "\\n", one
+    element at a time: each is built, encoded and dropped in turn."""
+    first = True
+    for item in items:
+        yield ("[\n" if first else ",\n") + _INDENT + _json_text(item, 1)
+        first = False
+    yield "[]\n" if first else "\n]\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,10 +249,9 @@ def _alpha_cells(K: int) -> tuple[str, ...]:
     return tuple(repr(a) for a in alpha_grid(K).tolist())
 
 
-def _level_rows(lines: list[str], head: str, u: FuzzyNumber,
-                tail: str = "") -> None:
-    """Append one CSV row per level of u: head,alpha,lower,upper then tail."""
-    lines.extend([
+def _level_rows(head: str, u: FuzzyNumber, tail: str = "") -> str:
+    """One CSV row per level of u: head,alpha,lower,upper then tail."""
+    return "\n".join([
         f"{head},{a},{lo!r},{hi!r}{tail}"
         for a, lo, hi in zip(_alpha_cells(u.K), u.lower.tolist(), u.upper.tolist())
     ])
@@ -227,17 +308,17 @@ def cmd_diff(args) -> int:
         code = EXIT_NONEXISTENT
 
     if args.format == "json":
-        _emit_json([r.to_dict() for r in results], args.out)
+        _emit_json((r.to_dict() for r in results), args.out)
         return code
 
-    lines = ["t,alpha,d_lower,d_upper,case,residual"]
-    for r in sorted(results, key=lambda r: r.t):
+    def row(r):
         tail = f",{r.case.value},{r.residual!r}"
         if r.value is None:
-            lines.append(f"{r.t!r},,,{tail}")
-        else:
-            _level_rows(lines, repr(r.t), r.value, tail)
-    _emit("\n".join(lines) + "\n", args.out)
+            return f"{r.t!r},,,{tail}"
+        return _level_rows(repr(r.t), r.value, tail)
+
+    _emit(_csv_chunks("t,alpha,d_lower,d_upper,case,residual", results, row),
+          args.out)
     return code
 
 
@@ -247,19 +328,13 @@ def cmd_diff(args) -> int:
 def cmd_tabulate(args) -> int:
     ts, (f,) = _bind(args)
     points = _select_points(ts, args.points)
+    values = [(t, f(t)) for t in points]
 
     if args.format == "json":
-        out = [
-            {"t": t, "value": f(t).to_dict()}
-            for t in points
-        ]
-        _emit_json(out, args.out)
-        return EXIT_OK
-
-    lines = ["t,alpha,lower,upper"]
-    for t in points:
-        _level_rows(lines, repr(t), f(t))
-    _emit("\n".join(lines) + "\n", args.out)
+        _emit_json(({"t": t, "value": u.to_dict()} for t, u in values), args.out)
+    else:
+        _emit(_csv_chunks("t,alpha,lower,upper", values,
+                          lambda tu: _level_rows(repr(tu[0]), tu[1])), args.out)
     return EXIT_OK
 
 
@@ -283,7 +358,7 @@ def cmd_ghdiff(args) -> int:
             "levels": res.value.csv_rows() if res.value is not None else None,
             "diagnostics": res.diagnostics,
         }
-        _emit_json(out, args.out)
+        _emit([_json_text(out) + "\n"], args.out)
         return EXIT_OK if res.case is not GhCase.NONE else EXIT_NONEXISTENT
 
     lines = [f"case,{res.case.value}"]
@@ -294,7 +369,7 @@ def cmd_ghdiff(args) -> int:
     else:
         for key, msg in sorted(res.diagnostics.items()):
             lines.append(f"# {key}: {msg}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if res.case is not GhCase.NONE else EXIT_NONEXISTENT
 
 
@@ -302,7 +377,7 @@ def cmd_metric(args) -> int:
     K = _levels(args)
     u = _eval_number(args.u, args.at, K)
     v = _eval_number(args.v, args.at, K)
-    _emit(f"{hausdorff(u, v)!r}\n", args.out)
+    _emit([f"{hausdorff(u, v)!r}\n"], args.out)
     return EXIT_OK
 
 
@@ -339,10 +414,10 @@ def _residual_rows(args, measure, given: float | None) -> int:
     if args.format == "json":
         _emit_json(rows, args.out)
     else:
-        lines = ["t,residual,tol,verdict"]
-        for r in rows:
-            lines.append(f"{r['t']!r},{r['residual']!r},{r['tol']!r},{r['verdict']}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv_chunks(
+            "t,residual,tol,verdict", rows,
+            lambda r: f"{r['t']!r},{r['residual']!r},{r['tol']!r},{r['verdict']}"),
+            args.out)
     return _verdict_code(verdicts)
 
 
@@ -350,17 +425,20 @@ def _rule_rows(args, reports_by_t) -> int:
     verdicts = [rep.verdict for _, rep in reports_by_t]
 
     if args.format == "json":
-        _emit_json([{"t": t, **rep.to_dict()} for t, rep in reports_by_t],
+        _emit_json(({"t": t, **rep.to_dict()} for t, rep in reports_by_t),
                    args.out)
-    else:
-        lines = ["t,rule,verdict,residual,hypotheses"]
-        for t, rep in reports_by_t:
-            hyp = ";".join(
-                f"{h.name}={'pass' if h.passed else 'FAIL'}"
-                for h in rep.hypothesis_checks
-            )
-            lines.append(f"{t!r},{rep.rule},{rep.verdict.value},{rep.residual!r},{hyp}")
-        _emit("\n".join(lines) + "\n", args.out)
+        return _verdict_code(verdicts)
+
+    def row(t_rep):
+        t, rep = t_rep
+        hyp = ";".join(
+            f"{h.name}={'pass' if h.passed else 'FAIL'}"
+            for h in rep.hypothesis_checks
+        )
+        return f"{t!r},{rep.rule},{rep.verdict.value},{rep.residual!r},{hyp}"
+
+    _emit(_csv_chunks("t,rule,verdict,residual,hypotheses", reports_by_t, row),
+          args.out)
     return _verdict_code(verdicts)
 
 
@@ -392,12 +470,11 @@ def cmd_check(args) -> int:
         points = _select_points(ts, args.points)
         results = nabla_many(f, ts, points, cfg)
         if args.format == "json":
-            _emit_json([r.to_dict() for r in results], args.out)
+            _emit_json((r.to_dict() for r in results), args.out)
         else:
-            lines = ["t,case,residual"]
-            for r in results:
-                lines.append(f"{r.t!r},{r.case.value},{r.residual!r}")
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit(_csv_chunks("t,case,residual", results,
+                              lambda r: f"{r.t!r},{r.case.value},{r.residual!r}"),
+                  args.out)
         bad = any(r.case is DiffCase.NOT_DIFFERENTIABLE for r in results)
         return EXIT_NONEXISTENT if bad else EXIT_OK
 

@@ -197,6 +197,8 @@ def _side_levels(f: FuzzyFunction, pts: list[float]):
     return lo, hi, None
 
 
+# an overflowing quotient stays in the data; _dense_value rejects it by name
+@np.errstate(over="ignore", invalid="ignore")
 def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
                 cfg: ProbeConfig) -> tuple[list[_StreamData], GhNonexistent | None]:
     """Quotient data for every probe stream on a dense side of t, and the
@@ -381,6 +383,7 @@ def _scattered_side(ft_lo: np.ndarray, ft_hi: np.ndarray, fn_lo: np.ndarray,
                     upper=(fn_hi - ft_hi) / dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
     n = len(streams[0].lo_est)
     lo_mat = np.stack([s.lo_est for s in streams])
@@ -502,9 +505,30 @@ def _jsonable(x):
     return x
 
 
+def _require_finite(t: float, side: str, criteria) -> None:
+    """Raise LimitDisagreement naming the first (criterion, values) pair
+    with a value that is not finite: inf - inf is NaN, and NaN passes
+    every tolerance gate."""
+    for criterion, values in criteria:
+        values = np.asarray(values, dtype=float).ravel()
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            value = float(bad[0])
+            raise LimitDisagreement(
+                f"the {criterion} on the {side} of {t!r} is not finite "
+                f"({value!r})",
+                {"side": side, "criterion": criterion, "value": value},
+            )
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _dense_value(probes: dict[str, list[_StreamData]],
                  cfg: ProbeConfig, t: float):
-    """Limit estimate of the derivative from the probed dense sides."""
+    """Limit estimate of the derivative from the probed dense sides.
+
+    A side whose estimate, stream spread or tail spread is not finite is
+    rejected by name before any tolerance gate.
+    """
     if not probes:
         raise LimitDisagreement(
             f"no probe points available on any dense side of {t!r}")
@@ -519,6 +543,9 @@ def _dense_value(probes: dict[str, list[_StreamData]],
             float(np.max(vhi.max(axis=0) - vhi.min(axis=0))),
         )
         tail = max(float(np.max(s.v_tail)) for s in streams)
+        _require_finite(t, side, (("estimate", (vlo, vhi)),
+                                  ("stream spread", spread),
+                                  ("tail spread", tail)))
         if spread > cfg.agreement_tol:
             raise LimitDisagreement(
                 f"subsequence estimates on the {side} of {t!r} disagree by "

@@ -1,15 +1,21 @@
 """End-to-end command line runs: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fuzzynabla import cli
 from fuzzynabla.cli import THEOREMS, main
 from fuzzynabla.errors import FuzzyNablaError
 from fuzzynabla.timescale import (
@@ -97,6 +103,21 @@ class TestDiff:
         assert lines[0] == "t,alpha,d_lower,d_upper,case,residual"
         assert lines[1:] == [f"{t},,,,NotDifferentiable,inf"
                              for t in ("0.5", "1.0", "1.5")]
+
+    def test_non_finite_dense_estimate_exits_2(self, capsys):
+        # the derivative at 1 is 2e308: the row is NotDifferentiable, and
+        # the evidence names the estimate that is not finite
+        argv = ["diff", "--timescale", "interval(0,2)",
+                "--fn", "tri(1e308*t*t, 1e308*t*t+1, 1e308*t*t+2)",
+                "--points", "1", "--levels", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (2, "")
+        assert out == "t,alpha,d_lower,d_upper,case,residual\n1.0,,,,NotDifferentiable,inf\n"
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert code == 2
+        evidence = json.loads(out)[0]["evidence"]
+        assert evidence["message"] == "the estimate on the left of 1.0 is not finite (nan)"
+        assert evidence["diagnostics"]["criterion"] == "estimate"
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = [
@@ -376,6 +397,23 @@ class TestCheck:
             assert calls == [-2.0, -1.0, 0.0, 0.5, 2.0]
 
 
+# a power that overflows, or 0 to a negative power: in a definition at a
+# point bind does not sample (7.5, between points that succeed), in
+# --scalar-fn, and at --at
+FAILING_POWER = [
+    (cmd + ["--timescale", "union(hgrid(0,600,1), points(7.5))", "--fn",
+            f"tri(t, t, t + piecewise(in points(7.5) => {power}, "
+            f"in hgrid(0) => 0))", "--levels", "2"], 7.5)
+    for power in ("1e300^2", "0^-1")
+    for cmd in (["diff"], ["tabulate"],
+                ["check", "characterize", "--points", "7.5"])
+] + [
+    (["check", "product1", "--timescale", "hgrid(1,20,1)", "--scalar-fn",
+      "t^400", "--fn", "tri(t,t+1,t+2)", "--points", "10"], 10.0),
+    (["ghdiff", "tri(t^400,t^400,t^400)", "tri(0,1,2)", "--at", "10"], 10.0),
+]
+
+
 class TestConfigErrors:
     def test_bad_dsl_positioned_message(self, capsys):
         code, out, err = run([
@@ -437,26 +475,22 @@ class TestConfigErrors:
             assert out == ""
             assert err.startswith("error: --residual-tol") and err.count("\n") == 1
 
-    # a power that overflows, or 0 to a negative power: in a definition at
-    # a point bind does not sample (7.5), in --scalar-fn, and at --at
-    @pytest.mark.parametrize("argv, t", [
-        (cmd + ["--timescale", "union(hgrid(0,600,1), points(7.5))", "--fn",
-                f"tri(t, t, t + piecewise(in points(7.5) => {power}, "
-                f"in hgrid(0) => 0))", "--levels", "2"], 7.5)
-        for power in ("1e300^2", "0^-1")
-        for cmd in (["diff"], ["tabulate"],
-                    ["check", "characterize", "--points", "7.5"])
-    ] + [
-        (["check", "product1", "--timescale", "hgrid(1,20,1)", "--scalar-fn",
-          "t^400", "--fn", "tri(t,t+1,t+2)", "--points", "10"], 10.0),
-        (["ghdiff", "tri(t^400,t^400,t^400)", "tri(0,1,2)", "--at", "10"], 10.0),
-    ])
-    def test_failing_power(self, argv, t, capsys):
+    @pytest.mark.parametrize("argv, t", FAILING_POWER)
+    def test_failing_power(self, argv, t, capsys, tmp_path):
         code, out, err = run(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: power fails at t={t!r}")
         assert err.count("\n") == 1
+        # the rows of the points that succeeded are formatted only after
+        # every point is computed: --out is never opened
+        fresh = tmp_path / "fresh.out"
+        assert run(argv + ["--out", str(fresh)], capsys)[:2] == (1, "")
+        assert not fresh.exists()
+        kept = tmp_path / "kept.out"
+        kept.write_bytes(b"earlier bytes\n")
+        assert run(argv + ["--out", str(kept)], capsys)[:2] == (1, "")
+        assert kept.read_bytes() == b"earlier bytes\n"
 
     @pytest.mark.parametrize("scale, found", [
         # grids whose points overflow to inf
@@ -661,6 +695,12 @@ class TestGoldenBytes:
         (["diff", GOLDEN_POINTS, "--format", "json"], 2, "diff.json"),
         (["check", "characterize", GOLDEN_POINTS], 2, "characterize.csv"),
         (["tabulate", "--points=-2,-1,0,0.5,2,3"], 0, "tabulate.csv"),
+        (["check", "characterize", GOLDEN_POINTS, "--format", "json"], 2,
+         "characterize.json"),
+        (["tabulate", "--points=-2,-1,0,0.5,2,3", "--format", "json"], 0,
+         "tabulate.json"),
+        (["check", "rho-identity", "--points=-1,0,0.5,3", "--format", "json"],
+         0, "rho-identity.json"),
     ])
     def test_output_bytes(self, argv, code, name, capsys):
         got_code, out, err = run(argv + [
@@ -677,6 +717,8 @@ class TestGoldenBytes:
          "product-interval.csv"),
         (["product1", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "t+3"],
          "product1.csv"),
+        (["product1", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "t+3",
+          "--format", "json"], "product1.json"),
     ])
     def test_rule_bytes(self, argv, name, capsys):
         code, out, err = run(["check", *argv, GOLDEN_POINTS, "--timescale",
@@ -709,6 +751,20 @@ class TestGoldenBytes:
                              capsys)
         assert code == 2
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "d7ae63a6e1bd55bba71c56abed54829cce7d83059566e5b2b58e3c0a91f0727a"),
+        ("json", "b5bd358edb32cdf7db50a4543cd4b4005e875454e9d0ef946277ff0b94170820"),
+    ])
+    def test_rows_across_chunks(self, fmt, digest, capsys):
+        # 1,200 points: their CSV rows span several CSV_CHUNK_POINTS chunks
+        assert cli.CSV_CHUNK_POINTS < 1200 / 2
+        code, out, err = run([
+            "diff", "--timescale", "union(recip(1,600), recip(sqrt2,600), points(0))",
+            "--fn", EXAMPLE_FN, "--points", "all-scattered", "--levels", "2",
+            "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Random command lines for main. Grids stay at most a few hundred points:
@@ -818,3 +874,93 @@ class TestMainFuzz:
         finally:
             capsys.readouterr()
         assert code in (0, 1, 2, 3)
+
+
+# JSON trees for the streamed writer: keys with escapes and non-ASCII
+# characters, the floats json spells specially, numpy float scalars
+JSON_KEYS = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7f\u2028\xe9\U0001f600'),
+                              st.characters()), max_size=6)
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308,
+                     1e16, 1e-5, 0.1]),
+    st.floats(allow_nan=True).map(np.float64),
+)
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS,
+                        JSON_KEYS)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+def streamed(items) -> str:
+    return "".join(cli._json_chunks(iter(items)))
+
+
+class TestJsonWriter:
+    """The streamed JSON writer spells what json.dumps spells."""
+
+    @given(items=st.lists(JSON_TREES, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_json(self, items):
+        assert streamed(items) == json.dumps(items, indent=2, sort_keys=True) + "\n"
+        for tree in items:
+            assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("items", [[], [[]], [{}], [[], {}, ()], [[[{}]]]])
+    def test_empty_containers(self, items):
+        assert streamed(items) == json.dumps(items, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.bool_(True), {1, 2}, np.int64(3),
+                                     object(), b"bytes"])
+    def test_unsupported_types_raise(self, bad):
+        for items in ([bad], [{"k": [1.0, bad]}]):
+            with pytest.raises(TypeError):
+                json.dumps(items, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                streamed(items)
+
+
+# A small Python parent runs the CLI and reads the child's peak RSS from
+# os.wait4. A child of the test process itself would start from this
+# process's high-water mark, which is far above the CLI's own.
+RSS_PARENT = """\
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "fuzzynabla.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def cli_peak_rss_mb(argv) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of one CLI process (Linux units)."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", RSS_PARENT, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    code, kb = proc.stdout.split()
+    return int(code), int(kb) / 1024.0
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+class TestPeakRss:
+    def test_characterize_json_peaks_like_csv(self, tmp_path):
+        # the JSON characterize of the rule-check benchmark at seed 1: 101
+        # levels of endpoint evidence per point, about 115 KB each
+        argv = ["check", "characterize",
+                "--timescale", "union(interval(0,1), hgrid(1,430,1))",
+                "--fn", "tri(0.18*t^2, 0.41*t^2+t, 0.76*t^2+2*t)",
+                "--points=0.028778,0.031642,0.055698,0.068533,0.083997,0.09327,"
+                "0.169395,0.284847,0.290702,0.314277,0.386953,0.413023,"
+                "0.562173,0.594526,0.701035,0.800774,0.828848,0.830569,"
+                "0.890609,0.91255"]
+        peaks = {}
+        for fmt in ("csv", "json"):
+            code, peaks[fmt] = cli_peak_rss_mb(
+                argv + ["--format", fmt, "--out", str(tmp_path / f"c.{fmt}")])
+            assert code == 0
+        assert peaks["json"] <= peaks["csv"] + 3.0, peaks

@@ -4,6 +4,7 @@ checkers. Expected values are worked out by hand in each test."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ class TestDenseDerivative:
         r = nabla_gh(f, UNIT, 0.5)
         blob = json.dumps(r.to_dict())
         assert '"CaseI"' in blob
+
+    def test_non_finite_estimate_is_rejected_by_name(self):
+        # the true derivative at 1 is 2e308: every probe quotient overflows,
+        # and inf - inf gave NaN spreads that passed the tolerance gates
+        ts = parse_timescale("interval(0,2)")
+        f = bind_function(parse_function(
+            "tri(1e308*t*t, 1e308*t*t+1, 1e308*t*t+2)"), ts, K=K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = derivative_report(f, ts, 1.0)
+        assert r.case is DiffCase.NOT_DIFFERENTIABLE
+        assert r.evidence["failure"] == "LimitDisagreement"
+        assert r.evidence["message"].startswith(
+            "the estimate on the left of 1.0 is not finite")
+        diag = r.evidence["diagnostics"]
+        assert (diag["side"], diag["criterion"]) == ("left", "estimate")
+        assert not math.isfinite(diag["value"])
 
 
 class TestAccumulationPoint:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -46,6 +47,7 @@ from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
     ProbeConfig,
+    _evaluate,
     _level_residual,
     _rho_residual,
     nabla_gh,
@@ -178,12 +180,12 @@ def _emit_json(items: Iterable, out_path: str | None) -> None:
     _emit(_json_chunks(items), out_path)
 
 
-def _csv_chunks(header: str, items: list, row) -> Iterator[str]:
+def _csv_chunks(header: str, items: Iterable, row) -> Iterator[str]:
     """The header line, then row(item) (an item's lines) for each item,
     joined CSV_CHUNK_POINTS items at a time."""
     yield header + "\n"
-    for start in range(0, len(items), CSV_CHUNK_POINTS):
-        chunk = items[start:start + CSV_CHUNK_POINTS]
+    items = iter(items)
+    while chunk := list(itertools.islice(items, CSV_CHUNK_POINTS)):
         yield "\n".join([row(x) for x in chunk]) + "\n"
 
 
@@ -328,7 +330,13 @@ def cmd_diff(args) -> int:
 def cmd_tabulate(args) -> int:
     ts, (f,) = _bind(args)
     points = _select_points(ts, args.points)
-    values = [(t, f(t)) for t in points]
+    # one stack when f has a vector form; when it raises, f(t) in order
+    # raises the definition's own error at the first failing point
+    lo, hi, err = _evaluate(f, points)
+    if err is not None:
+        raise err
+    values = ((t, FuzzyNumber(lo[j], hi[j], validate=False))
+              for j, t in enumerate(points))
 
     if args.format == "json":
         _emit_json(({"t": t, "value": u.to_dict()} for t, u in values), args.out)
@@ -482,7 +490,7 @@ def cmd_check(args) -> int:
         ts, (f, g) = _bind(args, want=2)
         cfg = _probe_config(args)
         points = _select_points(ts, args.points)
-        reports = _graded_many("sum", f, g, ts, points, cfg, tol)
+        reports = list(_graded_many("sum", f, g, ts, points, cfg, tol))
         return _rule_rows(args, list(zip(points, reports)))
 
     # product rules: one fuzzy --fn plus --scalar-fn
@@ -492,7 +500,7 @@ def cmd_check(args) -> int:
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
     rule = "product-interval" if theorem == "product-interval" else "product-fuzzy"
-    reports = _graded_many(rule, fs, g, ts, points, cfg, tol, vector)
+    reports = list(_graded_many(rule, fs, g, ts, points, cfg, tol, vector))
     if rule == "product-fuzzy":
         for rep in reports:
             _check_named_sign(rep, theorem)

@@ -83,18 +83,27 @@ class FuzzyNumber:
 
     @classmethod
     def triangular(cls, a: float, b: float, c: float, K: int = 100) -> "FuzzyNumber":
-        """Triangular number with support [a, c] and core b; cuts are linear."""
+        """Triangular number with support [a, c] and core b; cuts are linear.
+        The cuts nest by construction; a level that is not finite (b - a
+        may overflow) raises OrderViolation."""
         if not (a <= b <= c):
             raise OrderViolation(f"triangular requires a <= b <= c, got ({a}, {b}, {c})")
         if K < 1:
             raise ValueError("triangular needs K >= 1")
         alphas = alpha_grid(K)
-        return cls(a + alphas * (b - a), c + alphas * (b - c), validate=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = a + alphas * (b - a)
+            hi = c + alphas * (b - c)
+        _require_finite(lo, hi)
+        return cls(lo, hi, validate=False)
 
     @classmethod
     def crisp(cls, x: float, K: int = 100) -> "FuzzyNumber":
+        """The crisp number x; x must be finite (OrderViolation)."""
         n = K + 1
-        return cls(np.full(n, float(x)), np.full(n, float(x)), validate=False)
+        lo = np.full(n, float(x))
+        _require_finite(lo, lo)
+        return cls(lo, lo, validate=False)
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "FuzzyNumber":
@@ -162,8 +171,7 @@ class FuzzyNumber:
         """Check the cut invariants, forgiving float noise up to
         tol_scale * (1 + magnitude)."""
         lo, hi = self._lower, self._upper
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise OrderViolation("level arrays must be finite")
+        _require_finite(lo, hi)
         tol = tol_scale * (1.0 + max(np.max(np.abs(lo)), np.max(np.abs(hi))))
         if len(lo) > 1:
             dlo = np.diff(lo)
@@ -257,6 +265,12 @@ class FuzzyNumber:
         for a, lo, hi in self.csv_rows():
             lines.append(f"{a!r},{lo!r},{hi!r}")
         return "\n".join(lines) + "\n"
+
+
+def _require_finite(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise OrderViolation unless every level is finite."""
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise OrderViolation("level arrays must be finite")
 
 
 @dataclass

@@ -30,6 +30,7 @@ from .errors import (
     LimitDisagreement,
     NotInDomain,
     NotInTimeScale,
+    OrderViolation,
 )
 from .fuzzy import (
     FuzzyNumber,
@@ -92,7 +93,8 @@ class FuzzyFunction:
     at any of the points; callers then call fn point by point, in order,
     which raises fn's own error (bind_function passes the compiled
     definition, which raises that error itself). The memo cache holds
-    values of fn only: stack neither reads nor fills it.
+    values of fn only, or rows of a stack, which are those bit for bit;
+    stack itself neither reads nor fills it.
     """
 
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
@@ -174,13 +176,21 @@ def _gh_rows(d_lo: np.ndarray, d_hi: np.ndarray):
     return ok_i, ok_ii, (ok_i | ok_ii) & ~finite
 
 
-def _side_levels(f: FuzzyFunction, pts: list[float]):
-    """The (N, K+1) lower and upper level rows of f at pts and None: one
-    stack when f has a vector form and the stack does not raise, else f(p)
-    in order. When f(p) fails (FuzzyNablaError or ArithmeticError), the
-    rows before p and that error, so that the caller raises first what
-    those rows raise."""
-    if f._vector is not None:
+# a one-record pass reads f at t, rho and sigma; neighbouring points share
+# two of them, so the memo cache costs about one evaluation, under a stack
+_CACHED_POINTS = 3
+
+
+def _evaluate(f: FuzzyFunction, pts: list[float]):
+    """The evaluation step: the (N, K+1) lower and upper level rows of f at
+    pts, and None.
+
+    The rows are one stack of f's vector form when f has one, pts are more
+    than _CACHED_POINTS and the stack does not raise; else f(p) in order,
+    through the memo cache. When f(p) fails (FuzzyNablaError or
+    ArithmeticError), the rows before p and that error, so that the caller
+    raises first what those rows raise."""
+    if f._vector is not None and len(pts) > _CACHED_POINTS:
         try:
             lo, hi = f.stack(pts)
             return lo, hi, None
@@ -200,9 +210,11 @@ def _side_levels(f: FuzzyFunction, pts: list[float]):
 # an overflowing quotient stays in the data; _dense_value rejects it by name
 @np.errstate(over="ignore", invalid="ignore")
 def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
-                cfg: ProbeConfig) -> tuple[list[_StreamData], GhNonexistent | None]:
+                cfg: ProbeConfig, ft_lo: np.ndarray, ft_hi: np.ndarray
+                ) -> tuple[list[_StreamData], GhNonexistent | None]:
     """Quotient data for every probe stream on a dense side of t, and the
-    error for the first probe whose generalized difference does not exist.
+    error for the first probe whose generalized difference does not exist,
+    from f's levels at t (ft).
 
     One row pass over f's levels at the side's probes, in stream order,
     gives the quotients, the gH cases (the test is row-wise, so one
@@ -212,13 +224,12 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
     and the report is complete either way.
     """
     streams = ts.approach_streams(t, side, cfg.probe_count)
-    Ft = f(t)
     pts = [p for s in streams for p in s.points]
     if not pts:
         return [], None
-    lo, hi, err = _side_levels(f, pts)
-    d_lo = lo - Ft.lower
-    d_hi = hi - Ft.upper
+    lo, hi, err = _evaluate(f, pts)
+    d_lo = lo - ft_lo
+    d_hi = hi - ft_hi
     # f(p) gH- f(t) on the right, f(t) gH- f(p) on the left
     if side == "right":
         ok_i, ok_ii, raises = _gh_rows(d_lo, d_hi)
@@ -227,6 +238,7 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
 
     def gh_at(j: int):
         Fp = FuzzyNumber(lo[j], hi[j], validate=False)
+        Ft = FuzzyNumber(ft_lo, ft_hi, validate=False)
         return gh_diff(Fp, Ft) if side == "right" else gh_diff(Ft, Fp)
 
     if raises.any():
@@ -374,6 +386,9 @@ class EndpointReport:
         return {"t": self.t, "levels": self.rows()}
 
 
+# an overflowing quotient stays in the report, as its own value; a jump
+# whose own quotient is not finite is rejected by name in _derive
+@np.errstate(over="ignore", invalid="ignore")
 def _scattered_side(ft_lo: np.ndarray, ft_hi: np.ndarray, fn_lo: np.ndarray,
                     fn_hi: np.ndarray, dt: float) -> SideData:
     """The exact quotient (f(neighbor) - f(t)) / (neighbor - t) toward a
@@ -416,34 +431,6 @@ def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
     )
 
 
-def _analyze(f: FuzzyFunction, ts: TimeScale, pc: PointClass, cfg: ProbeConfig):
-    """Endpoint report, probe data and the first failed probe (left side
-    before right) at a classified point."""
-    t = pc.t
-    probes: dict[str, list[_StreamData]] = {}
-    failure = None
-    sides = []
-    for side, density, neighbor in (("left", pc.left, pc.rho),
-                                    ("right", pc.right, pc.sigma)):
-        if density is Side.SCATTERED:
-            Ft, Fn = f(t), f(neighbor)
-            sides.append(_scattered_side(Ft.lower, Ft.upper, Fn.lower, Fn.upper,
-                                         neighbor - t))
-            continue
-        streams, failed = _probe_side(f, ts, t, side, cfg)
-        failure = failure or failed
-        if streams:
-            probes[side] = streams
-            sides.append(_limit_side(streams, cfg))
-        else:
-            sides.append(SideData(kind="absent"))
-
-    minus, plus = sides
-    report = EndpointReport(t=t, alphas=alpha_grid(f.K), minus=minus,
-                            plus=plus, point=pc)
-    return report, probes, failure
-
-
 def _classify_member(ts: TimeScale, t: float) -> PointClass:
     """The record of t; a non-member is outside the derivative domain."""
     try:
@@ -466,7 +453,8 @@ def endpoint_derivatives(f: FuzzyFunction, ts: TimeScale, t: float,
                          cfg: ProbeConfig = DEFAULT_CONFIG) -> EndpointReport:
     """One-sided endpoint derivative estimates per level, with existence
     flags and per-generator subsequence limits."""
-    return _analyze(f, ts, _classify_member(ts, float(t)), cfg)[0]
+    pc = _classify_member(ts, float(t))
+    return next(_analyses(f, ts, [pc], cfg))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +604,8 @@ _GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
 
 @dataclass
 class _Jumps:
-    """The jump quotient at a stack of left-scattered points, one row each."""
+    """The jump quotient at a stack of left-scattered points, one row each;
+    finite flags the rows whose every level is finite."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -625,6 +614,8 @@ class _Jumps:
     finite: np.ndarray
 
 
+# a non-finite row is flagged (finite); _derive rejects it by name
+@np.errstate(over="ignore", invalid="ignore")
 def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
                fr_hi: np.ndarray, nu: np.ndarray, cfg: ProbeConfig) -> _Jumps:
     """[f(t) gH- f(rho)] / nu at each left-scattered point, one row each,
@@ -640,12 +631,13 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     d_lo = ft_lo - fr_lo
     d_hi = ft_hi - fr_hi
     ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
-    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
     # case (i), alone or with (ii), keeps the candidates' order
     keep = ok_i[:, None]
     k = (1.0 / nu)[:, None]
     lower = k * np.where(keep, d_lo, d_hi)
     upper = k * np.where(keep, d_hi, d_lo)
+    # a non-finite difference leaves its quotient non-finite too
+    finite = np.isfinite(lower).all(axis=1) & np.isfinite(upper).all(axis=1)
     # the operands' magnitude is that of their supports, where the cuts nest
     mag = np.abs([ft_lo[:, 0], ft_hi[:, 0], fr_lo[:, 0], fr_hi[:, 0]]).max(axis=0)
     crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu
@@ -653,13 +645,6 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), ok_i.tolist())]
     return _Jumps(lower, upper, gh, case, finite)
-
-
-def _jump_at(f: FuzzyFunction, pc: PointClass, cfg: ProbeConfig) -> _Jumps:
-    """_jump_rows at one classified left-scattered point, from f's values."""
-    Ft, Fr = f(pc.t), f(pc.rho)
-    return _jump_rows(Ft.lower[None], Ft.upper[None], Fr.lower[None],
-                      Fr.upper[None], np.array([pc.nu]), cfg)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -726,13 +711,12 @@ def classify_case(value: FuzzyNumber, report: EndpointReport,
     return DiffCase.NOT_DIFFERENTIABLE
 
 
-def _derive(f: FuzzyFunction, report: EndpointReport,
-            probes: dict[str, list[_StreamData]],
-            failure: GhNonexistent | None, cfg: ProbeConfig,
-            jump: _Jumps | None = None, i: int = 0) -> DerivativeResult:
-    """The derivative at a point from its one analysis: row i of jump (or
-    the point's own quotient when jump is None) at a left-scattered point,
-    the probed limit at a left-dense one.
+def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
+            failure: GhNonexistent | None, jump, cfg: ProbeConfig
+            ) -> DerivativeResult:
+    """The derivative at a point from its one analysis (_analyses): its row
+    of the pass's jump quotients at a left-scattered point, the probed
+    limit at a left-dense one.
 
     Raises the first failed probe, GhNonexistent for a jump without a gH
     difference and LimitDisagreement for a limit or case that does not
@@ -745,21 +729,28 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
         if failure is not None:
             raise failure
         if pc.left is Side.SCATTERED:
-            if jump is None:
-                jump = _jump_at(f, pc, cfg)
-            if jump.gh_case[i] is GhCase.NONE or not jump.finite[i]:
-                res = gh_diff(f(t), f(pc.rho))  # raises OrderViolation on non-finite levels
+            jumps, i, ft, fr = jump
+            if jumps.gh_case[i] is GhCase.NONE or not jumps.finite[i]:
+                # raises OrderViolation on a non-finite difference, where
+                # the subtraction would only warn ahead of that error
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = gh_diff(FuzzyNumber(*ft, validate=False),
+                                  FuzzyNumber(*fr, validate=False))
+                if res.value is not None:
+                    raise OrderViolation(
+                        f"the jump quotient at {t!r} is not finite: the "
+                        f"difference overflows over nu = {pc.nu!r}")
                 raise GhNonexistent(
                     f"generalized difference of f({t!r}) and f({pc.rho!r}) does "
                     f"not exist", res.diagnostics)
-            value = FuzzyNumber(jump.lower[i], jump.upper[i], validate=False)
-            case = jump.case[i]
+            value = FuzzyNumber(jumps.lower[i], jumps.upper[i], validate=False)
+            case = jumps.case[i]
             residual = 0.0
             evidence["path"] = "backward-quotient"
-            evidence["gh_case"] = jump.gh_case[i].value
+            evidence["gh_case"] = jumps.gh_case[i].value
             if "right" in probes:
-                evidence["h_orientations"] = _h_orientations(f(pc.rho),
-                                                             probes["right"])
+                evidence["h_orientations"] = _h_orientations(
+                    FuzzyNumber(*fr, validate=False), probes["right"])
         else:
             value, residual = _dense_value(probes, cfg, t)
             case = classify_case(value, report, cfg, residual)
@@ -779,28 +770,13 @@ def _derive(f: FuzzyFunction, report: EndpointReport,
                 f"derivative estimate at {t!r} converged but the endpoint case "
                 f"structure did not resolve", {"residual": residual})
     except (GhNonexistent, LimitDisagreement) as err:
-        err.endpoint_report = report  # _reported builds its row from it
+        err.endpoint_report = report  # _not_differentiable builds its row from it
         raise
     return DerivativeResult(t, value, case, residual, report, evidence)
 
 
-def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
-             cfg: ProbeConfig = DEFAULT_CONFIG) -> DerivativeResult:
-    """The backward derivative of f at t.
-
-    Left-scattered t: exact quotient of the generalized difference by the
-    graininess (residual 0). Left-dense t: both one-sided limits (where the
-    scale has points) must settle and agree within cfg.agreement_tol.
-
-    Raises NotInDomain outside the derivative domain, GhNonexistent when a
-    required generalized difference fails at a probe or at the jump, and
-    LimitDisagreement when estimates do not settle or sides disagree. Both
-    of the latter carry the endpoint report as endpoint_report.
-    """
-    pc = _classify_in_domain(ts, float(t))
-    return _derive(f, *_analyze(f, ts, pc, cfg), cfg)
-
-
+# a difference with a non-finite level raises its OrderViolation below
+@np.errstate(over="ignore", invalid="ignore")
 def _h_orientations(Fr: FuzzyNumber, streams: list[_StreamData]) -> dict:
     """Which classical-difference orientations appear among right probes:
     how many of f(p) -H f(rho) and of f(rho) -H f(p) exist (h_diff), from
@@ -818,21 +794,139 @@ def _h_orientations(Fr: FuzzyNumber, streams: list[_StreamData]) -> dict:
     return {"forward": int(fwd.sum()), "backward": int(bwd.sum())}
 
 
-def _reported(derive: Callable[..., DerivativeResult], *args) -> DerivativeResult:
-    """derive(*args), with a GhNonexistent or LimitDisagreement turned into
-    a NotDifferentiable result that carries the reason in evidence."""
-    try:
-        return derive(*args)
-    except (GhNonexistent, LimitDisagreement) as e:
-        return DerivativeResult(
-            t=e.endpoint_report.t,
-            value=None,
-            case=DiffCase.NOT_DIFFERENTIABLE,
-            residual=math.inf,
-            endpoint_report=e.endpoint_report,
-            evidence={"failure": type(e).__name__, "message": str(e),
-                      "diagnostics": _jsonable(getattr(e, "diagnostics", {}))},
-        )
+def _not_differentiable(err: GhNonexistent | LimitDisagreement) -> DerivativeResult:
+    """The NotDifferentiable result for a derivative that failed with err,
+    with the reason in evidence."""
+    return DerivativeResult(
+        t=err.endpoint_report.t,
+        value=None,
+        case=DiffCase.NOT_DIFFERENTIABLE,
+        residual=math.inf,
+        endpoint_report=err.endpoint_report,
+        evidence={"failure": type(err).__name__, "message": str(err),
+                  "diagnostics": _jsonable(getattr(err, "diagnostics", {}))},
+    )
+
+
+# ---------------------------------------------------------------------------
+# the pass
+
+
+def _records(ts: TimeScale, points) -> tuple[list[PointClass], NotInDomain | None]:
+    """The record of each point, up to the first point outside the
+    derivative domain, and that point's NotInDomain (None when there is
+    none): the caller raises it once the points before it are done."""
+    records = []
+    for t in points:
+        try:
+            records.append(_classify_in_domain(ts, float(t)))
+        except NotInDomain as err:
+            return records, err
+    return records, None
+
+
+def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
+              cfg: ProbeConfig, keep: bool = False):
+    """Each record's endpoint report, probe data, first failed probe and
+    jump (for _derive), in record order; an error is raised at the turn of
+    the point where it arises.
+
+    f's levels at every record's t, rho and sigma come from one evaluation
+    step (_evaluate), and every left-scattered record's quotient from one
+    _jump_rows call; a dense side is probed at its record's turn. Without
+    a vector form the pass takes one record at a time, so a plain callable
+    is called as by the loop over single points, in order. With keep, f's
+    memo cache keeps those levels for a caller that reads f there again.
+    """
+    if f._vector is None and len(records) > 1:
+        for pc in records:
+            yield from _analyses(f, ts, [pc], cfg, keep)
+        return
+    slot: dict[float, int] = {}
+    for pc in records:
+        slot.setdefault(pc.t, len(slot))
+        if pc.left is Side.SCATTERED:
+            slot.setdefault(pc.rho, len(slot))
+        if pc.right is Side.SCATTERED:
+            slot.setdefault(pc.sigma, len(slot))
+    lo, hi, err = _evaluate(f, list(slot))
+    if keep:
+        for p, j in slot.items():
+            if j < len(lo) and p not in f._cache:
+                f._cache[p] = FuzzyNumber(lo[j], hi[j], validate=False)
+
+    def levels(p: float):
+        """f's levels at p, or the evaluation step's error past its rows."""
+        j = slot[p]
+        if j >= len(lo):
+            raise err
+        return lo[j], hi[j]
+
+    scattered = [r for r, pc in enumerate(records) if pc.left is Side.SCATTERED
+                 and max(slot[pc.t], slot[pc.rho]) < len(lo)]
+    it = np.array([slot[records[r].t] for r in scattered], dtype=int)
+    ir = np.array([slot[records[r].rho] for r in scattered], dtype=int)
+    nu = np.array([records[r].nu for r in scattered])
+    jumps = _jump_rows(lo.take(it, axis=0), hi.take(it, axis=0),
+                       lo.take(ir, axis=0), hi.take(ir, axis=0), nu, cfg)
+    row = {r: i for i, r in enumerate(scattered)}
+    alphas = alpha_grid(f.K)
+
+    for r, pc in enumerate(records):
+        ft = levels(pc.t)
+        probes: dict[str, list[_StreamData]] = {}
+        failure = None
+        sides = []
+        for side, density, neighbor in (("left", pc.left, pc.rho),
+                                        ("right", pc.right, pc.sigma)):
+            if density is Side.SCATTERED:
+                sides.append(_scattered_side(*ft, *levels(neighbor),
+                                             neighbor - pc.t))
+                continue
+            streams, failed = _probe_side(f, ts, pc.t, side, cfg, *ft)
+            failure = failure or failed
+            if streams:
+                probes[side] = streams
+                sides.append(_limit_side(streams, cfg))
+            else:
+                sides.append(SideData(kind="absent"))
+        report = EndpointReport(pc.t, alphas, *sides, pc)
+        jump = None
+        if pc.left is Side.SCATTERED:
+            jump = (jumps, row[r], ft, levels(pc.rho))
+        yield report, probes, failure, jump
+
+
+def _derivatives(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
+                 cfg: ProbeConfig, report: bool = False, keep: bool = False):
+    """nabla_gh at each record's point, in order, from one pass
+    (_analyses, with keep); with report, derivative_report: a GhNonexistent
+    or LimitDisagreement comes back as a NotDifferentiable result."""
+    for analysis in _analyses(f, ts, records, cfg, keep):
+        try:
+            res = _derive(*analysis, cfg)
+        except (GhNonexistent, LimitDisagreement) as err:
+            if not report:
+                raise
+            res = _not_differentiable(err)
+        yield res
+
+
+def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
+             cfg: ProbeConfig = DEFAULT_CONFIG) -> DerivativeResult:
+    """The backward derivative of f at t.
+
+    Left-scattered t: exact quotient of the generalized difference by the
+    graininess (residual 0). Left-dense t: both one-sided limits (where the
+    scale has points) must settle and agree within cfg.agreement_tol.
+
+    Raises NotInDomain outside the derivative domain, GhNonexistent when a
+    required generalized difference fails at a probe or at the jump, and
+    LimitDisagreement when estimates do not settle or sides disagree. Both
+    of the latter carry the endpoint report as endpoint_report.
+    """
+    pc = _classify_in_domain(ts, float(t))
+    return next(_derivatives(f, ts, [pc], cfg))
 
 
 def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -840,88 +934,20 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     """nabla_gh, but failures come back as a NotDifferentiable result with
     the reason in evidence instead of an exception (NotInDomain still
     raises: asking outside the domain is a caller error)."""
-    return _reported(nabla_gh, f, ts, t, cfg)
-
-
-def _jump_columns(ts: TimeScale, points: list[float]):
-    """The points the stacked pass takes: (slot, record) of every realized
-    jump among points with a jump or nothing on its right, the sorted
-    unique points among their t, rho and sigma, and each row's indices
-    into those for t, rho and sigma."""
-    rows = [(slot, pc) for slot, pc in enumerate(ts._realized_classes(points))
-            if pc is not None and pc.left is Side.SCATTERED
-            and (pc.right is Side.SCATTERED or pc.at_max)]
-    if not rows:
-        return rows, None, None
-    t = np.array([pc.t for _, pc in rows])
-    rho = np.array([pc.rho for _, pc in rows])
-    sigma = np.array([pc.sigma for _, pc in rows])
-    at, where = np.unique(np.concatenate([t, rho, sigma]), return_inverse=True)
-    return rows, at, np.split(where, 3)
-
-
-def _jump_results(f: FuzzyFunction, lo: np.ndarray, hi: np.ndarray, rows,
-                  index, cfg: ProbeConfig):
-    """derivative_report at every row of _jump_columns, one at a time, from
-    f's level stacks (lo, hi) at its unique points. None when a jump
-    quotient is not finite (derivative_report raises there); f itself is
-    called only at a jump without a gH difference."""
-    it, ir, isg = index
-    nu = np.array([pc.nu for _, pc in rows])
-    jump = _jump_rows(lo[it], hi[it], lo[ir], hi[ir], nu, cfg)
-    if not jump.finite.all():
-        return None
-    alphas = alpha_grid(lo.shape[1] - 1)
-
-    def result(r: int, pc: PointClass) -> DerivativeResult:
-        i, n = it[r], ir[r]
-        minus = _scattered_side(lo[i], hi[i], lo[n], hi[n], pc.rho - pc.t)
-        n = isg[r]
-        plus = (_scattered_side(lo[i], hi[i], lo[n], hi[n], pc.sigma - pc.t)
-                if pc.right is Side.SCATTERED else SideData(kind="absent"))
-        report = EndpointReport(pc.t, alphas, minus, plus, pc)
-        return _reported(_derive, f, report, {}, None, cfg, jump, r)
-
-    return (result(r, pc) for r, (_, pc) in enumerate(rows))
-
-
-def _stacked(f: FuzzyFunction, ts: TimeScale, points: list[float],
-             cfg: ProbeConfig) -> list[DerivativeResult | None]:
-    """derivative_report at every point that _jump_columns takes, from one
-    evaluation of f's vector form over these points, their rho and their
-    sigma. None at every other point; at every point when f has no vector
-    form, or when the stacks raise or hold a non-finite jump, so
-    derivative_report meets the error where it arises."""
-    out: list = [None] * len(points)
-    if f._vector is None:
-        return out
-    rows, at, index = _jump_columns(ts, points)
-    if not rows:
-        return out
-    try:
-        lo, hi = f.stack(at)
-    except (FuzzyNablaError, ArithmeticError):
-        return out
-    results = _jump_results(f, lo, hi, rows, index, cfg)
-    if results is not None:
-        for (slot, _), r in zip(rows, results):
-            out[slot] = r
-    return out
+    pc = _classify_in_domain(ts, float(t))
+    return next(_derivatives(f, ts, [pc], cfg, report=True))
 
 
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
                cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
-    """derivative_report at every point, in order.
-
-    For a function with a vector form (a bound definition), the points that
-    are realized jumps with a jump or nothing on their right take their
-    results from one array pass (_stacked); every other point is
-    derivative_report, in order.
-    """
-    points = [float(t) for t in points]
-    out = _stacked(f, ts, points, cfg)
-    return [r if r is not None else derivative_report(f, ts, t, cfg)
-            for t, r in zip(points, out)]
+    """derivative_report at every point, in order, from one pass over the
+    points' records: a bound definition is evaluated once over every t,
+    rho and sigma."""
+    records, err = _records(ts, points)
+    out = list(_derivatives(f, ts, records, cfg, report=True))
+    if err is not None:
+        raise err
+    return out
 
 
 def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,

@@ -9,6 +9,7 @@ get an exception instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import (
     EndpointDerivativeMissing,
-    FuzzyNablaError,
     LengthDirectionUndetermined,
     SignHypothesisFailed,
 )
@@ -27,12 +27,8 @@ from .nabla import (
     DiffCase,
     FuzzyFunction,
     ProbeConfig,
-    _analyze,
-    _classify_in_domain,
-    _derive,
-    _jump_columns,
-    _jump_results,
-    _reported,
+    _derivatives,
+    _records,
     _scalar_at,
     nabla_gh,
 )
@@ -129,15 +125,10 @@ def _tags_compatible(a: Tag, b: Tag) -> bool:
     return a == b or Tag.BOTH in (a, b)
 
 
-def _at(ts: TimeScale, pc: PointClass, cfg: ProbeConfig):
-    """nabla(fn) for the per-point rules: the derivative of fn at the point
-    of pc from one analysis, raising where nabla_gh raises."""
-    return lambda fn: _derive(fn, *_analyze(fn, ts, pc, cfg), cfg)
-
-
-def _graded(rule: str, checks: list[HypothesisCheck], nabla, h, extras: dict,
+def _graded(rule: str, checks: list[HypothesisCheck], nabla_h, extras: dict,
             failed_rhs: FuzzyNumber | None, measure) -> RuleReport:
-    """The report for the derivative of h against the rule's other side.
+    """The report for the derivative of h, nabla_h() (derivative_report's
+    result), against the rule's other side.
 
     measure(nabla h) gives (lhs, rhs, residual). A failed hypothesis is
     HypothesisFailed whatever the numbers say; otherwise the residual must
@@ -145,7 +136,7 @@ def _graded(rule: str, checks: list[HypothesisCheck], nabla, h, extras: dict,
     infinite, the right-hand side is failed_rhs and the reason goes into
     extras["failure"].
     """
-    dh = _reported(nabla, h)
+    dh = nabla_h()
     if dh.value is None:
         extras["failure"] = dh.evidence["message"]
         lhs, rhs, residual = None, failed_rhs, float("inf")
@@ -178,27 +169,17 @@ def _sum_of(f: FuzzyFunction, g: FuzzyFunction) -> FuzzyFunction:
     return FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K, vector=vector)
 
 
-class _Factor:
-    """A real factor fs together with vector, its values at an array of
-    points, bit for bit fs's (as dsl.compile_scalar gives them)."""
-
-    def __init__(self, fs: Callable[[float], float],
-                 vector: Callable[[np.ndarray], np.ndarray]):
-        self.fs = fs
-        self.vector = vector
-
-    def __call__(self, t: float) -> float:
-        return self.fs(t)
-
-
-def _product_of(fs: Callable[[float], float], g: FuzzyFunction) -> FuzzyFunction:
-    """fs * g, with a vector form when fs is a _Factor and g has one: g's
-    stack scaled row by row."""
-    vector = None
-    if isinstance(fs, _Factor) and g._vector is not None:
-        def vector(t):
-            return _scaled(fs.vector(t), *g.stack(t))
-    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K, vector=vector)
+def _product_of(fs: Callable[[float], float], g: FuzzyFunction,
+                vector: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> FuzzyFunction:
+    """fs * g, with a vector form when vector (fs at an array of points,
+    bit for bit fs's, as dsl.compile_scalar gives them) is given and g has
+    one: g's stack scaled row by row."""
+    stacked = None
+    if vector is not None and g._vector is not None:
+        def stacked(t):
+            return _scaled(vector(t), *g.stack(t))
+    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K, vector=stacked)
 
 
 def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
@@ -209,15 +190,17 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     Hypothesis: both summands realize the same endpoint ordering (a crisp
     derivative is compatible with either).
     """
-    pc = _classify_in_domain(ts, float(t))
-    return _sum_graded(f, g, _sum_of(f, g), pc, _at(ts, pc, cfg), tol)
+    (rep,) = _graded_many("sum", f, g, ts, [t], cfg, tol)
+    return rep
 
 
-def _sum_graded(f, g, h, pc: PointClass, nabla, tol: float | None) -> RuleReport:
-    """sum_rule at the point of pc, where h is f + g and nabla(fn) is the
-    derivative of fn there."""
-    rf = nabla(f)
-    rg = nabla(g)
+def _sum_graded(pc: PointClass, nabla_f, nabla_g, nabla_h,
+                tol: float | None) -> RuleReport:
+    """sum_rule at the point of pc, where nabla_f() and nabla_g() are the
+    derivatives of f and g there and nabla_h() that of f + g (see
+    _graded)."""
+    rf = nabla_f()
+    rg = nabla_g()
     tf = _tag_of(rf)
     tg = _tag_of(rg)
     compatible = _tags_compatible(tf, tg)
@@ -229,18 +212,19 @@ def _sum_graded(f, g, h, pc: PointClass, nabla, tol: float | None) -> RuleReport
     if tol is None:
         tol = _point_tol(pc)
     extras = {"tag_f": tf.value, "tag_g": tg.value, "tol": tol}
-    return _graded("sum", checks, nabla, h, extras, rhs,
+    return _graded("sum", checks, nabla_h, extras, rhs,
                    lambda lhs: (lhs, rhs, hausdorff(lhs, rhs)))
 
 
-def _sign_checked(fs, g, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
-                  nabla, sign_i: float, enforce: bool):
-    """nabla fs, sigma = fs(t) * nabla fs, g's derivative and tag, and the
-    product rules' hypothesis that sigma has the sign of sign_i with g
-    realizing ordering I, or the other sign with ordering II."""
+def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
+                  nabla_g, sign_i: float, enforce: bool):
+    """nabla fs, sigma = fs(t) * nabla fs, g's derivative (nabla_g()) and
+    tag, and the product rules' hypothesis that sigma has the sign of
+    sign_i with g realizing ordering I, or the other sign with ordering
+    II."""
     dfs = _scalar_at(fs, ts, pc, cfg)
     sigma = fs(pc.t) * dfs
-    rg = nabla(g)
+    rg = nabla_g()
     tg = _tag_of(rg)
     signed = sign_i * sigma
     sign_ok = (
@@ -267,17 +251,17 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     < 0 with ordering II. Both arrangements of the right-hand side are
     checked; their worst deviation is the residual.
     """
-    pc = _classify_in_domain(ts, float(t))
-    return _product_fuzzy_graded(fs, g, _product_of(fs, g), ts, pc, cfg,
-                                 _at(ts, pc, cfg), tol, enforce)
+    (rep,) = _graded_many("product-fuzzy", fs, g, ts, [t], cfg, tol,
+                          enforce=enforce)
+    return rep
 
 
 def _product_fuzzy_graded(fs, g, h, ts: TimeScale, pc: PointClass,
-                          cfg: ProbeConfig, nabla, tol: float | None,
-                          enforce: bool) -> RuleReport:
-    """product_fuzzy at the point of pc, where h is fs * g and nabla(fn) is
-    the derivative of fn there."""
-    dfs, sigma, rg, tg, checks = _sign_checked(fs, g, ts, pc, cfg, nabla, 1.0,
+                          cfg: ProbeConfig, nabla_g, nabla_h,
+                          tol: float | None, enforce: bool) -> RuleReport:
+    """product_fuzzy at the point of pc, where h is fs * g, nabla_g() is
+    g's derivative there and nabla_h() h's (see _graded)."""
+    dfs, sigma, rg, tg, checks = _sign_checked(fs, ts, pc, cfg, nabla_g, 1.0,
                                                enforce)
     t, rho = pc.t, pc.rho
     rhs1 = add(scalar_mul(dfs, g(rho)), scalar_mul(fs(t), rg.value))
@@ -293,7 +277,7 @@ def _product_fuzzy_graded(fs, g, h, ts: TimeScale, pc: PointClass,
         "rhs_cross_gap": cross,
         "tol": tol,
     }
-    return _graded("product-fuzzy", checks, nabla, h, extras, rhs1,
+    return _graded("product-fuzzy", checks, nabla_h, extras, rhs1,
                    lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
                                                hausdorff(lhs, rhs2))))
 
@@ -360,17 +344,17 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
     When the width is locally constant both selected forms are evaluated
     and the better one is reported.
     """
-    pc = _classify_in_domain(ts, float(t))
-    return _product_interval_graded(fs, g, _product_of(fs, g), ts, pc, cfg,
-                                    _at(ts, pc, cfg), tol, enforce)
+    (rep,) = _graded_many("product-interval", fs, g, ts, [t], cfg, tol,
+                          enforce=enforce)
+    return rep
 
 
 def _product_interval_graded(fs, g, h, ts: TimeScale, pc: PointClass,
-                             cfg: ProbeConfig, nabla, tol: float | None,
-                             enforce: bool) -> RuleReport:
-    """product_interval at the point of pc, where h is fs * g and nabla(fn)
-    is the derivative of fn there."""
-    dfs, sigma, rg, tg, checks = _sign_checked(fs, g, ts, pc, cfg, nabla, -1.0,
+                             cfg: ProbeConfig, nabla_g, nabla_h,
+                             tol: float | None, enforce: bool) -> RuleReport:
+    """product_interval at the point of pc, where h is fs * g, nabla_g() is
+    g's derivative there and nabla_h() h's (see _graded)."""
+    dfs, sigma, rg, tg, checks = _sign_checked(fs, ts, pc, cfg, nabla_g, -1.0,
                                                enforce)
     t, rho = pc.t, pc.rho
     direction = _len_direction(h, ts, pc, cfg)
@@ -415,90 +399,48 @@ def _product_interval_graded(fs, g, h, ts: TimeScale, pc: PointClass,
         extras["equation"] = form
         return lhs, rhs, hausdorff(lhs, rhs)
 
-    return _graded("product-interval", checks, nabla, h, extras, None, measure)
+    return _graded("product-interval", checks, nabla_h, extras, None, measure)
 
 
 # ---------------------------------------------------------------------------
-# the batched pass
-
-
-def _levels_at(at: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The function whose value at each entry of at is that row of the
-    level stacks (lo, hi)."""
-    row = {s: i for i, s in enumerate(at.tolist())}
-    return lambda s: FuzzyNumber(lo[row[s]], hi[row[s]], validate=False)
-
-
-def _batched(rule: str, a, g: FuzzyFunction, ts: TimeScale, points: list[float],
-             cfg: ProbeConfig, tol: float | None) -> list[RuleReport | None]:
-    """The rule's report at every point that nabla_many's stacked pass
-    takes, graded from one evaluation of each function's vector form (h's
-    is the rule's own: _sum_of or _product_of) over these points, their rho
-    and their sigma. None at every other point, at a point where f or g has
-    no derivative or the grading raises, and at every point when a vector
-    form is missing, raises or gives a non-finite jump."""
-    out: list = [None] * len(points)
-    if rule == "sum":
-        h, parts = _sum_of(a, g), [a, g]
-    else:
-        h, parts = _product_of(a, g), [g]
-    if h._vector is None:
-        return out
-    rows, at, index = _jump_columns(ts, points)
-    if not rows:
-        return out
-    try:
-        stacks = [fn.stack(at) for fn in (*parts, h)]
-        k = None if rule == "sum" else a.vector(at)
-    except (FuzzyNablaError, ArithmeticError):
-        return out
-
-    fns = [_levels_at(at, lo, hi) for lo, hi in stacks]
-    if rule == "sum":
-        def grade(pc, nabla):
-            return _sum_graded(*fns, pc, nabla, tol)
-    else:
-        fs = dict(zip(at.tolist(), k.tolist())).__getitem__
-        graded = (_product_fuzzy_graded if rule == "product-fuzzy"
-                  else _product_interval_graded)
-
-        def grade(pc, nabla):
-            return graded(fs, *fns, ts, pc, cfg, nabla, tol, False)
-    derived = [_jump_results(fn, lo, hi, rows, index, cfg)
-               for fn, (lo, hi) in zip(fns, stacks)]
-    if any(d is None for d in derived):
-        return out
-
-    for (slot, pc), *results in zip(rows, *derived):
-        if any(r.value is None for r in results[:-1]):
-            continue  # f or g has no derivative: the per-point rule raises
-        try:
-            out[slot] = grade(pc, dict(zip(fns, results)).__getitem__)
-        except (EndpointDerivativeMissing, LengthDirectionUndetermined):
-            continue  # the per-point rule raises it at its turn
-    return out
+# the rule pass
 
 
 def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
                  cfg: ProbeConfig = DEFAULT_CONFIG, tol: float | None = None,
-                 vector: Callable[[np.ndarray], np.ndarray] | None = None
-                 ) -> list[RuleReport]:
-    """The per-point rule at every point, in order: sum_rule(a, g, ...)
-    for rule "sum", product_fuzzy or product_interval(a, g, ...) with a as
-    the real factor for "product-fuzzy" and "product-interval".
+                 vector: Callable[[np.ndarray], np.ndarray] | None = None,
+                 enforce: bool = False):
+    """The rule's report at every point, in order, each point's error
+    raised at its turn: sum_rule(a, g, ...) for rule "sum", product_fuzzy
+    or product_interval(a, g, ...) with a as the real factor for
+    "product-fuzzy" and "product-interval".
 
-    The points nabla_many's stacked pass takes are graded from the vector
-    forms of f and g (for a real factor, vector: its values at an array of
-    points, bit for bit a's, as dsl.compile_scalar gives them); every other
-    point is the per-point rule, in order, so its results and errors are the
-    loop's. There, a product fs * g takes a vector form from vector and g's,
-    so its probed sides are stacked too.
+    A point is graded from the derivatives of f and g (g alone for a
+    product) and of h (f + g, or fs * g), each read one point at a time
+    from its own pass (nabla._derivatives) when the grading asks for it.
+    A product's h has a vector form when vector (the real factor at an
+    array of points, bit for bit a's, as dsl.compile_scalar gives them)
+    and g's are given. A product reads fs and g at t and rho again, so the
+    real factor's values are memoized for the call and g's pass keeps its
+    levels there in g's memo cache.
     """
-    points = [float(t) for t in points]
-    per_point = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
-                 "product-interval": product_interval}[rule]
-    if rule != "sum" and vector is not None:
-        a = _Factor(a, vector)
-    batch = _batched(rule, a, g, ts, points, cfg, tol)
-    return [rep if rep is not None else per_point(a, g, ts, t, cfg, tol=tol)
-            for t, rep in zip(points, batch)]
+    records, err = _records(ts, points)
+
+    def nabla(fn: FuzzyFunction, report: bool = False, keep: bool = False):
+        return _derivatives(fn, ts, records, cfg, report, keep).__next__
+
+    if rule == "sum":
+        nabla_f, nabla_g = nabla(a), nabla(g)
+        nabla_h = nabla(_sum_of(a, g), report=True)
+        for pc in records:
+            yield _sum_graded(pc, nabla_f, nabla_g, nabla_h, tol)
+    else:
+        fs = functools.lru_cache(maxsize=None)(a)
+        h = _product_of(fs, g, vector)
+        graded = (_product_fuzzy_graded if rule == "product-fuzzy"
+                  else _product_interval_graded)
+        nabla_g, nabla_h = nabla(g, keep=True), nabla(h, report=True)
+        for pc in records:
+            yield graded(fs, g, h, ts, pc, cfg, nabla_g, nabla_h, tol, enforce)
+    if err is not None:
+        raise err

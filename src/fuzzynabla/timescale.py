@@ -599,17 +599,6 @@ class TimeScale:
         """The record of the i-th realized point, read from the arrays."""
         return _point_class(float(self._points[i]), *(a[i] for a in self._jumps))
 
-    def _realized_classes(self, points) -> list[PointClass | None]:
-        """classify(t) for every t that is exactly a realized point, read
-        from the arrays built with the scale; None for every other t."""
-        t = np.asarray(points, dtype=float)
-        if not len(self._points) or not len(t):
-            return [None] * len(t)
-        i = np.minimum(np.searchsorted(self._points, t), len(self._points) - 1)
-        hit = self._points[i] == t
-        return [self._realized_class(k) if h else None
-                for k, h in zip(i.tolist(), hit.tolist())]
-
     def classify(self, t: float) -> PointClass:
         """Every fact about one member point: density per side, jumps and
         whether it is an extreme, all from _jumps_at.
@@ -618,7 +607,7 @@ class TimeScale:
         scale; any other point is checked for membership and runs the same
         formula on its own."""
         t = float(t)
-        i = int(np.searchsorted(self._points, t))
+        i = int(self._points.searchsorted(t))
         if i < len(self._points) and self._points[i] == t:
             return self._realized_class(i)
         t = self._require_member(t)

@@ -388,13 +388,7 @@ class TestCheck:
         # both products fail a hypothesis at some of these points
         assert code == {"product-interval": 3, "product1": 3}.get(theorem, 0)
         assert not err, err
-        if extra:
-            # the rule checks classify the points the batched pass leaves
-            # to the per-point rule: the jump with a dense right side and
-            # the dense point
-            assert calls == [0.0, 0.5]
-        else:
-            assert calls == [-2.0, -1.0, 0.0, 0.5, 2.0]
+        assert calls == [-2.0, -1.0, 0.0, 0.5, 2.0]
 
 
 # a power that overflows, or 0 to a negative power: in a definition at a

@@ -89,6 +89,16 @@ class TestConstruction:
         with pytest.raises(OrderViolation):
             triangular(3, 2, 4)
 
+    @pytest.mark.parametrize("make", [
+        # b - a overflows, and 0 * inf is NaN at alpha = 0
+        lambda: triangular(-1e308, 1e308, 1e308, K=4),
+        lambda: triangular(-math.inf, 0, 1),
+        lambda: crisp(math.inf),
+    ])
+    def test_levels_must_be_finite(self, make):
+        with pytest.raises(OrderViolation, match="level arrays must be finite"):
+            make()
+
     def test_crisp(self):
         u = crisp(2.5, K=3)
         assert u.is_crisp()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla import nabla
+from fuzzynabla import dsl
 from fuzzynabla.dsl import (
     bind_function,
     compile_function,
@@ -493,6 +493,17 @@ class TestNablaMany:
                 run()
 
 
+    def test_overflowing_quotient_is_rejected(self):
+        # f(t) - f(rho) = 2e298 is finite; over nu = 1e-10 it overflows
+        ts = TimeScale([ExplicitPoints((1.0, 1.0 + 1e-10))])
+        f = FuzzyFunction(lambda t: crisp(-1e298 if t == 1.0 else 1e298, K),
+                          K=K)
+        for run in (lambda: derivative_report(f, ts, 1.0 + 1e-10),
+                    lambda: nabla_many(f, ts, [1.0 + 1e-10])):
+            with pytest.raises(OrderViolation, match="jump quotient .* not finite"):
+                run()
+
+
 def unchecked(src: str, ts: TimeScale, K: int = K,
               plain: bool = False) -> FuzzyFunction:
     """bind_function without its sampled checks, so a definition may fail
@@ -582,11 +593,37 @@ class TestStackedMany:
             raise AssertionError("per-point path taken")
 
         g = bind_function(parse_function(README_FN), ts, K=K)
-        monkeypatch.setattr(nabla, "_analyze", per_point)
         monkeypatch.setattr(FuzzyFunction, "__call__", per_point)
         got = [json.dumps(r.to_dict(), sort_keys=True)
                for r in nabla_many(g, ts, pts)]
         assert got == expect
+
+
+class TestMemoCache:
+    """A per-point call reads f at t, rho and sigma through the memo cache,
+    so neighbouring points share values instead of stacking them again."""
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        ts = parse_timescale("union(recip(1,30), recip(sqrt2,30), points(0))")
+        f = bind_function(parse_function(README_FN), ts, K=K)
+        pts = sorted(ts.left_scattered_points())
+        calls = []
+        evaluate = dsl.eval_function
+
+        def counted(d, t, *args):
+            calls.append(t)
+            return evaluate(d, t, *args)
+
+        def refuse(self, t):
+            raise AssertionError("a per-point call stacked f")
+
+        monkeypatch.setattr(dsl, "eval_function", counted)
+        monkeypatch.setattr(FuzzyFunction, "stack", refuse)
+        for t in pts:
+            derivative_report(f, ts, t)
+        needed = {p for t in pts for pc in [ts.classify(t)]
+                  for p in (pc.t, pc.rho, pc.sigma)}
+        assert sorted(calls) == sorted(needed)
 
 
 # isolated points (-3, -2, 2), a jump with a dense right side (0), dense
@@ -634,7 +671,7 @@ class TestOnePipeline:
         def refuse(self, points):
             raise AssertionError("a plain callable reached the stacked pass")
 
-        monkeypatch.setattr(TimeScale, "_realized_classes", refuse)
+        monkeypatch.setattr(FuzzyFunction, "stack", refuse)
         got = TestNablaMany.outcome(
             lambda: nabla_many(FuzzyFunction(parabola_tri, K=K), MIXED, pts))
         assert got == expect

@@ -4,13 +4,11 @@ Hand-worked instances pin every equation branch."""
 import argparse
 import json
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla import rules
 from fuzzynabla.cli import _scalar_fn
 from fuzzynabla.dsl import (
     compile_function,
@@ -365,11 +363,19 @@ BATCH_RULES = {"sum": sum_rule, "product-fuzzy": product_fuzzy,
                "product-interval": product_interval}
 
 
-def batch_function(src: str, ts: TimeScale, plain: bool) -> FuzzyFunction:
+def batch_function(src: str, ts: TimeScale, plain: bool,
+                   log: list | None = None) -> FuzzyFunction:
+    """src bound without its sampled checks; log, when given, receives
+    every point where the definition is evaluated."""
     d = parse_function(src)
     vector = None if plain else compile_function(d, ts, BATCH_K)
-    return FuzzyFunction(lambda t: eval_function(d, t, BATCH_K, ts), K=BATCH_K,
-                         vector=vector)
+
+    def fn(t):
+        if log is not None:
+            log.append(t)
+        return eval_function(d, t, BATCH_K, ts)
+
+    return FuzzyFunction(fn, K=BATCH_K, vector=vector)
 
 
 class TestBatchedPass:
@@ -388,11 +394,16 @@ class TestBatchedPass:
     )
 
     @staticmethod
-    def outcome(run, log):
+    def outcome(reports, pts):
+        """The reports' JSON, or the error and the point where it arose:
+        the one after the last report."""
+        got = []
         try:
-            return [json.dumps(r.to_dict(), sort_keys=True) for r in run()]
+            for rep in reports:
+                got.append(json.dumps(rep.to_dict(), sort_keys=True))
         except Exception as err:
-            return type(err), str(err), log[-1] if log else None
+            return type(err), str(err), pts[len(got)]
+        return got
 
     @given(
         pieces=st.lists(piece, min_size=1, max_size=3),
@@ -444,21 +455,16 @@ class TestBatchedPass:
 
         log = []
         per_point = BATCH_RULES[rule]
-
-        def logged(a, g, ts, t, cfg, tol):
-            log.append(t)
-            return per_point(a, g, ts, t, cfg, tol=tol)
-
-        with mock.patch.object(rules, per_point.__name__, logged):
-            many = self.outcome(lambda: _graded_many(
-                rule, first(), batch_function(g_src, ts, plain), ts, pts, cfg,
-                tol, vector), log)
-            log_many = list(log)
-            log.clear()
-            g = batch_function(g_src, ts, plain)
-            a = first()
-            loop = self.outcome(lambda: [logged(a, g, ts, t, cfg, tol)
-                                         for t in pts], log)
+        many = self.outcome(_graded_many(
+            rule, first(), batch_function(g_src, ts, plain, log), ts, pts, cfg,
+            tol, vector), pts)
+        log_many = list(log)
+        log.clear()
+        g = batch_function(g_src, ts, plain, log)
+        a = first()
+        loop = self.outcome((per_point(a, g, ts, t, cfg, tol=tol) for t in pts),
+                            pts)
         assert many == loop
         if plain:
+            # a plain g is evaluated as by the per-point loop, in order
             assert log_many == log

@@ -47,10 +47,11 @@ from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
     ProbeConfig,
+    _derivatives,
     _evaluate,
     _level_residual,
+    _records,
     _rho_residual,
-    nabla_gh,
     nabla_many,
 )
 from .rules import Verdict, _graded_many, _point_tol
@@ -371,9 +372,7 @@ def cmd_ghdiff(args) -> int:
 
     lines = [f"case,{res.case.value}"]
     if res.value is not None:
-        lines.append("alpha,lower,upper")
-        for a, lo, hi in res.value.csv_rows():
-            lines.append(f"{a!r},{lo!r},{hi!r}")
+        lines.append(res.value.to_csv().rstrip("\n"))
     else:
         for key, msg in sorted(res.diagnostics.items()):
             lines.append(f"# {key}: {msg}")
@@ -403,21 +402,24 @@ def _verdict_code(verdicts) -> int:
 def _residual_rows(args, measure, given: float | None) -> int:
     """The shared loop of the two identity checks with scalar residuals:
     measure(f, ts, derivative, cfg) is the check's residual from the
-    derivative at t, whose point record also gives the default tol."""
+    derivative at t (from one pass, which keeps f's levels for measure),
+    whose point record also gives the default tol."""
     ts, (f,) = _bind(args)
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
+    records, err = _records(ts, points)
 
     rows = []
     verdicts = []
-    for t in points:
-        r = nabla_gh(f, ts, t, cfg)
+    for t, r in zip(points, _derivatives(f, ts, records, cfg, keep=True)):
         tol = _point_tol(r.endpoint_report.point) if given is None else given
         residual = measure(f, ts, r, cfg)
         verdict = Verdict.VERIFIED if residual <= tol else Verdict.RESIDUAL_EXCEEDED
         verdicts.append(verdict)
         rows.append({"t": t, "residual": residual, "tol": tol,
                      "verdict": verdict.value})
+    if err is not None:
+        raise err
 
     if args.format == "json":
         _emit_json(rows, args.out)

@@ -51,11 +51,6 @@ SQRT2 = math.sqrt(2.0)
 MAX_DEPTH = 100
 
 _CONSTANTS = {"sqrt2": SQRT2, "pi": math.pi}
-_KEYWORDS = {
-    "union", "interval", "points", "hgrid", "qgrid", "recip",
-    "tri", "endpoints", "piecewise", "in", "sqrt", "t", "alpha",
-    "sqrt2", "pi",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +681,11 @@ def eval_expr(e: Expr, t: float, alpha=None, ts: TimeScale | None = None):
             return a / b
         if e.op == "^":
             try:
+                if isinstance(a, (np.ndarray, np.generic)):
+                    # inf or NaN where float ** int raises: FuzzyNumber
+                    # validation rejects that level, as in the compiled form
+                    with np.errstate(all="ignore"):
+                        return a ** int(b)
                 return a ** int(b)
             except ArithmeticError as err:  # overflow, or 0 to a negative power
                 raise ValidationError(f"power fails at t={t!r}: {err}",

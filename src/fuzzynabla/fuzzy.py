@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,10 +108,10 @@ class FuzzyNumber:
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "FuzzyNumber":
-        """Degenerate K = 0 number: one cut standing for every level."""
+        """Degenerate K = 0 number: one finite cut standing for every level."""
         if hi < lo:
             raise OrderViolation(f"interval requires lo <= hi, got [{lo}, {hi}]")
-        return cls(np.array([float(lo)]), np.array([float(hi)]), validate=False)
+        return cls([lo], [hi])
 
     # -- accessors --------------------------------------------------------
 
@@ -167,25 +168,10 @@ class FuzzyNumber:
 
     # -- invariants -------------------------------------------------------
 
-    def validate(self, tol_scale: float = MONO_RTOL) -> None:
-        """Check the cut invariants, forgiving float noise up to
-        tol_scale * (1 + magnitude)."""
-        lo, hi = self._lower, self._upper
-        _require_finite(lo, hi)
-        tol = tol_scale * (1.0 + max(np.max(np.abs(lo)), np.max(np.abs(hi))))
-        if len(lo) > 1:
-            dlo = np.diff(lo)
-            if np.min(dlo) < -tol:
-                k = int(np.argmin(dlo))
-                raise OrderViolation(f"lower endpoint decreases at level index {k}")
-            dhi = np.diff(hi)
-            if np.max(dhi) > tol:
-                k = int(np.argmax(dhi))
-                raise OrderViolation(f"upper endpoint increases at level index {k}")
-        gap = lo - hi
-        if np.max(gap) > tol:
-            k = int(np.argmax(gap))
-            raise OrderViolation(f"lower exceeds upper at level index {k}")
+    def validate(self) -> None:
+        """Raise OrderViolation unless the levels are finite and the cuts
+        nest: case (i) of gh_exists against 0 (require_fuzzy)."""
+        require_fuzzy(self._lower[None], self._upper[None])
 
     # -- level queries -----------------------------------------------------
 
@@ -267,10 +253,13 @@ class FuzzyNumber:
         return "\n".join(lines) + "\n"
 
 
+_NOT_FINITE = "level arrays must be finite"
+
+
 def _require_finite(lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise OrderViolation unless every level is finite."""
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise OrderViolation("level arrays must be finite")
+        raise OrderViolation(_NOT_FINITE)
 
 
 @dataclass
@@ -313,42 +302,96 @@ def scalar_mul(k: float, u: FuzzyNumber) -> FuzzyNumber:
     return FuzzyNumber(k * u.upper, k * u.lower, validate=False)
 
 
-def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray):
-    """Row-wise existence of the two gH constructions.
+class GhRows(NamedTuple):
+    """gh_exists' verdict on (N, K+1) stacks of candidate endpoints, one
+    entry per row, with the candidates and each row's magnitude (mag)."""
 
-    d_lo and d_hi are (N, K+1) stacks of candidate endpoints u^- - v^- and
-    u^+ - v^+. Case (i) exists when d_lo is non-decreasing, d_hi is
-    non-increasing and d_lo <= d_hi; case (ii) is the same test with the
-    roles swapped. Violations up to MONO_RTOL * (1 + row magnitude) are
-    forgiven. Returns (ok_i, ok_ii, tol), one entry per row.
-    """
-    mag_lo = np.abs(d_lo).max(axis=1)
-    mag_hi = np.abs(d_hi).max(axis=1)
-    # max(mag_lo, mag_hi) with Python's max(): NaN in mag_lo wins, NaN in
-    # mag_hi loses
-    tol = MONO_RTOL * (1.0 + np.where(mag_hi > mag_lo, mag_hi, mag_lo))
-    col = tol[:, None]
-    dl = d_lo[:, 1:] - d_lo[:, :-1]
-    dh = d_hi[:, 1:] - d_hi[:, :-1]
-    gap = d_lo - d_hi
-    ok_i = ~(((dl < -col) | (dh > col)).any(axis=1) | (gap.max(axis=1) > tol))
-    ok_ii = ~(((dh < -col) | (dl > col)).any(axis=1) | (gap.min(axis=1) < -tol))
-    return ok_i, ok_ii, tol
+    ok_i: np.ndarray
+    ok_ii: np.ndarray
+    tol: np.ndarray
+    finite: np.ndarray
+    d_lo: np.ndarray
+    d_hi: np.ndarray
+    mag: np.ndarray
+
+    def raise_nonfinite(self, rows=slice(None)) -> None:
+        """gh_diff's OrderViolation where one of rows has a case but a
+        level that is not finite."""
+        if ((self.ok_i[rows] | self.ok_ii[rows]) & ~self.finite[rows]).any():
+            raise OrderViolation(_NOT_FINITE)
+
+    def cases(self) -> list[GhCase]:
+        by_code = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
+        return [by_code[c] for c in (2 * self.ok_i + self.ok_ii).tolist()]
+
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The value rows: the candidates where case (i) exists, swapped
+        where only case (ii) does."""
+        keep = self.ok_i[:, None]
+        return (np.where(keep, self.d_lo, self.d_hi),
+                np.where(keep, self.d_hi, self.d_lo))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def diagnostics(self, i: int) -> dict[str, str]:
+        """gh_diff's diagnostics for row i."""
+        lo, hi, tol = self.d_lo[i], self.d_hi[i], self.tol[i]
+        return {"case_i": "ok" if self.ok_i[i] else _gh_problems(lo, hi, tol),
+                "case_ii": "ok" if self.ok_ii[i] else _gh_problems(hi, lo, tol)}
+
+
+def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray) -> GhRows:
+    """The row-wise gH test on (N, K+1) stacks of candidate endpoints
+    u^- - v^- and u^+ - v^+: case (i) exists when d_lo is non-decreasing,
+    d_hi is non-increasing and d_lo <= d_hi; case (ii) is the same test
+    with the roles swapped. Violations up to MONO_RTOL * (1 + row
+    magnitude) are forgiven. Levels are a fuzzy number exactly when they
+    are finite and their case (i) against 0 exists."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag_lo = np.maximum.reduce(np.abs(d_lo), axis=1)
+        mag_hi = np.maximum.reduce(np.abs(d_hi), axis=1)
+        # mag_hi if mag_hi > mag_lo else mag_lo, as Python's max: a NaN upper
+        # candidate leaves the tests on
+        mag = np.maximum(mag_lo, np.fmax(mag_hi, mag_lo))
+        tol = MONO_RTOL * (1.0 + mag)
+        # the steps of d_lo and of -d_hi: case (i) needs each >= -tol, case
+        # (ii) each <= tol, and a NaN step fails no test
+        dl = d_lo[:, 1:] - d_lo[:, :-1]
+        ndh = d_hi[:, :-1] - d_hi[:, 1:]
+        gap = d_lo - d_hi
+        ntol = -tol
+        ok_i = ~((np.fmin.reduce(np.fmin(dl, ndh), axis=1, initial=np.inf) < ntol)
+                 | (np.maximum.reduce(gap, axis=1) > tol))
+        ok_ii = ~((np.fmax.reduce(np.fmax(dl, ndh), axis=1, initial=-np.inf) > tol)
+                  | (np.minimum.reduce(gap, axis=1) < ntol))
+        finite = np.isfinite(np.maximum(mag_lo, mag_hi))
+    return GhRows(ok_i, ok_ii, tol, finite, d_lo, d_hi, mag)
 
 
 def invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The rows of (N, K+1) level stacks that FuzzyNumber.validate rejects:
-    non-finite levels, or cut invariants broken by more than MONO_RTOL *
-    (1 + row magnitude)."""
-    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
-    with np.errstate(invalid="ignore"):
-        tol = MONO_RTOL * (1.0 + np.maximum(np.abs(lo).max(axis=1),
-                                            np.abs(hi).max(axis=1)))
-        bad = (lo - hi).max(axis=1) > tol
-        if lo.shape[1] > 1:
-            bad |= np.diff(lo, axis=1).min(axis=1) < -tol
-            bad |= np.diff(hi, axis=1).max(axis=1) > tol
-    return ~finite | bad
+    """The rows of (N, K+1) level stacks that are not fuzzy numbers."""
+    rows = gh_exists(lo, hi)
+    return ~(rows.ok_i & rows.finite)
+
+
+def require_fuzzy(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise OrderViolation for the first invalid row of (N, K+1) level
+    stacks, naming the first of non-finite levels, a decreasing lower
+    endpoint, an increasing upper one and crossing cuts, at the level
+    index where that violation is largest."""
+    bad = invalid_rows(lo, hi)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    lo, hi = lo[i], hi[i]
+    _require_finite(lo, hi)
+    tol = gh_exists(lo[None], hi[None]).tol[0]
+    with np.errstate(over="ignore"):
+        dlo, dhi = np.diff(lo), np.diff(hi)
+        if dlo.min(initial=0.0) < -tol:
+            raise OrderViolation(f"lower endpoint decreases at level index {dlo.argmin()}")
+        if dhi.max(initial=0.0) > tol:
+            raise OrderViolation(f"upper endpoint increases at level index {dhi.argmax()}")
+        raise OrderViolation(f"lower exceeds upper at level index {(lo - hi).argmax()}")
 
 
 def _gh_problems(lo: np.ndarray, hi: np.ndarray, tol: float) -> str:
@@ -366,30 +409,20 @@ def _gh_problems(lo: np.ndarray, hi: np.ndarray, tol: float) -> str:
     return "; ".join(probs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gh_diff(u: FuzzyNumber, v: FuzzyNumber) -> GhDiffResult:
-    """Generalized difference u gh- v.
-
-    Candidate endpoints are d_lo = u^- - v^- and d_hi = u^+ - v^+. The
-    case (i) value is (d_lo, d_hi); case (ii) swaps them. Existence is
-    gh_exists on the one row; when neither case holds the result is None
-    and diagnostics name the violated constraints.
-    """
+    """Generalized difference u gh- v: gh_exists on the one row of
+    candidates d_lo = u^- - v^- and d_hi = u^+ - v^+. The case (i) value
+    is (d_lo, d_hi); case (ii) swaps them. When neither case holds the
+    value is None and diagnostics name the violated constraints."""
     _require_same_grid(u, v)
-    d_lo = u.lower - v.lower
-    d_hi = u.upper - v.upper
-    ok_i, ok_ii, tol = gh_exists(d_lo[None], d_hi[None])
-    ok_i, ok_ii, tol = bool(ok_i[0]), bool(ok_ii[0]), tol[0]
-    diag = {
-        "case_i": "ok" if ok_i else _gh_problems(d_lo, d_hi, tol),
-        "case_ii": "ok" if ok_ii else _gh_problems(d_hi, d_lo, tol),
-    }
-    if ok_i and ok_ii:
-        return GhDiffResult(FuzzyNumber(d_lo, d_hi), GhCase.BOTH, diag)
-    if ok_i:
-        return GhDiffResult(FuzzyNumber(d_lo, d_hi), GhCase.CASE_I, diag)
-    if ok_ii:
-        return GhDiffResult(FuzzyNumber(d_hi, d_lo), GhCase.CASE_II, diag)
-    return GhDiffResult(None, GhCase.NONE, diag)
+    rows = gh_exists((u.lower - v.lower)[None], (u.upper - v.upper)[None])
+    rows.raise_nonfinite()
+    case = rows.cases()[0]
+    value = None
+    if case is not GhCase.NONE:
+        value = FuzzyNumber(*(x[0] for x in rows.values()), validate=False)
+    return GhDiffResult(value, case, rows.diagnostics(0))
 
 
 def h_diff(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber | None:

@@ -37,11 +37,9 @@ from .fuzzy import (
     GhCase,
     add,
     alpha_grid,
-    gh_diff,
     gh_exists,
-    h_diff,
     hausdorff,
-    invalid_rows,
+    require_fuzzy,
     scalar_mul,
 )
 from .timescale import PointClass, Side, TimeScale
@@ -124,10 +122,7 @@ class FuzzyFunction:
         form (_vector is not None). The memo cache is neither read nor
         filled."""
         lo, hi = self._vector(np.asarray(t, dtype=float))
-        bad = invalid_rows(lo, hi)
-        if bad.any():
-            i = int(np.argmax(bad))
-            FuzzyNumber(lo[i], hi[i])  # raises that row's OrderViolation
+        require_fuzzy(lo, hi)
         return lo, hi
 
 
@@ -165,15 +160,6 @@ def _tail_spread(Q: np.ndarray) -> np.ndarray:
     start = min(m - 2, m // 2)
     tail = Q[start:]
     return tail.max(axis=0) - tail.min(axis=0)
-
-
-def _gh_rows(d_lo: np.ndarray, d_hi: np.ndarray):
-    """gh_exists on (N, K+1) stacks of candidate endpoints, and the rows
-    where gh_diff raises instead of answering: a case holds but a level is
-    not finite, so its value fails validation."""
-    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
-    finite = np.isfinite(d_lo).all(axis=1) & np.isfinite(d_hi).all(axis=1)
-    return ok_i, ok_ii, (ok_i | ok_ii) & ~finite
 
 
 # a one-record pass reads f at t, rho and sigma; neighbouring points share
@@ -217,11 +203,10 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
     from f's levels at t (ft).
 
     One row pass over f's levels at the side's probes, in stream order,
-    gives the quotients, the gH cases (the test is row-wise, so one
-    gh_exists call labels every probe as gh_diff would), and the
-    continuity gaps; gh_diff runs only at the first failing probe. The
-    quotients do not need the difference, so a failing probe is recorded
-    and the report is complete either way.
+    gives the quotients, the gH cases and diagnostics (gh_exists, as
+    gh_diff gives them), and the continuity gaps. The quotients do not
+    need the difference, so a failing probe is recorded and the report is
+    complete either way.
     """
     streams = ts.approach_streams(t, side, cfg.probe_count)
     pts = [p for s in streams for p in s.points]
@@ -231,38 +216,23 @@ def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
     d_lo = lo - ft_lo
     d_hi = hi - ft_hi
     # f(p) gH- f(t) on the right, f(t) gH- f(p) on the left
-    if side == "right":
-        ok_i, ok_ii, raises = _gh_rows(d_lo, d_hi)
-    else:
-        ok_i, ok_ii, raises = _gh_rows(-d_lo, -d_hi)
-
-    def gh_at(j: int):
-        Fp = FuzzyNumber(lo[j], hi[j], validate=False)
-        Ft = FuzzyNumber(ft_lo, ft_hi, validate=False)
-        return gh_diff(Fp, Ft) if side == "right" else gh_diff(Ft, Fp)
-
-    if raises.any():
-        gh_at(int(np.argmax(raises)))  # raises its OrderViolation
+    gh = gh_exists(d_lo, d_hi) if side == "right" else gh_exists(-d_lo, -d_hi)
+    gh.raise_nonfinite()
     if err is not None:
         raise err
+    cases = [c.value for c in gh.cases()]
     failure = None
-    missing = ~(ok_i | ok_ii)
-    if missing.any():
-        j = int(np.argmax(missing))
-        res = gh_at(j)
+    if GhCase.NONE.value in cases:
+        j = cases.index(GhCase.NONE.value)
         failure = GhNonexistent(
             f"generalized difference does not exist at probe {pts[j]!r} "
             f"({side} of {t!r})",
-            {"probe": pts[j], "side": side, **res.diagnostics},
+            {"probe": pts[j], "side": side, **gh.diagnostics(j)},
         )
-    cases = [_GH_CASES[c].value for c in (2 * ok_i + ok_ii).tolist()]
     dt = (np.array(pts) - t)[:, None]
     Q_lo = d_lo / dt
     Q_hi = d_hi / dt
-    # hausdorff(f(p), f(t)): Python's max of the two endpoint distances
-    a = np.abs(d_lo).max(axis=1)
-    b = np.abs(d_hi).max(axis=1)
-    gaps = np.where(b > a, b, a).tolist()
+    gaps = gh.mag.tolist()  # hausdorff(f(p), f(t))
 
     out: list[_StreamData] = []
     start = 0
@@ -493,18 +463,18 @@ def _jsonable(x):
     return x
 
 
-def _require_finite(t: float, side: str, criteria) -> None:
+def _require_finite(t: float, side: str | None, criteria) -> None:
     """Raise LimitDisagreement naming the first (criterion, values) pair
-    with a value that is not finite: inf - inf is NaN, and NaN passes
-    every tolerance gate."""
+    with a value that is not finite, on side of t (or at t when side is
+    None): inf - inf is NaN, and NaN passes every tolerance gate."""
     for criterion, values in criteria:
         values = np.asarray(values, dtype=float).ravel()
         bad = values[~np.isfinite(values)]
         if bad.size:
             value = float(bad[0])
+            where = f"at {t!r}" if side is None else f"on the {side} of {t!r}"
             raise LimitDisagreement(
-                f"the {criterion} on the {side} of {t!r} is not finite "
-                f"({value!r})",
+                f"the {criterion} {where} is not finite ({value!r})",
                 {"side": side, "criterion": criterion, "value": value},
             )
 
@@ -598,14 +568,12 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 # crisp derivative at any magnitude
 JUMP_ROUND_OFF = 4.0 * np.finfo(float).eps
 
-# indexed by 2 * case_i_exists + case_ii_exists
-_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
-
 
 @dataclass
 class _Jumps:
-    """The jump quotient at a stack of left-scattered points, one row each;
-    finite flags the rows whose every level is finite."""
+    """The jump quotient at a stack of left-scattered points, one row each,
+    with the gH case of each difference; finite flags the rows whose every
+    level of the quotient is finite."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -622,29 +590,25 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     from (N, K+1) stacks of f's levels at the points (ft) and at their
     rho (fr).
 
-    The case is the gH difference's own: Crisp when the value's width is
-    within the agreement tolerance plus the round-off of f(t) - f(rho)
-    over nu (JUMP_ROUND_OFF of the operands' magnitude), else CaseI when
-    case (i) exists, else CaseII (rows where neither exists are rejected by
-    _derive).
+    The difference's gH case and orientation are gh_exists'. The case is
+    Crisp when the value's width is within the agreement tolerance plus
+    the round-off of f(t) - f(rho) over nu (JUMP_ROUND_OFF of the
+    operands' magnitude), else CaseI when case (i) exists, else CaseII
+    (rows where neither exists are rejected by _derive).
     """
-    d_lo = ft_lo - fr_lo
-    d_hi = ft_hi - fr_hi
-    ok_i, ok_ii, _ = gh_exists(d_lo, d_hi)
-    # case (i), alone or with (ii), keeps the candidates' order
-    keep = ok_i[:, None]
+    gh = gh_exists(ft_lo - fr_lo, ft_hi - fr_hi)
+    lower, upper = gh.values()
     k = (1.0 / nu)[:, None]
-    lower = k * np.where(keep, d_lo, d_hi)
-    upper = k * np.where(keep, d_hi, d_lo)
+    lower *= k
+    upper *= k
     # a non-finite difference leaves its quotient non-finite too
     finite = np.isfinite(lower).all(axis=1) & np.isfinite(upper).all(axis=1)
     # the operands' magnitude is that of their supports, where the cuts nest
     mag = np.abs([ft_lo[:, 0], ft_hi[:, 0], fr_lo[:, 0], fr_hi[:, 0]]).max(axis=0)
     crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu
-    gh = [_GH_CASES[c] for c in (2 * ok_i + ok_ii).tolist()]
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
-            for c, i in zip(crisp.tolist(), ok_i.tolist())]
-    return _Jumps(lower, upper, gh, case, finite)
+            for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
+    return _Jumps(lower, upper, gh.cases(), case, finite)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -731,26 +695,24 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
         if pc.left is Side.SCATTERED:
             jumps, i, ft, fr = jump
             if jumps.gh_case[i] is GhCase.NONE or not jumps.finite[i]:
-                # raises OrderViolation on a non-finite difference, where
-                # the subtraction would only warn ahead of that error
+                # the failing row again: the pass keeps no candidate rows
                 with np.errstate(over="ignore", invalid="ignore"):
-                    res = gh_diff(FuzzyNumber(*ft, validate=False),
-                                  FuzzyNumber(*fr, validate=False))
-                if res.value is not None:
-                    raise OrderViolation(
-                        f"the jump quotient at {t!r} is not finite: the "
-                        f"difference overflows over nu = {pc.nu!r}")
-                raise GhNonexistent(
-                    f"generalized difference of f({t!r}) and f({pc.rho!r}) does "
-                    f"not exist", res.diagnostics)
+                    gh = gh_exists((ft[0] - fr[0])[None], (ft[1] - fr[1])[None])
+                gh.raise_nonfinite()
+                if jumps.gh_case[i] is GhCase.NONE:
+                    raise GhNonexistent(
+                        f"generalized difference of f({t!r}) and f({pc.rho!r}) "
+                        f"does not exist", gh.diagnostics(0))
+                raise OrderViolation(
+                    f"the jump quotient at {t!r} is not finite: the "
+                    f"difference overflows over nu = {pc.nu!r}")
             value = FuzzyNumber(jumps.lower[i], jumps.upper[i], validate=False)
             case = jumps.case[i]
             residual = 0.0
             evidence["path"] = "backward-quotient"
             evidence["gh_case"] = jumps.gh_case[i].value
             if "right" in probes:
-                evidence["h_orientations"] = _h_orientations(
-                    FuzzyNumber(*fr, validate=False), probes["right"])
+                evidence["h_orientations"] = _h_orientations(*fr, probes["right"])
         else:
             value, residual = _dense_value(probes, cfg, t)
             case = classify_case(value, report, cfg, residual)
@@ -777,20 +739,17 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
 
 # a difference with a non-finite level raises its OrderViolation below
 @np.errstate(over="ignore", invalid="ignore")
-def _h_orientations(Fr: FuzzyNumber, streams: list[_StreamData]) -> dict:
+def _h_orientations(fr_lo: np.ndarray, fr_hi: np.ndarray,
+                    streams: list[_StreamData]) -> dict:
     """Which classical-difference orientations appear among right probes:
     how many of f(p) -H f(rho) and of f(rho) -H f(p) exist (h_diff), from
-    the probes' level rows, with Fr = f(rho)."""
-    lo = np.concatenate([s.lower for s in streams])
-    hi = np.concatenate([s.upper for s in streams])
-    fwd, _, fwd_raises = _gh_rows(lo - Fr.lower, hi - Fr.upper)
-    bwd, _, bwd_raises = _gh_rows(Fr.lower - lo, Fr.upper - hi)
-    raises = fwd_raises | bwd_raises
-    if raises.any():
-        j = int(np.argmax(raises))
-        Fp = FuzzyNumber(lo[j], hi[j], validate=False)
-        h_diff(Fp, Fr)
-        h_diff(Fr, Fp)  # one of the two raises its OrderViolation
+    the probes' level rows and f's levels at rho (fr)."""
+    d_lo = np.concatenate([s.lower for s in streams]) - fr_lo
+    d_hi = np.concatenate([s.upper for s in streams]) - fr_hi
+    # f(p) - f(rho) in the first half of the rows, f(rho) - f(p) in the second
+    gh = gh_exists(np.concatenate([d_lo, -d_lo]), np.concatenate([d_hi, -d_hi]))
+    gh.raise_nonfinite()
+    fwd, bwd = np.split(gh.ok_i, 2)
     return {"forward": int(fwd.sum()), "backward": int(bwd.sum())}
 
 
@@ -956,36 +915,43 @@ def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,
     return _scalar_at(g, ts, _classify_in_domain(ts, float(t)), cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _scalar_at(g: Callable[[float], float], ts: TimeScale, pc: PointClass,
                cfg: ProbeConfig) -> float:
-    """nabla_scalar at the point of the record pc."""
+    """nabla_scalar at the point of the record pc. A quotient, tail
+    spread, stream spread or value that is not finite is rejected by name
+    (_require_finite) before any tolerance gate."""
     t = pc.t
     if pc.left is Side.SCATTERED:
-        return (g(t) - g(pc.rho)) / pc.nu
+        value = (g(t) - g(pc.rho)) / pc.nu
+        _require_finite(t, "left", (("quotient", value),))
+        return value
 
     gt = g(t)
     ests = []
     worst_tail = 0.0
-    for side in ("left", "right"):
-        if side == "left" and pc.left is not Side.DENSE:
-            continue
-        if side == "right" and pc.right is not Side.DENSE:
+    for side, density in (("left", pc.left), ("right", pc.right)):
+        if density is not Side.DENSE:
             continue
         streams = ts.approach_streams(t, side, cfg.probe_count)
         for s in streams:
             q = np.array([(g(p) - gt) / (p - t) for p in s.points])
             if s.synthetic and len(q) >= 2:
                 q = 2.0 * q[1:] - q[:-1]
+            tail = float(_tail_spread(q[:, None])[0])
+            _require_finite(t, side, (("quotient", q), ("tail spread", tail)))
             ests.append(float(q[-1]))
-            worst_tail = max(worst_tail, float(_tail_spread(q[:, None])[0]))
+            worst_tail = max(worst_tail, tail)
     if not ests:
         raise LimitDisagreement(f"no probe points around {t!r}")
     spread = max(ests) - min(ests)
+    value = float(np.mean(ests))
+    _require_finite(t, None, (("stream spread", spread), ("value", value)))
     if spread > cfg.agreement_tol or worst_tail > cfg.agreement_tol:
         raise LimitDisagreement(
             f"scalar derivative estimates at {t!r} disagree by "
             f"{max(spread, worst_tail):.3g}")
-    return float(np.mean(ests))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1047,10 +1013,8 @@ def _level_residual(f: FuzzyFunction, ts: TimeScale, r: DerivativeResult,
 
     # dense: replicate the estimation per level with scalar arithmetic
     sides = []
-    for side in ("left", "right"):
-        if side == "left" and pc.left is not Side.DENSE:
-            continue
-        if side == "right" and pc.right is not Side.DENSE:
+    for side, density in (("left", pc.left), ("right", pc.right)):
+        if density is not Side.DENSE:
             continue
         streams = ts.approach_streams(t, side, cfg.probe_count)
         if streams:

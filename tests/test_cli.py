@@ -307,6 +307,20 @@ class TestCheck:
         assert code == 0
         assert out.count("Verified") == 2
 
+    @pytest.mark.parametrize("theorem", ["product-interval", "product1",
+                                         "product2"])
+    def test_non_finite_scalar_derivative(self, theorem, capsys):
+        # fs stays finite at 1 and its probes, but its quotients overflow:
+        # nabla fs is rejected by name, not graded as a NaN
+        code, out, err = run([
+            "check", theorem, "--timescale", "interval(0,1.02)",
+            "--fn", "tri(1e-10*t, 1e-10*t+1e-10, 1e-10*t+2e-10)",
+            "--scalar-fn", "1.7e308*t^2", "--points", "1", "--levels", "4",
+        ], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the quotient on the left of 1.0 is not finite (nan)\n"
+
     def test_characterize_switching(self, capsys):
         code, out, err = run([
             "check", "characterize",

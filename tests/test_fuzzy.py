@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fuzzynabla.errors import AlphaOutOfRange, GridMismatch, OrderViolation
 from fuzzynabla.fuzzy import (
+    MONO_RTOL,
     FuzzyNumber,
     GhCase,
     add,
@@ -94,6 +95,8 @@ class TestConstruction:
         lambda: triangular(-1e308, 1e308, 1e308, K=4),
         lambda: triangular(-math.inf, 0, 1),
         lambda: crisp(math.inf),
+        lambda: FuzzyNumber.interval(-math.inf, math.inf),
+        lambda: FuzzyNumber.interval(0, math.nan),
     ])
     def test_levels_must_be_finite(self, make):
         with pytest.raises(OrderViolation, match="level arrays must be finite"):
@@ -364,3 +367,112 @@ def test_invalid_rows_is_validate(rows):
     with np.errstate(invalid="ignore"):
         got = invalid_rows(np.array(lo), np.array(hi))
     assert got.tolist() == want
+
+
+# -- an independent oracle for the row-wise gH test --------------------------
+# Python loops over the levels of one row, written from the definition of the
+# test, with numpy's NaN rules spelled out: a NaN magnitude or gap makes its
+# maximum NaN, and a comparison with NaN is False.
+
+
+def _nan_max(xs):
+    return math.nan if any(math.isnan(x) for x in xs) else max(xs)
+
+
+def oracle_row(d_lo, d_hi):
+    """(case (i) exists, case (ii) exists, every level finite) for one row
+    of candidate endpoints."""
+    m_lo = _nan_max([abs(x) for x in d_lo])
+    m_hi = _nan_max([abs(x) for x in d_hi])
+    tol = MONO_RTOL * (1.0 + (m_hi if m_hi > m_lo else m_lo))
+    steps_lo = [d_lo[k + 1] - d_lo[k] for k in range(len(d_lo) - 1)]
+    steps_hi = [d_hi[k + 1] - d_hi[k] for k in range(len(d_hi) - 1)]
+    gaps = [a - b for a, b in zip(d_lo, d_hi)]
+    gap_max = _nan_max(gaps)
+    gap_min = -_nan_max([-g for g in gaps])
+    ok_i = not (any(s < -tol for s in steps_lo) or any(s > tol for s in steps_hi)
+                or gap_max > tol)
+    ok_ii = not (any(s < -tol for s in steps_hi) or any(s > tol for s in steps_lo)
+                 or gap_min < -tol)
+    finite = all(math.isfinite(x) for x in d_lo + d_hi)
+    return ok_i, ok_ii, finite
+
+
+NUDGES = (0.0, 0.0, 0.5, -0.5, 3.0, -3.0)  # multiples of MONO_RTOL
+SPECIALS = (math.inf, -math.inf, math.nan, -0.0)
+
+
+@st.composite
+def level_row(draw, K, tri=None):
+    """The levels of the triangular number tri (drawn when None) shifted by
+    a drawn constant, nudged by a few times the tolerance, with a few
+    entries replaced by +-inf, NaN or -0.0."""
+    shift = draw(st.floats(-10, 10))
+    a, b, c = (x + shift for x in (tri if tri is not None else draw(tri_params)))
+    mag = 1.0 + max(abs(a), abs(c))
+    row = []
+    for bound in (a, c):
+        levels = []
+        for k in range(K + 1):
+            x = bound + (k / K if K else 0.0) * (b - bound)
+            x += draw(st.sampled_from(NUDGES)) * MONO_RTOL * mag
+            if draw(st.integers(0, 23)) == 0:
+                x = draw(st.sampled_from(SPECIALS))
+            levels.append(x)
+        row.append(levels)
+    return row
+
+
+@st.composite
+def row_pairs(draw):
+    """K, and rows of (u, v) level pairs on that grid; v is sometimes u's
+    triangle shifted, so that both cases exist."""
+    K = draw(st.integers(0, 5))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        tri = draw(tri_params)
+        u = draw(level_row(K, tri))
+        v = draw(level_row(K, tri if draw(st.booleans()) else None))
+        pairs.append((u, v))
+    return K, pairs
+
+
+@given(row_pairs())
+@settings(max_examples=300, deadline=None)
+def test_gh_kernel_matches_oracle(drawn):
+    K, pairs = drawn
+    for (ulo, uhi), (vlo, vhi) in pairs:
+        # the rows as levels: a fuzzy number exactly when finite and case (i)
+        # against 0 exists
+        ok_i, ok_ii, finite = oracle_row(ulo, uhi)
+        valid = finite and ok_i
+        assert invalid_rows(np.array([ulo]), np.array([uhi])).tolist() == [not valid]
+        if valid:
+            u = FuzzyNumber(ulo, uhi)
+            assert u.lower.tolist() == ulo and u.upper.tolist() == uhi
+        else:
+            with pytest.raises(OrderViolation):
+                FuzzyNumber(ulo, uhi)
+
+        # the rows as candidate endpoints of u gH- v
+        d_lo = [a - b for a, b in zip(ulo, vlo)]
+        d_hi = [a - b for a, b in zip(uhi, vhi)]
+        ok_i, ok_ii, finite = oracle_row(d_lo, d_hi)
+        got = gh_exists(np.array([d_lo]), np.array([d_hi]))
+        assert (bool(got[0][0]), bool(got[1][0])) == (ok_i, ok_ii)
+        u = FuzzyNumber(ulo, uhi, validate=False)
+        v = FuzzyNumber(vlo, vhi, validate=False)
+        if (ok_i or ok_ii) and not finite:
+            with pytest.raises(OrderViolation, match="level arrays must be finite"):
+                gh_diff(u, v)
+            continue
+        res = gh_diff(u, v)
+        want = {(True, True): GhCase.BOTH, (True, False): GhCase.CASE_I,
+                (False, True): GhCase.CASE_II, (False, False): GhCase.NONE}
+        assert res.case is want[ok_i, ok_ii]
+        if res.case is GhCase.NONE:
+            assert res.value is None
+            continue
+        lower, upper = (d_lo, d_hi) if ok_i else (d_hi, d_lo)
+        assert res.value.lower.tobytes() == np.array(lower).tobytes()
+        assert res.value.upper.tobytes() == np.array(upper).tobytes()

@@ -99,6 +99,14 @@ def times_u(u):
     return FuzzyFunction(lambda t: u * t if t >= 0 else (-u) * (-t), K=K)
 
 
+ACCUMULATING = parse_timescale("union(recip(1,50), recip(sqrt2,50), points(0))")
+
+
+def _on_recip1(t: float) -> bool:
+    """Whether t > 0 is a point 1/k of recip(1)."""
+    return t > 0 and abs(1 / t - round(1 / t)) < 1e-6
+
+
 class TestScalar:
     def test_integer_grid_exact(self):
         g = lambda t: t * t
@@ -120,6 +128,35 @@ class TestScalar:
         # min of a real interval is left-dense, so it stays in the domain
         val = nabla_scalar(lambda t: t * t, UNIT, 0.0)
         assert abs(val) <= 1e-6
+
+    @pytest.mark.parametrize("ts, g, side, criterion, value", [
+        # every probe value overflows while g(1) = 0: the quotients are
+        # +-inf, and their Richardson extrapolation inf - inf is NaN
+        (TimeScale([ClosedInterval(0.0, 2.0)]),
+         lambda t: 1e308 * t * t * 1e10 if t != 1.0 else 0.0,
+         "left", "quotient", math.nan),
+        (TimeScale([ArithmeticGrid(0.0, 2.0, 0.5)]),
+         lambda t: 1e308 * t * t * 1e10 if t != 1.0 else 0.0,
+         "left", "quotient", -math.inf),
+        # two generator streams at 0 (no extrapolation): their estimates
+        # are finite, but their spread or their mean overflows
+        (ACCUMULATING, lambda t: 1.5e308 * t * (1 if _on_recip1(t) else -1),
+         None, "stream spread", math.inf),
+        (ACCUMULATING, lambda t: 1.5e308 * t, None, "value", math.inf),
+    ])
+    def test_non_finite_result_is_rejected_by_name(self, ts, g, side,
+                                                   criterion, value):
+        t = 0.0 if ts is ACCUMULATING else 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LimitDisagreement) as info:
+                nabla_scalar(g, ts, t)
+        where = f"at {t!r}" if side is None else f"on the {side} of {t!r}"
+        assert str(info.value) == (
+            f"the {criterion} {where} is not finite ({value!r})")
+        diag = info.value.diagnostics
+        assert (diag["side"], diag["criterion"]) == (side, criterion)
+        assert repr(diag["value"]) == repr(value)
 
 
 class TestScatteredDerivative:

@@ -372,7 +372,9 @@ def cmd_ghdiff(args) -> int:
 
     lines = [f"case,{res.case.value}"]
     if res.value is not None:
-        lines.append(res.value.to_csv().rstrip("\n"))
+        lines.append("alpha,lower,upper")
+        for a, lo, hi in res.value.csv_rows():
+            lines.append(f"{a!r},{lo!r},{hi!r}")
     else:
         for key, msg in sorted(res.diagnostics.items()):
             lines.append(f"# {key}: {msg}")

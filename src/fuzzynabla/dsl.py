@@ -51,6 +51,11 @@ SQRT2 = math.sqrt(2.0)
 MAX_DEPTH = 100
 
 _CONSTANTS = {"sqrt2": SQRT2, "pi": math.pi}
+_KEYWORDS = {
+    "union", "interval", "points", "hgrid", "qgrid", "recip",
+    "tri", "endpoints", "piecewise", "in", "sqrt", "t", "alpha",
+    "sqrt2", "pi",
+}
 
 
 # ---------------------------------------------------------------------------

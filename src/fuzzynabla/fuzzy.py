@@ -85,8 +85,7 @@ class FuzzyNumber:
     @classmethod
     def triangular(cls, a: float, b: float, c: float, K: int = 100) -> "FuzzyNumber":
         """Triangular number with support [a, c] and core b; cuts are linear.
-        The cuts nest by construction; a level that is not finite (b - a
-        may overflow) raises OrderViolation."""
+        A level that is not finite (b - a may overflow) fails validation."""
         if not (a <= b <= c):
             raise OrderViolation(f"triangular requires a <= b <= c, got ({a}, {b}, {c})")
         if K < 1:
@@ -95,16 +94,13 @@ class FuzzyNumber:
         with np.errstate(over="ignore", invalid="ignore"):
             lo = a + alphas * (b - a)
             hi = c + alphas * (b - c)
-        _require_finite(lo, hi)
-        return cls(lo, hi, validate=False)
+        return cls(lo, hi)
 
     @classmethod
     def crisp(cls, x: float, K: int = 100) -> "FuzzyNumber":
         """The crisp number x; x must be finite (OrderViolation)."""
-        n = K + 1
-        lo = np.full(n, float(x))
-        _require_finite(lo, lo)
-        return cls(lo, lo, validate=False)
+        lo = np.full(K + 1, float(x))
+        return cls(lo, lo)
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "FuzzyNumber":
@@ -256,12 +252,6 @@ class FuzzyNumber:
 _NOT_FINITE = "level arrays must be finite"
 
 
-def _require_finite(lo: np.ndarray, hi: np.ndarray) -> None:
-    """Raise OrderViolation unless every level is finite."""
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise OrderViolation(_NOT_FINITE)
-
-
 @dataclass
 class GhDiffResult:
     """Outcome of a generalized difference: value (if it exists), which
@@ -314,10 +304,10 @@ class GhRows(NamedTuple):
     d_hi: np.ndarray
     mag: np.ndarray
 
-    def raise_nonfinite(self, rows=slice(None)) -> None:
-        """gh_diff's OrderViolation where one of rows has a case but a
-        level that is not finite."""
-        if ((self.ok_i[rows] | self.ok_ii[rows]) & ~self.finite[rows]).any():
+    def raise_nonfinite(self) -> None:
+        """gh_diff's OrderViolation where a row has a case but a level that
+        is not finite."""
+        if ((self.ok_i | self.ok_ii) & ~self.finite).any():
             raise OrderViolation(_NOT_FINITE)
 
     def cases(self) -> list[GhCase]:
@@ -347,21 +337,24 @@ def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray) -> GhRows:
     magnitude) are forgiven. Levels are a fuzzy number exactly when they
     are finite and their case (i) against 0 exists."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mag_lo = np.maximum.reduce(np.abs(d_lo), axis=1)
-        mag_hi = np.maximum.reduce(np.abs(d_hi), axis=1)
+        # one (N, K+1) buffer holds |d_lo|, |d_hi|, then the gaps
+        buf = np.abs(d_lo, dtype=float)
+        mag_lo = np.maximum.reduce(buf, axis=1)
+        mag_hi = np.maximum.reduce(np.abs(d_hi, out=buf), axis=1)
         # mag_hi if mag_hi > mag_lo else mag_lo, as Python's max: a NaN upper
         # candidate leaves the tests on
         mag = np.maximum(mag_lo, np.fmax(mag_hi, mag_lo))
         tol = MONO_RTOL * (1.0 + mag)
         # the steps of d_lo and of -d_hi: case (i) needs each >= -tol, case
-        # (ii) each <= tol, and a NaN step fails no test
+        # (ii) each <= tol, and a NaN step fails no test (their maxima
+        # overwrite dl)
         dl = d_lo[:, 1:] - d_lo[:, :-1]
         ndh = d_hi[:, :-1] - d_hi[:, 1:]
-        gap = d_lo - d_hi
+        gap = np.subtract(d_lo, d_hi, out=buf)
         ntol = -tol
         ok_i = ~((np.fmin.reduce(np.fmin(dl, ndh), axis=1, initial=np.inf) < ntol)
                  | (np.maximum.reduce(gap, axis=1) > tol))
-        ok_ii = ~((np.fmax.reduce(np.fmax(dl, ndh), axis=1, initial=-np.inf) > tol)
+        ok_ii = ~((np.fmax.reduce(np.fmax(dl, ndh, out=dl), axis=1, initial=-np.inf) > tol)
                   | (np.minimum.reduce(gap, axis=1) < ntol))
         finite = np.isfinite(np.maximum(mag_lo, mag_hi))
     return GhRows(ok_i, ok_ii, tol, finite, d_lo, d_hi, mag)
@@ -378,13 +371,14 @@ def require_fuzzy(lo: np.ndarray, hi: np.ndarray) -> None:
     stacks, naming the first of non-finite levels, a decreasing lower
     endpoint, an increasing upper one and crossing cuts, at the level
     index where that violation is largest."""
-    bad = invalid_rows(lo, hi)
+    rows = gh_exists(lo, hi)
+    bad = ~(rows.ok_i & rows.finite)
     if not bad.any():
         return
     i = int(bad.argmax())
-    lo, hi = lo[i], hi[i]
-    _require_finite(lo, hi)
-    tol = gh_exists(lo[None], hi[None]).tol[0]
+    if not rows.finite[i]:
+        raise OrderViolation(_NOT_FINITE)
+    lo, hi, tol = lo[i], hi[i], rows.tol[i]
     with np.errstate(over="ignore"):
         dlo, dhi = np.diff(lo), np.diff(hi)
         if dlo.min(initial=0.0) < -tol:
@@ -418,19 +412,16 @@ def gh_diff(u: FuzzyNumber, v: FuzzyNumber) -> GhDiffResult:
     _require_same_grid(u, v)
     rows = gh_exists((u.lower - v.lower)[None], (u.upper - v.upper)[None])
     rows.raise_nonfinite()
-    case = rows.cases()[0]
     value = None
-    if case is not GhCase.NONE:
+    if rows.ok_i[0] or rows.ok_ii[0]:
         value = FuzzyNumber(*(x[0] for x in rows.values()), validate=False)
-    return GhDiffResult(value, case, rows.diagnostics(0))
+    return GhDiffResult(value, rows.cases()[0], rows.diagnostics(0))
 
 
 def h_diff(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber | None:
     """Classical (Hukuhara) difference: the case (i) construction only."""
     res = gh_diff(u, v)
-    if res.case in (GhCase.CASE_I, GhCase.BOTH):
-        return res.value
-    return None
+    return res.value if res.case in (GhCase.CASE_I, GhCase.BOTH) else None
 
 
 def hausdorff(u: FuzzyNumber, v: FuzzyNumber) -> float:

@@ -1013,8 +1013,10 @@ def _level_residual(f: FuzzyFunction, ts: TimeScale, r: DerivativeResult,
 
     # dense: replicate the estimation per level with scalar arithmetic
     sides = []
-    for side, density in (("left", pc.left), ("right", pc.right)):
-        if density is not Side.DENSE:
+    for side in ("left", "right"):
+        if side == "left" and pc.left is not Side.DENSE:
+            continue
+        if side == "right" and pc.right is not Side.DENSE:
             continue
         streams = ts.approach_streams(t, side, cfg.probe_count)
         if streams:

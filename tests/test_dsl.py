@@ -489,6 +489,8 @@ class TestVectorForm:
             f.stack([2.0, 0.0, -1.0])
         with pytest.raises(OrderViolation) as single:
             f(0.0)
+        # the largest of the lower endpoint's falls (the first is at index 0)
+        assert str(stacked.value) == "lower endpoint decreases at level index 3"
         assert str(stacked.value) == str(single.value)
 
     def test_uncovered_arm_names_first_t(self):

@@ -23,6 +23,7 @@ from fuzzynabla.fuzzy import (
     scalar_mul,
     triangular,
 )
+from fuzzynabla.nabla import FuzzyFunction
 
 
 # -- independent oracle -------------------------------------------------------
@@ -112,6 +113,30 @@ class TestConstruction:
         assert g.K == 0
         assert g.level(0.0).as_tuple() == (1.0, 3.0)
         assert g.level(0.9).as_tuple() == (1.0, 3.0)  # cuts constant in alpha
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        # the level index where the violation is largest, not the first
+        ([0, -1, -1.5, -4, -4], [5, 4, 3, 2, 1], "lower endpoint decreases at level index 2"),
+        ([0, 0, 0, 0], [5, 6, 6.1, 9], "upper endpoint increases at level index 2"),
+        ([0, 1, 3], [4, 2, 1], "lower exceeds upper at level index 2"),
+        # the first violated invariant in that order names the error
+        ([0, -1], [1, 2], "lower endpoint decreases at level index 0"),
+        ([0, 2], [1, 3], "upper endpoint increases at level index 0"),
+        ([0, -1, math.nan], [1, 2, 3], "level arrays must be finite"),
+    ])
+    def test_invariant_messages(self, lower, upper, message):
+        with pytest.raises(OrderViolation) as err:
+            FuzzyNumber(lower, upper)
+        assert str(err.value) == message
+
+    def test_stack_names_first_invalid_row(self):
+        rows = (np.array([[0.0, 1.0], [0.0, 2.0], [3.0, 1.0]]),
+                np.array([[2.0, 1.0], [1.0, 0.5], [0.0, 1.0]]))
+        # rows 1 and 2 are invalid: row 1's crossing cuts name the error
+        f = FuzzyFunction(lambda t: None, K=1, vector=lambda t: rows)
+        with pytest.raises(OrderViolation) as err:
+            f.stack([0.0, 1.0, 2.0])
+        assert str(err.value) == "lower exceeds upper at level index 1"
 
     def test_invariant_rejection(self):
         with pytest.raises(OrderViolation):
@@ -398,6 +423,24 @@ def oracle_row(d_lo, d_hi):
     return ok_i, ok_ii, finite
 
 
+def oracle_message(lo, hi):
+    """FuzzyNumber's OrderViolation message for levels that are not a fuzzy
+    number: the first of non-finite levels, a decreasing lower endpoint, an
+    increasing upper one and crossing cuts, at the first level index where
+    that violation is largest."""
+    if not all(math.isfinite(x) for x in lo + hi):
+        return "level arrays must be finite"
+    tol = MONO_RTOL * (1.0 + max(abs(x) for x in lo + hi))
+    steps_lo = [lo[k + 1] - lo[k] for k in range(len(lo) - 1)]
+    steps_hi = [hi[k + 1] - hi[k] for k in range(len(hi) - 1)]
+    if steps_lo and min(steps_lo) < -tol:
+        return f"lower endpoint decreases at level index {steps_lo.index(min(steps_lo))}"
+    if steps_hi and max(steps_hi) > tol:
+        return f"upper endpoint increases at level index {steps_hi.index(max(steps_hi))}"
+    gaps = [a - b for a, b in zip(lo, hi)]
+    return f"lower exceeds upper at level index {gaps.index(max(gaps))}"
+
+
 NUDGES = (0.0, 0.0, 0.5, -0.5, 3.0, -3.0)  # multiples of MONO_RTOL
 SPECIALS = (math.inf, -math.inf, math.nan, -0.0)
 
@@ -451,8 +494,9 @@ def test_gh_kernel_matches_oracle(drawn):
             u = FuzzyNumber(ulo, uhi)
             assert u.lower.tolist() == ulo and u.upper.tolist() == uhi
         else:
-            with pytest.raises(OrderViolation):
+            with pytest.raises(OrderViolation) as err:
                 FuzzyNumber(ulo, uhi)
+            assert str(err.value) == oracle_message(ulo, uhi)
 
         # the rows as candidate endpoints of u gH- v
         d_lo = [a - b for a, b in zip(ulo, vlo)]

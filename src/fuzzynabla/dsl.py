@@ -622,32 +622,31 @@ def print_canonical(obj) -> str:
 # evaluation
 
 
-def _match_piece(ref: PieceRef, piece) -> bool:
-    if piece.kind != ref.kind:
-        return False
-    actual = piece.canonical_args()
-    if len(ref.args) > len(actual):
-        return False
-    return all(
-        abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-        for a, b in zip(ref.args, actual)
-    )
-
-
 def _arm_applies(ref: PieceRef, ts: TimeScale | None, t: float) -> bool:
     if ts is None:
         return False
-    for piece in ts.pieces:
-        if _match_piece(ref, piece):
-            if piece.contains(t):
-                return True
-            if isinstance(piece, ReciprocalGrid) and piece.predicate_contains(t):
-                return True
+    for piece in ts.pieces_named(ref.kind, ref.args):
+        if (piece.predicate_contains(t) if isinstance(piece, ReciprocalGrid)
+                else piece.contains(t)):
+            return True
     return False
 
 
 def eval_expr(e: Expr, t: float, alpha=None, ts: TimeScale | None = None):
-    """Evaluate at scalar t; alpha may be an array (results broadcast)."""
+    """Evaluate at scalar t; alpha may be an array (results broadcast).
+
+    Numpy arithmetic (alpha arrays) runs under np.errstate: a level that
+    overflows, or is 0 * inf, comes out inf or NaN, and FuzzyNumber
+    validation rejects it, as in the compiled form. Float arithmetic
+    raises where it fails."""
+    if alpha is None and not isinstance(t, (np.ndarray, np.generic)):
+        return _eval(e, t, None, ts)
+    with np.errstate(all="ignore"):
+        return _eval(e, t, alpha, ts)
+
+
+def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
+    """eval_expr, without its np.errstate."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Name):
@@ -659,21 +658,21 @@ def eval_expr(e: Expr, t: float, alpha=None, ts: TimeScale | None = None):
             return alpha
         return _CONSTANTS[e.ident]
     if isinstance(e, Neg):
-        return -eval_expr(e.arg, t, alpha, ts)
+        return -_eval(e.arg, t, alpha, ts)
     if isinstance(e, Sqrt):
-        v = eval_expr(e.arg, t, alpha, ts)
+        v = _eval(e.arg, t, alpha, ts)
         if np.any(np.asarray(v) < 0):
             raise ValidationError("sqrt of a negative value", sample={"t": t})
         return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
     if isinstance(e, Piecewise):
         for arm in e.arms:
             if _arm_applies(arm.piece, ts, t):
-                return eval_expr(arm.body, t, alpha, ts)
+                return _eval(arm.body, t, alpha, ts)
         raise ValidationError(
             f"no piecewise arm covers t={t!r}", sample={"t": t})
     if isinstance(e, BinOp):
-        a = eval_expr(e.left, t, alpha, ts)
-        b = eval_expr(e.right, t, alpha, ts)
+        a = _eval(e.left, t, alpha, ts)
+        b = _eval(e.right, t, alpha, ts)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -686,13 +685,8 @@ def eval_expr(e: Expr, t: float, alpha=None, ts: TimeScale | None = None):
             return a / b
         if e.op == "^":
             try:
-                if isinstance(a, (np.ndarray, np.generic)):
-                    # inf or NaN where float ** int raises: FuzzyNumber
-                    # validation rejects that level, as in the compiled form
-                    with np.errstate(all="ignore"):
-                        return a ** int(b)
                 return a ** int(b)
-            except ArithmeticError as err:  # overflow, or 0 to a negative power
+            except ArithmeticError as err:  # float overflow, or 0 to a negative power
                 raise ValidationError(f"power fails at t={t!r}: {err}",
                                       sample={"t": t}) from None
     raise TypeError(f"not an expression: {e!r}")
@@ -919,7 +913,7 @@ def _compile_power(base, e: int, alpha_kind: str):
     return power
 
 
-def _arm_mask(pieces: list, t: np.ndarray) -> np.ndarray:
+def _arm_mask(pieces: tuple, t: np.ndarray) -> np.ndarray:
     """_arm_applies at every entry of t, for the pieces an arm names: in
     one pass for a reciprocal grid, point by point for the others."""
     hit = np.zeros(len(t), dtype=bool)
@@ -932,8 +926,8 @@ def _arm_mask(pieces: list, t: np.ndarray) -> np.ndarray:
 
 
 def _compile_piecewise(e: Piecewise, ts: TimeScale):
-    arms = [([p for p in ts.pieces if _match_piece(a.piece, p)],
-             _compile(a.body, ts)) for a in e.arms]
+    arms = [(ts.pieces_named(a.piece.kind, a.piece.args), _compile(a.body, ts))
+            for a in e.arms]
 
     def piecewise(t, alpha):
         n = len(t)

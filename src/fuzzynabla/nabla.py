@@ -93,6 +93,11 @@ class FuzzyFunction:
     definition, which raises that error itself). The memo cache holds
     values of fn only, or rows of a stack, which are those bit for bit;
     stack itself neither reads nor fills it.
+
+    _analysis memoizes the last one-record pass (_analysis_at): the scale,
+    the record's t and the ProbeConfig it ran with, and its analysis. One
+    entry keeps memory bounded; a pass over many records neither reads
+    nor fills it (_derivatives).
     """
 
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
@@ -101,6 +106,7 @@ class FuzzyFunction:
         self.K = int(K)
         self._cache: dict[float, FuzzyNumber] = {}
         self._vector = vector
+        self._analysis = None
 
     def __call__(self, t: float) -> FuzzyNumber:
         t = float(t)
@@ -293,6 +299,16 @@ class SideData:
     residual: np.ndarray | None = None
     streams: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
+    def copy(self) -> "SideData":
+        """The side with its own arrays."""
+        def own(a):
+            return None if a is None else a.copy()
+        return SideData(self.kind, own(self.lower), own(self.upper),
+                        own(self.lower_exists), own(self.upper_exists),
+                        own(self.residual),
+                        {label: (lo.copy(), hi.copy())
+                         for label, (lo, hi) in self.streams.items()})
+
     @property
     def settled(self) -> bool:
         if self.kind == "scattered":
@@ -424,7 +440,7 @@ def endpoint_derivatives(f: FuzzyFunction, ts: TimeScale, t: float,
     """One-sided endpoint derivative estimates per level, with existence
     flags and per-generator subsequence limits."""
     pc = _classify_member(ts, float(t))
-    return next(_analyses(f, ts, [pc], cfg))[0]
+    return _analysis_at(f, ts, pc, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +620,8 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     # a non-finite difference leaves its quotient non-finite too
     finite = np.isfinite(lower).all(axis=1) & np.isfinite(upper).all(axis=1)
     # the operands' magnitude is that of their supports, where the cuts nest
-    mag = np.abs([ft_lo[:, 0], ft_hi[:, 0], fr_lo[:, 0], fr_hi[:, 0]]).max(axis=0)
+    mag = np.maximum(np.maximum(np.abs(ft_lo[:, 0]), np.abs(ft_hi[:, 0])),
+                     np.maximum(np.abs(fr_lo[:, 0]), np.abs(fr_hi[:, 0])))
     crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
@@ -718,12 +735,13 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
             case = classify_case(value, report, cfg, residual)
             evidence["path"] = "one-sided-limits"
             evidence["gh_cases"] = {
-                side: {s.label: s.gh_cases for s in streams}
+                side: {s.label: list(s.gh_cases) for s in streams}
                 for side, streams in probes.items()
             }
 
+        # the lists are the result's own: a memoized analysis is derived again
         evidence["continuity_gaps"] = {
-            side: {s.label: s.gaps for s in streams}
+            side: {s.label: list(s.gaps) for s in streams}
             for side, streams in probes.items()
         }
 
@@ -856,12 +874,46 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
         yield report, probes, failure, jump
 
 
+def _analysis_at(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
+                 cfg: ProbeConfig):
+    """The one-record pass on pc (_analyses), through f's memo of its last
+    one: the rule checks derive g at each point up to three times, and
+    derivative_report often follows them. (The pass reads f at t, rho and
+    sigma through f's value memo, so keep would change nothing here.)
+
+    The entry is f's until the next one-record pass at another scale
+    (held and compared with is), t (with its sign, for -0.0) or cfg; an
+    error is raised, not kept. Each call gets its own copy (_copied)."""
+    key = (pc.t, math.copysign(1.0, pc.t), cfg)
+    memo = f._analysis
+    if memo is None or memo[0] is not ts or memo[1] != key:
+        f._analysis = memo = (ts, key, next(_analyses(f, ts, [pc], cfg)))
+    return _copied(memo[2])
+
+
+def _copied(analysis):
+    """analysis with its own endpoint report and failed probe: no object
+    that reaches a result or a raised error is shared with another call
+    (_derive copies the evidence lists it takes from the probe data)."""
+    report, probes, failure, jump = analysis
+    report = EndpointReport(report.t, report.alphas.copy(), report.minus.copy(),
+                            report.plus.copy(), report.point)
+    if failure is not None:
+        failure = GhNonexistent(str(failure), dict(failure.diagnostics))
+    return report, probes, failure, jump
+
+
 def _derivatives(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
                  cfg: ProbeConfig, report: bool = False, keep: bool = False):
     """nabla_gh at each record's point, in order, from one pass
-    (_analyses, with keep); with report, derivative_report: a GhNonexistent
-    or LimitDisagreement comes back as a NotDifferentiable result."""
-    for analysis in _analyses(f, ts, records, cfg, keep):
+    (_analyses, with keep; one record goes through f's memo, _analysis_at);
+    with report, derivative_report: a GhNonexistent or LimitDisagreement
+    comes back as a NotDifferentiable result."""
+    if len(records) == 1:
+        analyses = [_analysis_at(f, ts, records[0], cfg)]
+    else:
+        analyses = _analyses(f, ts, records, cfg, keep)
+    for analysis in analyses:
         try:
             res = _derive(*analysis, cfg)
         except (GhNonexistent, LimitDisagreement) as err:

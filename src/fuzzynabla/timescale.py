@@ -417,6 +417,14 @@ class ReciprocalGrid:
 Piece = ClosedInterval | ExplicitPoints | ArithmeticGrid | GeometricGrid | ReciprocalGrid
 
 
+def _args_match(args: tuple[float, ...], actual: tuple[float, ...]) -> bool:
+    """Whether actual begins with args, each within 1e-9 relative."""
+    if len(args) > len(actual):
+        return False
+    return all(abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+               for a, b in zip(args, actual))
+
+
 def piece_from_dict(d: dict) -> Piece:
     kind = d.get("kind")
     if kind == "interval":
@@ -478,12 +486,25 @@ class TimeScale:
         self._min = min(lo)
         self._max = max(hi)
         self._jumps = self._jumps_at(self._points)
+        self._named: dict[tuple, tuple[Piece, ...]] = {}
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def pieces(self) -> tuple[Piece, ...]:
         return self._pieces
+
+    def pieces_named(self, kind: str, args: tuple[float, ...]) -> tuple[Piece, ...]:
+        """The pieces of kind whose canonical arguments begin with args,
+        each equal within 1e-9 relative: the pieces a piecewise arm names.
+        Resolved once per scale and kept."""
+        key = (kind, args)
+        hit = self._named.get(key)
+        if hit is None:
+            hit = self._named[key] = tuple(
+                p for p in self._pieces if p.kind == kind and _args_match(
+                    args, p.canonical_args()))
+        return hit
 
     @property
     def discrete_points(self) -> np.ndarray:

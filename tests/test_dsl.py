@@ -1,7 +1,9 @@
 """Parser, printer and evaluator for the little spec language."""
 
+import gc
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +262,38 @@ class TestExampleFunction:
         u = f(0.5)  # 1/2 lies on the first generator
         assert u.level(1.0).lo == pytest.approx((0.25 + 0.5 - 2.0) / 2.0)
 
+    def test_arms_resolve_per_scale(self):
+        # the same arms name different pieces on the two scales: 0.5 is
+        # 1/2 on A and inside interval(0,1) on B; 2.5 lies in interval(2,3)
+        # on A and is a point of B
+        src = {"A": "union(recip(1,20), interval(2,3))",
+               "B": "union(interval(0,1), points(2,2.5,3))"}
+        want = {("A", 0.5): 2.0, ("A", 2.5): 3.0, ("B", 0.5): 1.0, ("B", 2.5): 4.0}
+        d = parse_function("tri(piecewise(in interval(0) => 1, in recip(1) => 2, "
+                           "in interval(2) => 3, in points(2) => 4), 5, 6)")
+
+        def check(scales):
+            fns = [(k, ts, bind_function(d, ts, K=4)) for k, ts in scales]
+            for _ in range(2):
+                for k, ts, f in fns:
+                    for t in (0.5, 2.5):
+                        fresh = eval_function(d, t, 4, parse_timescale(src[k]))
+                        assert fresh.lower[0] == want[k, t]
+                        assert eval_function(d, t, 4, ts) == fresh
+                        assert f(t) == fresh
+                        assert _same_bits(f.stack([t])[0][0], fresh.lower)
+
+        scales = [(k, parse_timescale(v)) for k, v in src.items()]
+        check(scales)
+        # drop a scale and build an equal one, again and again: a new scale
+        # often takes the id of a dropped one that differs from it
+        for i in range(20):
+            del scales[0]
+            gc.collect()
+            k = "AB"[i % 2]
+            scales.append((k, parse_timescale(src[k])))
+            check(scales)
+
     def test_arm_must_cover_scale(self):
         d = parse_function("tri(piecewise(in recip(1) => -2), 0, 2)")
         with pytest.raises(ValidationError):
@@ -441,6 +475,27 @@ class TestVectorForm:
             assert isinstance(want, tuple) == fails
             if not fails:
                 assert _same_bits(row, np.broadcast_to(want, (width,)))
+
+    @pytest.mark.parametrize("e", [
+        # 0 * inf at alpha = 0: "invalid value encountered in multiply"
+        BinOp("*", Const(0.0), BinOp("^", Name("alpha"), Const(-1.0))),
+        BinOp("-", BinOp("^", Name("alpha"), Const(-1.0)),
+              BinOp("^", Name("alpha"), Const(-1.0))),
+    ])
+    def test_array_arithmetic_is_quiet(self, e):
+        # NaN at alpha = 0, without a warning; the level fails validation
+        alpha = alpha_grid(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = eval_expr(e, -1.5, alpha, VECTOR_SCALE)
+            d = EndpointsDef(BinOp("-", e, Const(1.0)), Const(1.0))
+            with pytest.raises(OrderViolation, match="level arrays must be finite"):
+                eval_function(d, -1.5, 4, VECTOR_SCALE)
+        assert math.isnan(want[0]) and want[1:].tolist() == [0.0] * 4
+        with np.errstate(all="ignore"):
+            got, failing = _compile(e, VECTOR_SCALE)(
+                np.array([[-1.5]]), alpha.reshape(1, -1))
+        assert failing is None and _same_bits(got[0], want)
 
     @pytest.mark.parametrize("e", [2, -1, 3, -3, 5])
     def test_power_is_float_power(self, e):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla import dsl
+from fuzzynabla import dsl, nabla
 from fuzzynabla.dsl import (
     bind_function,
     compile_function,
@@ -46,6 +46,7 @@ from fuzzynabla.nabla import (
     nabla_many,
     nabla_scalar,
 )
+from fuzzynabla.rules import _graded_many, product_fuzzy, product_interval, sum_rule
 from fuzzynabla.timescale import (
     ArithmeticGrid,
     ClosedInterval,
@@ -540,6 +541,21 @@ class TestNablaMany:
             with pytest.raises(OrderViolation, match="jump quotient .* not finite"):
                 run()
 
+    def test_overflowing_width_is_case_i(self):
+        # the jump's levels are finite, but its support width 2e308 is not:
+        # the quotient is f(1), case (i), and no level is rejected
+        ts = TimeScale([ExplicitPoints((0.0, 1.0))])
+        f1 = triangular(-1e308, 0.0, 1e308, 4)
+        f = FuzzyFunction(
+            lambda t: f1 if t == 1.0 else triangular(0.0, 0.0, 0.0, 4), K=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for res in (derivative_report(f, ts, 1.0),
+                        nabla_many(f, ts, [1.0])[0]):
+                assert res.case is DiffCase.CASE_I
+                assert res.evidence["gh_case"] == "CaseI"
+                assert res.value == f1
+
 
 def unchecked(src: str, ts: TimeScale, K: int = K,
               plain: bool = False) -> FuzzyFunction:
@@ -679,6 +695,159 @@ def right_gh_fails(t):
     falls in a."""
     a = np.arange(K + 1) / K
     return FuzzyNumber(-2.0 + a + max(t, 0.0) * (a - a * a) / 20.0, 2.0 - a)
+
+
+class TestAnalysisMemo:
+    """A one-record pass goes through f's memo of its last one, keyed by
+    the scale (is), t and cfg; each call gets its own copy, an error is not
+    kept, and a pass over many records neither reads nor fills it."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The functions nabla._analyses runs on, one entry a pass."""
+        passes = []
+        analyses = nabla._analyses
+
+        def counting(f, *args):
+            passes.append(f)
+            return analyses(f, *args)
+
+        monkeypatch.setattr(nabla, "_analyses", counting)
+        return passes
+
+    @staticmethod
+    def dump(res) -> str:
+        return json.dumps(res.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("t", [-2.0, 0.0, 0.5])  # jump, both, dense
+    def test_rule_functions_derive_g_once(self, t, monkeypatch):
+        f = FuzzyFunction(parabola_tri, K=K)
+        g = FuzzyFunction(lambda s: U123 * (s + 5.0), K=K)
+        passes = self.counted(monkeypatch)
+        sum_rule(f, g, MIXED, t)
+        product_interval(lambda s: 1.0 - s / 10.0, g, MIXED, t)
+        product_fuzzy(lambda s: s + 4.0, g, MIXED, t)
+        assert passes.count(g) == 1
+        assert passes.count(f) == 1
+        # f + g and the two products: one pass each
+        assert len(passes) == 5
+        derivative_report(f, MIXED, t)
+        derivative_report(g, MIXED, t)
+        assert (endpoint_derivatives(g, MIXED, t).to_dict()
+                == derivative_report(g, MIXED, t).endpoint_report.to_dict())
+        assert len(passes) == 5
+
+    @pytest.mark.parametrize("fn, t", [
+        (parabola_tri, -2.0), (parabola_tri, 0.0), (parabola_tri, 0.5),
+        (right_gh_fails, 0.0), (right_gh_fails, 0.5),  # a failed probe
+    ])
+    def test_hit_is_a_fresh_result(self, fn, t):
+        f = FuzzyFunction(fn, K=K)
+        first = derivative_report(f, MIXED, t)
+        hit = derivative_report(f, MIXED, t)
+        fresh = self.dump(derivative_report(FuzzyFunction(fn, K=K), MIXED, t))
+        assert self.dump(first) == self.dump(hit) == fresh
+        # edit everything a result holds that can be edited
+        for res in (hit, first):
+            report = res.endpoint_report
+            report.alphas[:] = -1.0
+            for side in (report.minus, report.plus):
+                for arr in (side.lower, side.upper, side.lower_exists,
+                            side.upper_exists, side.residual):
+                    if arr is not None:
+                        arr[:] = 7
+                for lo, hi in side.streams.values():
+                    lo[:] = hi[:] = 7.0
+            for key in ("gh_cases", "continuity_gaps"):
+                for streams in res.evidence.get(key, {}).values():
+                    for values in streams.values():
+                        values.append("edited")
+            res.evidence.get("diagnostics", {})["edited"] = True
+            assert self.dump(derivative_report(f, MIXED, t)) == fresh
+
+    def test_raised_errors_are_their_own(self):
+        f = FuzzyFunction(right_gh_fails, K=K)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(GhNonexistent) as err:
+                nabla_gh(f, MIXED, 0.5)
+            errors.append(err.value)
+        first, again = errors
+        assert first is not again
+        assert first.diagnostics == again.diagnostics
+        assert first.diagnostics is not again.diagnostics
+        assert first.endpoint_report is not again.endpoint_report
+        assert (first.endpoint_report.to_dict()
+                == again.endpoint_report.to_dict())
+
+    def test_another_key_misses(self, monkeypatch):
+        f = FuzzyFunction(parabola_tri, K=K)
+        passes = self.counted(monkeypatch)
+        equal_scale = TimeScale(MIXED.pieces)
+        runs = [
+            lambda: derivative_report(f, MIXED, 0.5),
+            lambda: derivative_report(f, MIXED, 0.25),
+            lambda: derivative_report(f, equal_scale, 0.25),
+            lambda: derivative_report(f, MIXED, 0.25, ProbeConfig(probe_count=9)),
+            lambda: derivative_report(f, MIXED, 0.25,
+                                      ProbeConfig(agreement_tol=1e-5)),
+        ]
+        for i, run in enumerate(runs):
+            run()
+            assert len(passes) == i + 1
+        # an equal ProbeConfig is the same key
+        derivative_report(f, MIXED, 0.25, ProbeConfig(agreement_tol=1e-5))
+        assert len(passes) == len(runs)
+
+    def test_signed_zero_is_its_own_point(self):
+        f = FuzzyFunction(lambda t: SYM_U * (t + 2.0), K=K)
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            for t in order:
+                res = derivative_report(f, SYM, t)
+                assert math.copysign(1.0, res.t) == math.copysign(1.0, t)
+                assert self.dump(res) == self.dump(derivative_report(
+                    FuzzyFunction(lambda t: SYM_U * (t + 2.0), K=K), SYM, t))
+
+    def test_one_entry(self):
+        ts = TimeScale([ArithmeticGrid(0.0, 1000.0, 1.0)])
+        f = FuzzyFunction(lambda t: U123 * t, K=K)
+        pts = [float(t) for t in range(1, 1001)]
+        for t in pts:
+            derivative_report(f, ts, t)
+        scale, key, (report, *_rest) = f._analysis
+        assert scale is ts and key[0] == report.t == pts[-1]
+        assert [r.t for r in nabla_many(f, ts, pts[-2:])] == pts[-2:]
+
+    def test_many_record_passes_skip_the_memo(self, monkeypatch):
+        f = FuzzyFunction(parabola_tri, K=K)
+        g = FuzzyFunction(lambda s: U123 * (s + 5.0), K=K)
+        derivative_report(f, MIXED, 0.5)
+        memo = f._analysis
+
+        def refuse(*args):
+            raise AssertionError("a pass over many records used the memo")
+
+        monkeypatch.setattr(nabla, "_analysis_at", refuse)
+        pts = [-2.0, 0.0, 0.5, 2.0]
+        nabla_many(f, MIXED, pts)
+        list(_graded_many("sum", f, g, MIXED, pts))
+        list(_graded_many("product-fuzzy", lambda s: s + 4.0, g, MIXED, pts))
+        assert f._analysis is memo and g._analysis is None
+
+    def test_evaluation_error_is_not_kept(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            if t == 3.0:
+                raise ValidationError(f"fails at t={t!r}")
+            return U123 * t
+
+        f = FuzzyFunction(fn, K=K)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="fails at t=3.0"):
+                derivative_report(f, ZZ, 3.0)
+        assert calls.count(3.0) == 2
 
 
 class TestOnePipeline:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .dsl import (
     bind_function,
-    compile_scalar,
     eval_function,
     parse_function,
     parse_timescale,
@@ -276,20 +275,13 @@ def _bind(args, want: int | None = 1):
     return ts, fns
 
 
-def _scalar_expr(args):
-    """The parsed --scalar-fn expression."""
-    from .dsl import parse_scalar
+def _scalar_fn(args):
+    """Parse --scalar-fn, read once, into a float -> float callable."""
+    from .dsl import eval_expr, parse_scalar
 
     if not args.scalar_fn:
         raise ValidationError("--scalar-fn is required for product rules")
-    return parse_scalar(_read_spec(args.scalar_fn))
-
-
-def _scalar_fn(args):
-    """Compile --scalar-fn into a float -> float callable."""
-    from .dsl import eval_expr
-
-    expr = _scalar_expr(args)
+    expr = parse_scalar(_read_spec(args.scalar_fn))
 
     def fs(t):
         return float(eval_expr(expr, t))
@@ -500,11 +492,10 @@ def cmd_check(args) -> int:
     # product rules: one fuzzy --fn plus --scalar-fn
     ts, (g,) = _bind(args)
     fs = _scalar_fn(args)
-    vector = compile_scalar(_scalar_expr(args))
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
     rule = "product-interval" if theorem == "product-interval" else "product-fuzzy"
-    reports = list(_graded_many(rule, fs, g, ts, points, cfg, tol, vector))
+    reports = list(_graded_many(rule, fs, g, ts, points, cfg, tol))
     if rule == "product-fuzzy":
         for rep in reports:
             _check_named_sign(rep, theorem)

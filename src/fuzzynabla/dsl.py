@@ -51,11 +51,6 @@ SQRT2 = math.sqrt(2.0)
 MAX_DEPTH = 100
 
 _CONSTANTS = {"sqrt2": SQRT2, "pi": math.pi}
-_KEYWORDS = {
-    "union", "interval", "points", "hgrid", "qgrid", "recip",
-    "tri", "endpoints", "piecewise", "in", "sqrt", "t", "alpha",
-    "sqrt2", "pi",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -985,31 +980,6 @@ def compile_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
             raise AssertionError("eval_function does not fail where its vector form does")
         return lo, hi
     return levels
-
-
-def compile_scalar(e: Expr):
-    """A scalar expression as a vector form of float(eval_expr(e, t)): a
-    function of a vector of points t that returns the values, entry i bit
-    for bit that at t[i], and raises the error eval_expr raises at the
-    first t where it raises. None when e has no vector form, and when it
-    holds a piecewise, whose arms eval_expr without a scale never takes."""
-    if _contains_piecewise(e):
-        return None
-    try:
-        fn = _compile(e, None)
-    except _NotCompiled:
-        return None
-
-    def values(t):
-        t = np.asarray(t, dtype=float)
-        col = t.reshape(-1, 1)
-        with np.errstate(all="ignore"):
-            v, bad = fn(col, None)
-        if bad is not None and bad.any():
-            eval_expr(e, float(t[int(np.argmax(bad))]))
-            raise AssertionError("eval_expr does not fail where its vector form does")
-        return np.array(np.broadcast_to(v, col.shape)[:, 0], dtype=float)
-    return values
 
 
 def bind_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):

@@ -49,9 +49,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def hausdorff(self, other: "Interval") -> float:
-        return max(abs(self.lo - other.lo), abs(self.hi - other.hi))
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
@@ -152,9 +149,6 @@ class FuzzyNumber:
 
     def __hash__(self):
         return hash((self._lower.tobytes(), self._upper.tobytes()))
-
-    def allclose(self, other: "FuzzyNumber", tol: float) -> bool:
-        return hausdorff(self, other) <= tol
 
     def magnitude(self) -> float:
         return float(max(np.max(np.abs(self._lower)), np.max(np.abs(self._upper))))
@@ -260,13 +254,6 @@ class GhDiffResult:
     value: FuzzyNumber | None
     case: GhCase
     diagnostics: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "value": self.value.to_dict() if self.value is not None else None,
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -169,16 +169,15 @@ def _sum_of(f: FuzzyFunction, g: FuzzyFunction) -> FuzzyFunction:
     return FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K, vector=vector)
 
 
-def _product_of(fs: Callable[[float], float], g: FuzzyFunction,
-                vector: Callable[[np.ndarray], np.ndarray] | None = None
-                ) -> FuzzyFunction:
-    """fs * g, with a vector form when vector (fs at an array of points,
-    bit for bit fs's, as dsl.compile_scalar gives them) is given and g has
-    one: g's stack scaled row by row."""
+def _product_of(fs: Callable[[float], float], g: FuzzyFunction) -> FuzzyFunction:
+    """fs * g, with a vector form when g has one: g's stack scaled row by
+    row by fs at each point, which raises fs's error at the first point
+    where fs raises."""
     stacked = None
-    if vector is not None and g._vector is not None:
+    if g._vector is not None:
         def stacked(t):
-            return _scaled(vector(t), *g.stack(t))
+            k = np.array([fs(s) for s in t.tolist()], dtype=float)
+            return _scaled(k, *g.stack(t))
     return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K, vector=stacked)
 
 
@@ -408,7 +407,6 @@ def _product_interval_graded(fs, g, h, ts: TimeScale, pc: PointClass,
 
 def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
                  cfg: ProbeConfig = DEFAULT_CONFIG, tol: float | None = None,
-                 vector: Callable[[np.ndarray], np.ndarray] | None = None,
                  enforce: bool = False):
     """The rule's report at every point, in order, each point's error
     raised at its turn: sum_rule(a, g, ...) for rule "sum", product_fuzzy
@@ -418,11 +416,9 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     A point is graded from the derivatives of f and g (g alone for a
     product) and of h (f + g, or fs * g), each read one point at a time
     from its own pass (nabla._derivatives) when the grading asks for it.
-    A product's h has a vector form when vector (the real factor at an
-    array of points, bit for bit a's, as dsl.compile_scalar gives them)
-    and g's are given. A product reads fs and g at t and rho again, so the
-    real factor's values are memoized for the call and g's pass keeps its
-    levels there in g's memo cache.
+    A product reads fs and g at t and rho again, and h's vector form reads
+    fs at every point it stacks, so the real factor's values are memoized
+    for the call and g's pass keeps its levels there in g's memo cache.
     """
     records, err = _records(ts, points)
 
@@ -432,15 +428,23 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     if rule == "sum":
         nabla_f, nabla_g = nabla(a), nabla(g)
         nabla_h = nabla(_sum_of(a, g), report=True)
-        for pc in records:
-            yield _sum_graded(pc, nabla_f, nabla_g, nabla_h, tol)
+
+        def grade(pc):
+            return _sum_graded(pc, nabla_f, nabla_g, nabla_h, tol)
     else:
         fs = functools.lru_cache(maxsize=None)(a)
-        h = _product_of(fs, g, vector)
+        h = _product_of(fs, g)
         graded = (_product_fuzzy_graded if rule == "product-fuzzy"
                   else _product_interval_graded)
         nabla_g, nabla_h = nabla(g, keep=True), nabla(h, report=True)
-        for pc in records:
-            yield graded(fs, g, h, ts, pc, cfg, nabla_g, nabla_h, tol, enforce)
+
+        def grade(pc):
+            return graded(fs, g, h, ts, pc, cfg, nabla_g, nabla_h, tol, enforce)
+    for pc in records:
+        # an overflowing sum or product gives non-finite levels: the passes
+        # reject them by name, and a non-finite residual fails its check
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = grade(pc)
+        yield rep
     if err is not None:
         raise err

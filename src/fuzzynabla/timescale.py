@@ -514,10 +514,6 @@ class TimeScale:
     def min_point(self) -> float:
         return self._min
 
-    @property
-    def max_point(self) -> float:
-        return self._max
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TimeScale) and self._pieces == other._pieces
 

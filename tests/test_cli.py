@@ -307,6 +307,22 @@ class TestCheck:
         assert code == 0
         assert out.count("Verified") == 2
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="needs /dev/stdin")
+    def test_scalar_fn_from_stdin(self, capsys):
+        # a spec on a pipe can be read once: --scalar-fn is read and parsed
+        # once per command
+        argv = ["check", "product-interval", "--timescale", "hgrid(1,6,1)",
+                "--fn", "endpoints(t; 2*t)", "--points", "3,5", "--levels", "0"]
+        code, out, err = run(argv + ["--scalar-fn", "6-t"], capsys)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzynabla.cli", *argv,
+             "--scalar-fn", "@/dev/stdin"], input="6-t\n", capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == out and code == 0
+
     @pytest.mark.parametrize("theorem", ["product-interval", "product1",
                                          "product2"])
     def test_non_finite_scalar_derivative(self, theorem, capsys):

@@ -4,23 +4,28 @@ Hand-worked instances pin every equation branch."""
 import argparse
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuzzynabla import dsl
 from fuzzynabla.cli import _scalar_fn
 from fuzzynabla.dsl import (
+    bind_function,
     compile_function,
-    compile_scalar,
     eval_function,
     parse_function,
-    parse_scalar,
+    parse_timescale,
 )
 from fuzzynabla.errors import (
     EndpointDerivativeMissing,
+    FuzzyNablaError,
     LengthDirectionUndetermined,
     NotInDomain,
+    OrderViolation,
     SignHypothesisFailed,
 )
 from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
@@ -28,6 +33,7 @@ from fuzzynabla.nabla import FuzzyFunction, ProbeConfig
 from fuzzynabla.rules import (
     RuleReport,
     _graded_many,
+    _product_of,
     Tag,
     Verdict,
     default_residual_tol,
@@ -443,13 +449,9 @@ class TestBatchedPass:
         pts = ts.left_scattered_points() + [cand[i % len(cand)] for i in extra]
         cfg = ProbeConfig()
         if rule == "sum":
-            vector = None
-
             def first():
                 return batch_function(f_src, ts, False)
         else:
-            vector = compile_scalar(parse_scalar(fs_src))
-
             def first():
                 return _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
 
@@ -457,7 +459,7 @@ class TestBatchedPass:
         per_point = BATCH_RULES[rule]
         many = self.outcome(_graded_many(
             rule, first(), batch_function(g_src, ts, plain, log), ts, pts, cfg,
-            tol, vector), pts)
+            tol), pts)
         log_many = list(log)
         log.clear()
         g = batch_function(g_src, ts, plain, log)
@@ -468,3 +470,105 @@ class TestBatchedPass:
         if plain:
             # a plain g is evaluated as by the per-point loop, in order
             assert log_many == log
+
+
+# a real factor drawn from the scalar language: negative, zero and
+# overflowing values, and failures (division by zero, 0 to a negative
+# power, sqrt of a negative value)
+scalar_src = st.recursive(
+    st.sampled_from(["t", "0", "-2", "0.5", "1e300", "-1e308", "sqrt2"]),
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("sqrt({})".format, inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(["2", "-1"]))),
+    max_leaves=5)
+PRODUCT_TS = parse_timescale("union(interval(-2,1), hgrid(1,6,1))")
+# g valid at every point of PRODUCT_TS, so that only fs or the product fails
+PRODUCT_G = ["tri(t-1-t^2, t, t+1+t^2)", "endpoints(t - 2; t + 2 + t*t)",
+             "tri(-100, -2*t^2, -2*t^2)", "tri(t, t, t)"]
+
+
+def _error(err):
+    return type(err), str(err), getattr(err, "sample", None)
+
+
+class TestProductOf:
+    """fs * g stacks from g's stack scaled by fs, bit for bit the product at
+    each point, in the library and the CLI alike."""
+
+    @given(fs_src=scalar_src, g_src=st.sampled_from(PRODUCT_G),
+           pts=st.lists(st.sampled_from([-2.0, -1.5, -0.5, 0.0, 0.25, 1.0,
+                                         2.0, 6.0]), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_each_point(self, fs_src, g_src, pts):
+        fs = _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
+        g = batch_function(g_src, PRODUCT_TS, False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _product_of(fs, g)
+            want, rows = None, []
+            for p in pts:
+                try:
+                    rows.append(h(p))
+                except FuzzyNablaError as err:  # fs fails first at p
+                    want = _error(err)
+                    break
+            if want is None and not all(
+                    np.isfinite(u.lower).all() and np.isfinite(u.upper).all()
+                    for u in rows):
+                want = (OrderViolation, "level arrays must be finite", None)
+            try:
+                lo, hi = h.stack(pts)  # reads no memo
+            except FuzzyNablaError as err:
+                assert _error(err) == want
+                return
+        assert want is None
+        assert lo.tobytes() == np.array([u.lower for u in rows]).tobytes()
+        assert hi.tobytes() == np.array([u.upper for u in rows]).tobytes()
+
+    def test_library_stacks_g_at_the_probes(self, monkeypatch):
+        # the library rules grade fs * g from g's stack: at an interval
+        # point g is evaluated at t and at the last probe of each stream,
+        # which the width direction reads, and stacked at every probe
+        ts = parse_timescale("union(interval(0,1), hgrid(1,6,1))")
+        g = bind_function(parse_function("endpoints(t - 2; t + 2 + t*t)"),
+                          ts, K=4)
+        calls, stacked = [], set()
+        evaluate, vector = dsl.eval_function, g._vector
+
+        def counting(d, t, K, scale):
+            calls.append(t)
+            return evaluate(d, t, K, scale)
+
+        def recording(t):
+            stacked.update(t.tolist())
+            return vector(t)
+
+        monkeypatch.setattr(dsl, "eval_function", counting)
+        g._vector = recording
+        t = 0.5
+        for rule in (product_interval, product_fuzzy):
+            rule(lambda s: s + 4.0, g, ts, t)
+        assert calls[0] == t and len(calls[1:]) <= 2
+        cfg = ProbeConfig()
+        probes = {p for side in ("left", "right")
+                  for s in ts.approach_streams(t, side, cfg.probe_count)
+                  for p in s.points}
+        assert probes <= stacked
+
+    # at a jump (3) and at a probed point (0.5), fs * g overflows; warnings
+    # are errors here, and the error is the one raised with them ignored
+    @pytest.mark.parametrize("rule", [product_fuzzy, product_interval])
+    @pytest.mark.parametrize("fs, g_src, t", [
+        pytest.param(lambda s: 1e300 * (1 + s),
+                     "endpoints(t*1e10; 2*t*1e10 + 1)", 3.0, id="jump"),
+        pytest.param(lambda s: 1e308, "endpoints(t*10; 2*t*10 + 1)", 0.5,
+                     id="probed"),
+    ])
+    def test_overflowing_product_is_quiet(self, rule, fs, g_src, t):
+        ts = parse_timescale("union(interval(0,1), hgrid(1,6,1))")
+        g = bind_function(parse_function(g_src), ts, K=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OrderViolation) as info:
+                rule(fs, g, ts, t)
+        assert str(info.value) == "level arrays must be finite"

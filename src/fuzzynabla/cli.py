@@ -425,25 +425,34 @@ def _residual_rows(args, measure, given: float | None) -> int:
     return _verdict_code(verdicts)
 
 
-def _rule_rows(args, reports_by_t) -> int:
-    verdicts = [rep.verdict for _, rep in reports_by_t]
+def _rule_rows(args, points, reports, theorem: str) -> int:
+    """The rule table of the reports at points, graded in order. A CSV
+    table keeps each point's row and verdict, not its report; JSON keeps
+    the reports. product1 and product2 add their sign check
+    (_check_named_sign) as each report comes."""
+    named = theorem in ("product1", "product2")
+    csv = args.format != "json"
+    kept, verdicts = [], []
+    for t, rep in zip(points, reports):
+        if named:
+            _check_named_sign(rep, theorem)
+        verdicts.append(rep.verdict)
+        kept.append(_rule_row(t, rep) if csv else (t, rep))
 
-    if args.format == "json":
-        _emit_json(({"t": t, **rep.to_dict()} for t, rep in reports_by_t),
-                   args.out)
-        return _verdict_code(verdicts)
-
-    def row(t_rep):
-        t, rep = t_rep
-        hyp = ";".join(
-            f"{h.name}={'pass' if h.passed else 'FAIL'}"
-            for h in rep.hypothesis_checks
-        )
-        return f"{t!r},{rep.rule},{rep.verdict.value},{rep.residual!r},{hyp}"
-
-    _emit(_csv_chunks("t,rule,verdict,residual,hypotheses", reports_by_t, row),
-          args.out)
+    if csv:
+        _emit(_csv_chunks("t,rule,verdict,residual,hypotheses", kept, str),
+              args.out)
+    else:
+        _emit_json(({"t": t, **rep.to_dict()} for t, rep in kept), args.out)
     return _verdict_code(verdicts)
+
+
+def _rule_row(t: float, rep) -> str:
+    hyp = ";".join(
+        f"{h.name}={'pass' if h.passed else 'FAIL'}"
+        for h in rep.hypothesis_checks
+    )
+    return f"{t!r},{rep.rule},{rep.verdict.value},{rep.residual!r},{hyp}"
 
 
 def _check_named_sign(rep, theorem: str) -> None:
@@ -486,8 +495,8 @@ def cmd_check(args) -> int:
         ts, (f, g) = _bind(args, want=2)
         cfg = _probe_config(args)
         points = _select_points(ts, args.points)
-        reports = list(_graded_many("sum", f, g, ts, points, cfg, tol))
-        return _rule_rows(args, list(zip(points, reports)))
+        return _rule_rows(args, points,
+                          _graded_many("sum", f, g, ts, points, cfg, tol), theorem)
 
     # product rules: one fuzzy --fn plus --scalar-fn
     ts, (g,) = _bind(args)
@@ -495,11 +504,8 @@ def cmd_check(args) -> int:
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
     rule = "product-interval" if theorem == "product-interval" else "product-fuzzy"
-    reports = list(_graded_many(rule, fs, g, ts, points, cfg, tol))
-    if rule == "product-fuzzy":
-        for rep in reports:
-            _check_named_sign(rep, theorem)
-    return _rule_rows(args, list(zip(points, reports)))
+    return _rule_rows(args, points,
+                      _graded_many(rule, fs, g, ts, points, cfg, tol), theorem)
 
 
 # -- argument plumbing -------------------------------------------------------

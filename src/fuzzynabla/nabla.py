@@ -86,18 +86,19 @@ class FuzzyFunction:
     """A mapping t -> FuzzyNumber on a fixed level grid, with caching.
 
     vector, when given, is the same mapping at a vector of points in one
-    pass: it returns (N, K+1) stacks of lower and upper endpoints whose
-    rows are bit for bit the levels fn returns, and raises when fn raises
-    at any of the points; callers then call fn point by point, in order,
-    which raises fn's own error (bind_function passes the compiled
-    definition, which raises that error itself). The memo cache holds
-    values of fn only, or rows of a stack, which are those bit for bit;
-    stack itself neither reads nor fills it.
+    call (a pass over many points makes one per chunk of 64 records,
+    CHUNK_RECORDS): it returns (N, K+1) stacks of lower and upper
+    endpoints whose rows are bit for bit the levels fn returns, and raises
+    when fn raises at any of the points; callers then call fn point by
+    point, in order, which raises fn's own error (bind_function passes the
+    compiled definition, which raises that error itself). The memo cache
+    holds values of fn only, or rows of a stack, which are those bit for
+    bit; stack itself neither reads nor fills it.
 
     _analysis memoizes the last one-record pass (_analysis_at): the scale,
     the record's t and the ProbeConfig it ran with, and its analysis. One
     entry keeps memory bounded; a pass over many records neither reads
-    nor fills it (_derivatives).
+    nor fills it (_pass).
     """
 
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
@@ -130,6 +131,15 @@ class FuzzyFunction:
         lo, hi = self._vector(np.asarray(t, dtype=float))
         require_fuzzy(lo, hi)
         return lo, hi
+
+
+def _require_function(*fns) -> None:
+    """TypeError for the first of fns that is not a FuzzyFunction: the
+    engine reads a function's level grid, vector form and memos."""
+    for fn in fns:
+        if not isinstance(fn, FuzzyFunction):
+            raise TypeError(f"expected a FuzzyFunction, got {type(fn).__name__} "
+                            f"(wrap a callable as FuzzyFunction(fn, K))")
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +183,17 @@ def _tail_spread(Q: np.ndarray) -> np.ndarray:
 _CACHED_POINTS = 3
 
 
-def _evaluate(f: FuzzyFunction, pts: list[float]):
+def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
     """The evaluation step: the (N, K+1) lower and upper level rows of f at
     pts, and None.
 
     The rows are one stack of f's vector form when f has one, pts are more
-    than _CACHED_POINTS and the stack does not raise; else f(p) in order,
-    through the memo cache. When f(p) fails (FuzzyNablaError or
-    ArithmeticError), the rows before p and that error, so that the caller
-    raises first what those rows raise."""
-    if f._vector is not None and len(pts) > _CACHED_POINTS:
+    than cached and the stack does not raise; else f(p) in order, through
+    the memo cache. A pass over many records makes this step per chunk of
+    64 records (CHUNK_RECORDS), with cached 0. When f(p) fails
+    (FuzzyNablaError or ArithmeticError), the rows before p and that
+    error, so that the caller raises first what those rows raise."""
+    if f._vector is not None and len(pts) > cached:
         try:
             lo, hi = f.stack(pts)
             return lo, hi, None
@@ -439,6 +450,7 @@ def endpoint_derivatives(f: FuzzyFunction, ts: TimeScale, t: float,
                          cfg: ProbeConfig = DEFAULT_CONFIG) -> EndpointReport:
     """One-sided endpoint derivative estimates per level, with existence
     flags and per-generator subsequence limits."""
+    _require_function(f)
     pc = _classify_member(ts, float(t))
     return _analysis_at(f, ts, pc, cfg)[0]
 
@@ -693,7 +705,7 @@ def classify_case(value: FuzzyNumber, report: EndpointReport,
 
 
 def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
-            failure: GhNonexistent | None, jump, cfg: ProbeConfig
+            failure: GhNonexistent | None, ft, jump, cfg: ProbeConfig
             ) -> DerivativeResult:
     """The derivative at a point from its one analysis (_analyses): its row
     of the pass's jump quotients at a left-scattered point, the probed
@@ -710,7 +722,7 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
         if failure is not None:
             raise failure
         if pc.left is Side.SCATTERED:
-            jumps, i, ft, fr = jump
+            jumps, i, fr = jump
             if jumps.gh_case[i] is GhCase.NONE or not jumps.finite[i]:
                 # the failing row again: the pass keeps no candidate rows
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -802,23 +814,27 @@ def _records(ts: TimeScale, points) -> tuple[list[PointClass], NotInDomain | Non
     return records, None
 
 
+# the records of a pass that share one evaluation step: at 101 levels a
+# chunk's (64, K+1) stack is 52 KB, under glibc's 128 KB mmap threshold, so
+# each chunk reuses the heap the chunk before it freed, and a pass's memory
+# does not grow with its points
+CHUNK_RECORDS = 64
+
+
 def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
-              cfg: ProbeConfig, keep: bool = False):
-    """Each record's endpoint report, probe data, first failed probe and
-    jump (for _derive), in record order; an error is raised at the turn of
-    the point where it arises.
+              cfg: ProbeConfig, keep: bool = False,
+              cached: int = _CACHED_POINTS):
+    """Each record's endpoint report, probe data, first failed probe, f's
+    levels at t and jump (for _derive), in record order; an error is raised
+    at the turn of the point where it arises.
 
     f's levels at every record's t, rho and sigma come from one evaluation
-    step (_evaluate), and every left-scattered record's quotient from one
-    _jump_rows call; a dense side is probed at its record's turn. Without
-    a vector form the pass takes one record at a time, so a plain callable
-    is called as by the loop over single points, in order. With keep, f's
-    memo cache keeps those levels for a caller that reads f there again.
+    step (_evaluate, which stacks f when those points are more than
+    cached), and every left-scattered record's quotient from one
+    _jump_rows call; a dense side is probed at its record's turn. With
+    keep, f's memo cache keeps those levels for a caller that reads f
+    there again.
     """
-    if f._vector is None and len(records) > 1:
-        for pc in records:
-            yield from _analyses(f, ts, [pc], cfg, keep)
-        return
     slot: dict[float, int] = {}
     for pc in records:
         slot.setdefault(pc.t, len(slot))
@@ -826,7 +842,7 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
             slot.setdefault(pc.rho, len(slot))
         if pc.right is Side.SCATTERED:
             slot.setdefault(pc.sigma, len(slot))
-    lo, hi, err = _evaluate(f, list(slot))
+    lo, hi, err = _evaluate(f, list(slot), cached)
     if keep:
         for p, j in slot.items():
             if j < len(lo) and p not in f._cache:
@@ -870,8 +886,8 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
         report = EndpointReport(pc.t, alphas, *sides, pc)
         jump = None
         if pc.left is Side.SCATTERED:
-            jump = (jumps, row[r], ft, levels(pc.rho))
-        yield report, probes, failure, jump
+            jump = (jumps, row[r], levels(pc.rho))
+        yield report, probes, failure, ft, jump
 
 
 def _analysis_at(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
@@ -895,32 +911,48 @@ def _copied(analysis):
     """analysis with its own endpoint report and failed probe: no object
     that reaches a result or a raised error is shared with another call
     (_derive copies the evidence lists it takes from the probe data)."""
-    report, probes, failure, jump = analysis
+    report, probes, failure, *levels = analysis
     report = EndpointReport(report.t, report.alphas.copy(), report.minus.copy(),
                             report.plus.copy(), report.point)
     if failure is not None:
         failure = GhNonexistent(str(failure), dict(failure.diagnostics))
-    return report, probes, failure, jump
+    return report, probes, failure, *levels
+
+
+def _pass(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
+          cfg: ProbeConfig, keep: bool = False):
+    """Each record's analysis, in order: one record through f's memo
+    (_analysis_at), more from _analyses (with keep) per chunk of
+    CHUNK_RECORDS records, each one stack. A point that two chunks read
+    is evaluated in each. Without a vector form the pass takes one record
+    at a time, so a plain callable is called as by the loop over single
+    points, in order."""
+    if len(records) == 1:
+        yield _analysis_at(f, ts, records[0], cfg)
+        return
+    size = CHUNK_RECORDS if f._vector is not None else 1
+    for start in range(0, len(records), size):
+        yield from _analyses(f, ts, records[start:start + size], cfg, keep,
+                             cached=0)
+
+
+def _derived(analysis, cfg: ProbeConfig, report: bool = False) -> DerivativeResult:
+    """nabla_gh from a record's analysis; with report, derivative_report: a
+    GhNonexistent or LimitDisagreement comes back as a NotDifferentiable
+    result."""
+    try:
+        return _derive(*analysis, cfg)
+    except (GhNonexistent, LimitDisagreement) as err:
+        if not report:
+            raise
+        return _not_differentiable(err)
 
 
 def _derivatives(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
                  cfg: ProbeConfig, report: bool = False, keep: bool = False):
-    """nabla_gh at each record's point, in order, from one pass
-    (_analyses, with keep; one record goes through f's memo, _analysis_at);
-    with report, derivative_report: a GhNonexistent or LimitDisagreement
-    comes back as a NotDifferentiable result."""
-    if len(records) == 1:
-        analyses = [_analysis_at(f, ts, records[0], cfg)]
-    else:
-        analyses = _analyses(f, ts, records, cfg, keep)
-    for analysis in analyses:
-        try:
-            res = _derive(*analysis, cfg)
-        except (GhNonexistent, LimitDisagreement) as err:
-            if not report:
-                raise
-            res = _not_differentiable(err)
-        yield res
+    """_derived at each record's point, in order, from one pass (_pass)."""
+    for analysis in _pass(f, ts, records, cfg, keep):
+        yield _derived(analysis, cfg, report)
 
 
 def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -936,6 +968,7 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
     LimitDisagreement when estimates do not settle or sides disagree. Both
     of the latter carry the endpoint report as endpoint_report.
     """
+    _require_function(f)
     pc = _classify_in_domain(ts, float(t))
     return next(_derivatives(f, ts, [pc], cfg))
 
@@ -945,6 +978,7 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     """nabla_gh, but failures come back as a NotDifferentiable result with
     the reason in evidence instead of an exception (NotInDomain still
     raises: asking outside the domain is a caller error)."""
+    _require_function(f)
     pc = _classify_in_domain(ts, float(t))
     return next(_derivatives(f, ts, [pc], cfg, report=True))
 
@@ -952,8 +986,9 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
                cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
     """derivative_report at every point, in order, from one pass over the
-    points' records: a bound definition is evaluated once over every t,
-    rho and sigma."""
+    points' records: per chunk of 64 records, a bound definition is
+    evaluated once over every t, rho and sigma."""
+    _require_function(f)
     records, err = _records(ts, points)
     out = list(_derivatives(f, ts, records, cfg, report=True))
     if err is not None:

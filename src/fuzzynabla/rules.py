@@ -28,7 +28,10 @@ from .nabla import (
     FuzzyFunction,
     ProbeConfig,
     _derivatives,
+    _derived,
+    _pass,
     _records,
+    _require_function,
     _scalar_at,
     nabla_gh,
 )
@@ -255,11 +258,11 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     return rep
 
 
-def _product_fuzzy_graded(fs, g, h, ts: TimeScale, pc: PointClass,
-                          cfg: ProbeConfig, nabla_g, nabla_h,
+def _product_fuzzy_graded(fs, g, ts: TimeScale, pc: PointClass,
+                          cfg: ProbeConfig, nabla_g, analysis_h,
                           tol: float | None, enforce: bool) -> RuleReport:
-    """product_fuzzy at the point of pc, where h is fs * g, nabla_g() is
-    g's derivative there and nabla_h() h's (see _graded)."""
+    """product_fuzzy at the point of pc, where nabla_g() is g's derivative
+    there and analysis_h() the analysis of fs * g (nabla._pass)."""
     dfs, sigma, rg, tg, checks = _sign_checked(fs, ts, pc, cfg, nabla_g, 1.0,
                                                enforce)
     t, rho = pc.t, pc.rho
@@ -276,7 +279,8 @@ def _product_fuzzy_graded(fs, g, h, ts: TimeScale, pc: PointClass,
         "rhs_cross_gap": cross,
         "tol": tol,
     }
-    return _graded("product-fuzzy", checks, nabla_h, extras, rhs1,
+    return _graded("product-fuzzy", checks,
+                   lambda: _derived(analysis_h(), cfg, report=True), extras, rhs1,
                    lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
                                                hausdorff(lhs, rhs2))))
 
@@ -289,17 +293,19 @@ def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
     At a point with a backward jump the comparison is between rho(t) and t
     only; a forward jump is never consulted. Dense sides contribute width
     slopes from their probe streams; conflicting signs come back as
-    Undetermined. Never raises.
+    Undetermined, not as an error.
     """
-    return _len_direction(f, ts, ts.classify(t), cfg)
+    _require_function(f)
+    return _direction(*_len_slopes(f, ts, ts.classify(t), cfg), cfg)
 
 
-def _len_direction(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
-                   cfg: ProbeConfig) -> str:
-    """len_direction at the point of the record pc."""
+def _len_slopes(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
+                cfg: ProbeConfig) -> tuple[float, list[float]]:
+    """The support width of f at the point of the record pc, and its
+    slopes toward rho or the nearest probe of each left stream, then
+    toward the nearest probe of each right stream of a dense side."""
     t = pc.t
     wt = f(t).len_alpha(0.0)
-    tol = cfg.agreement_tol * max(1.0, abs(wt))
     slopes: list[float] = []
 
     if pc.left is Side.SCATTERED:
@@ -312,7 +318,37 @@ def _len_direction(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
         for s in ts.approach_streams(t, "right", cfg.probe_count):
             p = s.points[-1]
             slopes.append((f(p).len_alpha(0.0) - wt) / (p - t))
+    return wt, slopes
 
+
+def _width(lo: np.ndarray, hi: np.ndarray) -> float:
+    """The support width of the number with levels lo and hi."""
+    return FuzzyNumber(lo, hi, validate=False).len_alpha(0.0)
+
+
+def _analysis_slopes(analysis) -> tuple[float, list[float]]:
+    """_len_slopes from f's levels that a record's analysis (nabla._pass)
+    holds at those points, which are f's values there bit for bit."""
+    report, probes, _failure, ft, jump = analysis
+    pc = report.point
+    t = pc.t
+    wt = _width(*ft)
+    slopes: list[float] = []
+
+    if pc.left is Side.SCATTERED:
+        _jumps, _row, fr = jump
+        slopes.append((wt - _width(*fr)) / pc.nu)
+    for side in ("left", "right"):
+        for s in probes.get(side, ()):
+            p = s.points[-1]
+            slopes.append((_width(s.lower[-1], s.upper[-1]) - wt) / (p - t))
+    return wt, slopes
+
+
+def _direction(wt: float, slopes: list[float], cfg: ProbeConfig) -> str:
+    """The width direction from the width at t (wt) and the slopes toward
+    its neighbours."""
+    tol = cfg.agreement_tol * max(1.0, abs(wt))
     if not slopes:
         return "Constant"
     if all(abs(s) <= tol for s in slopes):
@@ -348,15 +384,17 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
     return rep
 
 
-def _product_interval_graded(fs, g, h, ts: TimeScale, pc: PointClass,
-                             cfg: ProbeConfig, nabla_g, nabla_h,
+def _product_interval_graded(fs, g, ts: TimeScale, pc: PointClass,
+                             cfg: ProbeConfig, nabla_g, analysis_h,
                              tol: float | None, enforce: bool) -> RuleReport:
-    """product_interval at the point of pc, where h is fs * g, nabla_g() is
-    g's derivative there and nabla_h() h's (see _graded)."""
+    """product_interval at the point of pc, where nabla_g() is g's
+    derivative there and analysis_h() the analysis of fs * g (nabla._pass),
+    whose levels also give the width direction."""
     dfs, sigma, rg, tg, checks = _sign_checked(fs, ts, pc, cfg, nabla_g, -1.0,
                                                enforce)
     t, rho = pc.t, pc.rho
-    direction = _len_direction(h, ts, pc, cfg)
+    analysis = analysis_h()
+    direction = _direction(*_analysis_slopes(analysis), cfg)
     if direction == "Undetermined":
         raise LengthDirectionUndetermined(
             f"width slopes of the product disagree in sign around {t!r}")
@@ -398,7 +436,9 @@ def _product_interval_graded(fs, g, h, ts: TimeScale, pc: PointClass,
         extras["equation"] = form
         return lhs, rhs, hausdorff(lhs, rhs)
 
-    return _graded("product-interval", checks, nabla_h, extras, None, measure)
+    return _graded("product-interval", checks,
+                   lambda: _derived(analysis, cfg, report=True), extras, None,
+                   measure)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +455,14 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
 
     A point is graded from the derivatives of f and g (g alone for a
     product) and of h (f + g, or fs * g), each read one point at a time
-    from its own pass (nabla._derivatives) when the grading asks for it.
-    A product reads fs and g at t and rho again, and h's vector form reads
-    fs at every point it stacks, so the real factor's values are memoized
-    for the call and g's pass keeps its levels there in g's memo cache.
+    from its own pass (nabla._pass, per chunk of 64 records) when the
+    grading asks for it; a product's width direction comes from h's
+    analysis. A product reads fs and g at t and rho again, and h's vector
+    form reads fs at every point it stacks, so the real factor's values
+    are memoized for the call and g's pass keeps its levels there in g's
+    memo cache.
     """
+    _require_function(*([a, g] if rule == "sum" else [g]))
     records, err = _records(ts, points)
 
     def nabla(fn: FuzzyFunction, report: bool = False, keep: bool = False):
@@ -436,10 +479,11 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
         h = _product_of(fs, g)
         graded = (_product_fuzzy_graded if rule == "product-fuzzy"
                   else _product_interval_graded)
-        nabla_g, nabla_h = nabla(g, keep=True), nabla(h, report=True)
+        nabla_g = nabla(g, keep=True)
+        analysis_h = _pass(h, ts, records, cfg).__next__
 
         def grade(pc):
-            return graded(fs, g, h, ts, pc, cfg, nabla_g, nabla_h, tol, enforce)
+            return graded(fs, g, ts, pc, cfg, nabla_g, analysis_h, tol, enforce)
     for pc in records:
         # an overflowing sum or product gives non-finite levels: the passes
         # reject them by name, and a non-finite residual fails its check

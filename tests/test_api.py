@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import fuzzynabla
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -96,3 +98,31 @@ def test_benchmark_tracer_installs():
         cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_raw_callables_get_a_type_error():
+    # every public entry that derives f or g takes a FuzzyFunction; a plain
+    # callable is refused by name, before the point is looked up
+    fz = fuzzynabla
+    ts = fz.TimeScale([fz.ArithmeticGrid(0.0, 5.0, 1.0)])
+    raw = lambda t: fz.triangular(t, t + 1.0, t + 2.0, 4)  # noqa: E731
+    f = fz.FuzzyFunction(raw, K=4)
+    calls = [
+        lambda: fz.nabla_gh(raw, ts, 2.0),
+        lambda: fz.derivative_report(raw, ts, 2.0),
+        lambda: fz.endpoint_derivatives(raw, ts, 2.0),
+        lambda: fz.nabla_many(raw, ts, [1.0, 2.0]),
+        lambda: fz.nabla_many(raw, ts, [9.5]),
+        lambda: fz.check_rho_identity(raw, ts, 2.0),
+        lambda: fz.check_level_consistency(raw, ts, 2.0),
+        lambda: fz.tag_i_ii(raw, ts, 2.0),
+        lambda: fz.len_direction(raw, ts, 2.0),
+        lambda: fz.sum_rule(raw, f, ts, 2.0),
+        lambda: fz.sum_rule(f, raw, ts, 2.0),
+        lambda: fz.product_fuzzy(lambda t: t, raw, ts, 2.0),
+        lambda: fz.product_interval(lambda t: t, raw, ts, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected a FuzzyFunction, got function"):
+            call()
+    assert fz.nabla_gh(f, ts, 2.0).value is not None

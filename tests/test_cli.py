@@ -953,21 +953,35 @@ class TestJsonWriter:
 # process's high-water mark, which is far above the CLI's own.
 RSS_PARENT = """\
 import os, subprocess, sys
-proc = subprocess.Popen([sys.executable, "-m", "fuzzynabla.cli", *sys.argv[1:]],
-                        stdout=subprocess.DEVNULL)
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def cli_peak_rss_mb(argv) -> tuple[int, float]:
-    """Exit code and peak RSS in MB of one CLI process (Linux units)."""
+def peak_rss_mb(args) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of one Python process with arguments
+    args (Linux units)."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", RSS_PARENT, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", RSS_PARENT, *args], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     code, kb = proc.stdout.split()
     return int(code), int(kb) / 1024.0
+
+
+def cli_peak_rss_mb(argv) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of one CLI process."""
+    return peak_rss_mb(["-m", "fuzzynabla.cli", *argv])
+
+
+# the rule-check benchmark at seed 1: 20 interval points, then 1..430
+RULE_SCALE = "union(interval(0,1), hgrid(1,430,1))"
+RULE_G = "endpoints(0.34*t - 0.5; 1.74*t + 0.7)"
+RULE_INTERVAL_POINTS = (
+    "0.028778,0.031642,0.055698,0.068533,0.083997,0.09327,0.169395,0.284847,"
+    "0.290702,0.314277,0.386953,0.413023,0.562173,0.594526,0.701035,0.800774,"
+    "0.828848,0.830569,0.890609,0.91255")
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
@@ -975,16 +989,28 @@ class TestPeakRss:
     def test_characterize_json_peaks_like_csv(self, tmp_path):
         # the JSON characterize of the rule-check benchmark at seed 1: 101
         # levels of endpoint evidence per point, about 115 KB each
-        argv = ["check", "characterize",
-                "--timescale", "union(interval(0,1), hgrid(1,430,1))",
+        argv = ["check", "characterize", "--timescale", RULE_SCALE,
                 "--fn", "tri(0.18*t^2, 0.41*t^2+t, 0.76*t^2+2*t)",
-                "--points=0.028778,0.031642,0.055698,0.068533,0.083997,0.09327,"
-                "0.169395,0.284847,0.290702,0.314277,0.386953,0.413023,"
-                "0.562173,0.594526,0.701035,0.800774,0.828848,0.830569,"
-                "0.890609,0.91255"]
+                "--points=" + RULE_INTERVAL_POINTS]
         peaks = {}
         for fmt in ("csv", "json"):
             code, peaks[fmt] = cli_peak_rss_mb(
                 argv + ["--format", fmt, "--out", str(tmp_path / f"c.{fmt}")])
             assert code == 0
         assert peaks["json"] <= peaks["csv"] + 3.0, peaks
+
+    @pytest.mark.parametrize("rule", [
+        ["sum", "--fn", "tri(0.18*t^2, 0.41*t^2+t, 0.76*t^2+2*t)"],
+        ["product-interval", "--scalar-fn", "1-t/945"],
+    ], ids=["sum", "product-interval"])
+    def test_rule_table_peaks_near_the_import(self, rule, tmp_path):
+        # 450 points, in chunks of 64 records per pass; the CSV table keeps
+        # each point's row, not its report
+        points = RULE_INTERVAL_POINTS + "," + ",".join(
+            f"{k}.0" for k in range(1, 431))
+        code, peak = cli_peak_rss_mb(
+            ["check", rule[0], "--timescale", RULE_SCALE, *rule[1:],
+             "--fn", RULE_G, "--points=" + points, "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        _, base = peak_rss_mb(["-c", "import fuzzynabla.cli"])
+        assert peak <= base + 4.0, (peak, base)

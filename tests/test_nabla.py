@@ -1096,3 +1096,112 @@ class TestStackedProbes:
         for f in self.pair(fn):
             with pytest.raises(OrderViolation, match="level arrays must be finite"):
                 derivative_report(f, ts, 0.0)
+
+
+# three definitions over interval(-2,-1) and hgrid(0,260,1): finite
+# derivatives, no gH difference at the jumps right of 0, and probed limits;
+# no arm covers a points(...) piece, so f fails there naming the point
+CHUNK_SOURCES = [
+    "tri(piecewise(in hgrid => -1 - t^2, in interval => -1 - t^2), 0.5*t, 2 + t^2)",
+    "tri(piecewise(in hgrid => -1000, in interval => -1000), t + sqrt(t^2), 1000)",
+    "endpoints(piecewise(in hgrid => t, in interval => t) - (1-alpha)*(t^2+1); "
+    "t + (1-alpha)*(t^2+1))",
+]
+
+
+def chunk_scale(bad=()) -> TimeScale:
+    """interval(-2,-1) and hgrid(0,260,1), with the points bad."""
+    spec = "union(interval(-2,-1), hgrid(0,260,1)"
+    if bad:
+        spec += ", points(" + ", ".join(repr(b) for b in sorted(bad)) + ")"
+    return parse_timescale(spec + ")")
+
+
+@st.composite
+def chunked_points(draw):
+    """65 to 200 points of chunk_scale, in drawn order, and the points
+    where f fails: each is put at the first or the last record of a chunk,
+    between two grid points that may be other records' t."""
+    n = draw(st.integers(65, 200))
+    start = draw(st.integers(0, 260 - n))
+    pts = [float(k) for k in range(start, start + n)]
+    dense = draw(st.integers(0, 3))
+    pts[:dense] = [-1.75, -1.5, -1.0][:dense]
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(pts)
+    bad = set()
+    chunks = -(-n // nabla.CHUNK_RECORDS)
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(0, chunks - 1)) * nabla.CHUNK_RECORDS
+        i = draw(st.sampled_from([c, min(c + nabla.CHUNK_RECORDS, n) - 1]))
+        if pts[i] >= 0:
+            pts[i] += 0.5
+            bad.add(pts[i])
+    return pts, bad
+
+
+class TestChunkedPass:
+    """A pass over many records runs per chunk of CHUNK_RECORDS records:
+    one stack each, with results and raised errors those of the per-point
+    loop, also when a point's rho lies in an earlier chunk or f fails at
+    the first or the last record of a chunk."""
+
+    @staticmethod
+    def streamed(results):
+        """The results' JSON up to the first error, and that error."""
+        got = []
+        try:
+            for r in results:
+                got.append(json.dumps(r.to_dict(), sort_keys=True))
+        except Exception as err:
+            return got, (type(err), str(err))
+        return got, None
+
+    @given(drawn=chunked_points(), src=st.sampled_from(CHUNK_SOURCES))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_derivative_report_loop(self, drawn, src):
+        pts, bad = drawn
+        ts = chunk_scale(bad)
+        loop = self.streamed(derivative_report(unchecked(src, ts, K=4), ts, t)
+                             for t in pts)
+        records, err = nabla._records(ts, pts)
+        assert err is None
+        # each error at the turn of its point: as many results before it
+        assert self.streamed(nabla._derivatives(
+            unchecked(src, ts, K=4), ts, records, ProbeConfig(), report=True)) == loop
+        many = TestNablaMany.outcome(
+            lambda: nabla_many(unchecked(src, ts, K=4), ts, pts))
+        assert many == (loop[0] if loop[1] is None else loop[1])
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 128, 129, 200])
+    def test_one_stack_per_chunk(self, n, monkeypatch):
+        ts = chunk_scale()
+        f = bind_function(parse_function(CHUNK_SOURCES[0]), ts, K=K)
+        sizes = []
+        stack = FuzzyFunction.stack
+
+        def counted(self, t):
+            sizes.append(len(t))
+            return stack(self, t)
+
+        monkeypatch.setattr(FuzzyFunction, "stack", counted)
+        nabla_many(f, ts, [float(k) for k in range(1, n + 1)])
+        assert len(sizes) == -(-n // nabla.CHUNK_RECORDS)
+        # a chunk stacks its records' t, their rho and the last one's sigma
+        assert sizes[0] == min(n, nabla.CHUNK_RECORDS) + 2
+
+    def test_keep_fills_the_memo_as_one_stack(self, monkeypatch):
+        ts = chunk_scale()
+        pts = [float(k) for k in range(200, 50, -1)] + [-1.5, -1.0, 0.0]
+        records, err = nabla._records(ts, pts)
+        assert err is None
+        caches = []
+        for chunk in (nabla.CHUNK_RECORDS, len(records)):
+            monkeypatch.setattr(nabla, "CHUNK_RECORDS", chunk)
+            f = unchecked(CHUNK_SOURCES[2], ts)
+            list(nabla._derivatives(f, ts, records, ProbeConfig(), keep=True))
+            caches.append([(p, u.lower.tobytes(), u.upper.tobytes())
+                           for p, u in f._cache.items()])
+        chunked, one = caches
+        assert chunked == one
+        assert set(pts) | {201.0, 50.0} <= {p for p, *_ in one}

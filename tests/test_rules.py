@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla import dsl
+from fuzzynabla import dsl, nabla
 from fuzzynabla.cli import _scalar_fn
 from fuzzynabla.dsl import (
     bind_function,
@@ -32,7 +32,9 @@ from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
 from fuzzynabla.nabla import FuzzyFunction, ProbeConfig
 from fuzzynabla.rules import (
     RuleReport,
+    _analysis_slopes,
     _graded_many,
+    _len_slopes,
     _product_of,
     Tag,
     Verdict,
@@ -527,8 +529,8 @@ class TestProductOf:
 
     def test_library_stacks_g_at_the_probes(self, monkeypatch):
         # the library rules grade fs * g from g's stack: at an interval
-        # point g is evaluated at t and at the last probe of each stream,
-        # which the width direction reads, and stacked at every probe
+        # point g is evaluated at t alone, and stacked at every probe; the
+        # width direction reads the product's levels from its own pass
         ts = parse_timescale("union(interval(0,1), hgrid(1,6,1))")
         g = bind_function(parse_function("endpoints(t - 2; t + 2 + t*t)"),
                           ts, K=4)
@@ -548,12 +550,33 @@ class TestProductOf:
         t = 0.5
         for rule in (product_interval, product_fuzzy):
             rule(lambda s: s + 4.0, g, ts, t)
-        assert calls[0] == t and len(calls[1:]) <= 2
+        assert calls == [t]
         cfg = ProbeConfig()
         probes = {p for side in ("left", "right")
                   for s in ts.approach_streams(t, side, cfg.probe_count)
                   for p in s.points}
         assert probes <= stacked
+
+    @given(fs_src=st.sampled_from(["1 - t/10", "t + 4", "-2*t", "0", "1e300"]),
+           g_src=st.sampled_from(PRODUCT_G),
+           pts=st.lists(st.sampled_from([-2.0, -1.5, -0.5, 0.0, 0.25, 1.0,
+                                         2.0, 6.0]), min_size=1, max_size=80))
+    @settings(max_examples=40, deadline=None)
+    def test_width_slopes_from_the_pass(self, fs_src, g_src, pts):
+        # product_interval's width slopes come from the levels of fs * g
+        # that its pass holds, bit for bit those read through h(p)
+        fs = _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
+        g = batch_function(g_src, PRODUCT_TS, False)
+        records, _ = nabla._records(PRODUCT_TS, pts)
+        cfg = ProbeConfig()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for pc, analysis in zip(records, nabla._pass(
+                        _product_of(fs, g), PRODUCT_TS, records, cfg)):
+                    want = _len_slopes(_product_of(fs, g), PRODUCT_TS, pc, cfg)
+                    assert repr(_analysis_slopes(analysis)) == repr(want)
+            except OrderViolation:  # fs * g overflows: no analysis
+                assert fs_src == "1e300"
 
     # at a jump (3) and at a probed point (0.5), fs * g overflows; warnings
     # are errors here, and the error is the one raised with them ignored
@@ -572,3 +595,67 @@ class TestProductOf:
             with pytest.raises(OrderViolation) as info:
                 rule(fs, g, ts, t)
         assert str(info.value) == "level arrays must be finite"
+
+
+# over interval(-2,-1) and hgrid(0,260,1); no arm covers a points(...)
+# piece, so g fails there naming the point
+CHUNK_G = [
+    "endpoints(piecewise(in hgrid => t, in interval => t) - 0.3; 1.5*t + 4)",
+    "tri(piecewise(in hgrid => -1 - t^2, in interval => -1 - t^2), 0.5*t, 2 + t^2)",
+    "tri(piecewise(in hgrid => -1, in interval => -1) - sqrt(t^2), 0, 1 + sqrt(t^2))",
+]
+CHUNK_F = ["tri(0.2*t^2, 0.5*t^2 + t, 0.8*t^2 + 2*t + 3)", "tri(-t^2, 0, 1 + t^2)"]
+CHUNK_FS = ["1 - t/300", "t + 4", "2"]
+
+
+@st.composite
+def chunked_points(draw):
+    """65 to 200 points of interval(-2,-1) and hgrid(0,260,1), in drawn
+    order, and the points where g fails: each is put at the first or the
+    last record of a chunk of the pass, between two grid points."""
+    n = draw(st.integers(65, 200))
+    start = draw(st.integers(0, 260 - n))
+    pts = [float(k) for k in range(start, start + n)]
+    dense = draw(st.integers(0, 3))
+    pts[:dense] = [-1.75, -1.5, -1.0][:dense]
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(pts)
+    bad = set()
+    size = nabla.CHUNK_RECORDS
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(0, (n - 1) // size)) * size
+        i = draw(st.sampled_from([c, min(c + size, n) - 1]))
+        if pts[i] >= 0:
+            pts[i] += 0.5
+            bad.add(pts[i])
+    return pts, bad
+
+
+class TestChunkedRulePass:
+    """The CLI's rule pass over more records than one chunk gives the
+    per-point rule's report at every point, or raises its error at the
+    same point."""
+
+    @given(drawn=chunked_points(), rule=st.sampled_from(sorted(BATCH_RULES)),
+           f_src=st.sampled_from(CHUNK_F), g_src=st.sampled_from(CHUNK_G),
+           fs_src=st.sampled_from(CHUNK_FS))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_per_point_loop(self, drawn, rule, f_src, g_src, fs_src):
+        pts, bad = drawn
+        spec = "union(interval(-2,-1), hgrid(0,260,1)"
+        if bad:
+            spec += ", points(" + ", ".join(repr(b) for b in sorted(bad)) + ")"
+        ts = parse_timescale(spec + ")")
+        cfg = ProbeConfig()
+
+        def first():
+            if rule == "sum":
+                return batch_function(f_src, ts, False)
+            return _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
+
+        many = TestBatchedPass.outcome(_graded_many(
+            rule, first(), batch_function(g_src, ts, False), ts, pts, cfg), pts)
+        g, a = batch_function(g_src, ts, False), first()
+        loop = TestBatchedPass.outcome(
+            (BATCH_RULES[rule](a, g, ts, t, cfg) for t in pts), pts)
+        assert many == loop

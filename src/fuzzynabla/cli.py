@@ -46,9 +46,10 @@ from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
     ProbeConfig,
-    _derivatives,
+    _derived,
     _evaluate,
     _level_residual,
+    _pass,
     _records,
     _rho_residual,
     nabla_many,
@@ -86,10 +87,14 @@ THEOREMS = (
 
 
 def _read_spec(arg: str) -> str:
-    """Inline text, or the contents of a file when prefixed with @."""
+    """Inline text, or the contents of a file when prefixed with @, which
+    must be UTF-8 text."""
     if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{arg[1:]!r} is not UTF-8 text") from None
     return arg
 
 
@@ -393,11 +398,12 @@ def _verdict_code(verdicts) -> int:
     return EXIT_OK
 
 
-def _residual_rows(args, measure, given: float | None) -> int:
-    """The shared loop of the two identity checks with scalar residuals:
-    measure(f, ts, derivative, cfg) is the check's residual from the
-    derivative at t (from one pass, which keeps f's levels for measure),
-    whose point record also gives the default tol."""
+def _residual_rows(args, theorem: str, given: float | None) -> int:
+    """The shared loop of the two identity checks with scalar residuals,
+    from one pass over f: the residual at t from its analysis and the
+    derivative derived from it, whose point record also gives the default
+    tol. rho-identity reads f at t and rho from the analysis;
+    level-consistency, the independent oracle, evaluates f itself."""
     ts, (f,) = _bind(args)
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
@@ -405,9 +411,13 @@ def _residual_rows(args, measure, given: float | None) -> int:
 
     rows = []
     verdicts = []
-    for t, r in zip(points, _derivatives(f, ts, records, cfg, keep=True)):
+    for t, analysis in zip(points, _pass(f, ts, records, cfg)):
+        r = _derived(analysis, cfg)
         tol = _point_tol(r.endpoint_report.point) if given is None else given
-        residual = measure(f, ts, r, cfg)
+        if theorem == "rho-identity":
+            residual = _rho_residual(analysis, r)
+        else:
+            residual = _level_residual(f, ts, r, cfg)
         verdict = Verdict.VERIFIED if residual <= tol else Verdict.RESIDUAL_EXCEEDED
         verdicts.append(verdict)
         rows.append({"t": t, "residual": residual, "tol": tol,
@@ -472,10 +482,8 @@ def _check_named_sign(rep, theorem: str) -> None:
 def cmd_check(args) -> int:
     theorem = args.theorem
     tol = _residual_tol(args)
-    if theorem == "rho-identity":
-        return _residual_rows(args, _rho_residual, tol)
-    if theorem == "level-consistency":
-        return _residual_rows(args, _level_residual, tol)
+    if theorem in ("rho-identity", "level-consistency"):
+        return _residual_rows(args, theorem, tol)
 
     if theorem == "characterize":
         ts, (f,) = _bind(args)

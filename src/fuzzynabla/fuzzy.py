@@ -347,12 +347,6 @@ def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray) -> GhRows:
     return GhRows(ok_i, ok_ii, tol, finite, d_lo, d_hi, mag)
 
 
-def invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The rows of (N, K+1) level stacks that are not fuzzy numbers."""
-    rows = gh_exists(lo, hi)
-    return ~(rows.ok_i & rows.finite)
-
-
 def require_fuzzy(lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise OrderViolation for the first invalid row of (N, K+1) level
     stacks, naming the first of non-finite levels, a decreasing lower

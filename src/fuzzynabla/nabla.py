@@ -92,8 +92,7 @@ class FuzzyFunction:
     when fn raises at any of the points; callers then call fn point by
     point, in order, which raises fn's own error (bind_function passes the
     compiled definition, which raises that error itself). The memo cache
-    holds values of fn only, or rows of a stack, which are those bit for
-    bit; stack itself neither reads nor fills it.
+    holds values of fn only; stack neither reads nor fills it.
 
     _analysis memoizes the last one-record pass (_analysis_at): the scale,
     the record's t and the ProbeConfig it ran with, and its analysis. One
@@ -705,7 +704,7 @@ def classify_case(value: FuzzyNumber, report: EndpointReport,
 
 
 def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
-            failure: GhNonexistent | None, ft, jump, cfg: ProbeConfig
+            failure: GhNonexistent | None, ft, fr, jump, cfg: ProbeConfig
             ) -> DerivativeResult:
     """The derivative at a point from its one analysis (_analyses): its row
     of the pass's jump quotients at a left-scattered point, the probed
@@ -722,7 +721,7 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
         if failure is not None:
             raise failure
         if pc.left is Side.SCATTERED:
-            jumps, i, fr = jump
+            jumps, i = jump
             if jumps.gh_case[i] is GhCase.NONE or not jumps.finite[i]:
                 # the failing row again: the pass keeps no candidate rows
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -822,31 +821,27 @@ CHUNK_RECORDS = 64
 
 
 def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
-              cfg: ProbeConfig, keep: bool = False,
-              cached: int = _CACHED_POINTS):
+              cfg: ProbeConfig, cached: int = _CACHED_POINTS):
     """Each record's endpoint report, probe data, first failed probe, f's
-    levels at t and jump (for _derive), in record order; an error is raised
-    at the turn of the point where it arises.
+    levels at t and at rho, and jump (for _derive), in record order; an
+    error is raised at the turn of the point where it arises.
 
     f's levels at every record's t, rho and sigma come from one evaluation
     step (_evaluate, which stacks f when those points are more than
     cached), and every left-scattered record's quotient from one
-    _jump_rows call; a dense side is probed at its record's turn. With
-    keep, f's memo cache keeps those levels for a caller that reads f
-    there again.
+    _jump_rows call; a dense side is probed at its record's turn. The
+    levels at t and rho are f's values there bit for bit, so a caller
+    reads f at a record's own points from its analysis (rho is t at a
+    left-dense record, except at a 0 that a reciprocal grid approaches
+    from the left, where it is the grid's nearest point).
     """
     slot: dict[float, int] = {}
     for pc in records:
         slot.setdefault(pc.t, len(slot))
-        if pc.left is Side.SCATTERED:
-            slot.setdefault(pc.rho, len(slot))
+        slot.setdefault(pc.rho, len(slot))
         if pc.right is Side.SCATTERED:
             slot.setdefault(pc.sigma, len(slot))
     lo, hi, err = _evaluate(f, list(slot), cached)
-    if keep:
-        for p, j in slot.items():
-            if j < len(lo) and p not in f._cache:
-                f._cache[p] = FuzzyNumber(lo[j], hi[j], validate=False)
 
     def levels(p: float):
         """f's levels at p, or the evaluation step's error past its rows."""
@@ -884,18 +879,15 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
             else:
                 sides.append(SideData(kind="absent"))
         report = EndpointReport(pc.t, alphas, *sides, pc)
-        jump = None
-        if pc.left is Side.SCATTERED:
-            jump = (jumps, row[r], levels(pc.rho))
-        yield report, probes, failure, ft, jump
+        jump = (jumps, row[r]) if pc.left is Side.SCATTERED else None
+        yield report, probes, failure, ft, levels(pc.rho), jump
 
 
 def _analysis_at(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
                  cfg: ProbeConfig):
     """The one-record pass on pc (_analyses), through f's memo of its last
     one: the rule checks derive g at each point up to three times, and
-    derivative_report often follows them. (The pass reads f at t, rho and
-    sigma through f's value memo, so keep would change nothing here.)
+    derivative_report often follows them.
 
     The entry is f's until the next one-record pass at another scale
     (held and compared with is), t (with its sign, for -0.0) or cfg; an
@@ -920,19 +912,20 @@ def _copied(analysis):
 
 
 def _pass(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
-          cfg: ProbeConfig, keep: bool = False):
+          cfg: ProbeConfig):
     """Each record's analysis, in order: one record through f's memo
-    (_analysis_at), more from _analyses (with keep) per chunk of
-    CHUNK_RECORDS records, each one stack. A point that two chunks read
-    is evaluated in each. Without a vector form the pass takes one record
-    at a time, so a plain callable is called as by the loop over single
-    points, in order."""
+    (_analysis_at), more from _analyses per chunk of CHUNK_RECORDS
+    records, each one stack. A point that two chunks read is evaluated in
+    each, and no level outlives its chunk but in the analyses a caller
+    holds. Without a vector form the pass takes one record at a time, so a
+    plain callable is called as by the loop over single points, in
+    order."""
     if len(records) == 1:
         yield _analysis_at(f, ts, records[0], cfg)
         return
     size = CHUNK_RECORDS if f._vector is not None else 1
     for start in range(0, len(records), size):
-        yield from _analyses(f, ts, records[start:start + size], cfg, keep,
+        yield from _analyses(f, ts, records[start:start + size], cfg,
                              cached=0)
 
 
@@ -949,9 +942,9 @@ def _derived(analysis, cfg: ProbeConfig, report: bool = False) -> DerivativeResu
 
 
 def _derivatives(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
-                 cfg: ProbeConfig, report: bool = False, keep: bool = False):
+                 cfg: ProbeConfig, report: bool = False):
     """_derived at each record's point, in order, from one pass (_pass)."""
-    for analysis in _pass(f, ts, records, cfg, keep):
+    for analysis in _pass(f, ts, records, cfg):
         yield _derived(analysis, cfg, report)
 
 
@@ -1051,16 +1044,22 @@ def check_rho_identity(f: FuzzyFunction, ts: TimeScale, t: float,
 
     One of the two reconstructions must hold: f(t) = f(rho(t)) + nu * value,
     or f(rho(t)) = f(t) + (-nu) * value. Returns the smaller residual."""
-    return _rho_residual(f, ts, nabla_gh(f, ts, t, cfg), cfg)
+    _require_function(f)
+    analysis = next(_pass(f, ts, [_classify_in_domain(ts, float(t))], cfg))
+    return _rho_residual(analysis, _derived(analysis, cfg))
 
 
-def _rho_residual(f: FuzzyFunction, ts: TimeScale, r: DerivativeResult,
-                  cfg: ProbeConfig) -> float:
-    """check_rho_identity from the derivative r it takes at its point
-    (ts and cfg are unused: the signature is _level_residual's)."""
-    pc = r.endpoint_report.point
-    nu = pc.nu
-    Ft, Fr = f(pc.t), f(pc.rho)
+def _values(analysis) -> tuple[FuzzyNumber, FuzzyNumber]:
+    """f(t) and f(rho) at a record, from the levels its analysis holds."""
+    _report, _probes, _failure, ft, fr, _jump = analysis
+    return FuzzyNumber(*ft, validate=False), FuzzyNumber(*fr, validate=False)
+
+
+def _rho_residual(analysis, r: DerivativeResult) -> float:
+    """check_rho_identity from a record's analysis (_pass) and the
+    derivative r derived from it."""
+    nu = r.endpoint_report.point.nu
+    Ft, Fr = _values(analysis)
     first = hausdorff(Ft, add(Fr, scalar_mul(nu, r.value)))
     second = hausdorff(Fr, add(Ft, scalar_mul(-nu, r.value)))
     return min(first, second)

@@ -33,6 +33,7 @@ from .nabla import (
     _records,
     _require_function,
     _scalar_at,
+    _values,
     nabla_gh,
 )
 from .timescale import PointClass, Side, TimeScale
@@ -219,14 +220,15 @@ def _sum_graded(pc: PointClass, nabla_f, nabla_g, nabla_h,
 
 
 def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
-                  nabla_g, sign_i: float, enforce: bool):
-    """nabla fs, sigma = fs(t) * nabla fs, g's derivative (nabla_g()) and
-    tag, and the product rules' hypothesis that sigma has the sign of
-    sign_i with g realizing ordering I, or the other sign with ordering
-    II."""
+                  analysis_g, sign_i: float, enforce: bool):
+    """nabla fs, sigma = fs(t) * nabla fs, g's derivative and tag and g at
+    t and rho, all from g's analysis (analysis_g(), nabla._pass), and the
+    product rules' hypothesis that sigma has the sign of sign_i with g
+    realizing ordering I, or the other sign with ordering II."""
     dfs = _scalar_at(fs, ts, pc, cfg)
     sigma = fs(pc.t) * dfs
-    rg = nabla_g()
+    analysis = analysis_g()
+    rg = _derived(analysis, cfg)
     tg = _tag_of(rg)
     signed = sign_i * sigma
     sign_ok = (
@@ -239,7 +241,7 @@ def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
     if enforce and not sign_ok:
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
-    return dfs, sigma, rg, tg, checks
+    return dfs, sigma, rg, tg, checks, *_values(analysis)
 
 
 def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
@@ -258,16 +260,16 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     return rep
 
 
-def _product_fuzzy_graded(fs, g, ts: TimeScale, pc: PointClass,
-                          cfg: ProbeConfig, nabla_g, analysis_h,
+def _product_fuzzy_graded(fs, ts: TimeScale, pc: PointClass,
+                          cfg: ProbeConfig, analysis_g, analysis_h,
                           tol: float | None, enforce: bool) -> RuleReport:
-    """product_fuzzy at the point of pc, where nabla_g() is g's derivative
-    there and analysis_h() the analysis of fs * g (nabla._pass)."""
-    dfs, sigma, rg, tg, checks = _sign_checked(fs, ts, pc, cfg, nabla_g, 1.0,
-                                               enforce)
+    """product_fuzzy at the point of pc, where analysis_g() and
+    analysis_h() are the analyses of g and of fs * g there (nabla._pass)."""
+    dfs, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
+        fs, ts, pc, cfg, analysis_g, 1.0, enforce)
     t, rho = pc.t, pc.rho
-    rhs1 = add(scalar_mul(dfs, g(rho)), scalar_mul(fs(t), rg.value))
-    rhs2 = add(scalar_mul(fs(rho), rg.value), scalar_mul(dfs, g(t)))
+    rhs1 = add(scalar_mul(dfs, g_rho), scalar_mul(fs(t), rg.value))
+    rhs2 = add(scalar_mul(fs(rho), rg.value), scalar_mul(dfs, g_t))
     cross = hausdorff(rhs1, rhs2)
 
     if tol is None:
@@ -293,32 +295,13 @@ def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
     At a point with a backward jump the comparison is between rho(t) and t
     only; a forward jump is never consulted. Dense sides contribute width
     slopes from their probe streams; conflicting signs come back as
-    Undetermined, not as an error.
+    Undetermined, not as an error. The widths come from f's one-record
+    pass, so an error of f at any point that pass reads (a probe, sigma)
+    is raised.
     """
     _require_function(f)
-    return _direction(*_len_slopes(f, ts, ts.classify(t), cfg), cfg)
-
-
-def _len_slopes(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
-                cfg: ProbeConfig) -> tuple[float, list[float]]:
-    """The support width of f at the point of the record pc, and its
-    slopes toward rho or the nearest probe of each left stream, then
-    toward the nearest probe of each right stream of a dense side."""
-    t = pc.t
-    wt = f(t).len_alpha(0.0)
-    slopes: list[float] = []
-
-    if pc.left is Side.SCATTERED:
-        slopes.append((wt - f(pc.rho).len_alpha(0.0)) / pc.nu)
-    else:
-        for s in ts.approach_streams(t, "left", cfg.probe_count):
-            p = s.points[-1]
-            slopes.append((f(p).len_alpha(0.0) - wt) / (p - t))
-    if pc.right is Side.DENSE:
-        for s in ts.approach_streams(t, "right", cfg.probe_count):
-            p = s.points[-1]
-            slopes.append((f(p).len_alpha(0.0) - wt) / (p - t))
-    return wt, slopes
+    analysis = next(_pass(f, ts, [ts.classify(t)], cfg))
+    return _direction(*_analysis_slopes(analysis), cfg)
 
 
 def _width(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -327,16 +310,17 @@ def _width(lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def _analysis_slopes(analysis) -> tuple[float, list[float]]:
-    """_len_slopes from f's levels that a record's analysis (nabla._pass)
-    holds at those points, which are f's values there bit for bit."""
-    report, probes, _failure, ft, jump = analysis
+    """The support width of f at a record's t, and its slopes toward rho
+    or the nearest probe of each left stream, then toward the nearest
+    probe of each right stream of a dense side, from f's levels that the
+    record's analysis (nabla._pass) holds at those points."""
+    report, probes, _failure, ft, fr, _jump = analysis
     pc = report.point
     t = pc.t
     wt = _width(*ft)
     slopes: list[float] = []
 
     if pc.left is Side.SCATTERED:
-        _jumps, _row, fr = jump
         slopes.append((wt - _width(*fr)) / pc.nu)
     for side in ("left", "right"):
         for s in probes.get(side, ()):
@@ -384,14 +368,14 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
     return rep
 
 
-def _product_interval_graded(fs, g, ts: TimeScale, pc: PointClass,
-                             cfg: ProbeConfig, nabla_g, analysis_h,
+def _product_interval_graded(fs, ts: TimeScale, pc: PointClass,
+                             cfg: ProbeConfig, analysis_g, analysis_h,
                              tol: float | None, enforce: bool) -> RuleReport:
-    """product_interval at the point of pc, where nabla_g() is g's
-    derivative there and analysis_h() the analysis of fs * g (nabla._pass),
-    whose levels also give the width direction."""
-    dfs, sigma, rg, tg, checks = _sign_checked(fs, ts, pc, cfg, nabla_g, -1.0,
-                                               enforce)
+    """product_interval at the point of pc, where analysis_g() and
+    analysis_h() are the analyses of g and of fs * g there (nabla._pass);
+    h's levels also give the width direction."""
+    dfs, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
+        fs, ts, pc, cfg, analysis_g, -1.0, enforce)
     t, rho = pc.t, pc.rho
     analysis = analysis_h()
     direction = _direction(*_analysis_slopes(analysis), cfg)
@@ -413,16 +397,16 @@ def _product_interval_graded(fs, g, ts: TimeScale, pc: PointClass,
     def measure(dh):
         def widening_eq():
             if use_tag is Tag.I:
-                return (add(dh, scalar_mul(-dfs, g(rho))),
+                return (add(dh, scalar_mul(-dfs, g_rho)),
                         scalar_mul(fs(t), rg.value), "widening")
             return (add(dh, scalar_mul(-fs(rho), rg.value)),
-                    scalar_mul(dfs, g(t)), "widening")
+                    scalar_mul(dfs, g_t), "widening")
 
         def narrowing_eq():
             if use_tag is Tag.I:
                 return (add(dh, scalar_mul(-fs(t), rg.value)),
-                        scalar_mul(dfs, g(rho)), "narrowing")
-            return (add(dh, scalar_mul(-dfs, g(t))),
+                        scalar_mul(dfs, g_rho), "narrowing")
+            return (add(dh, scalar_mul(-dfs, g_t)),
                     scalar_mul(fs(rho), rg.value), "narrowing")
 
         if direction == "Increasing":
@@ -456,17 +440,16 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     A point is graded from the derivatives of f and g (g alone for a
     product) and of h (f + g, or fs * g), each read one point at a time
     from its own pass (nabla._pass, per chunk of 64 records) when the
-    grading asks for it; a product's width direction comes from h's
-    analysis. A product reads fs and g at t and rho again, and h's vector
-    form reads fs at every point it stacks, so the real factor's values
-    are memoized for the call and g's pass keeps its levels there in g's
-    memo cache.
+    grading asks for it. A product reads g at t and rho from g's analysis
+    and its width direction from h's. It reads fs at t and rho again, and
+    h's vector form reads fs at every point it stacks, so the real
+    factor's values are memoized for the call.
     """
     _require_function(*([a, g] if rule == "sum" else [g]))
     records, err = _records(ts, points)
 
-    def nabla(fn: FuzzyFunction, report: bool = False, keep: bool = False):
-        return _derivatives(fn, ts, records, cfg, report, keep).__next__
+    def nabla(fn: FuzzyFunction, report: bool = False):
+        return _derivatives(fn, ts, records, cfg, report).__next__
 
     if rule == "sum":
         nabla_f, nabla_g = nabla(a), nabla(g)
@@ -479,11 +462,11 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
         h = _product_of(fs, g)
         graded = (_product_fuzzy_graded if rule == "product-fuzzy"
                   else _product_interval_graded)
-        nabla_g = nabla(g, keep=True)
+        analysis_g = _pass(g, ts, records, cfg).__next__
         analysis_h = _pass(h, ts, records, cfg).__next__
 
         def grade(pc):
-            return graded(fs, g, ts, pc, cfg, nabla_g, analysis_h, tol, enforce)
+            return graded(fs, ts, pc, cfg, analysis_g, analysis_h, tol, enforce)
     for pc in records:
         # an overflowing sum or product gives non-finite levels: the passes
         # reject them by name, and a non-finite residual fails its check

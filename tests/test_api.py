@@ -1,6 +1,8 @@
 """The public surface: a name leaves `fuzzynabla.__all__` only on purpose,
 and every name the benchmark tracer wraps stays in place."""
 
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -98,6 +100,27 @@ def test_benchmark_tracer_installs():
         cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_names_exist():
+    # tracer.install does a getattr on each name it wraps, so a name that
+    # goes away fails the benchmark's traced run; it fails here first
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}"
+               for layer, names in tracer.FUNCTIONS.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"fuzzynabla.{layer}"), name)]
+    for layer, (cls_name, names) in tracer.METHODS.items():
+        cls = getattr(importlib.import_module(f"fuzzynabla.{layer}"), cls_name)
+        missing += [f"{cls_name}.{name}" for name in names if not hasattr(cls, name)]
+    from fuzzynabla import cli
+
+    if not hasattr(cli, "_scalar_fn"):
+        missing.append("cli._scalar_fn")
+    assert missing == []
 
 
 def test_raw_callables_get_a_type_error():

@@ -654,6 +654,21 @@ class TestConfigErrors:
         ], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["diff", "--timescale", "@{}", "--fn", "tri(0,1,2)", "--points", "1"],
+        ["diff", "--timescale", "hgrid(0,5,1)", "--fn", "@{}", "--points", "1"],
+        ["check", "product1", "--timescale", "hgrid(0,5,1)",
+         "--fn", "tri(t, t+1, t+2)", "--scalar-fn", "@{}", "--points", "1"],
+        ["ghdiff", "tri(0,1,2)", "@{}"],
+    ], ids=["timescale", "fn", "scalar-fn", "ghdiff"])
+    def test_non_utf8_file_reference(self, argv, capsys, tmp_path):
+        spec = tmp_path / "spec.bin"
+        spec.write_bytes(b"hgrid(0,5,1)\xff\xfe")
+        code, out, err = run([a.format(spec) for a in argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {str(spec)!r} is not UTF-8 text\n"
+
     def test_timescale_from_file(self, capsys, tmp_path):
         spec = tmp_path / "scale.txt"
         spec.write_text("hgrid(0,5,1)")

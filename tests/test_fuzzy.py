@@ -19,7 +19,6 @@ from fuzzynabla.fuzzy import (
     gh_exists,
     h_diff,
     hausdorff,
-    invalid_rows,
     scalar_mul,
     triangular,
 )
@@ -372,6 +371,14 @@ nudged_rows = st.lists(
         [0.0, 0.0, 0.5e-10, -0.5e-10, 3e-10, -3e-10, math.inf, math.nan]),
         min_size=8, max_size=8)),
     min_size=1, max_size=6)
+
+
+def invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows of (N, K+1) level stacks that are not fuzzy numbers, by
+    the row test require_fuzzy raises from: finite, and case (i) of the
+    levels against 0."""
+    rows = gh_exists(lo, hi)
+    return ~(rows.ok_i & rows.finite)
 
 
 @given(nudged_rows)

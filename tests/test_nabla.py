@@ -2,8 +2,10 @@
 estimation, case classification, endpoint reports and the two identity
 checkers. Expected values are worked out by hand in each test."""
 
+import argparse
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla import dsl, nabla
+from fuzzynabla import cli, dsl, nabla
 from fuzzynabla.dsl import (
     bind_function,
     compile_function,
@@ -1140,6 +1142,18 @@ def chunked_points(draw):
     return pts, bad
 
 
+# the rule-check benchmark at seed 1: its scale, f and g, and its 20 interval
+# points, then 1..430
+RULE_SCALE = "union(interval(0,1), hgrid(1,430,1))"
+RULE_F = "tri(0.18*t^2, 0.41*t^2+t, 0.76*t^2+2*t)"
+RULE_G = "endpoints(0.34*t - 0.5; 1.74*t + 0.7)"
+RULE_POINTS = [
+    0.028778, 0.031642, 0.055698, 0.068533, 0.083997, 0.09327, 0.169395,
+    0.284847, 0.290702, 0.314277, 0.386953, 0.413023, 0.562173, 0.594526,
+    0.701035, 0.800774, 0.828848, 0.830569, 0.890609, 0.91255,
+] + [float(k) for k in range(1, 431)]
+
+
 class TestChunkedPass:
     """A pass over many records runs per chunk of CHUNK_RECORDS records:
     one stack each, with results and raised errors those of the per-point
@@ -1190,18 +1204,31 @@ class TestChunkedPass:
         # a chunk stacks its records' t, their rho and the last one's sigma
         assert sizes[0] == min(n, nabla.CHUNK_RECORDS) + 2
 
-    def test_keep_fills_the_memo_as_one_stack(self, monkeypatch):
-        ts = chunk_scale()
-        pts = [float(k) for k in range(200, 50, -1)] + [-1.5, -1.0, 0.0]
-        records, err = nabla._records(ts, pts)
-        assert err is None
-        caches = []
-        for chunk in (nabla.CHUNK_RECORDS, len(records)):
-            monkeypatch.setattr(nabla, "CHUNK_RECORDS", chunk)
-            f = unchecked(CHUNK_SOURCES[2], ts)
-            list(nabla._derivatives(f, ts, records, ProbeConfig(), keep=True))
-            caches.append([(p, u.lower.tobytes(), u.upper.tobytes())
-                           for p, u in f._cache.items()])
-        chunked, one = caches
-        assert chunked == one
-        assert set(pts) | {201.0, 50.0} <= {p for p, *_ in one}
+    def test_passes_leave_the_memo_empty(self, monkeypatch):
+        # the product graders read g at t and rho from g's pass, and the
+        # CLI's rho-identity reads f there from f's: over the rule-check
+        # benchmark's 450 points at seed 1, no memo cache keeps a value
+        ts = parse_timescale(RULE_SCALE)
+        for rule, fs_src in (("product-interval", "1-t/945"),
+                             ("product-fuzzy", "t+3.67")):
+            g = bind_function(parse_function(RULE_G), ts)
+            fs = cli._scalar_fn(argparse.Namespace(scalar_fn=fs_src))
+            reports = list(_graded_many(rule, fs, g, ts, RULE_POINTS))
+            assert len(reports) == len(RULE_POINTS) == 450
+            assert g._cache == {}, rule
+
+        bound = []
+        bind = cli._bind
+
+        def recording(args, want=1):
+            ts, fns = bind(args, want)
+            bound.extend(fns)
+            return ts, fns
+
+        monkeypatch.setattr(cli, "_bind", recording)
+        code = cli.main(["check", "rho-identity", "--timescale", RULE_SCALE,
+                         "--fn", RULE_F, "--out", os.devnull,
+                         "--points=" + ",".join(map(repr, RULE_POINTS))])
+        assert code == 0
+        (f,) = bound
+        assert f._cache == {}

@@ -4,6 +4,7 @@ Hand-worked instances pin every equation branch."""
 import argparse
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,12 +30,12 @@ from fuzzynabla.errors import (
     SignHypothesisFailed,
 )
 from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
-from fuzzynabla.nabla import FuzzyFunction, ProbeConfig
+from fuzzynabla.nabla import FuzzyFunction, ProbeConfig, nabla_gh
 from fuzzynabla.rules import (
     RuleReport,
     _analysis_slopes,
+    _direction,
     _graded_many,
-    _len_slopes,
     _product_of,
     Tag,
     Verdict,
@@ -50,6 +51,7 @@ from fuzzynabla.timescale import (
     ClosedInterval,
     ExplicitPoints,
     ReciprocalGrid,
+    Side,
     TimeScale,
 )
 
@@ -239,6 +241,27 @@ class TestLenDirection:
 
         f = FuzzyFunction(kinked, K=K)
         assert len_direction(f, SYM, 0.0) == "Undetermined"
+
+    def test_far_probe_failure_raises(self):
+        # the widths come from f's one-record pass, which reads f at every
+        # probe: f failing only at the farthest left probe of 0.5 raises
+        # there, as the derivative and product_interval do
+        cfg = ProbeConfig()
+        (left,) = UNIT.approach_streams(0.5, "left", cfg.probe_count)
+        far = left.points[0]
+        assert far < min(left.points[1:])
+
+        def failing(t):
+            if t == far:
+                raise OrderViolation(f"no value at {t!r}")
+            return U123 * (1.0 + t)
+
+        f = FuzzyFunction(failing, K=K)
+        for call in (lambda: len_direction(f, UNIT, 0.5),
+                     lambda: nabla_gh(f, UNIT, 0.5),
+                     lambda: product_interval(lambda t: 1.0 - t, f, UNIT, 0.5)):
+            with pytest.raises(OrderViolation, match=re.escape(f"no value at {far!r}")):
+                call()
 
 
 class TestProductInterval:
@@ -494,6 +517,30 @@ def _error(err):
     return type(err), str(err), getattr(err, "sample", None)
 
 
+def _len_slopes(f: FuzzyFunction, ts: TimeScale, pc,
+                cfg: ProbeConfig) -> tuple[float, list[float]]:
+    """Reference for the width slopes that len_direction and
+    product_interval take from a pass: f's support width at the point of
+    the record pc, and its slopes toward rho or the nearest probe of each
+    left stream, then toward the nearest probe of each right stream of a
+    dense side, each width read through f(p)."""
+    t = pc.t
+    wt = f(t).len_alpha(0.0)
+    slopes: list[float] = []
+
+    if pc.left is Side.SCATTERED:
+        slopes.append((wt - f(pc.rho).len_alpha(0.0)) / pc.nu)
+    else:
+        for s in ts.approach_streams(t, "left", cfg.probe_count):
+            p = s.points[-1]
+            slopes.append((f(p).len_alpha(0.0) - wt) / (p - t))
+    if pc.right is Side.DENSE:
+        for s in ts.approach_streams(t, "right", cfg.probe_count):
+            p = s.points[-1]
+            slopes.append((f(p).len_alpha(0.0) - wt) / (p - t))
+    return wt, slopes
+
+
 class TestProductOf:
     """fs * g stacks from g's stack scaled by fs, bit for bit the product at
     each point, in the library and the CLI alike."""
@@ -563,8 +610,9 @@ class TestProductOf:
                                          2.0, 6.0]), min_size=1, max_size=80))
     @settings(max_examples=40, deadline=None)
     def test_width_slopes_from_the_pass(self, fs_src, g_src, pts):
-        # product_interval's width slopes come from the levels of fs * g
-        # that its pass holds, bit for bit those read through h(p)
+        # product_interval's and len_direction's width slopes come from the
+        # levels of fs * g that a pass holds, bit for bit those read
+        # through h(p)
         fs = _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
         g = batch_function(g_src, PRODUCT_TS, False)
         records, _ = nabla._records(PRODUCT_TS, pts)
@@ -573,8 +621,11 @@ class TestProductOf:
             try:
                 for pc, analysis in zip(records, nabla._pass(
                         _product_of(fs, g), PRODUCT_TS, records, cfg)):
-                    want = _len_slopes(_product_of(fs, g), PRODUCT_TS, pc, cfg)
+                    h = _product_of(fs, g)
+                    want = _len_slopes(h, PRODUCT_TS, pc, cfg)
                     assert repr(_analysis_slopes(analysis)) == repr(want)
+                    assert (len_direction(h, PRODUCT_TS, pc.t, cfg)
+                            == _direction(*want, cfg))
             except OrderViolation:  # fs * g overflows: no analysis
                 assert fs_src == "1e300"
 

@@ -5,6 +5,10 @@ numbers), metric (distance of two numbers), tabulate (function values), and
 check (identity and rule verification). Scales and functions are given in
 the small expression language, inline or from a file via @path.
 
+Output is CSV or JSON, written through the standard library after every
+point is computed: a CSV point's rows at a time, and each JSON element from
+json.dumps(..., indent=2, sort_keys=True).
+
 Exit codes are a stable contract:
   0  success, every requested check Verified
   1  configuration or syntax error (details on standard error)
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -36,8 +39,6 @@ from .errors import (
     GhNonexistent,
     LengthDirectionUndetermined,
     LimitDisagreement,
-    NotInDomain,
-    NotInTimeScale,
     SignHypothesisFailed,
     ValidationError,
 )
@@ -158,14 +159,6 @@ def _select_points(ts, spec: str) -> list[float]:
     return sorted(set(out))
 
 
-# the number of points whose CSV rows are joined into one write: at 101
-# levels about 2 MB of text, so a table's memory does not grow with it
-CSV_CHUNK_POINTS = 256
-
-_INDENT = "  "
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the output's chunks to out_path, or to stdout without one.
 
@@ -186,59 +179,10 @@ def _emit_json(items: Iterable, out_path: str | None) -> None:
 
 
 def _csv_chunks(header: str, items: Iterable, row) -> Iterator[str]:
-    """The header line, then row(item) (an item's lines) for each item,
-    joined CSV_CHUNK_POINTS items at a time."""
+    """The header line, then row(item) (an item's lines) for each item."""
     yield header + "\n"
-    items = iter(items)
-    while chunk := list(itertools.islice(items, CSV_CHUNK_POINTS)):
-        yield "\n".join([row(x) for x in chunk]) + "\n"
-
-
-def _json_text(o, level: int = 0) -> str:
-    """json.dumps(o, indent=2, sort_keys=True) for o nested level deep.
-
-    Floats go through float.__repr__ (NaN and infinities as json writes
-    them), strings and keys through encode_basestring_ascii. Keys must be
-    str; any type json does not encode raises TypeError, as json does.
-    """
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = "\n" + _INDENT * (level + 1)
-        return ("[" + inner
-                + ("," + inner).join([_json_text(v, level + 1) for v in o])
-                + "\n" + _INDENT * level + "]")
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        for k in o:
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        inner = "\n" + _INDENT * (level + 1)
-        return ("{" + inner
-                + ("," + inner).join([_encode_str(k) + ": "
-                                      + _json_text(o[k], level + 1)
-                                      for k in sorted(o)])
-                + "\n" + _INDENT * level + "}")
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    for x in items:
+        yield row(x) + "\n"
 
 
 def _json_chunks(items: Iterable) -> Iterator[str]:
@@ -246,7 +190,10 @@ def _json_chunks(items: Iterable) -> Iterator[str]:
     element at a time: each is built, encoded and dropped in turn."""
     first = True
     for item in items:
-        yield ("[\n" if first else ",\n") + _INDENT + _json_text(item, 1)
+        # json escapes every newline inside a string, so indenting the
+        # element's text moves only its structural newlines
+        text = json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n  ")
+        yield ("[\n  " if first else ",\n  ") + text
         first = False
     yield "[]\n" if first else "\n]\n"
 
@@ -297,29 +244,32 @@ def _scalar_fn(args):
 # -- diff ------------------------------------------------------------------
 
 
-def cmd_diff(args) -> int:
+def _derivative_table(args, header: str, row) -> int:
+    """The derivative at each selected point (nabla_many): the results'
+    JSON records, or the CSV header and row(result) per point. diff and
+    check characterize differ only in the CSV row."""
     ts, (f,) = _bind(args)
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)
-
     results = nabla_many(f, ts, points, cfg)
-    code = EXIT_OK
-    if any(r.case is DiffCase.NOT_DIFFERENTIABLE for r in results):
-        code = EXIT_NONEXISTENT
-
     if args.format == "json":
         _emit_json((r.to_dict() for r in results), args.out)
-        return code
+    else:
+        _emit(_csv_chunks(header, results, row), args.out)
+    bad = any(r.case is DiffCase.NOT_DIFFERENTIABLE for r in results)
+    return EXIT_NONEXISTENT if bad else EXIT_OK
 
-    def row(r):
-        tail = f",{r.case.value},{r.residual!r}"
-        if r.value is None:
-            return f"{r.t!r},,,{tail}"
-        return _level_rows(repr(r.t), r.value, tail)
 
-    _emit(_csv_chunks("t,alpha,d_lower,d_upper,case,residual", results, row),
-          args.out)
-    return code
+def _diff_row(r) -> str:
+    tail = f",{r.case.value},{r.residual!r}"
+    if r.value is None:
+        return f"{r.t!r},,,{tail}"
+    return _level_rows(repr(r.t), r.value, tail)
+
+
+def cmd_diff(args) -> int:
+    return _derivative_table(args, "t,alpha,d_lower,d_upper,case,residual",
+                             _diff_row)
 
 
 # -- tabulate ----------------------------------------------------------------
@@ -347,43 +297,34 @@ def cmd_tabulate(args) -> int:
 # -- ghdiff / metric ---------------------------------------------------------
 
 
-def _eval_number(src: str, at: float, K: int):
-    d = parse_function(_read_spec(src))
-    return eval_function(d, at, K)
+def _numbers(args) -> tuple[FuzzyNumber, FuzzyNumber]:
+    """The two numbers u and v at --at, which must be finite."""
+    K = _levels(args)
+    if not math.isfinite(args.at):
+        raise ValidationError(f"--at must be finite, got {args.at!r}")
+    return tuple(eval_function(parse_function(_read_spec(src)), args.at, K)
+                 for src in (args.u, args.v))
 
 
 def cmd_ghdiff(args) -> int:
-    K = _levels(args)
-    u = _eval_number(args.u, args.at, K)
-    v = _eval_number(args.v, args.at, K)
-    res = gh_diff(u, v)
-
+    res = gh_diff(*_numbers(args))
     if args.format == "json":
-        out = {
+        text = json.dumps({
             "case": res.case.value,
             "levels": res.value.csv_rows() if res.value is not None else None,
             "diagnostics": res.diagnostics,
-        }
-        _emit([_json_text(out) + "\n"], args.out)
-        return EXIT_OK if res.case is not GhCase.NONE else EXIT_NONEXISTENT
-
-    lines = [f"case,{res.case.value}"]
-    if res.value is not None:
-        lines.append("alpha,lower,upper")
-        for a, lo, hi in res.value.csv_rows():
-            lines.append(f"{a!r},{lo!r},{hi!r}")
+        }, indent=2, sort_keys=True) + "\n"
+    elif res.value is not None:
+        text = f"case,{res.case.value}\n" + res.value.to_csv()
     else:
-        for key, msg in sorted(res.diagnostics.items()):
-            lines.append(f"# {key}: {msg}")
-    _emit(["\n".join(lines) + "\n"], args.out)
+        text = f"case,{res.case.value}\n" + "".join(
+            f"# {key}: {msg}\n" for key, msg in sorted(res.diagnostics.items()))
+    _emit([text], args.out)
     return EXIT_OK if res.case is not GhCase.NONE else EXIT_NONEXISTENT
 
 
 def cmd_metric(args) -> int:
-    K = _levels(args)
-    u = _eval_number(args.u, args.at, K)
-    v = _eval_number(args.v, args.at, K)
-    _emit([f"{hausdorff(u, v)!r}\n"], args.out)
+    _emit([f"{hausdorff(*_numbers(args))!r}\n"], args.out)
     return EXIT_OK
 
 
@@ -486,18 +427,9 @@ def cmd_check(args) -> int:
         return _residual_rows(args, theorem, tol)
 
     if theorem == "characterize":
-        ts, (f,) = _bind(args)
-        cfg = _probe_config(args)
-        points = _select_points(ts, args.points)
-        results = nabla_many(f, ts, points, cfg)
-        if args.format == "json":
-            _emit_json((r.to_dict() for r in results), args.out)
-        else:
-            _emit(_csv_chunks("t,case,residual", results,
-                              lambda r: f"{r.t!r},{r.case.value},{r.residual!r}"),
-                  args.out)
-        bad = any(r.case is DiffCase.NOT_DIFFERENTIABLE for r in results)
-        return EXIT_NONEXISTENT if bad else EXIT_OK
+        return _derivative_table(
+            args, "t,case,residual",
+            lambda r: f"{r.t!r},{r.case.value},{r.residual!r}")
 
     if theorem == "sum":
         ts, (f, g) = _bind(args, want=2)
@@ -567,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u", help="minuend definition, or @file")
     p.add_argument("v", help="subtrahend definition, or @file")
     p.add_argument("--at", type=float, default=0.0,
-                   help="evaluation point for defs mentioning t")
+                   help="evaluation point for defs mentioning t (finite)")
     p.add_argument("--levels", type=int, default=100, metavar="K")
     _add_output_flags(p)
     p.set_defaults(func=cmd_ghdiff)
@@ -608,10 +540,7 @@ def main(argv=None) -> int:
     except SignHypothesisFailed as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ValidationError, NotInTimeScale, NotInDomain, FuzzyNablaError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (FuzzyNablaError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -291,10 +291,10 @@ class GhRows(NamedTuple):
     d_hi: np.ndarray
     mag: np.ndarray
 
-    def raise_nonfinite(self) -> None:
-        """gh_diff's OrderViolation where a row has a case but a level that
-        is not finite."""
-        if ((self.ok_i | self.ok_ii) & ~self.finite).any():
+    def raise_nonfinite(self, rows=slice(None)) -> None:
+        """gh_diff's OrderViolation where a row (of rows) has a case but a
+        level that is not finite."""
+        if ((self.ok_i[rows] | self.ok_ii[rows]) & ~self.finite[rows]).any():
             raise OrderViolation(_NOT_FINITE)
 
     def cases(self) -> list[GhCase]:

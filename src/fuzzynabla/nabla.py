@@ -35,6 +35,7 @@ from .errors import (
 from .fuzzy import (
     FuzzyNumber,
     GhCase,
+    GhRows,
     add,
     alpha_grid,
     gh_exists,
@@ -599,14 +600,16 @@ JUMP_ROUND_OFF = 4.0 * np.finfo(float).eps
 @dataclass
 class _Jumps:
     """The jump quotient at a stack of left-scattered points, one row each,
-    with the gH case of each difference; finite flags the rows whose every
-    level of the quotient is finite."""
+    with the gH case of each difference and gh_exists' rows of the
+    differences (gh: _derive reads a failing row's diagnostics there);
+    finite flags the rows whose every level of the quotient is finite."""
 
     lower: np.ndarray
     upper: np.ndarray
     gh_case: list[GhCase]
     case: list[DiffCase]
     finite: np.ndarray
+    gh: GhRows
 
 
 # a non-finite row is flagged (finite); _derive rejects it by name
@@ -636,7 +639,7 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
-    return _Jumps(lower, upper, gh.cases(), case, finite)
+    return _Jumps(lower, upper, gh.cases(), case, finite, gh)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -722,15 +725,12 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
             raise failure
         if pc.left is Side.SCATTERED:
             jumps, i = jump
-            if jumps.gh_case[i] is GhCase.NONE or not jumps.finite[i]:
-                # the failing row again: the pass keeps no candidate rows
-                with np.errstate(over="ignore", invalid="ignore"):
-                    gh = gh_exists((ft[0] - fr[0])[None], (ft[1] - fr[1])[None])
-                gh.raise_nonfinite()
-                if jumps.gh_case[i] is GhCase.NONE:
-                    raise GhNonexistent(
-                        f"generalized difference of f({t!r}) and f({pc.rho!r}) "
-                        f"does not exist", gh.diagnostics(0))
+            if jumps.gh_case[i] is GhCase.NONE:
+                raise GhNonexistent(
+                    f"generalized difference of f({t!r}) and f({pc.rho!r}) "
+                    f"does not exist", jumps.gh.diagnostics(i))
+            if not jumps.finite[i]:
+                jumps.gh.raise_nonfinite(i)
                 raise OrderViolation(
                     f"the jump quotient at {t!r} is not finite: the "
                     f"difference overflows over nu = {pc.nu!r}")

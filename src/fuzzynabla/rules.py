@@ -27,6 +27,7 @@ from .nabla import (
     DiffCase,
     FuzzyFunction,
     ProbeConfig,
+    _classify_in_domain,
     _derivatives,
     _derived,
     _pass,
@@ -297,10 +298,11 @@ def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
     slopes from their probe streams; conflicting signs come back as
     Undetermined, not as an error. The widths come from f's one-record
     pass, so an error of f at any point that pass reads (a probe, sigma)
-    is raised.
+    is raised. A t outside the derivative domain raises NotInDomain, as
+    the derivative does.
     """
     _require_function(f)
-    analysis = next(_pass(f, ts, [ts.classify(t)], cfg))
+    analysis = next(_pass(f, ts, [_classify_in_domain(ts, float(t))], cfg))
     return _direction(*_analysis_slopes(analysis), cfg)
 
 

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzynabla import cli
@@ -482,6 +482,21 @@ class TestConfigErrors:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_non_finite_at(self, at, capsys, tmp_path):
+        # refused by name before either number is read: a definition that
+        # does not mention t would give an answer, one that does an error
+        # about its own endpoints
+        for cmd in ("ghdiff", "metric"):
+            for u in ("tri(0,1,2)", "tri(t,1,2)"):
+                out_path = tmp_path / "out.txt"
+                code, out, err = run([cmd, u, "tri(0,1,2)", "--at=" + at,
+                                      "--out", str(out_path)], capsys)
+                assert code == 1, (cmd, u)
+                assert out == ""
+                assert err == f"error: --at must be finite, got {at}\n"
+                assert not out_path.exists()
+
     @pytest.mark.parametrize("tol", ["-1", "-0.5e-9", "inf", "nan"])
     def test_bad_residual_tol(self, tol, capsys):
         for theorem, extra in (("rho-identity", []),
@@ -796,8 +811,7 @@ class TestGoldenBytes:
         ("json", "b5bd358edb32cdf7db50a4543cd4b4005e875454e9d0ef946277ff0b94170820"),
     ])
     def test_rows_across_chunks(self, fmt, digest, capsys):
-        # 1,200 points: their CSV rows span several CSV_CHUNK_POINTS chunks
-        assert cli.CSV_CHUNK_POINTS < 1200 / 2
+        # 1,200 points: the pass derives them in several chunks of records
         code, out, err = run([
             "diff", "--timescale", "union(recip(1,600), recip(sqrt2,600), points(0))",
             "--fn", EXAMPLE_FN, "--points", "all-scattered", "--levels", "2",
@@ -917,7 +931,7 @@ class TestMainFuzz:
 
 # JSON trees for the streamed writer: keys with escapes and non-ASCII
 # characters, the floats json spells specially, numpy float scalars
-JSON_KEYS = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7f\u2028\xe9\U0001f600'),
+JSON_KEYS = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x7f\u2028\xe9\U0001f600'),
                               st.characters()), max_size=6)
 JSON_FLOATS = st.one_of(
     st.floats(),
@@ -935,6 +949,13 @@ JSON_TREES = st.recursive(
     max_leaves=24)
 
 
+# strings and keys with raw line breaks and tabs at depth 3 and below: the
+# writer indents each element's text, which must move no break inside a string
+BREAKS = st.text(st.sampled_from("\n\r\t\u2028a "), min_size=1, max_size=6)
+DEEP_TREES = st.tuples(BREAKS, BREAKS, JSON_TREES).map(
+    lambda x: {x[0]: [{x[0]: [x[1], {x[1]: x[2]}]}]})
+
+
 def streamed(items) -> str:
     return "".join(cli._json_chunks(iter(items)))
 
@@ -942,12 +963,11 @@ def streamed(items) -> str:
 class TestJsonWriter:
     """The streamed JSON writer spells what json.dumps spells."""
 
-    @given(items=st.lists(JSON_TREES, max_size=4))
+    @given(items=st.lists(st.one_of(JSON_TREES, DEEP_TREES), max_size=4))
+    @example(items=[{"a\nb": [{"c\r\n": ["\t\u2028", {"\n": "x\ny\r"}]}]}, "\n"])
     @settings(max_examples=150, deadline=None)
     def test_same_bytes_as_json(self, items):
         assert streamed(items) == json.dumps(items, indent=2, sort_keys=True) + "\n"
-        for tree in items:
-            assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("items", [[], [[]], [{}], [[], {}, ()], [[[{}]]]])
     def test_empty_containers(self, items):

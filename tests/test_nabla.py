@@ -986,6 +986,33 @@ class TestJumpCase:
                 expect = DiffCase.CASE_II
             assert res.case is expect
 
+    def test_failing_jump_runs_the_kernel_once(self, monkeypatch):
+        # the peak drops at 2, so f(2) gH- f(1) exists in neither case: the
+        # failing row's diagnostics come from the pass's one gh_exists call
+        ts = parse_timescale("union(hgrid(0,1,1), points(2,3,4))")
+        f = bind_function(parse_function(
+            "tri(t-1-t^2, piecewise(in points => t-4, in hgrid => t), t+1+t^2)"),
+            ts, K=K)
+        expect = gh_diff(f(2.0), f(1.0)).diagnostics
+        calls = []
+        kernel = nabla.gh_exists
+
+        def counting(d_lo, d_hi):
+            calls.append(len(d_lo))
+            return kernel(d_lo, d_hi)
+
+        monkeypatch.setattr(nabla, "gh_exists", counting)
+        results = nabla_many(f, ts, [1.0, 2.0, 3.0])
+        assert calls == [3]
+        assert [r.case for r in results] == [DiffCase.CASE_I,
+                                             DiffCase.NOT_DIFFERENTIABLE,
+                                             DiffCase.CASE_I]
+        assert results[1].evidence["failure"] == "GhNonexistent"
+        assert results[1].evidence["diagnostics"] == expect
+        with pytest.raises(GhNonexistent) as err:
+            nabla_gh(f, ts, 2.0)
+        assert err.value.diagnostics == expect
+
 
 class TestStackedProbes:
     """A probed side takes f's levels at its probes from one stack of the

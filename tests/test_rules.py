@@ -263,6 +263,18 @@ class TestLenDirection:
             with pytest.raises(OrderViolation, match=re.escape(f"no value at {far!r}")):
                 call()
 
+    def test_outside_the_domain_raises(self):
+        # 0 is a right-scattered minimum and 0.5 is not in the scale: the
+        # width direction is refused there as the product rule refuses it
+        f = FuzzyFunction(lambda t: triangular(t, 2.0 * t + 1.0, 3.0 * t + 2.0, K),
+                          K=K)
+        ts = TimeScale([ArithmeticGrid(0.0, 5.0, 1.0)])
+        for t in (0.0, 0.5):
+            for call in (lambda: len_direction(f, ts, t),
+                         lambda: product_interval(lambda s: 1.0 + s, f, ts, t)):
+                with pytest.raises(NotInDomain):
+                    call()
+
 
 class TestProductInterval:
     fs = staticmethod(lambda t: 6.0 - t)

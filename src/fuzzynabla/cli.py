@@ -76,6 +76,15 @@ class _CliParser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise _UsageError(message)
 
+    # a number is a value, also "-1e5" or "-inf", which argparse alone takes
+    # for a flag: its negative-number pattern matches plain decimals only
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 THEOREMS = (
     "rho-identity",
     "level-consistency",

@@ -14,7 +14,6 @@ MONO_RTOL * (1 + magnitude).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -48,9 +47,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 class GhCase(Enum):
@@ -150,12 +146,6 @@ class FuzzyNumber:
     def __hash__(self):
         return hash((self._lower.tobytes(), self._upper.tobytes()))
 
-    def magnitude(self) -> float:
-        return float(max(np.max(np.abs(self._lower)), np.max(np.abs(self._upper))))
-
-    def is_crisp(self, tol: float = 0.0) -> bool:
-        return bool(np.max(self._upper - self._lower) <= tol)
-
     # -- invariants -------------------------------------------------------
 
     def validate(self) -> None:
@@ -215,20 +205,6 @@ class FuzzyNumber:
             "lower": [float(x) for x in self._lower],
             "upper": [float(x) for x in self._upper],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FuzzyNumber":
-        if "tri" in d:
-            a, b, c = d["tri"]
-            return cls.triangular(a, b, c, K=d.get("K", 100))
-        return cls(d["lower"], d["upper"])
-
-    @classmethod
-    def from_json(cls, s: str) -> "FuzzyNumber":
-        return cls.from_dict(json.loads(s))
 
     def csv_rows(self) -> list[tuple[float, float, float]]:
         return [

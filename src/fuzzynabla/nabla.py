@@ -86,11 +86,11 @@ class DiffCase(Enum):
 class FuzzyFunction:
     """A mapping t -> FuzzyNumber on a fixed level grid, with caching.
 
-    vector, when given, is the same mapping at a vector of points in one
-    call (a pass over many points makes one per chunk of 64 records,
-    CHUNK_RECORDS): it returns (N, K+1) stacks of lower and upper
-    endpoints whose rows are bit for bit the levels fn returns, and raises
-    when fn raises at any of the points; callers then call fn point by
+    A pass reads f at a chunk's t, rho and sigma at once (_analyses): by
+    vector when given, else by fn point by point through the memo cache.
+    vector maps a vector of points to (N, K+1) stacks of lower and upper
+    endpoints whose rows are bit for bit the levels fn returns; it raises
+    when fn raises at any of the points, and callers then call fn point by
     point, in order, which raises fn's own error (bind_function passes the
     compiled definition, which raises that error itself). The memo cache
     holds values of fn only; stack neither reads nor fills it.
@@ -190,9 +190,9 @@ def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
     The rows are one stack of f's vector form when f has one, pts are more
     than cached and the stack does not raise; else f(p) in order, through
     the memo cache. A pass over many records makes this step per chunk of
-    64 records (CHUNK_RECORDS), with cached 0. When f(p) fails
-    (FuzzyNablaError or ArithmeticError), the rows before p and that
-    error, so that the caller raises first what those rows raise."""
+    64 records (CHUNK_RECORDS), with cached 0. When f(p) raises, whatever
+    the error, the rows before p and that error, so that the caller raises
+    first what those rows (and a chunk's records before p's) raise."""
     if f._vector is not None and len(pts) > cached:
         try:
             lo, hi = f.stack(pts)
@@ -204,7 +204,7 @@ def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
     for j, p in enumerate(pts):
         try:
             Fp = f(p)
-        except (FuzzyNablaError, ArithmeticError) as err:
+        except Exception as err:
             return lo[:j], hi[:j], err
         lo[j], hi[j] = Fp.lower, Fp.upper
     return lo, hi, None
@@ -852,11 +852,13 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
 
     scattered = [r for r, pc in enumerate(records) if pc.left is Side.SCATTERED
                  and max(slot[pc.t], slot[pc.rho]) < len(lo)]
-    it = np.array([slot[records[r].t] for r in scattered], dtype=int)
-    ir = np.array([slot[records[r].rho] for r in scattered], dtype=int)
-    nu = np.array([records[r].nu for r in scattered])
-    jumps = _jump_rows(lo.take(it, axis=0), hi.take(it, axis=0),
-                       lo.take(ir, axis=0), hi.take(ir, axis=0), nu, cfg)
+    jumps = None  # only a left-scattered record reads its jump
+    if scattered:
+        it = np.array([slot[records[r].t] for r in scattered])
+        ir = np.array([slot[records[r].rho] for r in scattered])
+        nu = np.array([records[r].nu for r in scattered])
+        jumps = _jump_rows(lo.take(it, axis=0), hi.take(it, axis=0),
+                           lo.take(ir, axis=0), hi.take(ir, axis=0), nu, cfg)
     row = {r: i for i, r in enumerate(scattered)}
     alphas = alpha_grid(f.K)
 
@@ -915,18 +917,16 @@ def _pass(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
           cfg: ProbeConfig):
     """Each record's analysis, in order: one record through f's memo
     (_analysis_at), more from _analyses per chunk of CHUNK_RECORDS
-    records, each one stack. A point that two chunks read is evaluated in
-    each, and no level outlives its chunk but in the analyses a caller
-    holds. Without a vector form the pass takes one record at a time, so a
-    plain callable is called as by the loop over single points, in
-    order."""
+    records, each one evaluation step. A point that two chunks read is
+    evaluated in each, and no level outlives its chunk but in the analyses
+    a caller holds. A plain callable is called at a chunk's t, rho and
+    sigma first, then at each record's probes at its turn."""
     if len(records) == 1:
         yield _analysis_at(f, ts, records[0], cfg)
         return
-    size = CHUNK_RECORDS if f._vector is not None else 1
-    for start in range(0, len(records), size):
-        yield from _analyses(f, ts, records[start:start + size], cfg,
-                             cached=0)
+    for start in range(0, len(records), CHUNK_RECORDS):
+        yield from _analyses(f, ts, records[start:start + CHUNK_RECORDS],
+                             cfg, cached=0)
 
 
 def _derived(analysis, cfg: ProbeConfig, report: bool = False) -> DerivativeResult:
@@ -979,8 +979,8 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
                cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
     """derivative_report at every point, in order, from one pass over the
-    points' records: per chunk of 64 records, a bound definition is
-    evaluated once over every t, rho and sigma."""
+    points' records: per chunk of 64 records, f is read once at every t,
+    rho and sigma (a bound definition in one stack)."""
     _require_function(f)
     records, err = _records(ts, points)
     out = list(_derivatives(f, ts, records, cfg, report=True))

@@ -12,7 +12,6 @@ accumulation point so density queries at 0 reflect the untruncated scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -106,14 +105,6 @@ class PointClass:
         """Whether t lies in the derivative domain (not a right-scattered min)."""
         return not (self.at_min and self.right is Side.SCATTERED)
 
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left.value,
-            "right": self.right.value,
-            "at_min": self.at_min,
-            "at_max": self.at_max,
-        }
-
 
 def _point_class(t: float, rho, sigma, dense_left, dense_right,
                  at_min, at_max) -> PointClass:
@@ -141,10 +132,6 @@ class Stream:
     label: str
     points: tuple[float, ...]
     synthetic: bool
-
-    @property
-    def nearest(self) -> float:
-        return self.points[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +175,6 @@ class ClosedInterval:
     def canonical_args(self) -> tuple[float, ...]:
         return (self.a, self.b)
 
-    def to_dict(self) -> dict:
-        return {"kind": "interval", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -227,8 +212,6 @@ class ExplicitPoints:
     def canonical_args(self) -> tuple[float, ...]:
         return self.values
 
-    def to_dict(self) -> dict:
-        return {"kind": "points", "values": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -276,8 +259,6 @@ class ArithmeticGrid:
     def canonical_args(self) -> tuple[float, ...]:
         return (self.start, self.stop, self.step)
 
-    def to_dict(self) -> dict:
-        return {"kind": "hgrid", "start": self.start, "stop": self.stop, "step": self.step}
 
 
 @dataclass(frozen=True)
@@ -323,8 +304,6 @@ class GeometricGrid:
     def canonical_args(self) -> tuple[float, ...]:
         return (self.base, float(self.kmin), float(self.kmax))
 
-    def to_dict(self) -> dict:
-        return {"kind": "qgrid", "base": self.base, "kmin": self.kmin, "kmax": self.kmax}
 
 
 @dataclass(frozen=True)
@@ -405,14 +384,6 @@ class ReciprocalGrid:
     def canonical_args(self) -> tuple[float, ...]:
         return (self.scale, float(self.count))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "recip",
-            "scale": self.scale,
-            "count": self.count,
-            "include_zero": self.include_zero,
-        }
-
 
 Piece = ClosedInterval | ExplicitPoints | ArithmeticGrid | GeometricGrid | ReciprocalGrid
 
@@ -423,21 +394,6 @@ def _args_match(args: tuple[float, ...], actual: tuple[float, ...]) -> bool:
         return False
     return all(abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
                for a, b in zip(args, actual))
-
-
-def piece_from_dict(d: dict) -> Piece:
-    kind = d.get("kind")
-    if kind == "interval":
-        return ClosedInterval(d["a"], d["b"])
-    if kind == "points":
-        return ExplicitPoints(tuple(d["values"]))
-    if kind == "hgrid":
-        return ArithmeticGrid(d["start"], d["stop"], d["step"])
-    if kind == "qgrid":
-        return GeometricGrid(d["base"], d["kmin"], d["kmax"])
-    if kind == "recip":
-        return ReciprocalGrid(d["scale"], d["count"], d.get("include_zero", False))
-    raise ValueError(f"unknown piece kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +462,6 @@ class TimeScale:
                     args, p.canonical_args()))
         return hit
 
-    @property
-    def discrete_points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def min_point(self) -> float:
-        return self._min
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TimeScale) and self._pieces == other._pieces
 
@@ -570,10 +518,6 @@ class TimeScale:
     def rho(self, t: float) -> float:
         """Backward jump: greatest scale point strictly below t (t itself at the min)."""
         return self.classify(t).rho
-
-    def nu(self, t: float) -> float:
-        """Backward graininess t - rho(t)."""
-        return self.classify(t).nu
 
     # -- the point record -----------------------------------------------------
 
@@ -747,22 +691,6 @@ class TimeScale:
         _, _, dense_left, dense_right, at_min, _ = self._jumps
         in_kappa = ~(at_min & ~dense_right)
         return self._points[in_kappa & ~dense_left].tolist()
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"pieces": [p.to_dict() for p in self._pieces]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimeScale":
-        return cls([piece_from_dict(p) for p in d["pieces"]])
-
-    @classmethod
-    def from_json(cls, s: str) -> "TimeScale":
-        return cls.from_dict(json.loads(s))
 
 
 def _drop_min_point(p: Piece, m: float) -> Piece | None:

@@ -9,6 +9,7 @@ resolution, and hand-worked product-rule arithmetic.
 
 import json
 import math
+from dataclasses import astuple
 import random
 import time
 
@@ -312,13 +313,13 @@ def test_c08_product_rules_worked_instances():
     assert rep3.verdict is Verdict.VERIFIED
     assert rep3.residual <= 1e-9
     assert rep3.extras["equation"] == "widening"
-    assert rep3.lhs.level(0.0).as_tuple() == pytest.approx((3.0, 6.0))
+    assert astuple(rep3.lhs.level(0.0)) == pytest.approx((3.0, 6.0))
 
     rep5 = product_interval(fs, gi, zz, 5.0)
     assert rep5.verdict is Verdict.VERIFIED
     assert rep5.residual <= 1e-9
     assert rep5.extras["equation"] == "narrowing"
-    assert rep5.lhs.level(0.0).as_tuple() == pytest.approx((-8.0, -4.0))
+    assert astuple(rep5.lhs.level(0.0)) == pytest.approx((-8.0, -4.0))
     print("criterion 08: PASS  fuzzy product at t=2 on the half grid and "
           "both interval identities at t=3, t=5 Verified")
 

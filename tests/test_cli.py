@@ -489,13 +489,42 @@ class TestConfigErrors:
         # about its own endpoints
         for cmd in ("ghdiff", "metric"):
             for u in ("tri(0,1,2)", "tri(t,1,2)"):
-                out_path = tmp_path / "out.txt"
-                code, out, err = run([cmd, u, "tri(0,1,2)", "--at=" + at,
-                                      "--out", str(out_path)], capsys)
-                assert code == 1, (cmd, u)
-                assert out == ""
-                assert err == f"error: --at must be finite, got {at}\n"
-                assert not out_path.exists()
+                for spelling in (["--at=" + at], ["--at", at]):
+                    out_path = tmp_path / "out.txt"
+                    code, out, err = run([cmd, u, "tri(0,1,2)", *spelling,
+                                          "--out", str(out_path)], capsys)
+                    assert code == 1, (cmd, u, spelling)
+                    assert out == ""
+                    assert err == f"error: --at must be finite, got {at}\n"
+                    assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--at", "-1e5", None),
+        ("--at", "-nan", "error: --at must be finite, got nan"),
+        ("--points", "-1e-3", "error: point -0.001 is not in the time scale"),
+        ("--agreement-tol", "-1e-3", "error: --probes 8 --agreement-tol -0.001: "
+         "agreement_tol must be positive and finite"),
+        ("--residual-tol", "-1E-3",
+         "error: --residual-tol must be finite and not negative, got -0.001"),
+        ("--levels", "-1e3", "error: argument --levels: invalid int value: '-1e3'"),
+    ])
+    def test_negative_number_after_a_space(self, flag, value, message, capsys):
+        # argparse alone reads "-1e5" or "-inf" as a flag that leaves the
+        # option without its value; here it is the value, as after "="
+        if flag == "--at":
+            argv = ["metric", "tri(t,t+1,t+2)", "tri(0,1,2)"]
+        else:
+            argv = ["check", "sum", "--timescale", "hgrid(0,5,1)",
+                    "--fn", "tri(t,2*t,3*t)", "--fn", "tri(t,t+1,t+2)"]
+            if flag != "--points":
+                argv += ["--points", "2"]
+        code, out, err = spaced = run(argv + [flag, value], capsys)
+        assert spaced == run(argv + [flag + "=" + value], capsys)
+        if message is None:
+            assert (code, out, err) == (0, "100000.0\n", "")
+        else:
+            assert (code, out) == (1, "")
+            assert err.endswith(message + "\n")
 
     @pytest.mark.parametrize("tol", ["-1", "-0.5e-9", "inf", "nan"])
     def test_bad_residual_tol(self, tol, capsys):

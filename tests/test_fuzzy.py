@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ from fuzzynabla.fuzzy import (
     triangular,
 )
 from fuzzynabla.nabla import FuzzyFunction
+
+
+def magnitude(u: FuzzyNumber) -> float:
+    """The largest absolute level of u."""
+    return float(max(np.abs(u.lower).max(), np.abs(u.upper).max()))
 
 
 # -- independent oracle -------------------------------------------------------
@@ -104,14 +110,14 @@ class TestConstruction:
 
     def test_crisp(self):
         u = crisp(2.5, K=3)
-        assert u.is_crisp()
-        assert u.level(0.7).as_tuple() == (2.5, 2.5)
+        assert np.array_equal(u.lower, u.upper)
+        assert astuple(u.level(0.7)) == (2.5, 2.5)
 
     def test_interval_number(self):
         g = FuzzyNumber.interval(1, 3)
         assert g.K == 0
-        assert g.level(0.0).as_tuple() == (1.0, 3.0)
-        assert g.level(0.9).as_tuple() == (1.0, 3.0)  # cuts constant in alpha
+        assert astuple(g.level(0.0)) == (1.0, 3.0)
+        assert astuple(g.level(0.9)) == (1.0, 3.0)  # cuts constant in alpha
 
     @pytest.mark.parametrize("lower, upper, message", [
         # the level index where the violation is largest, not the first
@@ -152,7 +158,7 @@ class TestConstruction:
 class TestLevelQueries:
     def test_level_grid_exact(self):
         u = triangular(0, 1, 2, K=10)
-        assert u.level(0.3).as_tuple() == (0.3, 1.7)
+        assert astuple(u.level(0.3)) == (0.3, 1.7)
 
     def test_level_interpolates(self):
         u = triangular(0, 1, 2, K=10)
@@ -181,7 +187,7 @@ class TestArithmetic:
 
     def test_scalar_mul_zero(self):
         w = scalar_mul(0.0, triangular(0, 1, 2))
-        assert w.is_crisp()
+        assert np.array_equal(w.lower, w.upper)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
@@ -222,18 +228,18 @@ class TestGhDiff:
         u = triangular(1, 2, 4)
         res = gh_diff(u, u)
         assert res.case is GhCase.BOTH
-        assert res.value.is_crisp()
+        assert np.array_equal(res.value.lower, res.value.upper)
 
     def test_reconstruction_case_i(self):
         u, v = triangular(0, 2, 4), triangular(0, 1, 2)
         w = gh_diff(u, v).value
-        assert hausdorff(add(v, w), u) <= 1e-12 * (1 + u.magnitude())
+        assert hausdorff(add(v, w), u) <= 1e-12 * (1 + magnitude(u))
 
     def test_reconstruction_case_ii(self):
         u, v = triangular(0, 1, 2), triangular(0, 2, 4)
         w = gh_diff(u, v).value
         # v = u + (-1) w
-        assert hausdorff(add(u, scalar_mul(-1.0, w)), v) <= 1e-12 * (1 + v.magnitude())
+        assert hausdorff(add(u, scalar_mul(-1.0, w)), v) <= 1e-12 * (1 + magnitude(v))
 
     def test_h_diff_is_case_i_only(self):
         assert h_diff(triangular(0, 2, 4), triangular(0, 1, 2)) is not None
@@ -245,7 +251,7 @@ class TestGhDiff:
         g2 = FuzzyNumber.interval(3, 4)
         res = gh_diff(g1, g2)
         assert res.case is not GhCase.NONE
-        assert res.value.level(0.0).as_tuple() == (-3.0, 6.0)
+        assert astuple(res.value.level(0.0)) == (-3.0, 6.0)
 
     def test_oracle_agreement_sample(self):
         rng = random.Random(20260819)
@@ -276,15 +282,6 @@ class TestMetric:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        u = triangular(0, 1.5, 4, K=8)
-        again = FuzzyNumber.from_json(u.to_json())
-        assert again == u
-
-    def test_tri_shorthand(self):
-        u = FuzzyNumber.from_dict({"tri": [0, 1, 2], "K": 10})
-        assert u == triangular(0, 1, 2, K=10)
-
     def test_csv_table(self):
         u = triangular(0, 1, 2, K=2)
         text = u.to_csv()
@@ -314,7 +311,7 @@ def test_gh_outputs_validate(p, q):
 def test_gh_reconstruction_property(p, q):
     u, v = triangular(*p, K=20), triangular(*q, K=20)
     res = gh_diff(u, v)
-    scale = 1e-12 * (1 + u.magnitude() + v.magnitude())
+    scale = 1e-12 * (1 + magnitude(u) + magnitude(v))
     if res.case in (GhCase.CASE_I, GhCase.BOTH):
         assert hausdorff(add(v, res.value), u) <= scale
     elif res.case is GhCase.CASE_II:
@@ -387,8 +384,8 @@ def test_invalid_rows_is_validate(rows):
     lo, hi = [], []
     for p, noise in rows:
         u = triangular(*p, K=3)
-        lo.append(u.lower + np.array(noise[:4]) * (1 + u.magnitude()))
-        hi.append(u.upper + np.array(noise[4:]) * (1 + u.magnitude()))
+        lo.append(u.lower + np.array(noise[:4]) * (1 + magnitude(u)))
+        hi.append(u.upper + np.array(noise[4:]) * (1 + magnitude(u)))
     want = []
     for a, b in zip(lo, hi):
         try:

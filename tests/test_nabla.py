@@ -469,6 +469,18 @@ class TestNablaMany:
 
         return FuzzyFunction(g, K=K), log
 
+    @classmethod
+    def evaluated(cls, fn, ts, pts) -> set:
+        """The points where derivative_report calls fn at any of pts, each
+        point on its own, also past a point that raises."""
+        f, log = cls.logged(fn)
+        for t in pts:
+            try:
+                derivative_report(f, ts, t)
+            except Exception:
+                pass
+        return set(log)
+
     piece = st.one_of(
         st.builds(lambda a, n, h: ArithmeticGrid(a, a + n * h, h),
                   st.integers(-4, 4).map(float), st.integers(1, 6),
@@ -502,7 +514,7 @@ class TestNablaMany:
         cand = [t for t in ts.sample_points(40) if ts.in_kappa(t)]
         pts = [cand[i % len(cand)] for i in idx]
         if stray:
-            pts.insert(idx[0] % len(pts), ts.min_point)
+            pts.insert(idx[0] % len(pts), ts._min)
 
         def fn(t):
             # the two widths move independently, so some jumps have no gH
@@ -517,8 +529,12 @@ class TestNablaMany:
         loop = self.outcome(lambda: [derivative_report(f_loop, ts, t) for t in pts])
         many = self.outcome(lambda: nabla_many(f_many, ts, pts))
         assert many == loop
-        # the same points in the same order, also when the loop raises
-        assert log_many == log_loop
+        # fn is called only where the loop calls it, in chunk order: at
+        # the same points when the loop completes, else among those that
+        # each point's own call reads
+        assert set(log_many) <= self.evaluated(fn, ts, pts)
+        if isinstance(loop, list):
+            assert sorted(log_many) == sorted(log_loop)
 
     def test_overflow_row(self):
         # f is finite at -1 and 1; only the jump difference overflows
@@ -872,18 +888,39 @@ class TestOnePipeline:
 
     def test_plain_callable_skips_the_stacked_pass(self, monkeypatch):
         pts = [-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+        f_loop, log_loop = TestNablaMany.logged(parabola_tri)
         expect = TestNablaMany.outcome(lambda: [
-            derivative_report(FuzzyFunction(parabola_tri, K=K), MIXED, t)
-            for t in pts])
+            derivative_report(f_loop, MIXED, t) for t in pts])
 
         def refuse(self, points):
             raise AssertionError("a plain callable reached the stacked pass")
 
         monkeypatch.setattr(FuzzyFunction, "stack", refuse)
-        got = TestNablaMany.outcome(
-            lambda: nabla_many(FuzzyFunction(parabola_tri, K=K), MIXED, pts))
+        f_many, log_many = TestNablaMany.logged(parabola_tri)
+        got = TestNablaMany.outcome(lambda: nabla_many(f_many, MIXED, pts))
         assert got == expect
         assert isinstance(got, list)
+        # the loop's points, each once through the memo cache: the chunk's
+        # t, rho and sigma first (rho(-2) = -3), then each record's probes
+        assert sorted(log_many) == sorted(log_loop)
+        assert sorted(log_many[:9]) == sorted(pts + [-3.0])
+
+    def test_earlier_record_raises_first(self):
+        # 0.5's right probes fail, and f returns no fuzzy number at 3: the
+        # chunk reads f at 3 before 0.5's probes, but raises at 0.5's turn
+        ts = TimeScale([ClosedInterval(0.0, 1.0), ArithmeticGrid(2.0, 4.0, 1.0)])
+
+        def fn(t):
+            if t == 3.0:
+                return "not a fuzzy number"
+            return triangular(t, t + 5 if 0.5 < t < 0.6 else t + 1, t + 2, K)
+
+        for run in (lambda: derivative_report(FuzzyFunction(fn, K=K), ts, 0.5),
+                    lambda: nabla_many(FuzzyFunction(fn, K=K), ts, [0.5, 3.0])):
+            with pytest.raises(OrderViolation, match="triangular requires"):
+                run()
+        with pytest.raises(TypeError, match="returned str"):
+            nabla_many(FuzzyFunction(fn, K=K), ts, [1.0, 3.0])
 
     @pytest.mark.parametrize("fn, case", [
         # the support narrows from [-3, 1] at -1 to [-1, 1] at 0
@@ -976,7 +1013,8 @@ class TestJumpCase:
             quot = gh.value * (1.0 / pc.nu)
             # round-off in f(t) - f(rho) may leave 4 ulps of the operands'
             # magnitude in the width, over nu
-            mag = max(f(t).magnitude(), f(pc.rho).magnitude())
+            mag = max(float(np.abs([f(s).lower, f(s).upper]).max())
+                      for s in (t, pc.rho))
             crisp_tol = cfg.agreement_tol + 4.0 * np.finfo(float).eps * mag / pc.nu
             if float(np.max(quot.upper - quot.lower)) <= crisp_tol:
                 expect = DiffCase.CRISP
@@ -1230,6 +1268,44 @@ class TestChunkedPass:
         assert len(sizes) == -(-n // nabla.CHUNK_RECORDS)
         # a chunk stacks its records' t, their rho and the last one's sigma
         assert sizes[0] == min(n, nabla.CHUNK_RECORDS) + 2
+
+    @staticmethod
+    def jump_passes(monkeypatch) -> list:
+        """The number of rows of every _jump_rows call from now on."""
+        rows = []
+        jump_rows = nabla._jump_rows
+
+        def counted(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg):
+            rows.append(len(nu))
+            return jump_rows(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg)
+
+        monkeypatch.setattr(nabla, "_jump_rows", counted)
+        return rows
+
+    @pytest.mark.parametrize("n", [65, 200])
+    def test_plain_callable_one_jump_pass_per_chunk(self, n, monkeypatch):
+        ts = chunk_scale()
+        pts = [float(k) for k in range(1, n + 1)]
+        f = unchecked(CHUNK_SOURCES[0], ts, K=4, plain=True)
+        expect = [json.dumps(derivative_report(f, ts, t).to_dict(), sort_keys=True)
+                  for t in pts]
+        rows = self.jump_passes(monkeypatch)
+        f = unchecked(CHUNK_SOURCES[0], ts, K=4, plain=True)
+        got = [json.dumps(r.to_dict(), sort_keys=True) for r in nabla_many(f, ts, pts)]
+        assert got == expect
+        size = nabla.CHUNK_RECORDS
+        assert rows == [min(size, n - start) for start in range(0, n, size)]
+
+    def test_no_jump_pass_without_a_jump(self, monkeypatch):
+        ts = chunk_scale()
+        f = unchecked(CHUNK_SOURCES[0], ts, K=4)
+        rows = self.jump_passes(monkeypatch)
+        derivative_report(f, ts, -1.5)
+        nabla_many(f, ts, [-1.75, -1.5, -1.25])
+        assert rows == []
+        # 0 jumps from -1
+        nabla_many(f, ts, [-1.5, 0.0, -1.25])
+        assert rows == [1]
 
     def test_passes_leave_the_memo_empty(self, monkeypatch):
         # the product graders read g at t and rho from g's pass, and the

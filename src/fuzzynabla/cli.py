@@ -77,10 +77,12 @@ class _CliParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     # a number is a value, also "-1e5" or "-inf", which argparse alone takes
-    # for a flag: its negative-number pattern matches plain decimals only
+    # for a flag: its negative-number pattern matches plain decimals only;
+    # so is a list of numbers, as in "--points -2,-1"
     def _parse_optional(self, arg_string):
         try:
-            float(arg_string)
+            for token in arg_string.split(","):
+                float(token)
         except ValueError:
             return super()._parse_optional(arg_string)
         return None

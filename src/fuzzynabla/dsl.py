@@ -656,7 +656,8 @@ def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
         return -_eval(e.arg, t, alpha, ts)
     if isinstance(e, Sqrt):
         v = _eval(e.arg, t, alpha, ts)
-        if np.any(np.asarray(v) < 0):
+        # a float is tested in Python: numpy costs microseconds on one value
+        if v < 0 if isinstance(v, float) else np.any(np.asarray(v) < 0):
             raise ValidationError("sqrt of a negative value", sample={"t": t})
         return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
     if isinstance(e, Piecewise):
@@ -675,7 +676,7 @@ def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
         if e.op == "*":
             return a * b
         if e.op == "/":
-            if np.any(np.asarray(b) == 0):
+            if b == 0 if isinstance(b, float) else np.any(np.asarray(b) == 0):
                 raise ValidationError("division by zero", sample={"t": t})
             return a / b
         if e.op == "^":

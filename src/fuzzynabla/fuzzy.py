@@ -14,6 +14,7 @@ MONO_RTOL * (1 + magnitude).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -25,12 +26,14 @@ from .errors import AlphaOutOfRange, GridMismatch, OrderViolation
 MONO_RTOL = 1e-10
 
 
+@functools.lru_cache
 def alpha_grid(K: int) -> np.ndarray:
     """Levels k/K for k = 0..K as correctly rounded quotients (not linspace,
-    whose step accumulation lands off-grid: 3*0.1 != 3/10)."""
-    if K == 0:
-        return np.array([0.0])
-    return np.arange(K + 1, dtype=float) / K
+    whose step accumulation lands off-grid: 3*0.1 != 3/10). Built once per
+    K and read-only, so every caller shares it."""
+    grid = np.array([0.0]) if K == 0 else np.arange(K + 1, dtype=float) / K
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,8 @@ class FuzzyNumber:
         )
 
     def __hash__(self):
-        return hash((self._lower.tobytes(), self._upper.tobytes()))
+        # equal numbers hash alike: -0.0 == 0.0, so both hash as 0.0
+        return hash(((self._lower + 0.0).tobytes(), (self._upper + 0.0).tobytes()))
 
     # -- invariants -------------------------------------------------------
 
@@ -275,7 +279,8 @@ class GhRows(NamedTuple):
 
     def cases(self) -> list[GhCase]:
         by_code = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
-        return [by_code[c] for c in (2 * self.ok_i + self.ok_ii).tolist()]
+        return [by_code[2 * i + ii]
+                for i, ii in zip(self.ok_i.tolist(), self.ok_ii.tolist())]
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
         """The value rows: the candidates where case (i) exists, swapped
@@ -327,7 +332,20 @@ def require_fuzzy(lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise OrderViolation for the first invalid row of (N, K+1) level
     stacks, naming the first of non-finite levels, a decreasing lower
     endpoint, an increasing upper one and crossing cuts, at the level
-    index where that violation is largest."""
+    index where that violation is largest.
+
+    A row is valid exactly when it is finite and case (i) of gh_exists
+    against 0 holds. That test passes, and no kernel runs, when every row
+    is finite and its lower endpoints, then its upper endpoints raised by
+    MONO_RTOL / 2 in reverse order, never decrease: the raise lets the
+    core cross by round-off, it keeps the upper endpoints in order up to
+    ties of a few ulps, and so every step and gap stays within MONO_RTOL,
+    the least tolerance the kernel takes. Otherwise gh_exists decides, and
+    builds the message for the first invalid row."""
+    seq = np.concatenate((lo, hi[:, ::-1] + MONO_RTOL / 2), axis=1)
+    if (np.logical_and.reduce(seq[:, 1:] >= seq[:, :-1], axis=None)
+            and np.logical_and.reduce(np.isfinite(seq), axis=None)):
+        return
     rows = gh_exists(lo, hi)
     bad = ~(rows.ok_i & rows.finite)
     if not bad.any():

@@ -311,13 +311,14 @@ class SideData:
     streams: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def copy(self) -> "SideData":
-        """The side with its own arrays."""
+        """The side with its own arrays, but for the read-only ones (a
+        scattered side's rows), which no caller can change."""
         def own(a):
-            return None if a is None else a.copy()
+            return a if a is None or not a.flags.writeable else a.copy()
         return SideData(self.kind, own(self.lower), own(self.upper),
                         own(self.lower_exists), own(self.upper_exists),
                         own(self.residual),
-                        {label: (lo.copy(), hi.copy())
+                        {label: (own(lo), own(hi))
                          for label, (lo, hi) in self.streams.items()})
 
     @property
@@ -386,13 +387,27 @@ class EndpointReport:
 # an overflowing quotient stays in the report, as its own value; a jump
 # whose own quotient is not finite is rejected by name in _derive
 @np.errstate(over="ignore", invalid="ignore")
-def _scattered_side(ft_lo: np.ndarray, ft_hi: np.ndarray, fn_lo: np.ndarray,
-                    fn_hi: np.ndarray, dt: float) -> SideData:
-    """The exact quotient (f(neighbor) - f(t)) / (neighbor - t) toward a
-    jump, from the levels of f at t (ft) and at the neighbor (fn) and
-    dt = neighbor - t."""
-    return SideData(kind="scattered", lower=(fn_lo - ft_lo) / dt,
-                    upper=(fn_hi - ft_hi) / dt)
+def _scattered_sides(lo: np.ndarray, hi: np.ndarray, at: tuple[int, ...],
+                     toward: tuple[int, ...], dt: tuple[float, ...]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The exact quotients (f(neighbor) - f(t)) / (neighbor - t) of a
+    chunk's scattered sides, one row per side, in one step: from the
+    chunk's (N, K+1) level stacks lo and hi, each side's row of t (at) and
+    of its neighbor (toward), and dt = neighbor - t.
+
+    The two (M, K+1) quotient stacks are read-only, so a side's quotients
+    are row views of them that no caller can change, and the memo's copies
+    (_copied) share them. Each array here is (M, K+1), so a chunk's stays
+    under glibc's mmap threshold, as its level stacks do (CHUNK_RECORDS)."""
+    at, toward, dt = np.array(at), np.array(toward), np.array(dt)[:, None]
+    out = []
+    for levels in (lo, hi):
+        q = levels.take(toward, axis=0)
+        q -= levels.take(at, axis=0)
+        q /= dt
+        q.flags.writeable = False
+        out.append(q)
+    return out[0], out[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -625,18 +640,22 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     the round-off of f(t) - f(rho) over nu (JUMP_ROUND_OFF of the
     operands' magnitude), else CaseI when case (i) exists, else CaseII
     (rows where neither exists are rejected by _derive).
+
+    A row's quotient is finite exactly when its difference is (the
+    kernel's finite) and so is the difference's largest magnitude (the
+    kernel's mag) times 1/nu, since rounding keeps the order of |d|/nu.
     """
     gh = gh_exists(ft_lo - fr_lo, ft_hi - fr_hi)
     lower, upper = gh.values()
-    k = (1.0 / nu)[:, None]
-    lower *= k
-    upper *= k
-    # a non-finite difference leaves its quotient non-finite too
-    finite = np.isfinite(lower).all(axis=1) & np.isfinite(upper).all(axis=1)
+    k = 1.0 / nu
+    lower *= k[:, None]
+    upper *= k[:, None]
+    finite = gh.finite & np.isfinite(gh.mag * k)
     # the operands' magnitude is that of their supports, where the cuts nest
-    mag = np.maximum(np.maximum(np.abs(ft_lo[:, 0]), np.abs(ft_hi[:, 0])),
-                     np.maximum(np.abs(fr_lo[:, 0]), np.abs(fr_hi[:, 0])))
-    crisp = (upper - lower).max(axis=1) <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu
+    mag = np.maximum.reduce(
+        np.abs([ft_lo[:, 0], ft_hi[:, 0], fr_lo[:, 0], fr_hi[:, 0]]), axis=0)
+    crisp = (np.maximum.reduce(upper - lower, axis=1)
+             <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu)
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
     return _Jumps(lower, upper, gh.cases(), case, finite, gh)
@@ -828,41 +847,59 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
 
     f's levels at every record's t, rho and sigma come from one evaluation
     step (_evaluate, which stacks f when those points are more than
-    cached), and every left-scattered record's quotient from one
-    _jump_rows call; a dense side is probed at its record's turn. The
-    levels at t and rho are f's values there bit for bit, so a caller
-    reads f at a record's own points from its analysis (rho is t at a
-    left-dense record, except at a 0 that a reciprocal grid approaches
-    from the left, where it is the grid's nearest point).
+    cached), every left-scattered record's quotient from one _jump_rows
+    call, and every scattered side's quotient (minus toward rho, plus
+    toward sigma) from one _scattered_sides step, as row views; a dense
+    side is probed at its record's turn. The levels at t and rho are f's
+    values there bit for bit, so a caller reads f at a record's own points
+    from its analysis (rho is t at a left-dense record, except at a 0 that
+    a reciprocal grid approaches from the left, where it is the grid's
+    nearest point).
     """
+    # each record's rows of the evaluation step: a jump's (t, rho, nu) and
+    # a scattered side's (t, neighbor, neighbor - t), in the loop's order
     slot: dict[float, int] = {}
+    jump_rows, side_rows = [], []
     for pc in records:
-        slot.setdefault(pc.t, len(slot))
-        slot.setdefault(pc.rho, len(slot))
+        it = slot.setdefault(pc.t, len(slot))
+        ir = slot.setdefault(pc.rho, len(slot))
+        if pc.left is Side.SCATTERED:
+            jump_rows.append((it, ir, pc.nu))
+            side_rows.append((it, ir, pc.rho - pc.t))
         if pc.right is Side.SCATTERED:
-            slot.setdefault(pc.sigma, len(slot))
+            side_rows.append((it, slot.setdefault(pc.sigma, len(slot)),
+                              pc.sigma - pc.t))
     lo, hi, err = _evaluate(f, list(slot), cached)
+    n = len(lo)
+    if n < len(slot):
+        # a record reads every row it has at its turn (levels), so the loop
+        # raises at the first record past the evaluated rows, and the rows
+        # of the records before it keep their order
+        jump_rows = [x for x in jump_rows if max(x[0], x[1]) < n]
+        side_rows = [x for x in side_rows if max(x[0], x[1]) < n]
 
     def levels(p: float):
         """f's levels at p, or the evaluation step's error past its rows."""
         j = slot[p]
-        if j >= len(lo):
+        if j >= n:
             raise err
         return lo[j], hi[j]
 
-    scattered = [r for r, pc in enumerate(records) if pc.left is Side.SCATTERED
-                 and max(slot[pc.t], slot[pc.rho]) < len(lo)]
     jumps = None  # only a left-scattered record reads its jump
-    if scattered:
-        it = np.array([slot[records[r].t] for r in scattered])
-        ir = np.array([slot[records[r].rho] for r in scattered])
-        nu = np.array([records[r].nu for r in scattered])
-        jumps = _jump_rows(lo.take(it, axis=0), hi.take(it, axis=0),
-                           lo.take(ir, axis=0), hi.take(ir, axis=0), nu, cfg)
-    row = {r: i for i, r in enumerate(scattered)}
+    if jump_rows:
+        it, ir, nu = zip(*jump_rows)
+        m = len(nu)
+        rows = np.array(it + ir)
+        at_lo, at_hi = lo.take(rows, axis=0), hi.take(rows, axis=0)
+        jumps = _jump_rows(at_lo[:m], at_hi[:m], at_lo[m:], at_hi[m:],
+                           np.array(nu), cfg)
+    quotients = None  # only a scattered side reads its quotient rows
+    if side_rows:
+        quotients = zip(*_scattered_sides(lo, hi, *zip(*side_rows)))
     alphas = alpha_grid(f.K)
+    row = 0  # a left-scattered record's row of the jumps
 
-    for r, pc in enumerate(records):
+    for pc in records:
         ft = levels(pc.t)
         probes: dict[str, list[_StreamData]] = {}
         failure = None
@@ -870,8 +907,9 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
         for side, density, neighbor in (("left", pc.left, pc.rho),
                                         ("right", pc.right, pc.sigma)):
             if density is Side.SCATTERED:
-                sides.append(_scattered_side(*ft, *levels(neighbor),
-                                             neighbor - pc.t))
+                levels(neighbor)  # raises past the evaluation step's rows
+                lower, upper = next(quotients)
+                sides.append(SideData("scattered", lower, upper))
                 continue
             streams, failed = _probe_side(f, ts, pc.t, side, cfg, *ft)
             failure = failure or failed
@@ -881,7 +919,10 @@ def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
             else:
                 sides.append(SideData(kind="absent"))
         report = EndpointReport(pc.t, alphas, *sides, pc)
-        jump = (jumps, row[r]) if pc.left is Side.SCATTERED else None
+        jump = None
+        if pc.left is Side.SCATTERED:
+            jump = (jumps, row)
+            row += 1
         yield report, probes, failure, ft, levels(pc.rho), jump
 
 
@@ -903,10 +944,13 @@ def _analysis_at(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
 
 def _copied(analysis):
     """analysis with its own endpoint report and failed probe: no object
-    that reaches a result or a raised error is shared with another call
-    (_derive copies the evidence lists it takes from the probe data)."""
+    that reaches a result or a raised error and that a caller can change
+    is shared with another call. The level grid (alpha_grid) and a
+    scattered side's rows (_scattered_sides) are read-only, so they are
+    shared; _derive copies the evidence lists it takes from the probe
+    data."""
     report, probes, failure, *levels = analysis
-    report = EndpointReport(report.t, report.alphas.copy(), report.minus.copy(),
+    report = EndpointReport(report.t, report.alphas, report.minus.copy(),
                             report.plus.copy(), report.point)
     if failure is not None:
         failure = GhNonexistent(str(failure), dict(failure.diagnostics))
@@ -963,7 +1007,7 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
     """
     _require_function(f)
     pc = _classify_in_domain(ts, float(t))
-    return next(_derivatives(f, ts, [pc], cfg))
+    return _derived(_analysis_at(f, ts, pc, cfg), cfg)
 
 
 def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -973,7 +1017,7 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     raises: asking outside the domain is a caller error)."""
     _require_function(f)
     pc = _classify_in_domain(ts, float(t))
-    return next(_derivatives(f, ts, [pc], cfg, report=True))
+    return _derived(_analysis_at(f, ts, pc, cfg), cfg, report=True)
 
 
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,

@@ -526,6 +526,22 @@ class TestConfigErrors:
             assert (code, out) == (1, "")
             assert err.endswith(message + "\n")
 
+    @pytest.mark.parametrize("points", ["-2,-1", "-2.0,1", "-1e0,-2,2", "-2"])
+    def test_negative_point_list_after_a_space(self, points, capsys):
+        # a list of numbers is a value, as one number is
+        argv = ["diff", "--timescale", "hgrid(-3,3,1)", "--fn", "tri(t,t+1,t+2)"]
+        code, out, err = spaced = run(argv + ["--points", points], capsys)
+        assert spaced == run(argv + ["--points=" + points], capsys)
+        assert (code, err) == (0, "") and out.startswith("t,alpha,")
+
+    @pytest.mark.parametrize("points", ["-2,x", "-2,", "-a,-1"])
+    def test_not_a_number_list_is_a_flag(self, points, capsys):
+        # anything else that starts with "-" is still read as a flag
+        code, out, err = run(["diff", "--timescale", "hgrid(-3,3,1)", "--fn",
+                              "tri(t,t+1,t+2)", "--points", points], capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument --points: expected one argument\n")
+
     @pytest.mark.parametrize("tol", ["-1", "-0.5e-9", "inf", "nan"])
     def test_bad_residual_tol(self, tol, capsys):
         for theorem, extra in (("rho-identity", []),

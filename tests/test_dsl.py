@@ -130,12 +130,17 @@ class TestScalarExpressions:
 
     def test_sqrt(self):
         assert eval_expr(parse_scalar("sqrt(t + 2)"), 2.0) == 2.0
-        with pytest.raises(ValidationError):
-            eval_expr(parse_scalar("sqrt(t)"), -1.0)
+        for t in (-1.0, np.float64(-1.0), -math.inf):
+            with pytest.raises(ValidationError):
+                eval_expr(parse_scalar("sqrt(t)"), t)
+        assert math.copysign(1.0, eval_expr(parse_scalar("sqrt(t)"), -0.0)) == -1.0
+        assert math.isnan(eval_expr(parse_scalar("sqrt(t)"), math.nan))
 
     def test_division_by_zero(self):
-        with pytest.raises(ValidationError):
-            eval_expr(parse_scalar("1 / t"), 0.0)
+        for t in (0.0, -0.0, np.float64(0.0)):
+            with pytest.raises(ValidationError):
+                eval_expr(parse_scalar("1 / t"), t)
+        assert math.isnan(eval_expr(parse_scalar("1 / t"), math.nan))
 
     def test_negative_exponent(self):
         assert eval_expr(parse_scalar("t^-2"), 2.0) == 0.25

@@ -6,7 +6,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzynabla.errors import AlphaOutOfRange, GridMismatch, OrderViolation
@@ -15,11 +15,13 @@ from fuzzynabla.fuzzy import (
     FuzzyNumber,
     GhCase,
     add,
+    alpha_grid,
     crisp,
     gh_diff,
     gh_exists,
     h_diff,
     hausdorff,
+    require_fuzzy,
     scalar_mul,
     triangular,
 )
@@ -153,6 +155,23 @@ class TestConstruction:
         u = triangular(0, 1, 2)
         with pytest.raises(ValueError):
             u.lower[0] = 99.0
+
+    def test_level_grid_is_shared_and_read_only(self):
+        assert alpha_grid(4) is alpha_grid(4) is triangular(0, 1, 2, K=4).alphas
+        assert alpha_grid(4).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert alpha_grid(0).tolist() == [0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            alpha_grid(4)[0] = 1.0
+
+    def test_equal_numbers_hash_alike(self):
+        # -0.0 == 0.0, so numbers that differ only in the sign of a zero
+        # are equal and must hash alike: a set holds one of them
+        u = FuzzyNumber([0.0, 0.0], [1.0, 0.0])
+        v = FuzzyNumber([-0.0, -0.0], [1.0, -0.0])
+        assert u == v
+        assert hash(u) == hash(v)
+        assert len({u, v}) == 1
+        assert hash(u) != hash(FuzzyNumber([0.0, 0.5], [1.0, 0.5]))
 
 
 class TestLevelQueries:
@@ -524,3 +543,112 @@ def test_gh_kernel_matches_oracle(drawn):
         lower, upper = (d_lo, d_hi) if ok_i else (d_hi, d_lo)
         assert res.value.lower.tobytes() == np.array(lower).tobytes()
         assert res.value.upper.tobytes() == np.array(upper).tobytes()
+
+
+# -- the validator before its case (i) shortcut, kept as the reference -------
+
+
+def require_fuzzy_reference(lo, hi):
+    """require_fuzzy as it was before it accepted nested rows without the
+    kernel: gh_exists decides every stack."""
+    rows = gh_exists(lo, hi)
+    bad = ~(rows.ok_i & rows.finite)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if not rows.finite[i]:
+        raise OrderViolation("level arrays must be finite")
+    lo, hi, tol = lo[i], hi[i], rows.tol[i]
+    with np.errstate(over="ignore"):
+        dlo, dhi = np.diff(lo), np.diff(hi)
+        if dlo.min(initial=0.0) < -tol:
+            raise OrderViolation(f"lower endpoint decreases at level index {dlo.argmin()}")
+        if dhi.max(initial=0.0) > tol:
+            raise OrderViolation(f"upper endpoint increases at level index {dhi.argmax()}")
+        raise OrderViolation(f"lower exceeds upper at level index {(lo - hi).argmax()}")
+
+
+def _ulps_up(x: float, n: int) -> float:
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def nested_rows(draw, K):
+    """The levels of a triangular number at K levels, as triangular
+    computes them, at magnitudes up to 1e300: exactly nested, nudged by a
+    few times the tolerance, with the core crossed by some ulps or by
+    about MONO_RTOL, or swapped; a few entries or the whole row +-inf, NaN
+    or -0.0."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-12, 1e12, 1e300]))
+    a, b, c = (x * scale for x in draw(tri_params))
+    grid = [k / K if K else 0.0 for k in range(K + 1)]
+    lo = [a + g * (b - a) for g in grid]
+    hi = [c + g * (b - c) for g in grid]
+    mode = draw(st.sampled_from(
+        ["exact", "exact", "nudged", "ulps", "tol", "swapped"]))
+    if mode == "nudged":
+        mag = 1.0 + max(abs(a), abs(c))
+        lo = [x + draw(st.sampled_from(NUDGES)) * MONO_RTOL * mag for x in lo]
+        hi = [x + draw(st.sampled_from(NUDGES)) * MONO_RTOL * mag for x in hi]
+    elif mode == "ulps":
+        lo[-1] = _ulps_up(hi[-1], draw(st.integers(1, 4)))
+    elif mode == "tol":
+        lo[-1] = hi[-1] + draw(st.sampled_from(
+            [0.25, 0.5, 0.5000001, 0.75, 1.0, 1.5])) * MONO_RTOL
+    elif mode == "swapped":
+        lo, hi = hi, lo
+    for row in (lo, hi):
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, K))] = draw(st.sampled_from(SPECIALS))
+    if draw(st.integers(0, 19)) == 0:
+        lo = [draw(st.sampled_from(SPECIALS[:3]))] * (K + 1)
+    return lo, hi
+
+
+@st.composite
+def level_stacks(draw):
+    """(N, K+1) lower and upper level stacks, K from 0 to 5."""
+    K = draw(st.integers(0, 5))
+    rows = draw(st.lists(nested_rows(K), min_size=1, max_size=4))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except OrderViolation as err:
+        return str(err)
+    return None
+
+
+@given(level_stacks())
+@settings(max_examples=400, deadline=None)
+# cores crossed at a tiny magnitude, where the kernel's tolerance is about
+# MONO_RTOL: by 0.4, 0.75 and 1.5 times it
+@example((np.array([[0.0, 0.4 * MONO_RTOL]]), np.array([[1e-11, 0.0]])))
+@example((np.array([[0.0, 0.75 * MONO_RTOL]]), np.array([[1e-11, 0.0]])))
+@example((np.array([[0.0, 1.5 * MONO_RTOL]]), np.array([[1e-11, 0.0]])))
+def test_require_fuzzy_matches_reference(stacks):
+    lo, hi = stacks
+    assert _raised(require_fuzzy, lo, hi) == _raised(require_fuzzy_reference, lo, hi)
+    for i in range(len(lo)):
+        # one row, as FuzzyNumber validates it
+        want = _raised(require_fuzzy_reference, lo[i:i + 1], hi[i:i + 1])
+        assert _raised(require_fuzzy, lo[i:i + 1], hi[i:i + 1]) == want
+
+
+@given(level_stacks(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_equal_numbers_have_equal_hashes(stacks, rnd):
+    for lo, hi in zip(*stacks):
+        try:
+            u = FuzzyNumber(lo, hi)
+        except OrderViolation:
+            continue
+        # the same levels with the sign of some zeros flipped
+        flip = [[-x if x == 0.0 and rnd.random() < 0.5 else x for x in row]
+                for row in (lo, hi)]
+        v = FuzzyNumber(*flip)
+        assert u == v and hash(u) == hash(v)

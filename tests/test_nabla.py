@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla import cli, dsl, nabla
+from fuzzynabla import cli, dsl, fuzzy, nabla
 from fuzzynabla.dsl import (
     bind_function,
     compile_function,
@@ -765,17 +765,26 @@ class TestAnalysisMemo:
         hit = derivative_report(f, MIXED, t)
         fresh = self.dump(derivative_report(FuzzyFunction(fn, K=K), MIXED, t))
         assert self.dump(first) == self.dump(hit) == fresh
-        # edit everything a result holds that can be edited
+        # edit everything a result holds that can be edited; an array the
+        # results share must refuse the edit
+        def edit(arr, value):
+            if arr.flags.writeable:
+                arr[:] = value
+            else:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:] = value
+
         for res in (hit, first):
             report = res.endpoint_report
-            report.alphas[:] = -1.0
+            edit(report.alphas, -1.0)
             for side in (report.minus, report.plus):
                 for arr in (side.lower, side.upper, side.lower_exists,
                             side.upper_exists, side.residual):
                     if arr is not None:
-                        arr[:] = 7
+                        edit(arr, 7)
                 for lo, hi in side.streams.values():
-                    lo[:] = hi[:] = 7.0
+                    edit(lo, 7.0)
+                    edit(hi, 7.0)
             for key in ("gh_cases", "continuity_gaps"):
                 for streams in res.evidence.get(key, {}).values():
                     for values in streams.values():
@@ -1335,3 +1344,171 @@ class TestChunkedPass:
         assert code == 0
         (f,) = bound
         assert f._cache == {}
+
+
+# -- the row operations as they were before the stacked step, kept as the ----
+# -- references of the pass's row kernels -------------------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def jump_rows_reference(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg):
+    """_jump_rows as it was before it read finiteness from the kernel."""
+    gh = fuzzy.gh_exists(ft_lo - fr_lo, ft_hi - fr_hi)
+    lower, upper = gh.values()
+    k = (1.0 / nu)[:, None]
+    lower *= k
+    upper *= k
+    finite = np.isfinite(lower).all(axis=1) & np.isfinite(upper).all(axis=1)
+    mag = np.maximum(np.maximum(np.abs(ft_lo[:, 0]), np.abs(ft_hi[:, 0])),
+                     np.maximum(np.abs(fr_lo[:, 0]), np.abs(fr_hi[:, 0])))
+    crisp = ((upper - lower).max(axis=1)
+             <= cfg.agreement_tol + nabla.JUMP_ROUND_OFF * mag / nu)
+    case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
+            for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
+    return lower, upper, gh.cases(), case, finite, gh
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def scattered_side_reference(ft_lo, ft_hi, fn_lo, fn_hi, dt):
+    """One scattered side's quotient, as each side computed it on its own."""
+    return (fn_lo - ft_lo) / dt, (fn_hi - ft_hi) / dt
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+LEVEL_SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308)
+
+
+@st.composite
+def level_stack(draw, n, K):
+    """n rows of levels at K levels: a triangular number's, as triangular
+    computes them, at magnitudes up to 1e300, sometimes with the core
+    crossed by an ulp or the ends swapped, a few entries +-inf, NaN or
+    -0.0, and now and then a whole row +-inf or NaN."""
+    lo, hi = [], []
+    for _ in range(n):
+        a, b, c = sorted(draw(st.floats(-10, 10)) for _ in range(3))
+        scale = draw(st.sampled_from([1.0, 1.0, 1e-9, 1e10, 1e300]))
+        a, b, c = a * scale, b * scale, c * scale
+        grid = [k / K if K else 0.0 for k in range(K + 1)]
+        row_lo = [a + g * (b - a) for g in grid]
+        row_hi = [c + g * (b - c) for g in grid]
+        mode = draw(st.sampled_from(["exact", "exact", "ulp", "swapped"]))
+        if mode == "ulp":
+            row_lo[-1] = math.nextafter(row_hi[-1], math.inf)
+        elif mode == "swapped":
+            row_lo, row_hi = row_hi, row_lo
+        for row in (row_lo, row_hi):
+            if draw(st.integers(0, 11)) == 0:
+                row[draw(st.integers(0, K))] = draw(st.sampled_from(LEVEL_SPECIALS))
+        if draw(st.integers(0, 19)) == 0:
+            row_lo = [draw(st.sampled_from(LEVEL_SPECIALS[:3]))] * (K + 1)
+        lo.append(row_lo)
+        hi.append(row_hi)
+    return np.array(lo), np.array(hi)
+
+
+@st.composite
+def jump_stacks(draw):
+    """f's levels at N points and at their rho, each point's nu, and a
+    ProbeConfig."""
+    n, K = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    ft = draw(level_stack(n, K))
+    fr = draw(level_stack(n, K))
+    nu = np.array([draw(st.sampled_from([5e-324, 1e-300, 1e-3, 0.5, 1.0, 3.0, 1e300]))
+                   for _ in range(n)])
+    cfg = ProbeConfig(agreement_tol=draw(st.sampled_from([1e-6, 1e-12, 1.0])))
+    return (*ft, *fr, nu, cfg)
+
+
+class TestRowKernels:
+    """The pass's row kernels are their references bit for bit: _jump_rows
+    the jump rows as computed before it read finiteness from gh_exists, and
+    _scattered_sides each side's quotient as computed on its own."""
+
+    @given(jump_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_jump_rows_match_reference(self, args):
+        got = nabla._jump_rows(*args)
+        lower, upper, gh_case, case, finite, gh = jump_rows_reference(*args)
+        assert same_bits(got.lower, lower) and same_bits(got.upper, upper)
+        assert got.gh_case == gh_case and got.case == case
+        assert same_bits(got.finite, finite)
+        for mine, theirs in zip(got.gh, gh):
+            assert same_bits(mine, theirs)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_scattered_sides_match_reference(self, data):
+        n, K = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 5))
+        lo, hi = data.draw(level_stack(n, K))
+        rows = st.integers(0, n - 1)
+        sides = data.draw(st.lists(st.tuples(
+            rows, rows, st.sampled_from([-3.0, -1.0, -1e-300, 5e-324, 0.25, 1.0, 1e300])),
+            min_size=1, max_size=8))
+        at, toward, dt = zip(*sides)
+        q_lo, q_hi = nabla._scattered_sides(lo, hi, at, toward, dt)
+        assert not q_lo.flags.writeable and not q_hi.flags.writeable
+        for i, (a, b, step) in enumerate(sides):
+            want_lo, want_hi = scattered_side_reference(lo[a], hi[a], lo[b], hi[b], step)
+            assert same_bits(q_lo[i], want_lo) and same_bits(q_hi[i], want_hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_one_quotient_step_per_chunk(self, n, monkeypatch):
+        # every point of 1..n on hgrid(0,260,1) jumps on both sides
+        ts = chunk_scale()
+        f = bind_function(parse_function(CHUNK_SOURCES[0]), ts, K=K)
+        pts = [float(k) for k in range(1, n + 1)]
+        expect = [json.dumps(derivative_report(
+            bind_function(parse_function(CHUNK_SOURCES[0]), ts, K=K), ts, t).to_dict(),
+            sort_keys=True) for t in pts]
+        steps = []
+        sides = nabla._scattered_sides
+
+        def counted(lo, hi, at, toward, dt):
+            steps.append(len(dt))
+            return sides(lo, hi, at, toward, dt)
+
+        monkeypatch.setattr(nabla, "_scattered_sides", counted)
+        got = [json.dumps(r.to_dict(), sort_keys=True) for r in nabla_many(f, ts, pts)]
+        assert got == expect
+        size = nabla.CHUNK_RECORDS
+        assert steps == [2 * min(size, n - start) for start in range(0, n, size)]
+
+    def test_chunk_results_share_no_writable_array(self):
+        # the reports of one chunk share the level grid and the chunk's
+        # quotient stack, so those are read-only: editing one result
+        # cannot change another
+        ts = parse_timescale("hgrid(0,10,1)")
+        f = bind_function(parse_function("tri(t, 2*t, 3*t)"), ts, K=4)
+        results = nabla_many(f, ts, [1.0, 2.0, 3.0])
+        before = [r.to_dict() for r in results]
+        for r in results:
+            report = r.endpoint_report
+            for arr in (report.alphas, report.minus.lower, report.minus.upper,
+                        report.plus.lower, report.plus.upper):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:] = -1.0
+        assert [r.to_dict() for r in results] == before
+
+    def test_nested_jump_runs_the_kernel_once(self, monkeypatch):
+        # f(3) is the one value the pass at 2 evaluates (f(2) and f(1) are in
+        # the memo cache): its levels are nested exactly, so it is validated
+        # without the kernel, and the jump row is the one gh_exists call
+        ts = parse_timescale("hgrid(0,5,1)")
+        f = bind_function(parse_function("tri(t, 2*t, 3*t)"), ts, K=K)
+        derivative_report(f, ts, 1.0)
+        calls = []
+        for module in (fuzzy, nabla):
+            def counting(d_lo, d_hi, kernel=module.gh_exists):
+                calls.append(len(d_lo))
+                return kernel(d_lo, d_hi)
+
+            monkeypatch.setattr(module, "gh_exists", counting)
+        res = derivative_report(f, ts, 2.0)
+        assert 3.0 in f._cache
+        assert calls == [1]
+        assert res.case is DiffCase.CASE_I and res.evidence["path"] == "backward-quotient"

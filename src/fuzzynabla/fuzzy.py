@@ -125,11 +125,11 @@ class FuzzyNumber:
 
     @property
     def support(self) -> Interval:
-        return Interval(float(self._lower[0]), float(self._upper[0]))
+        return self.level(0.0)
 
     @property
     def core(self) -> Interval:
-        return Interval(float(self._lower[-1]), float(self._upper[-1]))
+        return self.level(1.0)
 
     def __repr__(self):
         s, c = self.support, self.core
@@ -164,10 +164,7 @@ class FuzzyNumber:
         levels, exact on them). A K = 0 number returns its single cut."""
         if not (0.0 <= alpha <= 1.0):
             raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
-        n = len(self._lower)
-        if n == 1:
-            return Interval(float(self._lower[0]), float(self._upper[0]))
-        K = n - 1
+        K = len(self._lower) - 1
         pos = alpha * K
         k = round(pos)
         if abs(pos - k) <= 1e-9:

@@ -16,6 +16,7 @@ measure everything they claim.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,12 +94,8 @@ class FuzzyFunction:
     when fn raises at any of the points, and callers then call fn point by
     point, in order, which raises fn's own error (bind_function passes the
     compiled definition, which raises that error itself). The memo cache
-    holds values of fn only; stack neither reads nor fills it.
-
-    _analysis memoizes the last one-record pass (_analysis_at): the scale,
-    the record's t and the ProbeConfig it ran with, and its analysis. One
-    entry keeps memory bounded; a pass over many records neither reads
-    nor fills it (_pass).
+    holds values of fn only; stack neither reads nor fills it. No analysis
+    outlives its pass (_joint_pass).
     """
 
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
@@ -107,7 +104,6 @@ class FuzzyFunction:
         self.K = int(K)
         self._cache: dict[float, FuzzyNumber] = {}
         self._vector = vector
-        self._analysis = None
 
     def __call__(self, t: float) -> FuzzyNumber:
         t = float(t)
@@ -135,7 +131,7 @@ class FuzzyFunction:
 
 def _require_function(*fns) -> None:
     """TypeError for the first of fns that is not a FuzzyFunction: the
-    engine reads a function's level grid, vector form and memos."""
+    engine reads a function's level grid, vector form and memo cache."""
     for fn in fns:
         if not isinstance(fn, FuzzyFunction):
             raise TypeError(f"expected a FuzzyFunction, got {type(fn).__name__} "
@@ -190,7 +186,7 @@ def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
     The rows are one stack of f's vector form when f has one, pts are more
     than cached and the stack does not raise; else f(p) in order, through
     the memo cache. A pass over many records makes this step per chunk of
-    64 records (CHUNK_RECORDS), with cached 0. When f(p) raises, whatever
+    records (_joint_pass), with cached 0. When f(p) raises, whatever
     the error, the rows before p and that error, so that the caller raises
     first what those rows (and a chunk's records before p's) raise."""
     if f._vector is not None and len(pts) > cached:
@@ -212,78 +208,66 @@ def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
 
 # an overflowing quotient stays in the data; _dense_value rejects it by name
 @np.errstate(over="ignore", invalid="ignore")
-def _probe_side(f: FuzzyFunction, ts: TimeScale, t: float, side: str,
-                cfg: ProbeConfig, ft_lo: np.ndarray, ft_hi: np.ndarray
-                ) -> tuple[list[_StreamData], GhNonexistent | None]:
-    """Quotient data for every probe stream on a dense side of t, and the
-    error for the first probe whose generalized difference does not exist,
-    from f's levels at t (ft).
+def _probe_side(rows, ts: TimeScale, t: float, side: str, cfg: ProbeConfig,
+                fts: list[tuple[np.ndarray, np.ndarray]]) -> list:
+    """For each function whose levels at t fts holds, from the first: its
+    quotient data for every probe stream on a dense side of t and the
+    error for its first probe whose generalized difference does not exist,
+    or the error its reading of the side raises, which ends the list.
 
-    One row pass over f's levels at the side's probes, in stream order,
-    gives the quotients, the gH cases and diagnostics (gh_exists, as
-    gh_diff gives them), and the continuity gaps. The quotients do not
-    need the difference, so a failing probe is recorded and the report is
-    complete either way.
+    One evaluation step (rows, see _analyses) gives the levels at the
+    side's probes, and one row pass over all of them the quotients, gH
+    cases and diagnostics (gh_exists, as gh_diff gives them) and continuity
+    gaps. A function raises a difference that is not finite, then its
+    evaluation's error; a failing probe is only recorded.
     """
     streams = ts.approach_streams(t, side, cfg.probe_count)
     pts = [p for s in streams for p in s.points]
     if not pts:
-        return [], None
-    lo, hi, err = _evaluate(f, pts)
-    d_lo = lo - ft_lo
-    d_hi = hi - ft_hi
+        return [([], None)] * len(fts)
+    cols = rows(pts, _CACHED_POINTS, len(fts))
+    d_lo = np.concatenate([lo - ft[0] for (lo, _hi, _err), ft in zip(cols, fts)])
+    d_hi = np.concatenate([hi - ft[1] for (_lo, hi, _err), ft in zip(cols, fts)])
     # f(p) gH- f(t) on the right, f(t) gH- f(p) on the left
     gh = gh_exists(d_lo, d_hi) if side == "right" else gh_exists(-d_lo, -d_hi)
-    gh.raise_nonfinite()
-    if err is not None:
-        raise err
-    cases = [c.value for c in gh.cases()]
-    failure = None
-    if GhCase.NONE.value in cases:
-        j = cases.index(GhCase.NONE.value)
-        failure = GhNonexistent(
-            f"generalized difference does not exist at probe {pts[j]!r} "
-            f"({side} of {t!r})",
-            {"probe": pts[j], "side": side, **gh.diagnostics(j)},
-        )
+    all_cases = [c.value for c in gh.cases()]
+    all_gaps = gh.mag.tolist()  # hausdorff(f(p), f(t))
     dt = (np.array(pts) - t)[:, None]
-    Q_lo = d_lo / dt
-    Q_hi = d_hi / dt
-    gaps = gh.mag.tolist()  # hausdorff(f(p), f(t))
-
-    out: list[_StreamData] = []
-    start = 0
-    for s in streams:
-        rows = slice(start, start + len(s.points))
-        start = rows.stop
-        Qlo, Qhi = Q_lo[rows], Q_hi[rows]
-        Vlo = np.minimum(Qlo, Qhi)
-        Vhi = np.maximum(Qlo, Qhi)
-        if s.synthetic and len(s.points) >= 2:
-            Qlo = 2.0 * Qlo[1:] - Qlo[:-1]
-            Qhi = 2.0 * Qhi[1:] - Qhi[:-1]
-            Vlo = 2.0 * Vlo[1:] - Vlo[:-1]
-            Vhi = 2.0 * Vhi[1:] - Vhi[:-1]
-
-        out.append(
-            _StreamData(
-                label=s.label,
-                synthetic=s.synthetic,
-                points=s.points,
-                lo_est=Qlo[-1].copy(),
-                hi_est=Qhi[-1].copy(),
-                lo_tail=_tail_spread(Qlo),
-                hi_tail=_tail_spread(Qhi),
-                vlo_est=Vlo[-1].copy(),
-                vhi_est=Vhi[-1].copy(),
-                v_tail=np.maximum(_tail_spread(Vlo), _tail_spread(Vhi)),
-                gh_cases=cases[rows],
-                lower=lo[rows],
-                upper=hi[rows],
-                gaps=gaps[rows],
+    out: list = []
+    for i, (lo, hi, err) in enumerate(cols):
+        # the functions before the first that fails have all their rows
+        own = slice(i * len(pts), i * len(pts) + len(lo))
+        try:
+            gh.raise_nonfinite(own)
+        except OrderViolation as nonfinite:
+            err = nonfinite
+        if err is not None:
+            return out + [err]
+        cases, gaps = all_cases[own], all_gaps[own]
+        failure = None
+        if GhCase.NONE.value in cases:
+            j = cases.index(GhCase.NONE.value)
+            failure = GhNonexistent(
+                f"generalized difference does not exist at probe {pts[j]!r} "
+                f"({side} of {t!r})",
+                {"probe": pts[j], "side": side, **gh.diagnostics(own.start + j)},
             )
-        )
-    return out, failure
+        Q_lo, Q_hi = d_lo[own] / dt, d_hi[own] / dt
+        data, start = [], 0
+        for s in streams:
+            at = slice(start, start + len(s.points))
+            start = at.stop
+            Qlo, Qhi = Q_lo[at], Q_hi[at]
+            Vlo, Vhi = np.minimum(Qlo, Qhi), np.maximum(Qlo, Qhi)
+            if s.synthetic and len(s.points) >= 2:
+                Qlo, Qhi, Vlo, Vhi = (2.0 * Q[1:] - Q[:-1] for Q in (Qlo, Qhi, Vlo, Vhi))
+            data.append(_StreamData(
+                s.label, s.synthetic, s.points, Qlo[-1].copy(), Qhi[-1].copy(),
+                _tail_spread(Qlo), _tail_spread(Qhi), Vlo[-1].copy(), Vhi[-1].copy(),
+                np.maximum(_tail_spread(Vlo), _tail_spread(Vhi)), cases[at],
+                lo[at], hi[at], gaps[at]))
+        out.append((data, failure))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +293,6 @@ class SideData:
     upper_exists: np.ndarray | None = None
     residual: np.ndarray | None = None
     streams: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def copy(self) -> "SideData":
-        """The side with its own arrays, but for the read-only ones (a
-        scattered side's rows), which no caller can change."""
-        def own(a):
-            return a if a is None or not a.flags.writeable else a.copy()
-        return SideData(self.kind, own(self.lower), own(self.upper),
-                        own(self.lower_exists), own(self.upper_exists),
-                        own(self.residual),
-                        {label: (own(lo), own(hi))
-                         for label, (lo, hi) in self.streams.items()})
 
     @property
     def settled(self) -> bool:
@@ -396,9 +369,9 @@ def _scattered_sides(lo: np.ndarray, hi: np.ndarray, at: tuple[int, ...],
     of its neighbor (toward), and dt = neighbor - t.
 
     The two (M, K+1) quotient stacks are read-only, so a side's quotients
-    are row views of them that no caller can change, and the memo's copies
-    (_copied) share them. Each array here is (M, K+1), so a chunk's stays
-    under glibc's mmap threshold, as its level stacks do (CHUNK_RECORDS)."""
+    are row views of them that no caller can change. Each array here is
+    (M, K+1), so a chunk's stays under glibc's mmap threshold, as its level
+    stacks do (CHUNK_RECORDS)."""
     at, toward, dt = np.array(at), np.array(toward), np.array(dt)[:, None]
     out = []
     for levels in (lo, hi):
@@ -467,7 +440,7 @@ def endpoint_derivatives(f: FuzzyFunction, ts: TimeScale, t: float,
     flags and per-generator subsequence limits."""
     _require_function(f)
     pc = _classify_member(ts, float(t))
-    return _analysis_at(f, ts, pc, cfg)[0]
+    return next(_pass(f, ts, [pc], cfg))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -765,13 +738,12 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
             case = classify_case(value, report, cfg, residual)
             evidence["path"] = "one-sided-limits"
             evidence["gh_cases"] = {
-                side: {s.label: list(s.gh_cases) for s in streams}
+                side: {s.label: s.gh_cases for s in streams}
                 for side, streams in probes.items()
             }
 
-        # the lists are the result's own: a memoized analysis is derived again
         evidence["continuity_gaps"] = {
-            side: {s.label: list(s.gaps) for s in streams}
+            side: {s.label: s.gaps for s in streams}
             for side, streams in probes.items()
         }
 
@@ -835,142 +807,155 @@ def _records(ts: TimeScale, points) -> tuple[list[PointClass], NotInDomain | Non
 # the records of a pass that share one evaluation step: at 101 levels a
 # chunk's (64, K+1) stack is 52 KB, under glibc's 128 KB mmap threshold, so
 # each chunk reuses the heap the chunk before it freed, and a pass's memory
-# does not grow with its points
+# does not grow with its points; a joint pass of several functions has as
+# many times fewer records per chunk
 CHUNK_RECORDS = 64
 
 
-def _analyses(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
-              cfg: ProbeConfig, cached: int = _CACHED_POINTS):
-    """Each record's endpoint report, probe data, first failed probe, f's
-    levels at t and at rho, and jump (for _derive), in record order; an
-    error is raised at the turn of the point where it arises.
+def _stacked(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The functions' level rows at n points, one function's above the
+    next's, as one stack of each endpoint; rows past those a function's
+    evaluation gave are filler, which its records raise before reading."""
+    if len(cols) == 1 and len(cols[0][0]) == n:
+        return cols[0][0], cols[0][1]
 
-    f's levels at every record's t, rho and sigma come from one evaluation
-    step (_evaluate, which stacks f when those points are more than
-    cached), every left-scattered record's quotient from one _jump_rows
-    call, and every scattered side's quotient (minus toward rho, plus
-    toward sigma) from one _scattered_sides step, as row views; a dense
-    side is probed at its record's turn. The levels at t and rho are f's
-    values there bit for bit, so a caller reads f at a record's own points
-    from its analysis (rho is t at a left-dense record, except at a 0 that
-    a reciprocal grid approaches from the left, where it is the grid's
-    nearest point).
+    def full(a):
+        return a if len(a) == n else np.resize(a, (n, a.shape[1]))
+    return (np.concatenate([full(lo) for lo, _hi, _err in cols]),
+            np.concatenate([full(hi) for _lo, hi, _err in cols]))
+
+
+def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
+              cfg: ProbeConfig, cached: int = _CACHED_POINTS):
+    """Each record's (analyses, err), in record order: the analyses of the
+    first of width functions (each one's endpoint report, probe data,
+    first failed probe, levels at t and rho, and jump, for _derive), and
+    the error the next one raises there (None when all are there), which
+    a caller that reads them in order raises at that one's turn.
+
+    rows(pts, cached, m) is the evaluation step of the first m functions,
+    one (lo, hi, err) each as _evaluate gives them: at once at every
+    record's t, rho and sigma, then at each dense side's probes. All jump
+    quotients come from one _jump_rows call and all scattered sides' (minus
+    toward rho, plus toward sigma) from one _scattered_sides step, as row
+    views. The levels at t and rho are the function's values there, bit
+    for bit (rho is t at a left-dense record, but at a 0 that a reciprocal
+    grid approaches from the left).
     """
     # each record's rows of the evaluation step: a jump's (t, rho, nu) and
     # a scattered side's (t, neighbor, neighbor - t), in the loop's order
     slot: dict[float, int] = {}
-    jump_rows, side_rows = [], []
+    jumps, sides = [], []
     for pc in records:
         it = slot.setdefault(pc.t, len(slot))
         ir = slot.setdefault(pc.rho, len(slot))
         if pc.left is Side.SCATTERED:
-            jump_rows.append((it, ir, pc.nu))
-            side_rows.append((it, ir, pc.rho - pc.t))
+            jumps.append((it, ir, pc.nu))
+            sides.append((it, ir, pc.rho - pc.t))
         if pc.right is Side.SCATTERED:
-            side_rows.append((it, slot.setdefault(pc.sigma, len(slot)),
-                              pc.sigma - pc.t))
-    lo, hi, err = _evaluate(f, list(slot), cached)
-    n = len(lo)
-    if n < len(slot):
-        # a record reads every row it has at its turn (levels), so the loop
-        # raises at the first record past the evaluated rows, and the rows
-        # of the records before it keep their order
-        jump_rows = [x for x in jump_rows if max(x[0], x[1]) < n]
-        side_rows = [x for x in side_rows if max(x[0], x[1]) < n]
+            sides.append((it, slot.setdefault(pc.sigma, len(slot)),
+                          pc.sigma - pc.t))
+    npts = len(slot)
+    cols = rows(list(slot), cached, width)
+    have = [len(lo) for lo, _hi, _err in cols]
+    lo, hi = _stacked(cols, npts)
 
-    def levels(p: float):
-        """f's levels at p, or the evaluation step's error past its rows."""
-        j = slot[p]
-        if j >= n:
-            raise err
-        return lo[j], hi[j]
+    def kernel_rows(pairs):
+        """The stack's rows at (slot, slot, step) pairs, per function."""
+        at, toward, step = zip(*pairs)
+        if width == 1:
+            return at, toward, step
+        return ([i * npts + j for i in range(width) for j in at],
+                [i * npts + j for i in range(width) for j in toward],
+                step * width)
 
-    jumps = None  # only a left-scattered record reads its jump
-    if jump_rows:
-        it, ir, nu = zip(*jump_rows)
+    if jumps:  # only a left-scattered record reads its jump
+        at, toward, nu = kernel_rows(jumps)
+        taken = np.array((*at, *toward))
+        at_lo, at_hi = lo.take(taken, axis=0), hi.take(taken, axis=0)
         m = len(nu)
-        rows = np.array(it + ir)
-        at_lo, at_hi = lo.take(rows, axis=0), hi.take(rows, axis=0)
-        jumps = _jump_rows(at_lo[:m], at_hi[:m], at_lo[m:], at_hi[m:],
-                           np.array(nu), cfg)
-    quotients = None  # only a scattered side reads its quotient rows
-    if side_rows:
-        quotients = zip(*_scattered_sides(lo, hi, *zip(*side_rows)))
-    alphas = alpha_grid(f.K)
-    row = 0  # a left-scattered record's row of the jumps
+        quotient = _jump_rows(at_lo[:m], at_hi[:m], at_lo[m:], at_hi[m:],
+                              np.array(nu), cfg)
+    if sides:  # only a scattered side reads its quotient rows
+        side_lo, side_hi = _scattered_sides(lo, hi, *kernel_rows(sides))
+    alphas = alpha_grid(lo.shape[1] - 1)
+    jump = side = 0  # the record's first jump and scattered side
+    m, err = width, None  # the functions a record reads, and the next's error
+    short = min(have) < npts  # only then may a record read past some rows
+
+    def reach(p: float) -> None:
+        """Stop the record's functions at the first without a row at p."""
+        nonlocal m, err
+        for i in range(m):
+            if slot[p] >= have[i]:
+                m, err = i, cols[i][2]
+                return
 
     for pc in records:
-        ft = levels(pc.t)
-        probes: dict[str, list[_StreamData]] = {}
-        failure = None
-        sides = []
-        for side, density, neighbor in (("left", pc.left, pc.rho),
+        m, err = width, None
+        if short:
+            reach(pc.t)
+        it = slot[pc.t]
+        ft = [(lo[i * npts + it], hi[i * npts + it]) for i in range(m)]
+        found = [([], {}, [None]) for _ in range(width)]  # sides, probes, failure
+        for name, density, neighbor in (("left", pc.left, pc.rho),
                                         ("right", pc.right, pc.sigma)):
             if density is Side.SCATTERED:
-                levels(neighbor)  # raises past the evaluation step's rows
-                lower, upper = next(quotients)
-                sides.append(SideData("scattered", lower, upper))
+                if short:
+                    reach(neighbor)
+                for i in range(m):
+                    row = i * len(sides) + side
+                    found[i][0].append(SideData("scattered", side_lo[row], side_hi[row]))
+                side += 1
                 continue
-            streams, failed = _probe_side(f, ts, pc.t, side, cfg, *ft)
-            failure = failure or failed
-            if streams:
-                probes[side] = streams
-                sides.append(_limit_side(streams, cfg))
-            else:
-                sides.append(SideData(kind="absent"))
-        report = EndpointReport(pc.t, alphas, *sides, pc)
-        jump = None
-        if pc.left is Side.SCATTERED:
-            jump = (jumps, row)
-            row += 1
-        yield report, probes, failure, ft, levels(pc.rho), jump
+            read = _probe_side(rows, ts, pc.t, name, cfg, ft[:m]) if m else []
+            for i, got in enumerate(read):
+                if isinstance(got, Exception):
+                    m, err = i, got
+                    break
+                (streams, failed), (report_sides, probes, failure) = got, found[i]
+                failure[0] = failure[0] or failed
+                if streams:
+                    probes[name] = streams
+                report_sides.append(_limit_side(streams, cfg) if streams
+                                    else SideData(kind="absent"))
+        if short:
+            reach(pc.rho)
+        ir = slot[pc.rho]
+        yield [(EndpointReport(pc.t, alphas, *report_sides, pc), probes, failure[0],
+                ft[i], (lo[i * npts + ir], hi[i * npts + ir]),
+                (quotient, i * len(jumps) + jump) if pc.left is Side.SCATTERED
+                else None)
+               for i, (report_sides, probes, failure) in enumerate(found[:m])], err
+        jump += pc.left is Side.SCATTERED
 
 
-def _analysis_at(f: FuzzyFunction, ts: TimeScale, pc: PointClass,
-                 cfg: ProbeConfig):
-    """The one-record pass on pc (_analyses), through f's memo of its last
-    one: the rule checks derive g at each point up to three times, and
-    derivative_report often follows them.
-
-    The entry is f's until the next one-record pass at another scale
-    (held and compared with is), t (with its sign, for -0.0) or cfg; an
-    error is raised, not kept. Each call gets its own copy (_copied)."""
-    key = (pc.t, math.copysign(1.0, pc.t), cfg)
-    memo = f._analysis
-    if memo is None or memo[0] is not ts or memo[1] != key:
-        f._analysis = memo = (ts, key, next(_analyses(f, ts, [pc], cfg)))
-    return _copied(memo[2])
-
-
-def _copied(analysis):
-    """analysis with its own endpoint report and failed probe: no object
-    that reaches a result or a raised error and that a caller can change
-    is shared with another call. The level grid (alpha_grid) and a
-    scattered side's rows (_scattered_sides) are read-only, so they are
-    shared; _derive copies the evidence lists it takes from the probe
-    data."""
-    report, probes, failure, *levels = analysis
-    report = EndpointReport(report.t, report.alphas, report.minus.copy(),
-                            report.plus.copy(), report.point)
-    if failure is not None:
-        failure = GhNonexistent(str(failure), dict(failure.diagnostics))
-    return report, probes, failure, *levels
+def _joint_pass(rows, width: int, ts: TimeScale, records: list[PointClass],
+                cfg: ProbeConfig):
+    """Each record's analyses (_analyses) of the width functions rows
+    evaluates: one record's through the memo cache, more per chunk of
+    CHUNK_RECORDS // width records, stacked. A point that two chunks read
+    is evaluated in each; a plain callable is called at a chunk's t, rho
+    and sigma first, then at each record's probes at its turn."""
+    if len(records) == 1:
+        return _analyses(rows, width, ts, records, cfg)
+    size = CHUNK_RECORDS // width
+    return itertools.chain.from_iterable(
+        _analyses(rows, width, ts, records[start:start + size], cfg, cached=0)
+        for start in range(0, len(records), size))
 
 
 def _pass(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
           cfg: ProbeConfig):
-    """Each record's analysis, in order: one record through f's memo
-    (_analysis_at), more from _analyses per chunk of CHUNK_RECORDS
-    records, each one evaluation step. A point that two chunks read is
-    evaluated in each, and no level outlives its chunk but in the analyses
-    a caller holds. A plain callable is called at a chunk's t, rho and
-    sigma first, then at each record's probes at its turn."""
-    if len(records) == 1:
-        yield _analysis_at(f, ts, records[0], cfg)
-        return
-    for start in range(0, len(records), CHUNK_RECORDS):
-        yield from _analyses(f, ts, records[start:start + CHUNK_RECORDS],
-                             cfg, cached=0)
+    """Each record's analysis of f alone, in order (_joint_pass); an error
+    is raised at the turn of the record where it arises."""
+    def rows(pts, cached, _m):
+        return [_evaluate(f, pts, cached)]
+
+    for analyses, err in _joint_pass(rows, 1, ts, records, cfg):
+        if err is not None:
+            raise err
+        yield analyses[0]
 
 
 def _derived(analysis, cfg: ProbeConfig, report: bool = False) -> DerivativeResult:
@@ -1007,7 +992,7 @@ def nabla_gh(f: FuzzyFunction, ts: TimeScale, t: float,
     """
     _require_function(f)
     pc = _classify_in_domain(ts, float(t))
-    return _derived(_analysis_at(f, ts, pc, cfg), cfg)
+    return _derived(next(_pass(f, ts, [pc], cfg)), cfg)
 
 
 def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -1017,7 +1002,7 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
     raises: asking outside the domain is a caller error)."""
     _require_function(f)
     pc = _classify_in_domain(ts, float(t))
-    return _derived(_analysis_at(f, ts, pc, cfg), cfg, report=True)
+    return _derived(next(_pass(f, ts, [pc], cfg)), cfg, report=True)
 
 
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,

@@ -9,7 +9,6 @@ get an exception instead.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import (
     EndpointDerivativeMissing,
+    GridMismatch,
     LengthDirectionUndetermined,
     SignHypothesisFailed,
 )
@@ -28,8 +28,9 @@ from .nabla import (
     FuzzyFunction,
     ProbeConfig,
     _classify_in_domain,
-    _derivatives,
     _derived,
+    _evaluate,
+    _joint_pass,
     _pass,
     _records,
     _require_function,
@@ -156,36 +157,6 @@ def _graded(rule: str, checks: list[HypothesisCheck], nabla_h, extras: dict,
     return RuleReport(rule, checks, lhs, rhs, residual, verdict, extras)
 
 
-def _scaled(k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """scalar_mul row by row, k[i] times the row (lo[i], hi[i]): a negative
-    factor swaps the endpoints."""
-    k = k[:, None]
-    return np.where(k >= 0, k * lo, k * hi), np.where(k >= 0, k * hi, k * lo)
-
-
-def _sum_of(f: FuzzyFunction, g: FuzzyFunction) -> FuzzyFunction:
-    """f + g, with a vector form when f and g have one: their stacks added
-    level by level."""
-    vector = None
-    if f._vector is not None and g._vector is not None:
-        def vector(t):
-            (flo, fhi), (glo, ghi) = f.stack(t), g.stack(t)
-            return flo + glo, fhi + ghi
-    return FuzzyFunction(lambda s: add(f(s), g(s)), K=f.K, vector=vector)
-
-
-def _product_of(fs: Callable[[float], float], g: FuzzyFunction) -> FuzzyFunction:
-    """fs * g, with a vector form when g has one: g's stack scaled row by
-    row by fs at each point, which raises fs's error at the first point
-    where fs raises."""
-    stacked = None
-    if g._vector is not None:
-        def stacked(t):
-            k = np.array([fs(s) for s in t.tolist()], dtype=float)
-            return _scaled(k, *g.stack(t))
-    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K, vector=stacked)
-
-
 def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
              cfg: ProbeConfig = DEFAULT_CONFIG,
              tol: float | None = None) -> RuleReport:
@@ -198,13 +169,12 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     return rep
 
 
-def _sum_graded(pc: PointClass, nabla_f, nabla_g, nabla_h,
-                tol: float | None) -> RuleReport:
-    """sum_rule at the point of pc, where nabla_f() and nabla_g() are the
-    derivatives of f and g there and nabla_h() that of f + g (see
-    _graded)."""
-    rf = nabla_f()
-    rg = nabla_g()
+def _sum_graded(_f, _ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
+                analysis, tol: float | None, _enforce: bool) -> RuleReport:
+    """sum_rule at the point of pc, where analysis(0), analysis(1) and
+    analysis(2) are the analyses of f, g and f + g there (_graded_many)."""
+    rf = _derived(analysis(0), cfg)
+    rg = _derived(analysis(1), cfg)
     tf = _tag_of(rf)
     tg = _tag_of(rg)
     compatible = _tags_compatible(tf, tg)
@@ -216,20 +186,21 @@ def _sum_graded(pc: PointClass, nabla_f, nabla_g, nabla_h,
     if tol is None:
         tol = _point_tol(pc)
     extras = {"tag_f": tf.value, "tag_g": tg.value, "tol": tol}
-    return _graded("sum", checks, nabla_h, extras, rhs,
+    return _graded("sum", checks,
+                   lambda: _derived(analysis(2), cfg, report=True), extras, rhs,
                    lambda lhs: (lhs, rhs, hausdorff(lhs, rhs)))
 
 
 def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
-                  analysis_g, sign_i: float, enforce: bool):
-    """nabla fs, sigma = fs(t) * nabla fs, g's derivative and tag and g at
-    t and rho, all from g's analysis (analysis_g(), nabla._pass), and the
-    product rules' hypothesis that sigma has the sign of sign_i with g
-    realizing ordering I, or the other sign with ordering II."""
+                  analysis, sign_i: float, enforce: bool):
+    """nabla fs, sigma = fs(t) * nabla fs, then g's derivative and tag and
+    g at t and rho, all from g's analysis (analysis(0)), and the product
+    rules' hypothesis that sigma has the sign of sign_i with g realizing
+    ordering I, or the other sign with ordering II."""
     dfs = _scalar_at(fs, ts, pc, cfg)
     sigma = fs(pc.t) * dfs
-    analysis = analysis_g()
-    rg = _derived(analysis, cfg)
+    analysis_g = analysis(0)
+    rg = _derived(analysis_g, cfg)
     tg = _tag_of(rg)
     signed = sign_i * sigma
     sign_ok = (
@@ -242,7 +213,7 @@ def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
     if enforce and not sign_ok:
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
-    return dfs, sigma, rg, tg, checks, *_values(analysis)
+    return dfs, sigma, rg, tg, checks, *_values(analysis_g)
 
 
 def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
@@ -262,12 +233,13 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
 
 
 def _product_fuzzy_graded(fs, ts: TimeScale, pc: PointClass,
-                          cfg: ProbeConfig, analysis_g, analysis_h,
-                          tol: float | None, enforce: bool) -> RuleReport:
-    """product_fuzzy at the point of pc, where analysis_g() and
-    analysis_h() are the analyses of g and of fs * g there (nabla._pass)."""
+                          cfg: ProbeConfig, analysis, tol: float | None,
+                          enforce: bool) -> RuleReport:
+    """product_fuzzy at the point of pc, where analysis(0) and analysis(1)
+    are the analyses of g and of fs * g there (_graded_many); fs's own
+    derivative and values come first."""
     dfs, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
-        fs, ts, pc, cfg, analysis_g, 1.0, enforce)
+        fs, ts, pc, cfg, analysis, 1.0, enforce)
     t, rho = pc.t, pc.rho
     rhs1 = add(scalar_mul(dfs, g_rho), scalar_mul(fs(t), rg.value))
     rhs2 = add(scalar_mul(fs(rho), rg.value), scalar_mul(dfs, g_t))
@@ -283,7 +255,7 @@ def _product_fuzzy_graded(fs, ts: TimeScale, pc: PointClass,
         "tol": tol,
     }
     return _graded("product-fuzzy", checks,
-                   lambda: _derived(analysis_h(), cfg, report=True), extras, rhs1,
+                   lambda: _derived(analysis(1), cfg, report=True), extras, rhs1,
                    lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
                                                hausdorff(lhs, rhs2))))
 
@@ -371,16 +343,17 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
 
 
 def _product_interval_graded(fs, ts: TimeScale, pc: PointClass,
-                             cfg: ProbeConfig, analysis_g, analysis_h,
-                             tol: float | None, enforce: bool) -> RuleReport:
-    """product_interval at the point of pc, where analysis_g() and
-    analysis_h() are the analyses of g and of fs * g there (nabla._pass);
-    h's levels also give the width direction."""
+                             cfg: ProbeConfig, analysis, tol: float | None,
+                             enforce: bool) -> RuleReport:
+    """product_interval at the point of pc, where analysis(0) and
+    analysis(1) are the analyses of g and of fs * g there (_graded_many);
+    fs's own derivative and values come first, and h's levels also give
+    the width direction."""
     dfs, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
-        fs, ts, pc, cfg, analysis_g, -1.0, enforce)
+        fs, ts, pc, cfg, analysis, -1.0, enforce)
     t, rho = pc.t, pc.rho
-    analysis = analysis_h()
-    direction = _direction(*_analysis_slopes(analysis), cfg)
+    h = analysis(1)
+    direction = _direction(*_analysis_slopes(h), cfg)
     if direction == "Undetermined":
         raise LengthDirectionUndetermined(
             f"width slopes of the product disagree in sign around {t!r}")
@@ -423,12 +396,53 @@ def _product_interval_graded(fs, ts: TimeScale, pc: PointClass,
         return lhs, rhs, hausdorff(lhs, rhs)
 
     return _graded("product-interval", checks,
-                   lambda: _derived(analysis, cfg, report=True), extras, None,
-                   measure)
+                   lambda: _derived(h, cfg, report=True), extras, None, measure)
 
 
 # ---------------------------------------------------------------------------
 # the rule pass
+
+
+def _sum_rows(f: FuzzyFunction, g: FuzzyFunction):
+    """The evaluation step (nabla._analyses) of f, g and f + g, whose rows
+    are f's and g's added, bit for bit add(f(p), g(p)), up to the first
+    point where f or g has none, with that point's error (f's first)."""
+    def rows(pts, cached, m):
+        out = [_evaluate(f, pts, cached)]
+        if m > 1:
+            out.append(_evaluate(g, pts, cached))
+        if m > 2:
+            (flo, fhi, ferr), (glo, ghi, gerr) = out
+            n = min(len(flo), len(glo))
+            out.append((flo[:n] + glo[:n], fhi[:n] + ghi[:n],
+                        ferr if len(flo) == n else gerr))
+        return out
+    return rows
+
+
+def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
+    """The evaluation step (nabla._analyses) of g and fs * g, whose rows are
+    g's scaled by fs at each point, bit for bit scalar_mul(fs(p), g(p)), up
+    to the first point where fs raises or g has none, with that point's
+    error (fs's first)."""
+    def rows(pts, cached, m):
+        glo, ghi, gerr = out = _evaluate(g, pts, cached)
+        if m < 2:
+            return [out]
+        k, err = np.empty(len(pts)), None
+        for j, p in enumerate(pts):
+            try:
+                k[j] = float(fs(p))
+            except Exception as e:
+                k, err = k[:j], e
+                break
+        n = min(len(k), len(glo))
+        lo, hi = k[:n, None] * glo[:n], k[:n, None] * ghi[:n]
+        swap = k[:n] < 0  # a negative factor swaps the endpoints
+        if swap.any():
+            lo[swap], hi[swap] = hi[swap], lo[swap]
+        return [out, (lo, hi, err if len(k) == n else gerr)]
+    return rows
 
 
 def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
@@ -439,41 +453,40 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     or product_interval(a, g, ...) with a as the real factor for
     "product-fuzzy" and "product-interval".
 
-    A point is graded from the derivatives of f and g (g alone for a
-    product) and of h (f + g, or fs * g), each read one point at a time
-    from its own pass (nabla._pass, per chunk of 64 records) when the
-    grading asks for it. A product reads g at t and rho from g's analysis
-    and its width direction from h's. It reads fs at t and rho again, and
-    h's vector form reads fs at every point it stacks, so the real
-    factor's values are memoized for the call.
+    Each point is graded from one joint pass (nabla._joint_pass) of f, g
+    and h = f + g (_sum_rows), or of g and h = fs * g (_product_rows). The
+    grading reads a point's analyses in order, f, g, then h, so each
+    function's error (h's an overflow) is raised at its turn; a product
+    takes nabla fs, fs(t) and fs(rho) from fs itself first.
     """
-    _require_function(*([a, g] if rule == "sum" else [g]))
-    records, err = _records(ts, points)
-
-    def nabla(fn: FuzzyFunction, report: bool = False):
-        return _derivatives(fn, ts, records, cfg, report).__next__
-
     if rule == "sum":
-        nabla_f, nabla_g = nabla(a), nabla(g)
-        nabla_h = nabla(_sum_of(a, g), report=True)
-
-        def grade(pc):
-            return _sum_graded(pc, nabla_f, nabla_g, nabla_h, tol)
+        _require_function(a, g)
+        if a.K != g.K:
+            raise GridMismatch(f"level grids differ: K={a.K} vs K={g.K}")
+        rows, width = _sum_rows(a, g), 3
     else:
-        fs = functools.lru_cache(maxsize=None)(a)
-        h = _product_of(fs, g)
-        graded = (_product_fuzzy_graded if rule == "product-fuzzy"
-                  else _product_interval_graded)
-        analysis_g = _pass(g, ts, records, cfg).__next__
-        analysis_h = _pass(h, ts, records, cfg).__next__
-
-        def grade(pc):
-            return graded(fs, ts, pc, cfg, analysis_g, analysis_h, tol, enforce)
+        _require_function(g)
+        rows, width = _product_rows(a, g), 2
+    graded = _GRADERS[rule]
+    records, err = _records(ts, points)
+    passes = _joint_pass(rows, width, ts, records, cfg)
     for pc in records:
-        # an overflowing sum or product gives non-finite levels: the passes
-        # reject them by name, and a non-finite residual fails its check
+        # an overflowing sum or product gives non-finite levels, quietly: the
+        # pass rejects them by name, and a non-finite residual fails its check
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = grade(pc)
+            analyses, error = next(passes)
+
+            def analysis(i: int):
+                """The point's analysis of function i, or its error there."""
+                if i < len(analyses):
+                    return analyses[i]
+                raise error
+
+            rep = graded(a, ts, pc, cfg, analysis, tol, enforce)
         yield rep
     if err is not None:
         raise err
+
+
+_GRADERS = {"sum": _sum_graded, "product-fuzzy": _product_fuzzy_graded,
+            "product-interval": _product_interval_graded}

@@ -786,6 +786,17 @@ GOLDEN_SUM_G = (
     "in points(-2,-1) => 5))")
 
 
+# the rule passes over several chunks: a shifted parabola makes g's
+# ordering switch at 45
+CHUNK_RULE_SCALE = "union(interval(0,1), hgrid(1,90,1))"
+CHUNK_RULE_POINTS = "--points=" + ",".join(
+    repr(p) for p in [float(k) for k in range(1, 31)] + [0.1, 0.3]
+    + [float(k) for k in range(31, 61)] + [0.5, 0.7, 0.9]
+    + [float(k) for k in range(61, 91)])
+CHUNK_RULE_F = "tri(0.2*t^2, 0.5*t^2 + t, 0.8*t^2 + 2*t)"
+CHUNK_RULE_G = "endpoints(t - 0.5 - (t-45)^2/200; t + 0.5 + (t-45)^2/200)"
+
+
 class TestGoldenBytes:
     """Literal outputs recorded from an earlier build: every byte must stay."""
 
@@ -818,6 +829,10 @@ class TestGoldenBytes:
          "product1.csv"),
         (["product1", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "t+3",
           "--format", "json"], "product1.json"),
+        (["product-interval", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "1-t/4",
+          "--format", "json"], "product-interval.json"),
+        (["product2", "--fn", GOLDEN_RULE_FN, "--scalar-fn", "1-t/4"],
+         "product2.csv"),
     ])
     def test_rule_bytes(self, argv, name, capsys):
         code, out, err = run(["check", *argv, GOLDEN_POINTS, "--timescale",
@@ -862,6 +877,25 @@ class TestGoldenBytes:
             "--fn", EXAMPLE_FN, "--points", "all-scattered", "--levels", "2",
             "--format", fmt], capsys)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G], "csv",
+         "ec64cde5bc5b418c1731c0dc71790de963c9fe6ff588e6c1f4af8eb6e44779bd"),
+        (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G], "json",
+         "2eb47c2da8e8810a7dc56e2eb86b714e040a682cbbff2e34e4cf96fa6c75a203"),
+        (["product-interval", "--fn", CHUNK_RULE_G, "--scalar-fn", "1-t/50"], "csv",
+         "3603135da54db5842d708a4a0587e9d1721683d1990b20c6ba3053c9280dde57"),
+        (["product-interval", "--fn", CHUNK_RULE_G, "--scalar-fn", "1-t/50"], "json",
+         "f6062f54e37feceba346653decf40224fb5c832993fe15caed62b2ee84fd3b16"),
+    ])
+    def test_rule_rows_across_chunks(self, argv, fmt, digest, capsys):
+        # 95 points, probed ones among the jumps: the rule pass grades
+        # them in several chunks of records, and g's ordering switches at 45
+        code, out, err = run(["check", *argv, "--timescale", CHUNK_RULE_SCALE,
+                              CHUNK_RULE_POINTS, "--levels", "4",
+                              "--format", fmt], capsys)
+        assert code == 3, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

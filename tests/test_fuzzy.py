@@ -194,6 +194,19 @@ class TestLevelQueries:
         with pytest.raises(AlphaOutOfRange):
             u.level(1.5)
 
+    @pytest.mark.parametrize("K", [0, 1, 4])
+    def test_cuts_crossed_by_round_off(self, K):
+        # the validator forgives a core crossed by one ulp (at K = 0 the
+        # support is that cut too): core, support and repr order it as
+        # level(1.0) does
+        above = float(np.nextafter(0.2, 1.0))
+        u = FuzzyNumber(np.append(np.linspace(-1.0, 0.0, K), above),
+                        np.append(np.linspace(1.0, 0.5, K), 0.2))
+        assert u.lower[-1] > u.upper[-1]
+        assert astuple(u.core) == astuple(u.level(1.0)) == (0.2, above)
+        assert astuple(u.support) == astuple(u.level(0.0))
+        assert "core=[0.2, 0.2]" in repr(u)
+
 
 class TestArithmetic:
     def test_add(self):

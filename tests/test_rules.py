@@ -30,14 +30,14 @@ from fuzzynabla.errors import (
     OrderViolation,
     SignHypothesisFailed,
 )
-from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, triangular
+from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, scalar_mul, triangular
 from fuzzynabla.nabla import FuzzyFunction, ProbeConfig, derivative_report, nabla_gh
 from fuzzynabla.rules import (
     RuleReport,
     _analysis_slopes,
     _direction,
     _graded_many,
-    _product_of,
+    _product_rows,
     Tag,
     Verdict,
     default_residual_tol,
@@ -567,19 +567,26 @@ def _len_slopes(f: FuzzyFunction, ts: TimeScale, pc,
     return wt, slopes
 
 
+def product_fn(fs, g: FuzzyFunction) -> FuzzyFunction:
+    """fs * g point by point, as scalar_mul gives it."""
+    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
+
+
 class TestProductOf:
-    """fs * g stacks from g's stack scaled by fs, bit for bit the product at
-    each point, in the library and the CLI alike."""
+    """A joint pass takes fs * g's rows from g's stack scaled by fs, bit for
+    bit the product at each point, in the library and the CLI alike."""
 
     @given(fs_src=scalar_src, g_src=st.sampled_from(PRODUCT_G),
            pts=st.lists(st.sampled_from([-2.0, -1.5, -0.5, 0.0, 0.25, 1.0,
                                          2.0, 6.0]), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_stack_equals_each_point(self, fs_src, g_src, pts):
+        # up to the first point where fs fails, with fs's error there; an
+        # overflowing product keeps its non-finite levels, which the pass
+        # rejects by name (test_overflowing_product_is_quiet)
         fs = _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
-        g = batch_function(g_src, PRODUCT_TS, False)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = _product_of(fs, g)
+            h = product_fn(fs, batch_function(g_src, PRODUCT_TS, False))
             want, rows = None, []
             for p in pts:
                 try:
@@ -587,18 +594,13 @@ class TestProductOf:
                 except FuzzyNablaError as err:  # fs fails first at p
                     want = _error(err)
                     break
-            if want is None and not all(
-                    np.isfinite(u.lower).all() and np.isfinite(u.upper).all()
-                    for u in rows):
-                want = (OrderViolation, "level arrays must be finite", None)
-            try:
-                lo, hi = h.stack(pts)  # reads no memo
-            except FuzzyNablaError as err:
-                assert _error(err) == want
-                return
-        assert want is None
-        assert lo.tobytes() == np.array([u.lower for u in rows]).tobytes()
-        assert hi.tobytes() == np.array([u.upper for u in rows]).tobytes()
+            g = batch_function(g_src, PRODUCT_TS, False)
+            (_glo, _ghi, gerr), (lo, hi, err) = _product_rows(fs, g)(pts, 0, 2)
+        assert gerr is None and g._cache == {}  # g stacked, no memo read
+        assert (None if err is None else _error(err)) == want
+        K1 = BATCH_K + 1
+        assert lo.tobytes() == np.array([u.lower for u in rows]).reshape(-1, K1).tobytes()
+        assert hi.tobytes() == np.array([u.upper for u in rows]).reshape(-1, K1).tobytes()
 
     def test_library_stacks_g_at_the_probes(self, monkeypatch):
         # the library rules grade fs * g from g's stack: at an interval
@@ -637,7 +639,7 @@ class TestProductOf:
     @settings(max_examples=40, deadline=None)
     def test_width_slopes_from_the_pass(self, fs_src, g_src, pts):
         # product_interval's and len_direction's width slopes come from the
-        # levels of fs * g that a pass holds, bit for bit those read
+        # levels of fs * g that a joint pass holds, bit for bit those read
         # through h(p)
         fs = _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
         g = batch_function(g_src, PRODUCT_TS, False)
@@ -645,15 +647,63 @@ class TestProductOf:
         cfg = ProbeConfig()
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for pc, analysis in zip(records, nabla._pass(
-                        _product_of(fs, g), PRODUCT_TS, records, cfg)):
-                    h = _product_of(fs, g)
+                for pc, (analyses, err) in zip(records, nabla._joint_pass(
+                        _product_rows(fs, g), 2, PRODUCT_TS, records, cfg)):
+                    if len(analyses) < 2:
+                        raise err
+                    h = product_fn(fs, g)
                     want = _len_slopes(h, PRODUCT_TS, pc, cfg)
-                    assert repr(_analysis_slopes(analysis)) == repr(want)
+                    assert repr(_analysis_slopes(analyses[1])) == repr(want)
                     assert (len_direction(h, PRODUCT_TS, pc.t, cfg)
                             == _direction(*want, cfg))
             except OrderViolation:  # fs * g overflows: no analysis
                 assert fs_src == "1e300"
+
+    @pytest.mark.parametrize("rule", [product_fuzzy, product_interval])
+    @pytest.mark.parametrize("t", [2.0, 0.5])  # a jump, a probed point
+    def test_fs_fails_before_g(self, rule, t):
+        # fs and g both fail at t (or at 0.5's probes): fs's derivative
+        # comes first, so its error is raised, in the CLI's pass as well
+        ts = parse_timescale("union(interval(0,1), hgrid(1,6,1))")
+
+        def fs(s):
+            if s == t or 0.4 < s < 0.5:
+                raise ZeroDivisionError(f"fs fails at {s!r}")
+            return s + 4.0
+
+        def g_fn(s):
+            if s == t or 0.4 < s < 0.6:
+                raise ValueError(f"g fails at {s!r}")
+            return U123 * (s + 1.0)
+
+        with pytest.raises(ZeroDivisionError, match="fs fails"):
+            rule(fs, FuzzyFunction(g_fn, K=K), ts, t)
+        name = "product-fuzzy" if rule is product_fuzzy else "product-interval"
+        reports = _graded_many(name, fs, FuzzyFunction(g_fn, K=K), ts, [5.0, t, 4.0])
+        assert next(reports).rule == name  # at 5
+        with pytest.raises(ZeroDivisionError, match="fs fails"):
+            next(reports)
+
+    @pytest.mark.parametrize("rule", sorted(BATCH_RULES)[:2])
+    def test_fs_error_of_any_type_at_its_turn(self, rule):
+        # fs raises a ValueError at 40, which 39 reads as sigma: the rule
+        # pass over 1..59 raises it after 38 reports, as the per-point
+        # loop does, not at the chunk's first record
+        ts = parse_timescale("hgrid(0,100,1)")
+        g = bind_function(parse_function("tri(t, 2*t, 3*t)"), ts, K=4)
+
+        def fs(s):
+            if s == 40.0:
+                raise ValueError("fs fails at 40")
+            return s + 1.0
+
+        pts = [float(k) for k in range(1, 60)]
+        for reports in (_graded_many(rule, fs, g, ts, pts),
+                        (BATCH_RULES[rule](fs, g, ts, t) for t in pts)):
+            got = []
+            with pytest.raises(ValueError, match="fs fails at 40"):
+                got.extend(reports)
+            assert len(got) == 38
 
     # at a jump (3) and at a probed point (0.5), fs * g overflows; warnings
     # are errors here, and the error is the one raised with them ignored

@@ -39,6 +39,7 @@ from .fuzzy import (
     GhRows,
     add,
     alpha_grid,
+    crisp,
     gh_exists,
     hausdorff,
     require_fuzzy,
@@ -84,6 +85,12 @@ class DiffCase(Enum):
     NOT_DIFFERENTIABLE = "NotDifferentiable"
 
 
+# a one-record pass reads f at t, rho and sigma; neighbouring points share
+# two of them, so a memo cache of three values costs about one evaluation a
+# point, under a stack
+_CACHED_POINTS = 3
+
+
 class FuzzyFunction:
     """A mapping t -> FuzzyNumber on a fixed level grid, with caching.
 
@@ -94,8 +101,9 @@ class FuzzyFunction:
     when fn raises at any of the points, and callers then call fn point by
     point, in order, which raises fn's own error (bind_function passes the
     compiled definition, which raises that error itself). The memo cache
-    holds values of fn only; stack neither reads nor fills it. No analysis
-    outlives its pass (_joint_pass).
+    holds the last _CACHED_POINTS values of fn, the oldest evicted first;
+    stack neither reads nor fills it. No analysis outlives its pass
+    (_joint_pass).
     """
 
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
@@ -116,6 +124,8 @@ class FuzzyFunction:
         if val.K != self.K:
             raise GridMismatch(f"function declared K={self.K} but returned K={val.K}")
         self._cache[t] = val
+        if len(self._cache) > _CACHED_POINTS:
+            del self._cache[next(iter(self._cache))]
         return val
 
     def stack(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +182,6 @@ def _tail_spread(Q: np.ndarray) -> np.ndarray:
     start = min(m - 2, m // 2)
     tail = Q[start:]
     return tail.max(axis=0) - tail.min(axis=0)
-
-
-# a one-record pass reads f at t, rho and sigma; neighbouring points share
-# two of them, so the memo cache costs about one evaluation, under a stack
-_CACHED_POINTS = 3
 
 
 def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
@@ -479,29 +484,14 @@ def _jsonable(x):
     return x
 
 
-def _require_finite(t: float, side: str | None, criteria) -> None:
-    """Raise LimitDisagreement naming the first (criterion, values) pair
-    with a value that is not finite, on side of t (or at t when side is
-    None): inf - inf is NaN, and NaN passes every tolerance gate."""
-    for criterion, values in criteria:
-        values = np.asarray(values, dtype=float).ravel()
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            value = float(bad[0])
-            where = f"at {t!r}" if side is None else f"on the {side} of {t!r}"
-            raise LimitDisagreement(
-                f"the {criterion} {where} is not finite ({value!r})",
-                {"side": side, "criterion": criterion, "value": value},
-            )
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _dense_value(probes: dict[str, list[_StreamData]],
                  cfg: ProbeConfig, t: float):
     """Limit estimate of the derivative from the probed dense sides.
 
     A side whose estimate, stream spread or tail spread is not finite is
-    rejected by name before any tolerance gate.
+    rejected by name before any tolerance gate: inf - inf is NaN, and NaN
+    passes every tolerance gate.
     """
     if not probes:
         raise LimitDisagreement(
@@ -517,9 +507,15 @@ def _dense_value(probes: dict[str, list[_StreamData]],
             float(np.max(vhi.max(axis=0) - vhi.min(axis=0))),
         )
         tail = max(float(np.max(s.v_tail)) for s in streams)
-        _require_finite(t, side, (("estimate", (vlo, vhi)),
-                                  ("stream spread", spread),
-                                  ("tail spread", tail)))
+        for criterion, values in (("estimate", (vlo, vhi)),
+                                  ("stream spread", spread), ("tail spread", tail)):
+            values = np.asarray(values, dtype=float).ravel()
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                value = float(bad[0])
+                raise LimitDisagreement(
+                    f"the {criterion} on the {side} of {t!r} is not finite ({value!r})",
+                    {"side": side, "criterion": criterion, "value": value})
         if spread > cfg.agreement_tol:
             raise LimitDisagreement(
                 f"subsequence estimates on the {side} of {t!r} disagree by "
@@ -1020,47 +1016,16 @@ def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
 
 def nabla_scalar(g: Callable[[float], float], ts: TimeScale, t: float,
                  cfg: ProbeConfig = DEFAULT_CONFIG) -> float:
-    """Backward derivative of a real-valued function on the scale."""
-    return _scalar_at(g, ts, _classify_in_domain(ts, float(t)), cfg)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _scalar_at(g: Callable[[float], float], ts: TimeScale, pc: PointClass,
-               cfg: ProbeConfig) -> float:
-    """nabla_scalar at the point of the record pc. A quotient, tail
-    spread, stream spread or value that is not finite is rejected by name
-    (_require_finite) before any tolerance gate."""
-    t = pc.t
-    if pc.left is Side.SCATTERED:
-        value = (g(t) - g(pc.rho)) / pc.nu
-        _require_finite(t, "left", (("quotient", value),))
-        return value
-
-    gt = g(t)
-    ests = []
-    worst_tail = 0.0
-    for side, density in (("left", pc.left), ("right", pc.right)):
-        if density is not Side.DENSE:
-            continue
-        streams = ts.approach_streams(t, side, cfg.probe_count)
-        for s in streams:
-            q = np.array([(g(p) - gt) / (p - t) for p in s.points])
-            if s.synthetic and len(q) >= 2:
-                q = 2.0 * q[1:] - q[:-1]
-            tail = float(_tail_spread(q[:, None])[0])
-            _require_finite(t, side, (("quotient", q), ("tail spread", tail)))
-            ests.append(float(q[-1]))
-            worst_tail = max(worst_tail, tail)
-    if not ests:
-        raise LimitDisagreement(f"no probe points around {t!r}")
-    spread = max(ests) - min(ests)
-    value = float(np.mean(ests))
-    _require_finite(t, None, (("stream spread", spread), ("value", value)))
-    if spread > cfg.agreement_tol or worst_tail > cfg.agreement_tol:
-        raise LimitDisagreement(
-            f"scalar derivative estimates at {t!r} disagree by "
-            f"{max(spread, worst_tail):.3g}")
-    return value
+    """Backward derivative of a real-valued function on the scale: nabla_gh
+    of g as a crisp function with one level (K = 0), from its one-record
+    pass. A value of g that is not finite raises OrderViolation, as does a
+    difference of two values that is not finite; a limit is refused by
+    _dense_value's criteria (an estimate or spread that is not finite, a
+    stream or tail spread, or a gap between the left and right limits
+    beyond cfg.agreement_tol) with LimitDisagreement."""
+    pc = _classify_in_domain(ts, float(t))
+    f = FuzzyFunction(lambda s: crisp(g(s), 0), K=0)
+    return float(_derived(next(_pass(f, ts, [pc], cfg)), cfg).value.lower[0])
 
 
 # ---------------------------------------------------------------------------

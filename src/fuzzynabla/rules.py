@@ -9,6 +9,7 @@ get an exception instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -19,9 +20,10 @@ from .errors import (
     EndpointDerivativeMissing,
     GridMismatch,
     LengthDirectionUndetermined,
+    OrderViolation,
     SignHypothesisFailed,
 )
-from .fuzzy import FuzzyNumber, add, hausdorff, scalar_mul
+from .fuzzy import _NOT_FINITE, FuzzyNumber, add, hausdorff, scalar_mul
 from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
@@ -34,7 +36,6 @@ from .nabla import (
     _pass,
     _records,
     _require_function,
-    _scalar_at,
     _values,
     nabla_gh,
 )
@@ -169,8 +170,8 @@ def sum_rule(f: FuzzyFunction, g: FuzzyFunction, ts: TimeScale, t: float,
     return rep
 
 
-def _sum_graded(_f, _ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
-                analysis, tol: float | None, _enforce: bool) -> RuleReport:
+def _sum_graded(pc: PointClass, cfg: ProbeConfig, analysis,
+                tol: float | None, _enforce: bool) -> RuleReport:
     """sum_rule at the point of pc, where analysis(0), analysis(1) and
     analysis(2) are the analyses of f, g and f + g there (_graded_many)."""
     rf = _derived(analysis(0), cfg)
@@ -191,15 +192,19 @@ def _sum_graded(_f, _ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
                    lambda lhs: (lhs, rhs, hausdorff(lhs, rhs)))
 
 
-def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
-                  analysis, sign_i: float, enforce: bool):
-    """nabla fs, sigma = fs(t) * nabla fs, then g's derivative and tag and
-    g at t and rho, all from g's analysis (analysis(0)), and the product
-    rules' hypothesis that sigma has the sign of sign_i with g realizing
-    ordering I, or the other sign with ordering II."""
-    dfs = _scalar_at(fs, ts, pc, cfg)
-    sigma = fs(pc.t) * dfs
-    analysis_g = analysis(0)
+def _sign_checked(cfg: ProbeConfig, analysis, sign_i: float, enforce: bool):
+    """nabla fs, fs(t) and fs(rho) from fs's analysis (analysis(0)), sigma =
+    fs(t) * nabla fs, then g's derivative and tag and g at t and rho from
+    g's analysis (analysis(1)), and the product rules' hypothesis that
+    sigma has the sign of sign_i with g realizing ordering I, or the other
+    sign with ordering II. fs is a crisp function to the engine, so nabla
+    fs is its jump row or the limit of its probes (_derived), and raises
+    as g's derivative does."""
+    analysis_fs = analysis(0)
+    dfs = float(_derived(analysis_fs, cfg).value.lower[0])
+    fs_t, fs_rho = (float(u.lower[0]) for u in _values(analysis_fs))
+    sigma = fs_t * dfs
+    analysis_g = analysis(1)
     rg = _derived(analysis_g, cfg)
     tg = _tag_of(rg)
     signed = sign_i * sigma
@@ -213,7 +218,7 @@ def _sign_checked(fs, ts: TimeScale, pc: PointClass, cfg: ProbeConfig,
     if enforce and not sign_ok:
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
-    return dfs, sigma, rg, tg, checks, *_values(analysis_g)
+    return dfs, fs_t, fs_rho, sigma, rg, tg, checks, *_values(analysis_g)
 
 
 def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
@@ -232,17 +237,15 @@ def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
     return rep
 
 
-def _product_fuzzy_graded(fs, ts: TimeScale, pc: PointClass,
-                          cfg: ProbeConfig, analysis, tol: float | None,
-                          enforce: bool) -> RuleReport:
-    """product_fuzzy at the point of pc, where analysis(0) and analysis(1)
-    are the analyses of g and of fs * g there (_graded_many); fs's own
-    derivative and values come first."""
-    dfs, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
-        fs, ts, pc, cfg, analysis, 1.0, enforce)
-    t, rho = pc.t, pc.rho
-    rhs1 = add(scalar_mul(dfs, g_rho), scalar_mul(fs(t), rg.value))
-    rhs2 = add(scalar_mul(fs(rho), rg.value), scalar_mul(dfs, g_t))
+def _product_fuzzy_graded(pc: PointClass, cfg: ProbeConfig, analysis,
+                          tol: float | None, enforce: bool) -> RuleReport:
+    """product_fuzzy at the point of pc, where analysis(0), analysis(1)
+    and analysis(2) are the analyses of fs, g and fs * g there
+    (_graded_many)."""
+    dfs, fs_t, fs_rho, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
+        cfg, analysis, 1.0, enforce)
+    rhs1 = add(scalar_mul(dfs, g_rho), scalar_mul(fs_t, rg.value))
+    rhs2 = add(scalar_mul(fs_rho, rg.value), scalar_mul(dfs, g_t))
     cross = hausdorff(rhs1, rhs2)
 
     if tol is None:
@@ -255,7 +258,7 @@ def _product_fuzzy_graded(fs, ts: TimeScale, pc: PointClass,
         "tol": tol,
     }
     return _graded("product-fuzzy", checks,
-                   lambda: _derived(analysis(1), cfg, report=True), extras, rhs1,
+                   lambda: _derived(analysis(2), cfg, report=True), extras, rhs1,
                    lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
                                                hausdorff(lhs, rhs2))))
 
@@ -342,21 +345,18 @@ def product_interval(fs: Callable[[float], float], g: FuzzyFunction,
     return rep
 
 
-def _product_interval_graded(fs, ts: TimeScale, pc: PointClass,
-                             cfg: ProbeConfig, analysis, tol: float | None,
-                             enforce: bool) -> RuleReport:
-    """product_interval at the point of pc, where analysis(0) and
-    analysis(1) are the analyses of g and of fs * g there (_graded_many);
-    fs's own derivative and values come first, and h's levels also give
-    the width direction."""
-    dfs, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
-        fs, ts, pc, cfg, analysis, -1.0, enforce)
-    t, rho = pc.t, pc.rho
-    h = analysis(1)
+def _product_interval_graded(pc: PointClass, cfg: ProbeConfig, analysis,
+                             tol: float | None, enforce: bool) -> RuleReport:
+    """product_interval at the point of pc, where analysis(0), analysis(1)
+    and analysis(2) are the analyses of fs, g and h = fs * g there
+    (_graded_many); h's levels also give the width direction."""
+    dfs, fs_t, fs_rho, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
+        cfg, analysis, -1.0, enforce)
+    h = analysis(2)
     direction = _direction(*_analysis_slopes(h), cfg)
     if direction == "Undetermined":
         raise LengthDirectionUndetermined(
-            f"width slopes of the product disagree in sign around {t!r}")
+            f"width slopes of the product disagree in sign around {pc.t!r}")
 
     if tol is None:
         tol = _point_tol(pc)
@@ -373,16 +373,16 @@ def _product_interval_graded(fs, ts: TimeScale, pc: PointClass,
         def widening_eq():
             if use_tag is Tag.I:
                 return (add(dh, scalar_mul(-dfs, g_rho)),
-                        scalar_mul(fs(t), rg.value), "widening")
-            return (add(dh, scalar_mul(-fs(rho), rg.value)),
+                        scalar_mul(fs_t, rg.value), "widening")
+            return (add(dh, scalar_mul(-fs_rho, rg.value)),
                     scalar_mul(dfs, g_t), "widening")
 
         def narrowing_eq():
             if use_tag is Tag.I:
-                return (add(dh, scalar_mul(-fs(t), rg.value)),
+                return (add(dh, scalar_mul(-fs_t, rg.value)),
                         scalar_mul(dfs, g_rho), "narrowing")
             return (add(dh, scalar_mul(-dfs, g_t)),
-                    scalar_mul(fs(rho), rg.value), "narrowing")
+                    scalar_mul(fs_rho, rg.value), "narrowing")
 
         if direction == "Increasing":
             candidates = [widening_eq()]
@@ -421,27 +421,37 @@ def _sum_rows(f: FuzzyFunction, g: FuzzyFunction):
 
 
 def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
-    """The evaluation step (nabla._analyses) of g and fs * g, whose rows are
-    g's scaled by fs at each point, bit for bit scalar_mul(fs(p), g(p)), up
-    to the first point where fs raises or g has none, with that point's
-    error (fs's first)."""
+    """The evaluation step (nabla._analyses) of fs, g and fs * g, in that
+    order. fs's rows are fs(p) in every column of g's level grid, a crisp
+    function that the engine derives as it derives g, up to the first
+    point where fs raises or is not finite (OrderViolation), with that
+    error. fs * g's rows are g's scaled by fs(p), bit for bit
+    scalar_mul(fs(p), g(p)), up to the first point where fs or g has
+    none, with that point's error (fs's first)."""
     def rows(pts, cached, m):
-        glo, ghi, gerr = out = _evaluate(g, pts, cached)
-        if m < 2:
-            return [out]
         k, err = np.empty(len(pts)), None
         for j, p in enumerate(pts):
             try:
                 k[j] = float(fs(p))
+                if not math.isfinite(k[j]):
+                    raise OrderViolation(_NOT_FINITE)
             except Exception as e:
                 k, err = k[:j], e
                 break
+        levels = np.repeat(k[:, None], g.K + 1, axis=1)
+        out = [(levels, levels, err)]
+        if m < 2:
+            return out
+        glo, ghi, gerr = got = _evaluate(g, pts, cached)
+        out.append(got)
+        if m < 3:
+            return out
         n = min(len(k), len(glo))
         lo, hi = k[:n, None] * glo[:n], k[:n, None] * ghi[:n]
         swap = k[:n] < 0  # a negative factor swaps the endpoints
         if swap.any():
             lo[swap], hi[swap] = hi[swap], lo[swap]
-        return [out, (lo, hi, err if len(k) == n else gerr)]
+        return out + [(lo, hi, err if len(k) == n else gerr)]
     return rows
 
 
@@ -454,10 +464,12 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     "product-fuzzy" and "product-interval".
 
     Each point is graded from one joint pass (nabla._joint_pass) of f, g
-    and h = f + g (_sum_rows), or of g and h = fs * g (_product_rows). The
-    grading reads a point's analyses in order, f, g, then h, so each
-    function's error (h's an overflow) is raised at its turn; a product
-    takes nabla fs, fs(t) and fs(rho) from fs itself first.
+    and h = f + g (_sum_rows), or of fs, g and h = fs * g (_product_rows),
+    where the real factor fs is a crisp function on g's level grid. The
+    grading reads a point's analyses in order, f (or fs), g, then h, so
+    each function's error (h's an overflow) is raised at its turn; a
+    product takes nabla fs, fs(t) and fs(rho) from fs's analysis and
+    calls fs nowhere else.
     """
     if rule == "sum":
         _require_function(a, g)
@@ -466,7 +478,7 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
         rows, width = _sum_rows(a, g), 3
     else:
         _require_function(g)
-        rows, width = _product_rows(a, g), 2
+        rows, width = _product_rows(a, g), 3
     graded = _GRADERS[rule]
     records, err = _records(ts, points)
     passes = _joint_pass(rows, width, ts, records, cfg)
@@ -482,7 +494,7 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
                     return analyses[i]
                 raise error
 
-            rep = graded(a, ts, pc, cfg, analysis, tol, enforce)
+            rep = graded(pc, cfg, analysis, tol, enforce)
         yield rep
     if err is not None:
         raise err

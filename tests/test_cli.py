@@ -327,7 +327,7 @@ class TestCheck:
                                          "product2"])
     def test_non_finite_scalar_derivative(self, theorem, capsys):
         # fs stays finite at 1 and its probes, but its quotients overflow:
-        # nabla fs is rejected by name, not graded as a NaN
+        # the engine rejects fs's limit estimate by name, not graded as a NaN
         code, out, err = run([
             "check", theorem, "--timescale", "interval(0,1.02)",
             "--fn", "tri(1e-10*t, 1e-10*t+1e-10, 1e-10*t+2e-10)",
@@ -335,7 +335,20 @@ class TestCheck:
         ], capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: the quotient on the left of 1.0 is not finite (nan)\n"
+        assert err == "error: the estimate on the left of 1.0 is not finite (nan)\n"
+
+    @pytest.mark.parametrize("theorem", ["product-interval", "product1",
+                                         "product2"])
+    def test_non_finite_scalar_value(self, theorem, capsys):
+        # fs(1) overflows: a real factor that is not finite where the pass
+        # reads it is an invalid value, as an overflowing --fn is (exit 1)
+        code, out, err = run([
+            "check", theorem, "--timescale", "hgrid(0,5,1)",
+            "--fn", "tri(t, 2*t + 1, 3*t + 2)", "--scalar-fn", "t*1e308*1e308",
+            "--points", "1,2,3", "--levels", "4",
+        ], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: level arrays must be finite\n"
 
     def test_characterize_switching(self, capsys):
         code, out, err = run([
@@ -795,6 +808,10 @@ CHUNK_RULE_POINTS = "--points=" + ",".join(
     + [float(k) for k in range(61, 91)])
 CHUNK_RULE_F = "tri(0.2*t^2, 0.5*t^2 + t, 0.8*t^2 + 2*t)"
 CHUNK_RULE_G = "endpoints(t - 0.5 - (t-45)^2/200; t + 0.5 + (t-45)^2/200)"
+CHUNK_RULE_RUN = ["--timescale", CHUNK_RULE_SCALE, CHUNK_RULE_POINTS]
+# every jump of a grid whose nu = 0.3 is not a power of two, so that
+# (1/nu)*d and d/nu may differ in the last bit
+TENTH_GRID_RUN = ["--timescale", "hgrid(0,3,0.3)", "--points", "all-scattered"]
 
 
 class TestGoldenBytes:
@@ -880,22 +897,30 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, fmt, digest", [
-        (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G], "csv",
+        (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G, *CHUNK_RULE_RUN], "csv",
          "ec64cde5bc5b418c1731c0dc71790de963c9fe6ff588e6c1f4af8eb6e44779bd"),
-        (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G], "json",
+        (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G, *CHUNK_RULE_RUN], "json",
          "2eb47c2da8e8810a7dc56e2eb86b714e040a682cbbff2e34e4cf96fa6c75a203"),
-        (["product-interval", "--fn", CHUNK_RULE_G, "--scalar-fn", "1-t/50"], "csv",
+        (["product-interval", "--fn", CHUNK_RULE_G, "--scalar-fn", "1-t/50",
+          *CHUNK_RULE_RUN], "csv",
          "3603135da54db5842d708a4a0587e9d1721683d1990b20c6ba3053c9280dde57"),
-        (["product-interval", "--fn", CHUNK_RULE_G, "--scalar-fn", "1-t/50"], "json",
+        (["product-interval", "--fn", CHUNK_RULE_G, "--scalar-fn", "1-t/50",
+          *CHUNK_RULE_RUN], "json",
          "f6062f54e37feceba346653decf40224fb5c832993fe15caed62b2ee84fd3b16"),
+        (["product1", "--fn", "tri(t, 2*t + 1, 3*t + 2)", "--scalar-fn", "1 + t*t/3",
+          *TENTH_GRID_RUN], "json",
+         "eba1f7fbcdac6ba1a1a84548eeda617624c4f1cb28d9243621b7f024529a758e"),
+        (["product2", "--fn", "tri(t, 5, 10 - t)", "--scalar-fn", "2 - t*t/5",
+          *TENTH_GRID_RUN], "json",
+         "5a38e73e463e69c947479989875ad6f203a8b9310d1fda752d27a07f64226721"),
     ])
     def test_rule_rows_across_chunks(self, argv, fmt, digest, capsys):
         # 95 points, probed ones among the jumps: the rule pass grades
-        # them in several chunks of records, and g's ordering switches at 45
-        code, out, err = run(["check", *argv, "--timescale", CHUNK_RULE_SCALE,
-                              CHUNK_RULE_POINTS, "--levels", "4",
-                              "--format", fmt], capsys)
-        assert code == 3, err
+        # them in several chunks of records, and g's ordering switches at
+        # 45, so some rows fail (exit 3); on the tenth grid every row holds
+        code, out, err = run(["check", *argv, "--levels", "4", "--format", fmt],
+                             capsys)
+        assert code == (3 if CHUNK_RULE_SCALE in argv else 0), err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -510,9 +510,10 @@ class TestBatchedPass:
             # chunk order: at the same points when the loop completes, else
             # among those that g's own derivative reads at each point (a
             # chunk reads g at every record's t, rho and sigma, also past a
-            # record whose check f or fs makes fail first)
+            # record whose check f or fs makes fail first); the memo cache
+            # keeps three values, so either may call g again at a point
             if isinstance(loop, list):
-                assert sorted(log_many) == sorted(log)
+                assert set(log_many) == set(log)
             log.clear()
             g = batch_function(g_src, ts, plain, log)
             for t in pts:
@@ -568,39 +569,54 @@ def _len_slopes(f: FuzzyFunction, ts: TimeScale, pc,
 
 
 def product_fn(fs, g: FuzzyFunction) -> FuzzyFunction:
-    """fs * g point by point, as scalar_mul gives it."""
-    return FuzzyFunction(lambda s: scalar_mul(fs(s), g(s)), K=g.K)
+    """fs * g point by point, as scalar_mul gives it, where fs is a crisp
+    number (else OrderViolation)."""
+    return FuzzyFunction(lambda s: scalar_mul(crisp(fs(s), 0).lower[0], g(s)),
+                         K=g.K)
 
 
 class TestProductOf:
-    """A joint pass takes fs * g's rows from g's stack scaled by fs, bit for
-    bit the product at each point, in the library and the CLI alike."""
+    """A joint pass takes fs's rows from fs as a crisp function on g's
+    level grid, and fs * g's rows from g's stack scaled by fs, bit for bit
+    the product at each point, in the library and the CLI alike."""
 
     @given(fs_src=scalar_src, g_src=st.sampled_from(PRODUCT_G),
            pts=st.lists(st.sampled_from([-2.0, -1.5, -0.5, 0.0, 0.25, 1.0,
                                          2.0, 6.0]), min_size=1, max_size=6))
+    @example(fs_src="t * 1e300 * 1e300", g_src=PRODUCT_G[0],  # inf at 1
+             pts=[0.0, -0.5, 1.0, 2.0])
     @settings(max_examples=150, deadline=None)
     def test_stack_equals_each_point(self, fs_src, g_src, pts):
-        # up to the first point where fs fails, with fs's error there; an
-        # overflowing product keeps its non-finite levels, which the pass
-        # rejects by name (test_overflowing_product_is_quiet)
+        # up to the first point where fs fails or is not finite, with that
+        # error; an overflowing product keeps its non-finite levels, which
+        # the pass rejects by name (test_overflowing_product_is_quiet)
         fs = _scalar_fn(argparse.Namespace(scalar_fn=fs_src))
         with np.errstate(over="ignore", invalid="ignore"):
             h = product_fn(fs, batch_function(g_src, PRODUCT_TS, False))
-            want, rows = None, []
+            want, factors, rows = None, [], []
             for p in pts:
                 try:
+                    factors.append(crisp(fs(p), BATCH_K))
                     rows.append(h(p))
                 except FuzzyNablaError as err:  # fs fails first at p
                     want = _error(err)
                     break
             g = batch_function(g_src, PRODUCT_TS, False)
-            (_glo, _ghi, gerr), (lo, hi, err) = _product_rows(fs, g)(pts, 0, 2)
+            (flo, fhi, ferr), (_glo, _ghi, gerr), (lo, hi, err) = (
+                _product_rows(fs, g)(pts, 0, 3))
         assert gerr is None and g._cache == {}  # g stacked, no memo read
+        assert (None if ferr is None else _error(ferr)) == want
         assert (None if err is None else _error(err)) == want
         K1 = BATCH_K + 1
-        assert lo.tobytes() == np.array([u.lower for u in rows]).reshape(-1, K1).tobytes()
-        assert hi.tobytes() == np.array([u.upper for u in rows]).reshape(-1, K1).tobytes()
+        for got, numbers in (((flo, fhi), factors), ((lo, hi), rows)):
+            assert got[0].tobytes() == np.array(
+                [u.lower for u in numbers]).reshape(-1, K1).tobytes()
+            assert got[1].tobytes() == np.array(
+                [u.upper for u in numbers]).reshape(-1, K1).tobytes()
+        # the first function alone is fs's rows, evaluated the same way
+        ((flo1, fhi1, ferr1),) = _product_rows(fs, g)(pts, 0, 1)
+        assert flo1.tobytes() == flo.tobytes() and fhi1.tobytes() == fhi.tobytes()
+        assert (None if ferr1 is None else _error(ferr1)) == want
 
     def test_library_stacks_g_at_the_probes(self, monkeypatch):
         # the library rules grade fs * g from g's stack: at an interval
@@ -648,12 +664,12 @@ class TestProductOf:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for pc, (analyses, err) in zip(records, nabla._joint_pass(
-                        _product_rows(fs, g), 2, PRODUCT_TS, records, cfg)):
-                    if len(analyses) < 2:
+                        _product_rows(fs, g), 3, PRODUCT_TS, records, cfg)):
+                    if len(analyses) < 3:
                         raise err
                     h = product_fn(fs, g)
                     want = _len_slopes(h, PRODUCT_TS, pc, cfg)
-                    assert repr(_analysis_slopes(analyses[1])) == repr(want)
+                    assert repr(_analysis_slopes(analyses[2])) == repr(want)
                     assert (len_direction(h, PRODUCT_TS, pc.t, cfg)
                             == _direction(*want, cfg))
             except OrderViolation:  # fs * g overflows: no analysis
@@ -682,6 +698,36 @@ class TestProductOf:
         reports = _graded_many(name, fs, FuzzyFunction(g_fn, K=K), ts, [5.0, t, 4.0])
         assert next(reports).rule == name  # at 5
         with pytest.raises(ZeroDivisionError, match="fs fails"):
+            next(reports)
+
+    @pytest.mark.parametrize("rule", [product_fuzzy, product_interval])
+    def test_fs_called_at_t_rho_and_sigma(self, rule):
+        # the pass reads fs at the three points it reads g at, and nabla
+        # fs, fs(t) and fs(rho) come from those values
+        calls = []
+
+        def fs(s):
+            calls.append(s)
+            return 1.0 + s * s / 40.0
+
+        rep = rule(fs, grow(U123), ZZ, 5.0)
+        assert sorted(calls) == [4.0, 5.0, 6.0]
+        assert rep.extras["nabla_fs"] == (fs(5.0) - fs(4.0)) / 1.0
+
+    @pytest.mark.parametrize("rule", sorted(BATCH_RULES)[:2])
+    def test_non_finite_fs_at_its_turn(self, rule):
+        # fs overflows from 3 on, which 2 reads as sigma (where fs * g
+        # would overflow quietly): the pass raises OrderViolation at 2,
+        # after 1's report, as for an overflowing g
+        ts = parse_timescale("hgrid(0,5,1)")
+        g = bind_function(parse_function("tri(1e-10*t, 2e-10*t, 3e-10*t)"), ts, K=4)
+
+        def fs(s):
+            return 1e307 * s ** 3
+
+        reports = _graded_many(rule, fs, g, ts, [1.0, 2.0, 3.0])
+        assert next(reports).rule == rule
+        with pytest.raises(OrderViolation, match="must be finite"):
             next(reports)
 
     @pytest.mark.parametrize("rule", sorted(BATCH_RULES)[:2])

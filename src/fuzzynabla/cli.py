@@ -56,7 +56,7 @@ from .nabla import (
     nabla_many,
 )
 from .rules import Verdict, _graded_many, _point_tol
-from .timescale import Side
+from .timescale import MAX_GRID_POINTS, Side
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -130,9 +130,12 @@ def _residual_tol(args) -> float | None:
 
 
 def _levels(args) -> int:
-    """--levels, which must not be negative."""
+    """--levels, which must not be negative nor more than MAX_GRID_POINTS."""
     if args.levels < 0:
         raise ValidationError(f"--levels must not be negative, got {args.levels}")
+    if args.levels > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--levels must be at most {MAX_GRID_POINTS}, got {args.levels}")
     return args.levels
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DslSyntaxError, NotInTimeScale, ValidationError
+from .errors import DslSyntaxError, OrderViolation, ValidationError
 from .fuzzy import FuzzyNumber, alpha_grid
 from .timescale import (
     MAX_GRID_POINTS,
@@ -40,7 +40,6 @@ from .timescale import (
     ReciprocalGrid,
     TimeScale,
     _fmt,
-    membership_tol,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -552,9 +551,7 @@ def parse_scalar(src: str) -> Expr:
 
 def parse_function(src: str) -> FuzzyFuncDef:
     p = _Parser(src)
-    d = _finish(p, p.fundef())
-    _static_check(d)
-    return d
+    return _finish(p, p.fundef())
 
 
 # ---------------------------------------------------------------------------
@@ -688,63 +685,6 @@ def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
     raise TypeError(f"not an expression: {e!r}")
 
 
-_STATIC_SAMPLES = (0.0, 0.5, 1.0, -1.0, 2.0, 0.25, -0.5, 3.0)
-
-
-def _static_check(d: FuzzyFuncDef) -> None:
-    """Reject a definition only when every default sample violates it;
-    anything t-dependent is deferred to bind time."""
-    exprs = ((d.left, d.peak, d.right) if isinstance(d, TriDef)
-             else (d.lower, d.upper))
-    if any(_contains_piecewise(e) for e in exprs):
-        return  # needs a scale to evaluate at all
-    ok = 0
-    first_err = None
-    for t in _STATIC_SAMPLES:
-        try:
-            _check_at(d, t, None)
-            ok += 1
-        except ValidationError as err:
-            if first_err is None:
-                first_err = err
-    if ok == 0 and first_err is not None:
-        raise ValidationError(
-            f"definition is invalid at every sample point: {first_err}",
-            sample={"t": _STATIC_SAMPLES[0]})
-
-
-def _contains_piecewise(e: Expr) -> bool:
-    if isinstance(e, Piecewise):
-        return True
-    if isinstance(e, BinOp):
-        return _contains_piecewise(e.left) or _contains_piecewise(e.right)
-    if isinstance(e, (Neg, Sqrt)):
-        return _contains_piecewise(e.arg)
-    return False
-
-
-def _check_at(d: FuzzyFuncDef, t: float, ts: TimeScale | None) -> None:
-    if isinstance(d, TriDef):
-        a = float(eval_expr(d.left, t, None, ts))
-        b = float(eval_expr(d.peak, t, None, ts))
-        c = float(eval_expr(d.right, t, None, ts))
-        if not (a <= b <= c):
-            raise ValidationError(
-                f"tri endpoints out of order at t={t!r}: "
-                f"({_fmt(a)}, {_fmt(b)}, {_fmt(c)})",
-                sample={"t": t, "left": a, "peak": b, "right": c})
-    else:
-        grid = alpha_grid(4)
-        lo = np.asarray(eval_expr(d.lower, t, grid, ts), dtype=float)
-        hi = np.asarray(eval_expr(d.upper, t, grid, ts), dtype=float)
-        lo = np.broadcast_to(lo, grid.shape)
-        hi = np.broadcast_to(hi, grid.shape)
-        if np.any(np.diff(lo) < -1e-12) or np.any(np.diff(hi) > 1e-12) or np.any(lo > hi + 1e-12):
-            raise ValidationError(
-                f"endpoint expressions do not define nested levels at t={t!r}",
-                sample={"t": t})
-
-
 def eval_function(d: FuzzyFuncDef, t: float, K: int = 100,
                   ts: TimeScale | None = None) -> FuzzyNumber:
     """Evaluate a definition at one point on a K-level grid."""
@@ -754,7 +694,8 @@ def eval_function(d: FuzzyFuncDef, t: float, K: int = 100,
         c = float(eval_expr(d.right, t, None, ts))
         if not (a <= b <= c):
             raise ValidationError(
-                f"tri endpoints out of order at t={t!r}",
+                f"tri endpoints out of order at t={t!r}: "
+                f"({_fmt(a)}, {_fmt(b)}, {_fmt(c)})",
                 sample={"t": t, "left": a, "peak": b, "right": c})
         grid = alpha_grid(K)
         return FuzzyNumber(a + grid * (b - a), c + grid * (b - c))
@@ -986,16 +927,21 @@ def compile_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
 def bind_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
     """Attach a definition to a scale, validating it on sampled members.
 
-    Checks piecewise coverage and level structure at up to 25 sampled points
-    (always including min, max and 0 when present). Returns a FuzzyFunction
-    with the definition's vector form.
+    Evaluates the definition, as every read does (eval_function), at up to
+    25 sampled members in order (always including min, max and 0 when
+    present). The first member where it fails raises ValidationError naming
+    that t. Returns a FuzzyFunction with the definition's vector form.
     """
     from .nabla import FuzzyFunction
 
-    for t in ts.sample_points(25):
-        _check_at(d, t, ts)
-
     def fn(t: float) -> FuzzyNumber:
         return eval_function(d, t, K, ts)
+
+    for t in ts.sample_points(25):
+        try:
+            fn(t)
+        except (ValidationError, OrderViolation) as err:
+            raise ValidationError(f"definition is invalid at t={t!r}: {err}",
+                                  sample=getattr(err, "sample", None) or {"t": t}) from None
 
     return FuzzyFunction(fn, K=K, vector=compile_function(d, ts, K))

@@ -45,7 +45,7 @@ from .fuzzy import (
     require_fuzzy,
     scalar_mul,
 )
-from .timescale import PointClass, Side, TimeScale
+from .timescale import MEMBERSHIP_RTOL, SYNTHETIC_H0, PointClass, Side, TimeScale
 
 # how much larger than the agreement tolerance a subsequence split must be
 # before non-existence is certified rather than left inconclusive
@@ -69,6 +69,11 @@ class ProbeConfig:
     def __post_init__(self):
         if self.probe_count < 3:
             raise ValueError("probe_count must be at least 3")
+        # past this count a synthetic probe, SYNTHETIC_H0 / 2**(n - 1) from
+        # t, lies within the membership tolerance of t
+        most = 1 + int(math.log2(SYNTHETIC_H0 / MEMBERSHIP_RTOL))
+        if self.probe_count > most:
+            raise ValueError(f"probe_count must be at most {most}")
         if not (self.agreement_tol > 0 and math.isfinite(self.agreement_tol)):
             raise ValueError("agreement_tol must be positive and finite")
 

@@ -311,13 +311,11 @@ class ReciprocalGrid:
     """Points {scale/n : n = 1..count}, accumulating at 0.
 
     The grid always accumulates at 0 (from the right for scale > 0, from the
-    left for scale < 0); include_zero only controls whether 0 is a realized
-    member of the piece itself.
+    left for scale < 0); 0 is not a member of the piece itself.
     """
 
     scale: float
     count: int
-    include_zero: bool = False
 
     kind = "recip"
 
@@ -331,20 +329,17 @@ class ReciprocalGrid:
         _require_resolvable(self, self.count)
 
     def realized(self) -> np.ndarray:
-        pts = self.scale / np.arange(1, self.count + 1, dtype=float)
-        if self.include_zero:
-            pts = np.append(pts, 0.0)
-        return np.sort(pts)
+        return np.sort(self.scale / np.arange(1, self.count + 1, dtype=float))
 
     def min_value(self) -> float:
         if self.scale > 0:
-            return 0.0 if self.include_zero else self.scale / self.count
+            return self.scale / self.count
         return self.scale
 
     def max_value(self) -> float:
         if self.scale > 0:
             return self.scale
-        return 0.0 if self.include_zero else self.scale / self.count
+        return self.scale / self.count
 
     def accumulation_side(self) -> str:
         # side of 0 on which the realized points pile up
@@ -352,8 +347,6 @@ class ReciprocalGrid:
 
     def contains(self, t: float) -> bool:
         tol = membership_tol(t)
-        if self.include_zero and abs(t) <= tol:
-            return True
         if abs(t) <= tol:
             return False
         q = self.scale / t
@@ -716,19 +709,14 @@ def _drop_min_point(p: Piece, m: float) -> Piece | None:
             return GeometricGrid(p.base, p.kmin + 1, p.kmax)
         return p
     if isinstance(p, ReciprocalGrid):
-        if p.include_zero and abs(m) <= tol:
-            return ReciprocalGrid(p.scale, p.count, include_zero=False)
         if p.scale > 0 and abs(p.scale / p.count - m) <= tol:
             if p.count == 1:
                 return None
-            return ReciprocalGrid(p.scale, p.count - 1, include_zero=p.include_zero)
+            return ReciprocalGrid(p.scale, p.count - 1)
         if p.scale < 0 and abs(p.scale - m) <= tol:
-            if p.count == 1 and not p.include_zero:
+            if p.count == 1:
                 return None
             # dropping n=1 shifts the family; fall back to explicit points
-            vals = tuple(p.scale / n for n in range(2, p.count + 1))
-            if p.include_zero:
-                vals = vals + (0.0,)
-            return ExplicitPoints(vals) if vals else None
+            return ExplicitPoints(tuple(p.scale / n for n in range(2, p.count + 1)))
         return p
     return p

@@ -398,8 +398,13 @@ def test_c10_dsl_round_trips_and_errors(capsys):
     v = eval_function(const1, 7.0, 4)
     assert hausdorff(v, crisp(1.0, 4)) == 0.0
 
-    with pytest.raises(ValidationError):
-        parse_function("tri(t, t-1, t+1)")
+    # the peak lies below the left end at every t: refused where it is
+    # bound, at the first sampled member
+    from fuzzynabla.dsl import bind_function
+
+    bad = parse_function("tri(t, t-1, t+1)")
+    with pytest.raises(ValidationError, match=r"^definition is invalid at t=0\.0: "):
+        bind_function(bad, TimeScale([ArithmeticGrid(0.0, 5.0, 1.0)]), K=4)
 
     # malformed text: positioned error and config exit code through the CLI
     with pytest.raises(DslSyntaxError) as exc:

@@ -1,6 +1,8 @@
 """The public surface: a name leaves `fuzzynabla.__all__` only on purpose,
-and every name the benchmark tracer wraps stays in place."""
+every name the benchmark tracer wraps stays in place, and no module imports
+a name it does not use."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -121,6 +123,26 @@ def test_benchmark_tracer_names_exist():
     if not hasattr(cli, "_scalar_fn"):
         missing.append("cli._scalar_fn")
     assert missing == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "fuzzynabla").glob("*.py")
+    if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    tree = ast.parse((ROOT / "src" / "fuzzynabla" / module).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert unused == []
 
 
 def test_raw_callables_get_a_type_error():

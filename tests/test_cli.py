@@ -106,8 +106,9 @@ class TestDiff:
 
     def test_non_finite_dense_estimate_exits_2(self, capsys):
         # the derivative at 1 is 2e308: the row is NotDifferentiable, and
-        # the evidence names the estimate that is not finite
-        argv = ["diff", "--timescale", "interval(0,2)",
+        # the evidence names the estimate that is not finite (f itself is
+        # finite on the scale, so it binds)
+        argv = ["diff", "--timescale", "interval(0,1.3)",
                 "--fn", "tri(1e308*t*t, 1e308*t*t+1, 1e308*t*t+2)",
                 "--points", "1", "--levels", "2"]
         code, out, err = run(argv, capsys)
@@ -613,7 +614,7 @@ class TestConfigErrors:
         # a definition that overflows at bind's samples
         (["tabulate", "--timescale", "hgrid(0,3,1)", "--fn",
           "tri(t, 1e300*1e300, t)", "--points", "1"], 1,
-         "error: definition is invalid at every sample point: tri endpoints "
+         "error: definition is invalid at t=0.0: tri endpoints "
          "out of order at t=0.0: (0, inf, 0)"),
         # the first arm asks recip(-1e308,34) about the members of
         # recip(2,40), where -1e308/t overflows
@@ -635,8 +636,52 @@ class TestConfigErrors:
                 "endpoints(t*1e300*1e300*alpha; t*1e300*1e300)",
                 "--points", "1", "--levels", "2"], capsys)
         assert code == 1 and out == ""
-        assert err == "error: level arrays must be finite\n"
+        assert err == "error: definition is invalid at t=1.0: level arrays must be finite\n"
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--levels", "--levels must be at most 1000000, got 10000000000000"),
+        ("--probes", "--probes 10000000000000 --agreement-tol 1e-06: "
+         "probe_count must be at most 27"),
+    ])
+    def test_huge_count_refused_before_allocating(self, flag, message, capsys,
+                                                  monkeypatch):
+        def refuse(*args):
+            raise AssertionError("allocated for the count")
+        monkeypatch.setattr(TimeScale, "approach_streams", refuse)
+        if flag == "--levels":  # the default levels are read at bind
+            monkeypatch.setattr("fuzzynabla.dsl.alpha_grid", refuse)
+        for cmd in (["diff"], ["check", "characterize"]):
+            code, out, err = run(cmd + [
+                "--timescale", "interval(0,1)", "--fn", "tri(t,2*t,3*t)",
+                "--points", "0.5", flag, "10000000000000"], capsys)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, code, out_start, err", [
+        # sqrt(t - 5) is real at every member; a scale-free check refused it
+        (["diff", "--timescale", "hgrid(6,10,1)",
+          "--fn", "tri(sqrt(t-5), sqrt(t-5)+1, sqrt(t-5)+2)"], 0,
+         "t,alpha,d_lower,d_upper,case,residual\n7.0,0.0,", ""),
+        (["ghdiff", "tri(sqrt(t-5), sqrt(t-5)+1, sqrt(t-5)+2)", "tri(0,0,0)",
+          "--at", "9"], 0, "case,CaseI\nalpha,lower,upper\n0.0,2.0,4.0\n", ""),
+        # not finite at the sampled member 1.5: refused at bind
+        (["tabulate", "--timescale", "interval(0,2)",
+          "--fn", "tri(1e308*t*t, 1e308*t*t+1, 1e308*t*t+2)", "--points", "1"],
+         1, "", "error: definition is invalid at t=1.5: level arrays must be finite\n"),
+        # the lower end falls between levels 0 and 1 of 100
+        (["tabulate", "--timescale", "interval(0,1)",
+          "--fn", "endpoints((alpha-0.125)^2; 2)", "--points", "0.5"], 1, "",
+         "error: definition is invalid at t=0.0: lower endpoint decreases "
+         "at level index 0\n"),
+        (["tabulate", "--timescale", "interval(0,1)",
+          "--fn", "endpoints((alpha-0.125)^2; 2)", "--points", "0.5",
+          "--levels", "4"], 0, "t,alpha,lower,upper\n0.5,0.0,0.015625,2.0\n", ""),
+    ])
+    def test_definition_checked_once_at_bind(self, argv, code, out_start, err,
+                                             capsys):
+        got, out, got_err = run(argv, capsys)
+        assert (got, got_err) == (code, err)
+        assert out.startswith(out_start) and (out == "") == (code != 0)
 
     @pytest.mark.parametrize("scale, count", [
         ("hgrid(0,1e308,1e300)", 100000001),

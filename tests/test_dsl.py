@@ -227,9 +227,14 @@ class TestFunctionDefs:
         with pytest.raises(DslSyntaxError):
             parse_function("tri(alpha, alpha + 1, alpha + 2)")
 
-    def test_universally_bad_def_rejected_at_parse(self):
-        with pytest.raises(ValidationError):
-            parse_function("tri(t, t - 1, t + 1)")
+    def test_universally_bad_def_rejected_at_bind(self):
+        # parsing evaluates nothing; the first sampled member refuses it
+        d = parse_function("tri(t, t - 1, t + 1)")
+        ts = TimeScale([ArithmeticGrid(0.0, 5.0, 1.0)])
+        with pytest.raises(ValidationError) as err:
+            bind_function(d, ts, K=4)
+        assert str(err.value) == ("definition is invalid at t=0.0: tri endpoints "
+                                  "out of order at t=0.0: (0, -1, 1)")
 
     def test_pointwise_bad_def_passes_parse_fails_bind(self):
         d = parse_function("tri(0, t, 1)")  # needs 0 <= t <= 1
@@ -242,6 +247,134 @@ class TestFunctionDefs:
         ts = TimeScale([ClosedInterval(0.0, 1.0)])
         with pytest.raises(ValidationError):
             bind_function(d, ts, K=4)
+
+
+# scales that mix intervals with each kind of grid, and the piece kinds a
+# piecewise arm may name (points is missing from some scales, so an arm
+# list may leave members uncovered)
+BIND_SCALES = [
+    "union(interval(0,1), hgrid(1,6,1))",
+    "union(hgrid(0.5,2,0.25), interval(2,3))",
+    "union(qgrid(2,0,6), interval(64,65))",
+    "union(recip(1,30), recip(-1,30), points(0), interval(2,3))",
+    "union(interval(-2,-1), points(0, 0.5), qgrid(3,-2,2))",
+]
+PIECE_KINDS = ["interval", "hgrid", "qgrid", "recip", "points"]
+
+
+@st.composite
+def _poly(draw):
+    """c0 + c1*t + c2*t^2 with small integer coefficients."""
+    coef = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    e = Const(float(coef[0]))
+    for k, c in enumerate(coef[1:], 1):
+        e = BinOp("+", e, BinOp("*", Const(float(c)),
+                                BinOp("^", Name("t"), Const(float(k)))))
+    return e
+
+
+@st.composite
+def _term(draw):
+    """A polynomial (most often), its square root, or a piecewise of
+    polynomials over some of the piece kinds."""
+    kind = draw(st.sampled_from(["poly", "poly", "sqrt", "piecewise"]))
+    if kind == "poly":
+        return draw(_poly())
+    if kind == "sqrt":
+        return Sqrt(draw(_poly()))
+    kinds = draw(st.lists(st.sampled_from(PIECE_KINDS), min_size=1, max_size=5,
+                          unique=True))
+    return Piecewise(tuple(Arm(PieceRef(k, ()), draw(_poly())) for k in kinds))
+
+
+@st.composite
+def _width(draw):
+    """A term, or its square, which is never negative."""
+    w = draw(_term())
+    return BinOp("^", w, Const(2.0)) if draw(st.booleans()) else w
+
+
+@st.composite
+def _definition(draw):
+    """tri(a, a + w1, a + w1 + w2), or endpoints(a + alpha*w1;
+    a + w1 + (1 - alpha)*w2): a fuzzy number wherever every term is real
+    and the widths are not negative."""
+    a, w1, w2 = draw(_term()), draw(_width()), draw(_width())
+    if draw(st.booleans()):
+        return TriDef(a, BinOp("+", a, w1), BinOp("+", BinOp("+", a, w1), w2))
+    return EndpointsDef(
+        BinOp("+", a, BinOp("*", Name("alpha"), w1)),
+        BinOp("+", BinOp("+", a, w1),
+              BinOp("*", BinOp("-", Const(1.0), Name("alpha")), w2)))
+
+
+def _fails_at(d, t, K, ts):
+    try:
+        eval_function(d, t, K, ts)
+    except (ValidationError, OrderViolation) as err:
+        return str(err)
+    return None
+
+
+class TestBindValidation:
+    """A definition is checked once, where it is bound, by the evaluator
+    every read uses, at the scale's sampled members; parsing only parses."""
+
+    @given(d=_definition(), scale=st.sampled_from(BIND_SCALES),
+           K=st.sampled_from([0, 1, 4, 10]))
+    @settings(max_examples=200, deadline=None)
+    def test_binds_exactly_when_every_sample_evaluates(self, d, scale, K):
+        ts = parse_timescale(scale)
+        fails = [(t, why) for t in ts.sample_points(25)
+                 if (why := _fails_at(d, t, K, ts)) is not None]
+        if not fails:
+            bind_function(d, ts, K)
+            return
+        t, why = fails[0]
+        with pytest.raises(ValidationError) as err:
+            bind_function(d, ts, K)
+        assert str(err.value) == f"definition is invalid at t={t!r}: {why}"
+
+    def test_parse_evaluates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_function evaluated the definition")
+        monkeypatch.setattr("fuzzynabla.dsl._eval", refuse)
+        parse_function("tri(sqrt(t-5), sqrt(t-5)+1, sqrt(t-5)+2)")
+        parse_function("tri(t, t - 1, t + 1)")
+
+    def test_valid_on_the_scale_binds(self):
+        # sqrt(t - 5) is real at every member of the scale, though not at
+        # the points a scale-free check would pick
+        d = parse_function("tri(sqrt(t-5), sqrt(t-5)+1, sqrt(t-5)+2)")
+        f = bind_function(d, parse_timescale("hgrid(6,10,1)"), K=2)
+        assert f(9.0) == triangular(2.0, 3.0, 4.0, 2)
+
+    def test_non_finite_sample_is_refused(self):
+        # finite up to t = 1.3; at the sampled member 1.5 every level is inf
+        d = parse_function("tri(1e308*t*t, 1e308*t*t+1, 1e308*t*t+2)")
+        with pytest.raises(ValidationError) as err:
+            bind_function(d, parse_timescale("interval(0,2)"), K=4)
+        assert str(err.value) == ("definition is invalid at t=1.5: "
+                                  "level arrays must be finite")
+        assert err.value.sample == {"t": 1.5}
+
+    def test_levels_are_checked_on_the_bound_grid(self):
+        # the lower end falls between alpha = 0 and 0.125: between levels
+        # 0 and 1 of 100, but not on the 4-level grid
+        d = parse_function("endpoints((alpha-0.125)^2; 2)")
+        ts = parse_timescale("interval(0,1)")
+        with pytest.raises(ValidationError) as err:
+            bind_function(d, ts, K=100)
+        assert str(err.value) == ("definition is invalid at t=0.0: "
+                                  "lower endpoint decreases at level index 0")
+        assert bind_function(d, ts, K=4)(0.5).lower[0] == 0.015625
+
+    def test_tri_message_keeps_the_values(self):
+        d = parse_function("tri(0, t, 1)")
+        with pytest.raises(ValidationError) as err:
+            eval_function(d, 2.0, 4)
+        assert str(err.value) == "tri endpoints out of order at t=2.0: (0, 2, 1)"
+        assert err.value.sample == {"t": 2.0, "left": 0.0, "peak": 2.0, "right": 1.0}
 
 
 class TestExampleFunction:

@@ -242,7 +242,9 @@ finite_pieces = st.one_of(
     st.builds(GeometricGrid, st.sampled_from([1.5, 2.0, 10.0]),
               st.integers(-4, 0), st.integers(0, 4)),
     st.builds(ReciprocalGrid, st.sampled_from([1.0, -1.0, SQRT2, -SQRT2, 3.0]),
-              st.integers(1, 60), st.booleans()),
+              st.integers(1, 60)),
+    # the accumulation point of a reciprocal grid as a member
+    st.just(ExplicitPoints((0.0,))),
     st.builds(lambda v: ExplicitPoints(tuple(v)),
               st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=4)),
 )

@@ -934,6 +934,8 @@ def bind_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
     """
     from .nabla import FuzzyFunction
 
+    alpha_grid(K)  # a bad level count is refused by name, not blamed on d
+
     def fn(t: float) -> FuzzyNumber:
         return eval_function(d, t, K, ts)
 

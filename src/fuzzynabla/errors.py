@@ -80,7 +80,8 @@ class DslSyntaxError(FuzzyNablaError):
 
 
 class ValidationError(FuzzyNablaError):
-    """A parsed definition fails its invariants at a sample point."""
+    """A parsed definition fails its invariants at a sample point, or a
+    level count is not one."""
 
     def __init__(self, message: str, sample: dict | None = None):
         self.sample = sample

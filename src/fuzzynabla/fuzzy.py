@@ -15,22 +15,29 @@ MONO_RTOL * (1 + magnitude).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, GridMismatch, OrderViolation
+from .errors import AlphaOutOfRange, GridMismatch, OrderViolation, ValidationError
+from .timescale import MAX_GRID_POINTS
 
 MONO_RTOL = 1e-10
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)
 def alpha_grid(K: int) -> np.ndarray:
     """Levels k/K for k = 0..K as correctly rounded quotients (not linspace,
     whose step accumulation lands off-grid: 3*0.1 != 3/10). Built once per
-    K and read-only, so every caller shares it."""
+    K and read-only, so every caller shares it. K must be an integer from
+    0 to MAX_GRID_POINTS (ValidationError), checked before the grid is
+    built."""
+    if not (isinstance(K, numbers.Integral) and 0 <= K <= MAX_GRID_POINTS):
+        raise ValidationError(f"the level count K must be an integer from 0 to "
+                              f"{MAX_GRID_POINTS}, got {K!r}")
     grid = np.array([0.0]) if K == 0 else np.arange(K + 1, dtype=float) / K
     grid.flags.writeable = False
     return grid
@@ -94,8 +101,9 @@ class FuzzyNumber:
 
     @classmethod
     def crisp(cls, x: float, K: int = 100) -> "FuzzyNumber":
-        """The crisp number x; x must be finite (OrderViolation)."""
-        lo = np.full(K + 1, float(x))
+        """The crisp number x on alpha_grid(K); x must be finite
+        (OrderViolation)."""
+        lo = np.full_like(alpha_grid(K), float(x))
         return cls(lo, lo)
 
     @classmethod

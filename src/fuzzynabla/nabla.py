@@ -114,6 +114,7 @@ class FuzzyFunction:
     def __init__(self, fn: Callable[[float], FuzzyNumber], K: int = 100,
                  vector: Callable[[np.ndarray], tuple] | None = None):
         self._fn = fn
+        alpha_grid(K)  # a level count that is not one is refused here
         self.K = int(K)
         self._cache: dict[float, FuzzyNumber] = {}
         self._vector = vector
@@ -367,32 +368,6 @@ class EndpointReport:
         return {"t": self.t, "levels": self.rows()}
 
 
-# an overflowing quotient stays in the report, as its own value; a jump
-# whose own quotient is not finite is rejected by name in _derive
-@np.errstate(over="ignore", invalid="ignore")
-def _scattered_sides(lo: np.ndarray, hi: np.ndarray, at: tuple[int, ...],
-                     toward: tuple[int, ...], dt: tuple[float, ...]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The exact quotients (f(neighbor) - f(t)) / (neighbor - t) of a
-    chunk's scattered sides, one row per side, in one step: from the
-    chunk's (N, K+1) level stacks lo and hi, each side's row of t (at) and
-    of its neighbor (toward), and dt = neighbor - t.
-
-    The two (M, K+1) quotient stacks are read-only, so a side's quotients
-    are row views of them that no caller can change. Each array here is
-    (M, K+1), so a chunk's stays under glibc's mmap threshold, as its level
-    stacks do (CHUNK_RECORDS)."""
-    at, toward, dt = np.array(at), np.array(toward), np.array(dt)[:, None]
-    out = []
-    for levels in (lo, hi):
-        q = levels.take(toward, axis=0)
-        q -= levels.take(at, axis=0)
-        q /= dt
-        q.flags.writeable = False
-        out.append(q)
-    return out[0], out[1]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
     n = len(streams[0].lo_est)
@@ -588,11 +563,17 @@ JUMP_ROUND_OFF = 4.0 * np.finfo(float).eps
 
 @dataclass
 class _Jumps:
-    """The jump quotient at a stack of left-scattered points, one row each,
-    with the gH case of each difference and gh_exists' rows of the
-    differences (gh: _derive reads a failing row's diagnostics there);
-    finite flags the rows whose every level of the quotient is finite."""
+    """The backward quotient of a stack of scattered pairs rho < t, one row
+    each: the quotient rows of the lower and upper endpoints (side_lo,
+    side_hi, read-only: a report's scattered side is a row view of them)
+    and, for the leading rows that are jumps, the value rows (lower,
+    upper: the sides ordered by the gH case), the gH case of each
+    difference and gh_exists' rows of the differences (gh: _derive reads a
+    failing row's diagnostics there); finite flags the jumps whose every
+    level of the quotient is finite."""
 
+    side_lo: np.ndarray
+    side_hi: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     gh_case: list[GhCase]
@@ -601,38 +582,45 @@ class _Jumps:
     gh: GhRows
 
 
-# a non-finite row is flagged (finite); _derive rejects it by name
+# an overflowing quotient stays in the report, as its own value; a jump
+# whose quotient is not finite is flagged (finite) and rejected in _derive
 @np.errstate(over="ignore", invalid="ignore")
 def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
-               fr_hi: np.ndarray, nu: np.ndarray, cfg: ProbeConfig) -> _Jumps:
-    """[f(t) gH- f(rho)] / nu at each left-scattered point, one row each,
-    from (N, K+1) stacks of f's levels at the points (ft) and at their
-    rho (fr).
+               fr_hi: np.ndarray, nu: np.ndarray, cfg: ProbeConfig,
+               jumps: int) -> _Jumps:
+    """(f(t) - f(rho)) * (1/nu) for each scattered pair rho < t, one row
+    each, from (N, K+1) stacks of f's levels at the points (ft) and at
+    their rho (fr): the scattered sides of the pair (t's minus side, rho's
+    plus side) and, for the leading jumps rows, t's jump quotient.
 
-    The difference's gH case and orientation are gh_exists'. The case is
-    Crisp when the value's width is within the agreement tolerance plus
-    the round-off of f(t) - f(rho) over nu (JUMP_ROUND_OFF of the
-    operands' magnitude), else CaseI when case (i) exists, else CaseII
-    (rows where neither exists are rejected by _derive).
+    A jump's gH case and orientation are gh_exists'. The case is Crisp
+    when the value's width is within the agreement tolerance plus the
+    round-off of f(t) - f(rho) over nu (JUMP_ROUND_OFF of the operands'
+    magnitude), else CaseI when case (i) exists, else CaseII (rows where
+    neither exists are rejected by _derive).
 
     A row's quotient is finite exactly when its difference is (the
     kernel's finite) and so is the difference's largest magnitude (the
     kernel's mag) times 1/nu, since rounding keeps the order of |d|/nu.
     """
-    gh = gh_exists(ft_lo - fr_lo, ft_hi - fr_hi)
-    lower, upper = gh.values()
+    d_lo, d_hi = ft_lo - fr_lo, ft_hi - fr_hi
     k = 1.0 / nu
-    lower *= k[:, None]
-    upper *= k[:, None]
-    finite = gh.finite & np.isfinite(gh.mag * k)
+    side_lo, side_hi = d_lo * k[:, None], d_hi * k[:, None]
+    side_lo.flags.writeable = side_hi.flags.writeable = False
+    j = slice(jumps)
+    gh = gh_exists(d_lo[j], d_hi[j])
+    keep = gh.ok_i[:, None]
+    lower = np.where(keep, side_lo[j], side_hi[j])
+    upper = np.where(keep, side_hi[j], side_lo[j])
+    finite = gh.finite & np.isfinite(gh.mag * k[j])
     # the operands' magnitude is that of their supports, where the cuts nest
     mag = np.maximum.reduce(
-        np.abs([ft_lo[:, 0], ft_hi[:, 0], fr_lo[:, 0], fr_hi[:, 0]]), axis=0)
+        np.abs([ft_lo[j, 0], ft_hi[j, 0], fr_lo[j, 0], fr_hi[j, 0]]), axis=0)
     crisp = (np.maximum.reduce(upper - lower, axis=1)
-             <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu)
+             <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu[j])
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
-    return _Jumps(lower, upper, gh.cases(), case, finite, gh)
+    return _Jumps(side_lo, side_hi, lower, upper, gh.cases(), case, finite, gh)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -836,51 +824,42 @@ def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
 
     rows(pts, cached, m) is the evaluation step of the first m functions,
     one (lo, hi, err) each as _evaluate gives them: at once at every
-    record's t, rho and sigma, then at each dense side's probes. All jump
-    quotients come from one _jump_rows call and all scattered sides' (minus
-    toward rho, plus toward sigma) from one _scattered_sides step, as row
-    views. The levels at t and rho are the function's values there, bit
-    for bit (rho is t at a left-dense record, but at a 0 that a reciprocal
-    grid approaches from the left).
+    record's t, rho and sigma, then at each dense side's probes. One
+    _jump_rows call gives the quotient of every distinct scattered pair
+    the records read, (rho, t) and (t, sigma): a record's jump is its
+    (rho, t) row, and its scattered sides are the rows of both pairs, as
+    row views. The levels at t and rho are the function's values there,
+    bit for bit (rho is t at a left-dense record, but at a 0 that a
+    reciprocal grid approaches from the left).
     """
-    # each record's rows of the evaluation step: a jump's (t, rho, nu) and
-    # a scattered side's (t, neighbor, neighbor - t), in the loop's order
+    # each record's rows of the evaluation step, in the loop's order, and
+    # the scattered pairs (a, b), a < b, it reads: the jumps, then the
+    # right sides that are no jump
     slot: dict[float, int] = {}
-    jumps, sides = [], []
+    jumps, rights = {}, {}
     for pc in records:
-        it = slot.setdefault(pc.t, len(slot))
-        ir = slot.setdefault(pc.rho, len(slot))
+        slot.setdefault(pc.t, len(slot))
+        slot.setdefault(pc.rho, len(slot))
         if pc.left is Side.SCATTERED:
-            jumps.append((it, ir, pc.nu))
-            sides.append((it, ir, pc.rho - pc.t))
+            jumps[pc.rho, pc.t] = None
         if pc.right is Side.SCATTERED:
-            sides.append((it, slot.setdefault(pc.sigma, len(slot)),
-                          pc.sigma - pc.t))
+            slot.setdefault(pc.sigma, len(slot))
+            rights[pc.t, pc.sigma] = None
+    pairs = {pair: j for j, pair in enumerate({**jumps, **rights})}
     npts = len(slot)
     cols = rows(list(slot), cached, width)
     have = [len(lo) for lo, _hi, _err in cols]
     lo, hi = _stacked(cols, npts)
-
-    def kernel_rows(pairs):
-        """The stack's rows at (slot, slot, step) pairs, per function."""
-        at, toward, step = zip(*pairs)
-        if width == 1:
-            return at, toward, step
-        return ([i * npts + j for i in range(width) for j in at],
-                [i * npts + j for i in range(width) for j in toward],
-                step * width)
-
-    if jumps:  # only a left-scattered record reads its jump
-        at, toward, nu = kernel_rows(jumps)
-        taken = np.array((*at, *toward))
-        at_lo, at_hi = lo.take(taken, axis=0), hi.take(taken, axis=0)
-        m = len(nu)
-        quotient = _jump_rows(at_lo[:m], at_hi[:m], at_lo[m:], at_hi[m:],
-                              np.array(nu), cfg)
-    if sides:  # only a scattered side reads its quotient rows
-        side_lo, side_hi = _scattered_sides(lo, hi, *kernel_rows(sides))
+    if pairs:  # only a scattered side reads its pair's rows
+        # function i's row of pair j is j * width + i, so the jumps lead
+        shift = range(0, width * npts, npts)  # each function's first row
+        a = [slot[p] + s for p, _q in pairs for s in shift]
+        b = [slot[q] + s for _p, q in pairs for s in shift]
+        quotient = _jump_rows(lo.take(b, axis=0), hi.take(b, axis=0),
+                              lo.take(a, axis=0), hi.take(a, axis=0),
+                              np.array([q - p for p, q in pairs for _s in shift]),
+                              cfg, width * len(jumps))
     alphas = alpha_grid(lo.shape[1] - 1)
-    jump = side = 0  # the record's first jump and scattered side
     m, err = width, None  # the functions a record reads, and the next's error
     short = min(have) < npts  # only then may a record read past some rows
 
@@ -899,15 +878,16 @@ def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
         it = slot[pc.t]
         ft = [(lo[i * npts + it], hi[i * npts + it]) for i in range(m)]
         found = [([], {}, [None]) for _ in range(width)]  # sides, probes, failure
-        for name, density, neighbor in (("left", pc.left, pc.rho),
-                                        ("right", pc.right, pc.sigma)):
+        for name, density, neighbor, pair in (
+                ("left", pc.left, pc.rho, (pc.rho, pc.t)),
+                ("right", pc.right, pc.sigma, (pc.t, pc.sigma))):
             if density is Side.SCATTERED:
                 if short:
                     reach(neighbor)
                 for i in range(m):
-                    row = i * len(sides) + side
-                    found[i][0].append(SideData("scattered", side_lo[row], side_hi[row]))
-                side += 1
+                    row = pairs[pair] * width + i
+                    found[i][0].append(SideData(
+                        "scattered", quotient.side_lo[row], quotient.side_hi[row]))
                 continue
             read = _probe_side(rows, ts, pc.t, name, cfg, ft[:m]) if m else []
             for i, got in enumerate(read):
@@ -925,10 +905,9 @@ def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
         ir = slot[pc.rho]
         yield [(EndpointReport(pc.t, alphas, *report_sides, pc), probes, failure[0],
                 ft[i], (lo[i * npts + ir], hi[i * npts + ir]),
-                (quotient, i * len(jumps) + jump) if pc.left is Side.SCATTERED
-                else None)
+                (quotient, pairs[pc.rho, pc.t] * width + i)
+                if pc.left is Side.SCATTERED else None)
                for i, (report_sides, probes, failure) in enumerate(found[:m])], err
-        jump += pc.left is Side.SCATTERED
 
 
 def _joint_pass(rows, width: int, ts: TimeScale, records: list[PointClass],

@@ -930,7 +930,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "d7ae63a6e1bd55bba71c56abed54829cce7d83059566e5b2b58e3c0a91f0727a"),
-        ("json", "b5bd358edb32cdf7db50a4543cd4b4005e875454e9d0ef946277ff0b94170820"),
+        ("json", "172620514272cb2f40772a926da398f231b591d7d8fae22756fa9c2573e4c845"),
     ])
     def test_rows_across_chunks(self, fmt, digest, capsys):
         # 1,200 points: the pass derives them in several chunks of records

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzynabla.errors import AlphaOutOfRange, GridMismatch, OrderViolation
+from fuzzynabla.dsl import bind_function, parse_function, parse_timescale
+from fuzzynabla.errors import AlphaOutOfRange, GridMismatch, OrderViolation, ValidationError
 from fuzzynabla.fuzzy import (
     MONO_RTOL,
     FuzzyNumber,
@@ -26,6 +27,7 @@ from fuzzynabla.fuzzy import (
     triangular,
 )
 from fuzzynabla.nabla import FuzzyFunction
+from fuzzynabla.timescale import MAX_GRID_POINTS
 
 
 def magnitude(u: FuzzyNumber) -> float:
@@ -162,6 +164,31 @@ class TestConstruction:
         assert alpha_grid(0).tolist() == [0.0]
         with pytest.raises(ValueError, match="read-only"):
             alpha_grid(4)[0] = 1.0
+
+    @pytest.mark.parametrize("K", [10 ** 13, MAX_GRID_POINTS + 1, -1, 2.5, 4.0])
+    def test_level_count_refused_before_allocating(self, K, monkeypatch):
+        # every maker of a level grid, and FuzzyFunction, which declares
+        # one, refuses a count that is not one, by name, before numpy
+        # allocates (10**13 levels asked numpy for 72.8 TiB; -1 and 2.5
+        # were blamed on the definition)
+        ts = parse_timescale("hgrid(0,3,1)")
+        d = parse_function("tri(t, 2*t, 3*t)")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level array was allocated")
+
+        for name in ("arange", "empty", "full", "full_like", "linspace", "ones", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+        makers = [lambda: alpha_grid(K), lambda: crisp(1.0, K),
+                  lambda: FuzzyNumber.crisp(1.0, K), lambda: bind_function(d, ts, K),
+                  lambda: FuzzyFunction(lambda t: crisp(t, 1), K)]
+        if K >= 1:  # triangular refuses K < 1 itself (ValueError)
+            makers.append(lambda: triangular(0, 1, 2, K))
+        for make in makers:
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value) == (f"the level count K must be an integer from 0 to "
+                                      f"{MAX_GRID_POINTS}, got {K!r}")
 
     def test_equal_numbers_hash_alike(self):
         # -0.0 == 0.0, so numbers that differ only in the sign of a zero

@@ -1325,13 +1325,13 @@ class TestChunkedPass:
 
     @staticmethod
     def jump_passes(monkeypatch) -> list:
-        """The number of rows of every _jump_rows call from now on."""
+        """The number of pair rows of every _jump_rows call from now on."""
         rows = []
         jump_rows = nabla._jump_rows
 
-        def counted(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg):
+        def counted(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps):
             rows.append(len(nu))
-            return jump_rows(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg)
+            return jump_rows(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps)
 
         monkeypatch.setattr(nabla, "_jump_rows", counted)
         return rows
@@ -1347,8 +1347,9 @@ class TestChunkedPass:
         f = unchecked(CHUNK_SOURCES[0], ts, K=4, plain=True)
         got = [json.dumps(r.to_dict(), sort_keys=True) for r in nabla_many(f, ts, pts)]
         assert got == expect
+        # a chunk's pairs are its records' jumps and the last one's right side
         size = nabla.CHUNK_RECORDS
-        assert rows == [min(size, n - start) for start in range(0, n, size)]
+        assert rows == [min(size, n - start) + 1 for start in range(0, n, size)]
 
     def test_no_jump_pass_without_a_jump(self, monkeypatch):
         ts = chunk_scale()
@@ -1357,9 +1358,9 @@ class TestChunkedPass:
         derivative_report(f, ts, -1.5)
         nabla_many(f, ts, [-1.75, -1.5, -1.25])
         assert rows == []
-        # 0 jumps from -1
+        # 0 jumps from -1 and to 1: the pairs (-1, 0) and (0, 1)
         nabla_many(f, ts, [-1.5, 0.0, -1.25])
-        assert rows == [1]
+        assert rows == [2]
 
     def test_passes_leave_the_memo_empty(self, monkeypatch):
         # the product graders read g at t and rho from g's pass, and the
@@ -1403,7 +1404,7 @@ class TestJointPass:
         # pass of its own); no chunk's array reaches glibc's 128 KB mmap
         # threshold
         stacked, sizes = {}, []
-        stack, jump_rows, sides = FuzzyFunction.stack, nabla._jump_rows, nabla._scattered_sides
+        stack, jump_rows, joint = FuzzyFunction.stack, nabla._jump_rows, nabla._stacked
 
         def counted_stack(self, t):
             stacked[id(self)] = stacked.get(id(self), 0) + len(t)
@@ -1413,13 +1414,14 @@ class TestJointPass:
             sizes.append(ft_lo.nbytes)
             return jump_rows(ft_lo, *args)
 
-        def counted_sides(lo, hi, at, toward, dt):
-            sizes.extend([lo.nbytes, len(dt) * lo.itemsize * lo.shape[1]])
-            return sides(lo, hi, at, toward, dt)
+        def counted_joint(cols, n):
+            lo, hi = joint(cols, n)
+            sizes.append(lo.nbytes)
+            return lo, hi
 
         monkeypatch.setattr(FuzzyFunction, "stack", counted_stack)
         monkeypatch.setattr(nabla, "_jump_rows", counted_jumps)
-        monkeypatch.setattr(nabla, "_scattered_sides", counted_sides)
+        monkeypatch.setattr(nabla, "_stacked", counted_joint)
         points = "--points=" + ",".join(repr(t) for t in RULE_POINTS)
         assert cli.main(["check", "sum", "--timescale", RULE_SCALE, "--fn", RULE_F,
                          "--fn", RULE_G, points]) == 0
@@ -1440,27 +1442,23 @@ class TestJointPass:
         assert sorted(stacked.values()) == [want, want] == [820, 820]
         assert sizes and max(sizes) < 128 * 1024
 
-    @pytest.mark.parametrize("t, sides", [(-2.0, 6), (0.0, 3)])
-    def test_sum_rule_one_kernel_call(self, t, sides, monkeypatch):
-        # at a jump f, g and f + g take their quotients from one _jump_rows
-        # call, and their scattered sides from one _scattered_sides step
+    @pytest.mark.parametrize("t, pair_rows", [(-2.0, 6), (0.0, 3)])
+    def test_sum_rule_one_kernel_call(self, t, pair_rows, monkeypatch):
+        # at a jump f, g and f + g take their quotients and their scattered
+        # sides from one _jump_rows call: a row per function and scattered
+        # pair, (-3, -2) and (-2, -1) at -2, (-1, 0) at 0, the jump's first
         f = FuzzyFunction(parabola_tri, K=K)
         g = FuzzyFunction(lambda s: U123 * (s + 5.0), K=K)
         calls = []
-        jump_rows, scattered = nabla._jump_rows, nabla._scattered_sides
+        jump_rows = nabla._jump_rows
 
-        def counted_jumps(ft_lo, *args):
-            calls.append(("jumps", len(ft_lo)))
-            return jump_rows(ft_lo, *args)
-
-        def counted_sides(lo, hi, at, toward, dt):
-            calls.append(("sides", len(dt)))
-            return scattered(lo, hi, at, toward, dt)
+        def counted_jumps(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps):
+            calls.append((len(nu), jumps))
+            return jump_rows(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps)
 
         monkeypatch.setattr(nabla, "_jump_rows", counted_jumps)
-        monkeypatch.setattr(nabla, "_scattered_sides", counted_sides)
         sum_rule(f, g, MIXED, t)
-        assert calls == [("jumps", 3), ("sides", sides)]
+        assert calls == [(pair_rows, 3)]
 
 
 # -- the row operations as they were before the stacked step, kept as the ----
@@ -1483,12 +1481,6 @@ def jump_rows_reference(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg):
     case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
             for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
     return lower, upper, gh.cases(), case, finite, gh
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def scattered_side_reference(ft_lo, ft_hi, fn_lo, fn_hi, dt):
-    """One scattered side's quotient, as each side computed it on its own."""
-    return (fn_lo - ft_lo) / dt, (fn_hi - ft_hi) / dt
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1527,7 +1519,9 @@ def scalar_at_reference(g, ts: TimeScale, pc, cfg: ProbeConfig) -> float:
             q = np.array([(g(p) - gt) / (p - t) for p in s.points])
             if s.synthetic and len(q) >= 2:
                 q = 2.0 * q[1:] - q[:-1]
-            tail = float(nabla._tail_spread(q[:, None])[0])
+            # the max spread over the trailing half, of at least two
+            tail_q = q[min(len(q) - 2, len(q) // 2):]
+            tail = float(tail_q.max() - tail_q.min()) if len(q) >= 2 else 0.0
             require_finite(side, (("quotient", q), ("tail spread", tail)))
             ests.append(float(q[-1]))
             worst_tail = max(worst_tail, tail)
@@ -1651,14 +1645,15 @@ def jump_stacks(draw):
 
 
 class TestRowKernels:
-    """The pass's row kernels are their references bit for bit: _jump_rows
-    the jump rows as computed before it read finiteness from gh_exists, and
-    _scattered_sides each side's quotient as computed on its own."""
+    """The pass's row kernel is its reference bit for bit: _jump_rows the
+    jump rows as computed before it read finiteness from gh_exists, and
+    each scattered side a pair's rows before they are ordered by the gH
+    case."""
 
     @given(jump_stacks())
     @settings(max_examples=300, deadline=None)
     def test_jump_rows_match_reference(self, args):
-        got = nabla._jump_rows(*args)
+        got = nabla._jump_rows(*args, len(args[4]))
         lower, upper, gh_case, case, finite, gh = jump_rows_reference(*args)
         assert same_bits(got.lower, lower) and same_bits(got.upper, upper)
         assert got.gh_case == gh_case and got.case == case
@@ -1669,18 +1664,29 @@ class TestRowKernels:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_scattered_sides_match_reference(self, data):
+        # pairs (a, b) of a stack's rows, the leading ones jumps: every
+        # pair's sides are the reference's rows (1/nu) * (f(b) - f(a)),
+        # and a jump's value is those rows ordered by its gH case
         n, K = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 5))
         lo, hi = data.draw(level_stack(n, K))
         rows = st.integers(0, n - 1)
-        sides = data.draw(st.lists(st.tuples(
-            rows, rows, st.sampled_from([-3.0, -1.0, -1e-300, 5e-324, 0.25, 1.0, 1e300])),
+        pairs = data.draw(st.lists(st.tuples(
+            rows, rows, st.sampled_from([5e-324, 1e-300, 0.25, 1.0, 3.0, 1e300])),
             min_size=1, max_size=8))
-        at, toward, dt = zip(*sides)
-        q_lo, q_hi = nabla._scattered_sides(lo, hi, at, toward, dt)
-        assert not q_lo.flags.writeable and not q_hi.flags.writeable
-        for i, (a, b, step) in enumerate(sides):
-            want_lo, want_hi = scattered_side_reference(lo[a], hi[a], lo[b], hi[b], step)
-            assert same_bits(q_lo[i], want_lo) and same_bits(q_hi[i], want_hi)
+        jumps = data.draw(st.integers(0, len(pairs)))
+        a, b, nu = (np.array(x) for x in zip(*pairs))
+        args = (lo[b], hi[b], lo[a], hi[a], nu, ProbeConfig())
+        got = nabla._jump_rows(*args, jumps)
+        assert not got.side_lo.flags.writeable and not got.side_hi.flags.writeable
+        lower, upper, _gh_case, _case, _finite, gh = jump_rows_reference(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_lo, want_hi = gh.d_lo * (1.0 / nu)[:, None], gh.d_hi * (1.0 / nu)[:, None]
+        assert same_bits(got.side_lo, want_lo) and same_bits(got.side_hi, want_hi)
+        assert len(got.lower) == len(got.case) == len(got.gh.ok_i) == jumps
+        assert same_bits(got.lower, lower[:jumps]) and same_bits(got.upper, upper[:jumps])
+        swap = ~gh.ok_i[:, None]
+        assert same_bits(lower, np.where(swap, want_hi, want_lo))
+        assert same_bits(upper, np.where(swap, want_lo, want_hi))
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_one_quotient_step_per_chunk(self, n, monkeypatch):
@@ -1692,17 +1698,19 @@ class TestRowKernels:
             bind_function(parse_function(CHUNK_SOURCES[0]), ts, K=K), ts, t).to_dict(),
             sort_keys=True) for t in pts]
         steps = []
-        sides = nabla._scattered_sides
+        jump_rows = nabla._jump_rows
 
-        def counted(lo, hi, at, toward, dt):
-            steps.append(len(dt))
-            return sides(lo, hi, at, toward, dt)
+        def counted(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps):
+            steps.append(len(nu))
+            return jump_rows(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps)
 
-        monkeypatch.setattr(nabla, "_scattered_sides", counted)
+        monkeypatch.setattr(nabla, "_jump_rows", counted)
         got = [json.dumps(r.to_dict(), sort_keys=True) for r in nabla_many(f, ts, pts)]
         assert got == expect
+        # a chunk of consecutive points reads its records' jumps and the
+        # last one's right side: one pair row more than its records
         size = nabla.CHUNK_RECORDS
-        assert steps == [2 * min(size, n - start) for start in range(0, n, size)]
+        assert steps == [min(size, n - start) + 1 for start in range(0, n, size)]
 
     def test_chunk_results_share_no_writable_array(self):
         # the reports of one chunk share the level grid and the chunk's
@@ -1738,3 +1746,84 @@ class TestRowKernels:
         assert 3.0 in f._cache
         assert calls == [1]
         assert res.case is DiffCase.CASE_I and res.evidence["path"] == "backward-quotient"
+
+
+# scales that mix intervals with hgrid, qgrid, recip and points pieces
+PAIR_SCALES = [
+    "union(interval(0,1), hgrid(1,6,1), points(6.5, 8))",
+    "union(hgrid(-3,0,0.3), interval(0,1), qgrid(2,1,4))",
+    "union(recip(1,12), recip(-1,12), points(0), interval(2,3))",
+    "union(interval(-2,-1), points(0, 0.5), qgrid(3,-2,2))",
+    "union(recip(1,12), recip(sqrt2,12), points(0), hgrid(2,4,0.5))",
+]
+
+
+@st.composite
+def pair_definitions(draw):
+    """tri(p, p + w1, p + w1 + w2) or endpoints(p + alpha*w1; p + w1 +
+    (1 - alpha)*w2), with a quadratic p and widths w = c + (a*t + b)^2:
+    valid everywhere, and a width that falls as well as one that grows,
+    so that a jump's gH case may be either."""
+    coef = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    p = f"({draw(coef)} + {draw(coef)}*t + {draw(coef)}*t^2)"
+    w1, w2 = (f"({draw(st.sampled_from([0.0, 0.5, 1.0]))} + "
+              f"({draw(coef)}*t + {draw(coef)})^2)" for _ in range(2))
+    if draw(st.booleans()):
+        return f"tri({p}, {p} + {w1}, {p} + {w1} + {w2})"
+    return f"endpoints({p} + alpha*{w1}; {p} + {w1} + (1 - alpha)*{w2})"
+
+
+class TestOneQuotientPerPair:
+    """A scattered pair rho < t has one backward quotient: t's jump value
+    is its rows ordered by the gH case, t's minus side is those rows, and
+    rho's plus side is t's minus side, bit for bit."""
+
+    @given(src=pair_definitions(), scale=st.sampled_from(PAIR_SCALES),
+           K=st.sampled_from([0, 1, 4, 10]), plain=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_scattered_sides_are_the_jump_rows(self, src, scale, K, plain):
+        ts = parse_timescale(scale)
+        f = (unchecked(src, ts, K=K, plain=True) if plain
+             else bind_function(parse_function(src), ts, K=K))
+        pts = sorted({*ts.left_scattered_points(),
+                      *(t for t in ts.sample_points(10) if ts.in_kappa(t))})
+        results = {r.t: r for r in nabla_many(f, ts, pts)}
+        for t, r in results.items():
+            report = r.endpoint_report
+            pc = report.point
+            if pc.left is Side.SCATTERED:
+                minus = report.minus
+                assert minus.kind == "scattered"
+                if r.value is not None:
+                    rows = (minus.lower, minus.upper)
+                    if r.evidence["gh_case"] == GhCase.CASE_II.value:
+                        rows = rows[::-1]
+                    assert same_bits(r.value.lower, rows[0]), (t, r.value, rows)
+                    assert same_bits(r.value.upper, rows[1]), (t, r.value, rows)
+            nxt = results.get(pc.sigma) if pc.right is Side.SCATTERED else None
+            if nxt is not None and nxt.endpoint_report.point.left is Side.SCATTERED:
+                nxt = nxt.endpoint_report.minus
+                assert same_bits(report.plus.lower, nxt.lower), t
+                assert same_bits(report.plus.upper, nxt.upper), t
+
+    def test_one_kernel_call_per_chunk_of_pairs(self, monkeypatch):
+        # 64 consecutive grid points, one chunk: a row per pair, the 64
+        # jumps (k - 1, k) first, then the last point's right side (64, 65)
+        ts = chunk_scale()
+        src = CHUNK_SOURCES[0]
+        calls = []
+        jump_rows = nabla._jump_rows
+
+        def counted(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps):
+            calls.append((ft_lo.copy(), fr_lo.copy(), jumps))
+            return jump_rows(ft_lo, ft_hi, fr_lo, fr_hi, nu, cfg, jumps)
+
+        monkeypatch.setattr(nabla, "_jump_rows", counted)
+        for f in (bind_function(parse_function(src), ts, K=K),
+                  unchecked(src, ts, K=K, plain=True)):
+            calls.clear()
+            nabla_many(f, ts, [float(k) for k in range(1, 65)])
+            [(ft_lo, fr_lo, jumps)] = calls
+            assert len(ft_lo) == 65 and jumps == 64
+            assert same_bits(ft_lo, np.array([f(float(k)).lower for k in range(1, 66)]))
+            assert same_bits(fr_lo, np.array([f(float(k)).lower for k in range(0, 65)]))

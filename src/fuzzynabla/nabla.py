@@ -90,17 +90,18 @@ class DiffCase(Enum):
     NOT_DIFFERENTIABLE = "NotDifferentiable"
 
 
-# a one-record pass reads f at t, rho and sigma; neighbouring points share
-# two of them, so a memo cache of three values costs about one evaluation a
-# point, under a stack
+# a one-record pass at a jump reads f at t, rho and sigma; neighbouring
+# points share two of them, so a memo cache of three values costs about one
+# evaluation a point, under a stack
 _CACHED_POINTS = 3
 
 
 class FuzzyFunction:
     """A mapping t -> FuzzyNumber on a fixed level grid, with caching.
 
-    A pass reads f at a chunk's t, rho and sigma at once (_analyses): by
-    vector when given, else by fn point by point through the memo cache.
+    A pass reads f at every point of a chunk's records at once
+    (_analyses): by vector when given, else by fn point by point through
+    the memo cache.
     vector maps a vector of points to (N, K+1) stacks of lower and upper
     endpoints whose rows are bit for bit the levels fn returns; it raises
     when fn raises at any of the points, and callers then call fn point by
@@ -158,38 +159,6 @@ def _require_function(*fns) -> None:
 # probing
 
 
-@dataclass
-class _StreamData:
-    """Slope data for one probe stream on one side (columns = levels), with
-    f's level rows at its points and the Hausdorff distance of each from
-    f(t)."""
-
-    label: str
-    synthetic: bool
-    points: tuple[float, ...]
-    lo_est: np.ndarray
-    hi_est: np.ndarray
-    lo_tail: np.ndarray
-    hi_tail: np.ndarray
-    vlo_est: np.ndarray
-    vhi_est: np.ndarray
-    v_tail: np.ndarray
-    gh_cases: list[str]
-    lower: np.ndarray
-    upper: np.ndarray
-    gaps: list[float]
-
-
-def _tail_spread(Q: np.ndarray) -> np.ndarray:
-    """Max pairwise spread per column over the trailing half (>= 2 rows)."""
-    m = len(Q)
-    if m < 2:
-        return np.zeros(Q.shape[1])
-    start = min(m - 2, m // 2)
-    tail = Q[start:]
-    return tail.max(axis=0) - tail.min(axis=0)
-
-
 def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
     """The evaluation step: the (N, K+1) lower and upper level rows of f at
     pts, and None.
@@ -217,68 +186,104 @@ def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
     return lo, hi, None
 
 
+@dataclass
+class _SideProbes:
+    """One function's probes on one dense side of a record, as rows of its
+    chunk's probe kernel (_probe_rows). Per stream, in approach order: the
+    label, the (streams, K+1) estimates and tail spreads of the lower and
+    upper quotients and of their minimum and maximum (v_tail the larger
+    of those two spreads), and its probes' gH cases and continuity gaps.
+    Per probe: the point and f's levels there; near indexes each stream's
+    nearest probe."""
+
+    labels: list[str]
+    lo_est: np.ndarray
+    hi_est: np.ndarray
+    vlo_est: np.ndarray
+    vhi_est: np.ndarray
+    lo_tail: np.ndarray
+    hi_tail: np.ndarray
+    v_tail: np.ndarray
+    gh_cases: list[list[str]]
+    gaps: list[list[float]]
+    points: list[float]
+    lower: np.ndarray
+    upper: np.ndarray
+    near: list[int]
+
+
 # an overflowing quotient stays in the data; _dense_value rejects it by name
 @np.errstate(over="ignore", invalid="ignore")
-def _probe_side(rows, ts: TimeScale, t: float, side: str, cfg: ProbeConfig,
-                fts: list[tuple[np.ndarray, np.ndarray]]) -> list:
-    """For each function whose levels at t fts holds, from the first: its
-    quotient data for every probe stream on a dense side of t and the
-    error for its first probe whose generalized difference does not exist,
-    or the error its reading of the side raises, which ends the list.
+def _probe_rows(lo: np.ndarray, hi: np.ndarray, npts: int, width: int,
+                slot: dict[float, int], probed: list):
+    """The probe kernel of a chunk whose level stacks hold function i's
+    levels at p in row slot[p] + i * npts: the quotient rows of each probe
+    of each probed side (t, name, streams), function by function. One
+    gh_exists call, on f(p) gH- f(t) right of t and f(t) gH- f(p) left of
+    it, gives every gH case, diagnostic (as gh_diff gives them) and
+    continuity gap. A stream's estimate is its nearest probe's quotient,
+    Richardson extrapolated (2 Q[j] - Q[j-1]) when synthetic; its tail
+    spread, that sequence's max pairwise spread over its trailing half (of
+    at least two rows), is one reduceat segment. Returns gh and side(k,
+    i): function i's rows of the k-th probed side, and its data."""
+    pr, tr, dt, left, tail_rows, rich, segment, sides = ([] for _ in range(8))
+    for i in range(width):
+        for t, name, streams in probed:
+            q, s0, ranges = len(pr), len(segment), []
+            for s in streams:
+                a, n = len(pr), len(s.points)
+                ranges.append((a - q, a - q + n))
+                pr += [slot[p] + i * npts for p in s.points]
+                tr += [slot[t] + i * npts] * n
+                dt += [p - t for p in s.points]
+                left += [name == "left"] * n
+                # element j of the stream's sequence is Q[a + r + j], or
+                # 2 Q[a + r + j] - Q[a + j] when extrapolated (r = 1)
+                r = int(s.synthetic and n >= 2)
+                j0 = min(n - r - 2, (n - r) // 2) if n - r >= 2 else 0
+                tail_rows += range(a + r + j0, a + n)
+                rich += [r] * (n - r - j0)
+                segment.append(n - r - j0)
+            sides.append((slice(q, len(pr)), slice(s0, len(segment)), streams, ranges))
+    f_lo, f_hi = lo.take(pr, axis=0), hi.take(pr, axis=0)
+    d_lo, d_hi = f_lo - lo.take(tr, axis=0), f_hi - hi.take(tr, axis=0)
+    sign = np.where(left, -1.0, 1.0)[:, None]
+    gh = gh_exists(d_lo * sign, d_hi * sign)
+    dt = np.array(dt)[:, None]
+    Q_lo, Q_hi = d_lo / dt, d_hi / dt
+    tail_rows, rich = np.array(tail_rows), np.array(rich, dtype=bool)
+    ext = tail_rows[rich]
+    nearest = np.cumsum(segment) - 1
+    starts = nearest + 1 - segment
 
-    One evaluation step (rows, see _analyses) gives the levels at the
-    side's probes, and one row pass over all of them the quotients, gH
-    cases and diagnostics (gh_exists, as gh_diff gives them) and continuity
-    gaps. A function raises a difference that is not finite, then its
-    evaluation's error; a failing probe is only recorded.
-    """
-    streams = ts.approach_streams(t, side, cfg.probe_count)
-    pts = [p for s in streams for p in s.points]
-    if not pts:
-        return [([], None)] * len(fts)
-    cols = rows(pts, _CACHED_POINTS, len(fts))
-    d_lo = np.concatenate([lo - ft[0] for (lo, _hi, _err), ft in zip(cols, fts)])
-    d_hi = np.concatenate([hi - ft[1] for (_lo, hi, _err), ft in zip(cols, fts)])
-    # f(p) gH- f(t) on the right, f(t) gH- f(p) on the left
-    gh = gh_exists(d_lo, d_hi) if side == "right" else gh_exists(-d_lo, -d_hi)
-    all_cases = [c.value for c in gh.cases()]
-    all_gaps = gh.mag.tolist()  # hausdorff(f(p), f(t))
-    dt = (np.array(pts) - t)[:, None]
-    out: list = []
-    for i, (lo, hi, err) in enumerate(cols):
-        # the functions before the first that fails have all their rows
-        own = slice(i * len(pts), i * len(pts) + len(lo))
-        try:
-            gh.raise_nonfinite(own)
-        except OrderViolation as nonfinite:
-            err = nonfinite
-        if err is not None:
-            return out + [err]
-        cases, gaps = all_cases[own], all_gaps[own]
-        failure = None
-        if GhCase.NONE.value in cases:
-            j = cases.index(GhCase.NONE.value)
-            failure = GhNonexistent(
-                f"generalized difference does not exist at probe {pts[j]!r} "
-                f"({side} of {t!r})",
-                {"probe": pts[j], "side": side, **gh.diagnostics(own.start + j)},
-            )
-        Q_lo, Q_hi = d_lo[own] / dt, d_hi[own] / dt
-        data, start = [], 0
-        for s in streams:
-            at = slice(start, start + len(s.points))
-            start = at.stop
-            Qlo, Qhi = Q_lo[at], Q_hi[at]
-            Vlo, Vhi = np.minimum(Qlo, Qhi), np.maximum(Qlo, Qhi)
-            if s.synthetic and len(s.points) >= 2:
-                Qlo, Qhi, Vlo, Vhi = (2.0 * Q[1:] - Q[:-1] for Q in (Qlo, Qhi, Vlo, Vhi))
-            data.append(_StreamData(
-                s.label, s.synthetic, s.points, Qlo[-1].copy(), Qhi[-1].copy(),
-                _tail_spread(Qlo), _tail_spread(Qhi), Vlo[-1].copy(), Vhi[-1].copy(),
-                np.maximum(_tail_spread(Vlo), _tail_spread(Vhi)), cases[at],
-                lo[at], hi[at], gaps[at]))
-        out.append((data, failure))
-    return out
+    def tails(X):
+        """Each stream's estimate row and tail spread row of X."""
+        T = X.take(tail_rows, axis=0)
+        T[rich] = 2.0 * X.take(ext, axis=0) - X.take(ext - 1, axis=0)
+        spread = (np.maximum.reduceat(T, starts, axis=0)
+                  - np.minimum.reduceat(T, starts, axis=0))
+        spread[np.equal(segment, 1)] = 0.0  # a sequence of one row
+        return T.take(nearest, axis=0), spread
+
+    (lo_est, lo_tail), (hi_est, hi_tail), (vlo_est, vlo_tail), (vhi_est, vhi_tail) = (
+        tails(X) for X in (Q_lo, Q_hi, np.minimum(Q_lo, Q_hi), np.maximum(Q_lo, Q_hi)))
+    v_tail = np.maximum(vlo_tail, vhi_tail)
+    for arr in (lo_est, hi_est, vlo_est, vhi_est, lo_tail, hi_tail, v_tail):
+        arr.flags.writeable = False  # a report's streams are row views of them
+    cases = [c.value for c in gh.cases()]
+    gaps = gh.mag.tolist()  # hausdorff(f(p), f(t))
+
+    def side(k: int, i: int) -> tuple[slice, _SideProbes]:
+        rows, at, streams, ranges = sides[i * len(probed) + k]
+        own_cases, own_gaps = cases[rows], gaps[rows]
+        return rows, _SideProbes(
+            [s.label for s in streams], lo_est[at], hi_est[at], vlo_est[at],
+            vhi_est[at], lo_tail[at], hi_tail[at], v_tail[at],
+            [own_cases[a:b] for a, b in ranges], [own_gaps[a:b] for a, b in ranges],
+            [p for s in streams for p in s.points], f_lo[rows], f_hi[rows],
+            [b - 1 for _a, b in ranges])
+
+    return gh, side
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +312,8 @@ class SideData:
 
     @property
     def settled(self) -> bool:
-        if self.kind == "scattered":
-            return True
         if self.kind != "limit":
-            return False
+            return self.kind == "scattered"
         return bool(np.all(self.lower_exists == 1) and np.all(self.upper_exists == 1))
 
 
@@ -328,8 +331,6 @@ class EndpointReport:
     point: PointClass
 
     def rows(self) -> list[dict]:
-        out = []
-
         def entry(side: SideData, which: str, k: int):
             if side.kind == "absent":
                 return {"value": None, "exists": None, "residual": None,
@@ -341,40 +342,28 @@ class EndpointReport:
                 ex = (side.lower_exists if which == "lower" else side.upper_exists)[k]
                 flag = True if ex == 1 else False if ex == 0 else None
                 res = float(side.residual[k])
-            subs = {
-                label: float((lo if which == "lower" else hi)[k])
-                for label, (lo, hi) in side.streams.items()
-            }
-            return {
-                "value": float(arr[k]),
-                "exists": flag,
-                "residual": res,
-                "subsequence_limits": subs,
-            }
+            subs = {label: float((lo if which == "lower" else hi)[k])
+                    for label, (lo, hi) in side.streams.items()}
+            return {"value": float(arr[k]), "exists": flag, "residual": res,
+                    "subsequence_limits": subs}
 
-        for k, a in enumerate(self.alphas):
-            out.append(
-                {
-                    "alpha": float(a),
-                    "dminus_lower": entry(self.minus, "lower", k),
-                    "dminus_upper": entry(self.minus, "upper", k),
-                    "dplus_lower": entry(self.plus, "lower", k),
-                    "dplus_upper": entry(self.plus, "upper", k),
-                }
-            )
-        return out
+        return [{"alpha": float(a),
+                 "dminus_lower": entry(self.minus, "lower", k),
+                 "dminus_upper": entry(self.minus, "upper", k),
+                 "dplus_lower": entry(self.plus, "lower", k),
+                 "dplus_upper": entry(self.plus, "upper", k)}
+                for k, a in enumerate(self.alphas)]
 
     def to_dict(self) -> dict:
         return {"t": self.t, "levels": self.rows()}
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
-    n = len(streams[0].lo_est)
-    lo_mat = np.stack([s.lo_est for s in streams])
-    hi_mat = np.stack([s.hi_est for s in streams])
-    lo_tail = np.stack([s.lo_tail for s in streams]).max(axis=0)
-    hi_tail = np.stack([s.hi_tail for s in streams]).max(axis=0)
+def _limit_side(probes: _SideProbes, cfg: ProbeConfig) -> SideData:
+    lo_mat, hi_mat = probes.lo_est, probes.hi_est
+    n = lo_mat.shape[1]
+    lo_tail = probes.lo_tail.max(axis=0)
+    hi_tail = probes.hi_tail.max(axis=0)
     lo_spread = lo_mat.max(axis=0) - lo_mat.min(axis=0)
     hi_spread = hi_mat.max(axis=0) - hi_mat.min(axis=0)
 
@@ -384,21 +373,16 @@ def _limit_side(streams: list[_StreamData], cfg: ProbeConfig) -> SideData:
         ex = np.full(n, -1, dtype=int)
         ok = (spread <= atol) & (tail <= atol)
         ex[ok] = 1
-        if len(streams) > 1:
+        if len(lo_mat) > 1:
             ex[spread > NONEXISTENCE_FACTOR * atol] = 0
         return ex
 
-    return SideData(
-        kind="limit",
-        lower=lo_mat.mean(axis=0),
-        upper=hi_mat.mean(axis=0),
-        lower_exists=flags(lo_spread, lo_tail),
-        upper_exists=flags(hi_spread, hi_tail),
-        residual=np.maximum(
-            np.maximum(lo_tail, hi_tail), np.maximum(lo_spread, hi_spread)
-        ),
-        streams={s.label: (s.lo_est, s.hi_est) for s in streams},
-    )
+    return SideData(kind="limit", lower=lo_mat.mean(axis=0), upper=hi_mat.mean(axis=0),
+                    lower_exists=flags(lo_spread, lo_tail),
+                    upper_exists=flags(hi_spread, hi_tail),
+                    residual=np.maximum(np.maximum(lo_tail, hi_tail),
+                                        np.maximum(lo_spread, hi_spread)),
+                    streams=dict(zip(probes.labels, zip(lo_mat, hi_mat))))
 
 
 def _classify_member(ts: TimeScale, t: float) -> PointClass:
@@ -465,7 +449,7 @@ def _jsonable(x):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _dense_value(probes: dict[str, list[_StreamData]],
+def _dense_value(probes: dict[str, _SideProbes],
                  cfg: ProbeConfig, t: float):
     """Limit estimate of the derivative from the probed dense sides.
 
@@ -479,14 +463,13 @@ def _dense_value(probes: dict[str, list[_StreamData]],
 
     side_means = []
     residual = 0.0
-    for side, streams in probes.items():
-        vlo = np.stack([s.vlo_est for s in streams])
-        vhi = np.stack([s.vhi_est for s in streams])
+    for side, got in probes.items():
+        vlo, vhi = got.vlo_est, got.vhi_est
         spread = max(
             float(np.max(vlo.max(axis=0) - vlo.min(axis=0))),
             float(np.max(vhi.max(axis=0) - vhi.min(axis=0))),
         )
-        tail = max(float(np.max(s.v_tail)) for s in streams)
+        tail = max(float(np.max(v)) for v in got.v_tail)
         for criterion, values in (("estimate", (vlo, vhi)),
                                   ("stream spread", spread), ("tail spread", tail)):
             values = np.asarray(values, dtype=float).ravel()
@@ -500,14 +483,12 @@ def _dense_value(probes: dict[str, list[_StreamData]],
             raise LimitDisagreement(
                 f"subsequence estimates on the {side} of {t!r} disagree by "
                 f"{spread:.3g} (tolerance {cfg.agreement_tol:.3g})",
-                {"side": side, "spread": spread},
-            )
+                {"side": side, "spread": spread})
         if tail > cfg.agreement_tol:
             raise LimitDisagreement(
                 f"probe quotients on the {side} of {t!r} have not settled: "
                 f"tail spread {tail:.3g} (tolerance {cfg.agreement_tol:.3g})",
-                {"side": side, "tail": tail},
-            )
+                {"side": side, "tail": tail})
         residual = max(residual, spread, tail)
         side_means.append((vlo.mean(axis=0), vhi.mean(axis=0)))
 
@@ -520,8 +501,7 @@ def _dense_value(probes: dict[str, list[_StreamData]],
             raise LimitDisagreement(
                 f"left and right limits at {t!r} disagree by {gap:.3g} "
                 f"(tolerance {cfg.agreement_tol:.3g})",
-                {"gap": gap},
-            )
+                {"gap": gap})
         residual = max(residual, gap)
 
     lo = np.mean([m[0] for m in side_means], axis=0)
@@ -537,17 +517,12 @@ def _dense_value(probes: dict[str, list[_StreamData]],
     if viol > max(cfg.agreement_tol, 10.0 * residual):
         raise LimitDisagreement(
             f"estimated derivative at {t!r} violates cut structure by {viol:.3g}",
-            {"violation": viol},
-        )
+            {"violation": viol})
     lo = np.maximum.accumulate(lo)
     hi = np.minimum.accumulate(hi)
     bad = lo > hi
     if np.any(bad):
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo = lo.copy()
-        hi = hi.copy()
-        lo[bad] = mid
-        hi[bad] = mid
+        lo[bad] = hi[bad] = 0.5 * (lo[bad] + hi[bad])
     return FuzzyNumber(lo, hi, validate=False), residual
 
 
@@ -645,11 +620,8 @@ def classify_case(value: FuzzyNumber, report: EndpointReport,
         return (float(np.max(np.abs(vlo - a))) <= ctol
                 and float(np.max(np.abs(vhi - b))) <= ctol)
 
-    sides = {}
-    if report.minus.kind == "limit":
-        sides["minus"] = report.minus
-    if report.plus.kind == "limit":
-        sides["plus"] = report.plus
+    sides = {name: s for name, s in (("minus", report.minus), ("plus", report.plus))
+             if s.kind == "limit"}
 
     if all(s.settled for s in sides.values()):
         al = {name: match(s.lower, s.upper) for name, s in sides.items()}
@@ -687,7 +659,7 @@ def classify_case(value: FuzzyNumber, report: EndpointReport,
     return DiffCase.NOT_DIFFERENTIABLE
 
 
-def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
+def _derive(report: EndpointReport, probes: dict[str, _SideProbes],
             failure: GhNonexistent | None, ft, fr, jump, cfg: ProbeConfig
             ) -> DerivativeResult:
     """The derivative at a point from its one analysis (_analyses): its row
@@ -726,15 +698,11 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
             value, residual = _dense_value(probes, cfg, t)
             case = classify_case(value, report, cfg, residual)
             evidence["path"] = "one-sided-limits"
-            evidence["gh_cases"] = {
-                side: {s.label: s.gh_cases for s in streams}
-                for side, streams in probes.items()
-            }
+            evidence["gh_cases"] = {side: dict(zip(p.labels, p.gh_cases))
+                                    for side, p in probes.items()}
 
-        evidence["continuity_gaps"] = {
-            side: {s.label: s.gaps for s in streams}
-            for side, streams in probes.items()
-        }
+        evidence["continuity_gaps"] = {side: dict(zip(p.labels, p.gaps))
+                                       for side, p in probes.items()}
 
         if case is DiffCase.NOT_DIFFERENTIABLE:
             raise LimitDisagreement(
@@ -749,12 +717,12 @@ def _derive(report: EndpointReport, probes: dict[str, list[_StreamData]],
 # a difference with a non-finite level raises its OrderViolation below
 @np.errstate(over="ignore", invalid="ignore")
 def _h_orientations(fr_lo: np.ndarray, fr_hi: np.ndarray,
-                    streams: list[_StreamData]) -> dict:
+                    probes: _SideProbes) -> dict:
     """Which classical-difference orientations appear among right probes:
     how many of f(p) -H f(rho) and of f(rho) -H f(p) exist (h_diff), from
     the probes' level rows and f's levels at rho (fr)."""
-    d_lo = np.concatenate([s.lower for s in streams]) - fr_lo
-    d_hi = np.concatenate([s.upper for s in streams]) - fr_hi
+    d_lo = probes.lower - fr_lo
+    d_hi = probes.upper - fr_hi
     # f(p) - f(rho) in the first half of the rows, f(rho) - f(p) in the second
     gh = gh_exists(np.concatenate([d_lo, -d_lo]), np.concatenate([d_hi, -d_hi]))
     gh.raise_nonfinite()
@@ -766,14 +734,10 @@ def _not_differentiable(err: GhNonexistent | LimitDisagreement) -> DerivativeRes
     """The NotDifferentiable result for a derivative that failed with err,
     with the reason in evidence."""
     return DerivativeResult(
-        t=err.endpoint_report.t,
-        value=None,
-        case=DiffCase.NOT_DIFFERENTIABLE,
-        residual=math.inf,
-        endpoint_report=err.endpoint_report,
+        t=err.endpoint_report.t, value=None, case=DiffCase.NOT_DIFFERENTIABLE,
+        residual=math.inf, endpoint_report=err.endpoint_report,
         evidence={"failure": type(err).__name__, "message": str(err),
-                  "diagnostics": _jsonable(getattr(err, "diagnostics", {}))},
-    )
+                  "diagnostics": _jsonable(getattr(err, "diagnostics", {}))})
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +757,37 @@ def _records(ts: TimeScale, points) -> tuple[list[PointClass], NotInDomain | Non
     return records, None
 
 
-# the records of a pass that share one evaluation step: at 101 levels a
-# chunk's (64, K+1) stack is 52 KB, under glibc's 128 KB mmap threshold, so
-# each chunk reuses the heap the chunk before it freed, and a pass's memory
-# does not grow with its points; a joint pass of several functions has as
-# many times fewer records per chunk
-CHUNK_RECORDS = 64
+# the rows of a chunk's level stack, its distinct points times its
+# functions: at 101 levels a (128, K+1) stack is 101 KB, under glibc's
+# 128 KB mmap threshold, so each chunk reuses the heap the chunk before it
+# freed, and a pass's memory does not grow with its points; a record that
+# reads more points than that is a chunk of its own
+CHUNK_ROWS = 128
+
+
+def _chunks(ts: TimeScale, records: list[PointClass], width: int,
+            cfg: ProbeConfig):
+    """The records in chunks that read at most CHUNK_ROWS // width points,
+    each a list of (record, the probe streams of its sides, left then
+    right, None for a scattered one) and the slot of each point the chunk
+    reads, in the order its records read them: each record's t, its left
+    side's rho or probes, its right side's sigma or probes, then rho."""
+    chunk, slot, n = [], {}, cfg.probe_count
+    for pc in records:
+        left = None if pc.left is Side.SCATTERED else ts.approach_streams(pc.t, "left", n)
+        right = (None if pc.right is Side.SCATTERED
+                 else ts.approach_streams(pc.t, "right", n))
+        pts = [pc.t, *([pc.rho] if left is None else (p for s in left for p in s.points)),
+               *([pc.sigma] if right is None else (p for s in right for p in s.points)),
+               pc.rho]
+        if chunk and (len(slot) + len(set(pts).difference(slot))) * width > CHUNK_ROWS:
+            yield chunk, slot
+            chunk, slot = [], {}
+        chunk.append((pc, (left, right)))
+        for p in pts:
+            slot.setdefault(p, len(slot))
+    if chunk:
+        yield chunk, slot
 
 
 def _stacked(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -814,42 +803,41 @@ def _stacked(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([full(hi) for _lo, hi, _err in cols]))
 
 
-def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
-              cfg: ProbeConfig, cached: int = _CACHED_POINTS):
+def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
+              cfg: ProbeConfig, cached: int):
     """Each record's (analyses, err), in record order: the analyses of the
     first of width functions (each one's endpoint report, probe data,
     first failed probe, levels at t and rho, and jump, for _derive), and
     the error the next one raises there (None when all are there), which
     a caller that reads them in order raises at that one's turn.
 
-    rows(pts, cached, m) is the evaluation step of the first m functions,
-    one (lo, hi, err) each as _evaluate gives them: at once at every
-    record's t, rho and sigma, then at each dense side's probes. One
-    _jump_rows call gives the quotient of every distinct scattered pair
-    the records read, (rho, t) and (t, sigma): a record's jump is its
-    (rho, t) row, and its scattered sides are the rows of both pairs, as
-    row views. The levels at t and rho are the function's values there,
-    bit for bit (rho is t at a left-dense record, but at a 0 that a
-    reciprocal grid approaches from the left).
+    rows(pts, cached) is the evaluation step of the width functions, one
+    (lo, hi, err) each as _evaluate gives them, at the chunk's points in
+    slot order (_chunks), so that a function's rows end at the first
+    record that meets its error. One _jump_rows call gives the quotient of
+    every distinct scattered pair the records read, (rho, t) and (t,
+    sigma): a record's jump is its (rho, t) row, and its scattered sides
+    are the rows of both pairs, as row views. One _probe_rows call gives
+    every probed side its probe data. The levels at t and rho are the
+    function's values there, bit for bit.
     """
-    # each record's rows of the evaluation step, in the loop's order, and
-    # the scattered pairs (a, b), a < b, it reads: the jumps, then the
-    # right sides that are no jump
-    slot: dict[float, int] = {}
-    jumps, rights = {}, {}
-    for pc in records:
-        slot.setdefault(pc.t, len(slot))
-        slot.setdefault(pc.rho, len(slot))
-        if pc.left is Side.SCATTERED:
-            jumps[pc.rho, pc.t] = None
-        if pc.right is Side.SCATTERED:
-            slot.setdefault(pc.sigma, len(slot))
-            rights[pc.t, pc.sigma] = None
-    pairs = {pair: j for j, pair in enumerate({**jumps, **rights})}
     npts = len(slot)
-    cols = rows(list(slot), cached, width)
+    cols = rows(list(slot), cached)
     have = [len(lo) for lo, _hi, _err in cols]
     lo, hi = _stacked(cols, npts)
+    # the scattered pairs (a, b), a < b, the records read: the jumps, then
+    # the right sides that are no jump; and the probed sides
+    jumps, rights, probed = {}, {}, []
+    for pc, (left, right) in chunk:
+        if left is None:
+            jumps[pc.rho, pc.t] = None
+        elif left:
+            probed.append((pc.t, "left", left))
+        if right is None:
+            rights[pc.t, pc.sigma] = None
+        elif right:
+            probed.append((pc.t, "right", right))
+    pairs = {pair: j for j, pair in enumerate({**jumps, **rights})}
     if pairs:  # only a scattered side reads its pair's rows
         # function i's row of pair j is j * width + i, so the jumps lead
         shift = range(0, width * npts, npts)  # each function's first row
@@ -859,6 +847,8 @@ def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
                               lo.take(a, axis=0), hi.take(a, axis=0),
                               np.array([q - p for p, q in pairs for _s in shift]),
                               cfg, width * len(jumps))
+    if probed:  # only a probed side reads the probe kernel
+        gh, probed_side = _probe_rows(lo, hi, npts, width, slot, probed)
     alphas = alpha_grid(lo.shape[1] - 1)
     m, err = width, None  # the functions a record reads, and the next's error
     short = min(have) < npts  # only then may a record read past some rows
@@ -871,17 +861,18 @@ def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
                 m, err = i, cols[i][2]
                 return
 
-    for pc in records:
+    k = 0  # the chunk's probed sides before the record's
+    for pc, sides in chunk:
         m, err = width, None
         if short:
             reach(pc.t)
         it = slot[pc.t]
         ft = [(lo[i * npts + it], hi[i * npts + it]) for i in range(m)]
         found = [([], {}, [None]) for _ in range(width)]  # sides, probes, failure
-        for name, density, neighbor, pair in (
-                ("left", pc.left, pc.rho, (pc.rho, pc.t)),
-                ("right", pc.right, pc.sigma, (pc.t, pc.sigma))):
-            if density is Side.SCATTERED:
+        for name, streams, neighbor, pair in (
+                ("left", sides[0], pc.rho, (pc.rho, pc.t)),
+                ("right", sides[1], pc.sigma, (pc.t, pc.sigma))):
+            if streams is None:
                 if short:
                     reach(neighbor)
                 for i in range(m):
@@ -889,47 +880,66 @@ def _analyses(rows, width: int, ts: TimeScale, records: list[PointClass],
                     found[i][0].append(SideData(
                         "scattered", quotient.side_lo[row], quotient.side_hi[row]))
                 continue
-            read = _probe_side(rows, ts, pc.t, name, cfg, ft[:m]) if m else []
-            for i, got in enumerate(read):
-                if isinstance(got, Exception):
-                    m, err = i, got
+            if not streams:
+                for report_sides, _probes, _failure in found[:m]:
+                    report_sides.append(SideData(kind="absent"))
+                continue
+            for i in range(m):
+                own, got = probed_side(k, i)
+                # a function raises a difference that is not finite among
+                # its probes before the first without a row, then its error
+                n = len(got.points)
+                reached = next((j for j, p in enumerate(got.points)
+                                if slot[p] >= have[i]), n) if short else n
+                try:
+                    gh.raise_nonfinite(slice(own.start, own.start + reached))
+                except OrderViolation as nonfinite:
+                    m, err = i, nonfinite
                     break
-                (streams, failed), (report_sides, probes, failure) = got, found[i]
-                failure[0] = failure[0] or failed
-                if streams:
-                    probes[name] = streams
-                report_sides.append(_limit_side(streams, cfg) if streams
-                                    else SideData(kind="absent"))
+                if reached < n:
+                    m, err = i, cols[i][2]
+                    break
+                report_sides, probes, failure = found[i]
+                cases = [c for stream in got.gh_cases for c in stream]
+                if failure[0] is None and GhCase.NONE.value in cases:
+                    j = cases.index(GhCase.NONE.value)
+                    failure[0] = GhNonexistent(
+                        f"generalized difference does not exist at probe "
+                        f"{got.points[j]!r} ({name} of {pc.t!r})",
+                        {"probe": got.points[j], "side": name,
+                         **gh.diagnostics(own.start + j)})
+                probes[name] = got
+                report_sides.append(_limit_side(got, cfg))
+            k += 1
         if short:
             reach(pc.rho)
         ir = slot[pc.rho]
         yield [(EndpointReport(pc.t, alphas, *report_sides, pc), probes, failure[0],
                 ft[i], (lo[i * npts + ir], hi[i * npts + ir]),
-                (quotient, pairs[pc.rho, pc.t] * width + i)
-                if pc.left is Side.SCATTERED else None)
+                (quotient, pairs[pc.rho, pc.t] * width + i) if sides[0] is None else None)
                for i, (report_sides, probes, failure) in enumerate(found[:m])], err
 
 
 def _joint_pass(rows, width: int, ts: TimeScale, records: list[PointClass],
                 cfg: ProbeConfig):
     """Each record's analyses (_analyses) of the width functions rows
-    evaluates: one record's through the memo cache, more per chunk of
-    CHUNK_RECORDS // width records, stacked. A point that two chunks read
-    is evaluated in each; a plain callable is called at a chunk's t, rho
-    and sigma first, then at each record's probes at its turn."""
+    evaluates, per chunk of records (_chunks): a lone record's points
+    through the memo cache when they are no more than it holds, else
+    stacked. A point that two chunks read is evaluated in each; a plain
+    callable is called at each record's points in record order, each point
+    once a chunk."""
+    chunks = _chunks(ts, records, width, cfg)
     if len(records) == 1:
-        return _analyses(rows, width, ts, records, cfg)
-    size = CHUNK_RECORDS // width
+        return _analyses(rows, width, *next(chunks), cfg, _CACHED_POINTS)
     return itertools.chain.from_iterable(
-        _analyses(rows, width, ts, records[start:start + size], cfg, cached=0)
-        for start in range(0, len(records), size))
+        _analyses(rows, width, chunk, slot, cfg, 0) for chunk, slot in chunks)
 
 
 def _pass(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
           cfg: ProbeConfig):
     """Each record's analysis of f alone, in order (_joint_pass); an error
     is raised at the turn of the record where it arises."""
-    def rows(pts, cached, _m):
+    def rows(pts, cached):
         return [_evaluate(f, pts, cached)]
 
     for analyses, err in _joint_pass(rows, 1, ts, records, cfg):
@@ -988,8 +998,8 @@ def derivative_report(f: FuzzyFunction, ts: TimeScale, t: float,
 def nabla_many(f: FuzzyFunction, ts: TimeScale, points,
                cfg: ProbeConfig = DEFAULT_CONFIG) -> list[DerivativeResult]:
     """derivative_report at every point, in order, from one pass over the
-    points' records: per chunk of 64 records, f is read once at every t,
-    rho and sigma (a bound definition in one stack)."""
+    points' records: per chunk of records (_chunks), f is read once at
+    every point they read (a bound definition in one stack)."""
     _require_function(f)
     records, err = _records(ts, points)
     out = list(_derivatives(f, ts, records, cfg, report=True))
@@ -1076,24 +1086,20 @@ def _level_residual(f: FuzzyFunction, ts: TimeScale, r: DerivativeResult,
         return float(worst)
 
     # dense: replicate the estimation per level with scalar arithmetic
-    sides = []
-    for side in ("left", "right"):
-        if side == "left" and pc.left is not Side.DENSE:
-            continue
-        if side == "right" and pc.right is not Side.DENSE:
-            continue
-        streams = ts.approach_streams(t, side, cfg.probe_count)
-        if streams:
-            sides.append((side, streams))
+    sides = [ts.approach_streams(t, side, cfg.probe_count)
+             for side, density in (("left", pc.left), ("right", pc.right))
+             if density is Side.DENSE]
     Ft = f(t)
+    # each stream with f at its probes, read once, in order
+    sides = [[(s, [f(p) for p in s.points]) for s in streams]
+             for streams in sides if streams]
     for k in range(K + 1):
         side_los, side_his = [], []
-        for side, streams in sides:
+        for streams in sides:
             s_lo, s_hi = [], []
-            for s in streams:
+            for s, values in streams:
                 q_lo, q_hi = [], []
-                for p in s.points:
-                    Fp = f(p)
+                for p, Fp in zip(s.points, values):
                     a = (Fp.lower[k] - Ft.lower[k]) / (p - t)
                     b = (Fp.upper[k] - Ft.upper[k]) / (p - t)
                     q_lo.append(min(a, b))

@@ -300,9 +300,9 @@ def _analysis_slopes(analysis) -> tuple[float, list[float]]:
     if pc.left is Side.SCATTERED:
         slopes.append((wt - _width(*fr)) / pc.nu)
     for side in ("left", "right"):
-        for s in probes.get(side, ()):
-            p = s.points[-1]
-            slopes.append((_width(s.lower[-1], s.upper[-1]) - wt) / (p - t))
+        got = probes.get(side)
+        for j in got.near if got is not None else ():
+            slopes.append((_width(got.lower[j], got.upper[j]) - wt) / (got.points[j] - t))
     return wt, slopes
 
 
@@ -407,16 +407,12 @@ def _sum_rows(f: FuzzyFunction, g: FuzzyFunction):
     """The evaluation step (nabla._analyses) of f, g and f + g, whose rows
     are f's and g's added, bit for bit add(f(p), g(p)), up to the first
     point where f or g has none, with that point's error (f's first)."""
-    def rows(pts, cached, m):
-        out = [_evaluate(f, pts, cached)]
-        if m > 1:
-            out.append(_evaluate(g, pts, cached))
-        if m > 2:
-            (flo, fhi, ferr), (glo, ghi, gerr) = out
-            n = min(len(flo), len(glo))
-            out.append((flo[:n] + glo[:n], fhi[:n] + ghi[:n],
-                        ferr if len(flo) == n else gerr))
-        return out
+    def rows(pts, cached):
+        (flo, fhi, ferr), (glo, ghi, gerr) = out = [
+            _evaluate(f, pts, cached), _evaluate(g, pts, cached)]
+        n = min(len(flo), len(glo))
+        return out + [(flo[:n] + glo[:n], fhi[:n] + ghi[:n],
+                       ferr if len(flo) == n else gerr)]
     return rows
 
 
@@ -428,7 +424,7 @@ def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
     error. fs * g's rows are g's scaled by fs(p), bit for bit
     scalar_mul(fs(p), g(p)), up to the first point where fs or g has
     none, with that point's error (fs's first)."""
-    def rows(pts, cached, m):
+    def rows(pts, cached):
         k, err = np.empty(len(pts)), None
         for j, p in enumerate(pts):
             try:
@@ -439,19 +435,13 @@ def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
                 k, err = k[:j], e
                 break
         levels = np.repeat(k[:, None], g.K + 1, axis=1)
-        out = [(levels, levels, err)]
-        if m < 2:
-            return out
         glo, ghi, gerr = got = _evaluate(g, pts, cached)
-        out.append(got)
-        if m < 3:
-            return out
         n = min(len(k), len(glo))
         lo, hi = k[:n, None] * glo[:n], k[:n, None] * ghi[:n]
         swap = k[:n] < 0  # a negative factor swaps the endpoints
         if swap.any():
             lo[swap], hi[swap] = hi[swap], lo[swap]
-        return out + [(lo, hi, err if len(k) == n else gerr)]
+        return [(levels, levels, err), got, (lo, hi, err if len(k) == n else gerr)]
     return rows
 
 
@@ -475,13 +465,13 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
         _require_function(a, g)
         if a.K != g.K:
             raise GridMismatch(f"level grids differ: K={a.K} vs K={g.K}")
-        rows, width = _sum_rows(a, g), 3
+        rows = _sum_rows(a, g)
     else:
         _require_function(g)
-        rows, width = _product_rows(a, g), 3
+        rows = _product_rows(a, g)
     graded = _GRADERS[rule]
     records, err = _records(ts, points)
-    passes = _joint_pass(rows, width, ts, records, cfg)
+    passes = _joint_pass(rows, 3, ts, records, cfg)
     for pc in records:
         # an overflowing sum or product gives non-finite levels, quietly: the
         # pass rejects them by name, and a non-finite residual fails its check

@@ -857,6 +857,18 @@ CHUNK_RULE_RUN = ["--timescale", CHUNK_RULE_SCALE, CHUNK_RULE_POINTS]
 # every jump of a grid whose nu = 0.3 is not a power of two, so that
 # (1/nu)*d and d/nu may differ in the last bit
 TENTH_GRID_RUN = ["--timescale", "hgrid(0,3,0.3)", "--points", "all-scattered"]
+# a dense pass over several chunks: 63 points of interval(0,1) and 9 of a
+# grid inside it, whose points are approached by two streams on each side;
+# 0 jumps from -1 with a dense right side. The lower endpoint kinks at 0.8
+# (the one-sided limits split) and the upper one bends from 0.53 on (the
+# grid's streams split from the interval's): both are NotDifferentiable
+DENSE_KINK = "((t - 0.8) + sqrt((t - 0.8)^2))/2"
+DENSE_BEND = "((t - 0.53) + sqrt((t - 0.53)^2))^2"
+DENSE_CHUNK_RUN = [
+    "--timescale", "union(points(-2,-1), interval(0,1), hgrid(0.5,0.55,0.0005))",
+    "--fn", f"tri(t - 2 - {DENSE_KINK}, t, 3*t + 7 + {DENSE_KINK} + {DENSE_BEND})",
+    "--points=" + ",".join(repr(p) for p in [-1.0, 0.0, 0.8] + [k / 64 for k in range(1, 64)]
+                           + [0.5 + 0.0005 * k for k in range(1, 100, 11)])]
 
 
 class TestGoldenBytes:
@@ -940,6 +952,15 @@ class TestGoldenBytes:
             "--format", fmt], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_dense_rows_across_chunks(self, capsys):
+        # 75 records, 72 of them probed, derived in several chunks: every
+        # probed side's evidence, limits and failures across chunk bounds
+        code, out, err = run(["diff", *DENSE_CHUNK_RUN, "--levels", "4",
+                              "--format", "json"], capsys)
+        assert code == 2, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b6a2a1f30b5171e3db35de2f9346bbb2fa4b1ee7655c0e4018100c8c155d748d")
 
     @pytest.mark.parametrize("argv, fmt, digest", [
         (["sum", "--fn", CHUNK_RULE_F, "--fn", CHUNK_RULE_G, *CHUNK_RULE_RUN], "csv",

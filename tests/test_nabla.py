@@ -458,6 +458,26 @@ class TestLevelConsistency:
         cfg = ProbeConfig(agreement_tol=2e-2)
         assert check_level_consistency(f, ts, 0.0, cfg) <= 2e-2
 
+    def test_reads_each_probe_once(self):
+        # at an interval point of the rule-check benchmark's scale at 101
+        # levels, the oracle reads f at t and at each of its 16 probes once,
+        # not once a level (1,617 calls, all but one missing the memo cache)
+        ts = parse_timescale("union(interval(0,1), hgrid(1,430,1))")
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return triangular(0.18 * t * t, 0.41 * t * t + t, 0.76 * t * t + 2 * t, 100)
+
+        f = FuzzyFunction(fn, K=100)
+        r = nabla_gh(f, ts, 0.5)
+        calls.clear()
+        assert nabla._level_residual(f, ts, r, ProbeConfig()) <= 1e-6
+        probes = [p for side in ("left", "right")
+                  for s in ts.approach_streams(0.5, side, 8) for p in s.points]
+        assert len(probes) == 16
+        assert calls == [0.5] + probes
+
 
 class TestConfig:
     def test_probe_count_floor(self):
@@ -931,12 +951,21 @@ class TestOnePipeline:
         got = TestNablaMany.outcome(lambda: nabla_many(f_many, MIXED, pts))
         assert got == expect
         assert isinstance(got, list)
-        # the loop's points, each once: the chunk's t, rho and sigma first
-        # (rho(-2) = -3), then each record's probes (the loop may read a
-        # point again once its probes have left the memo cache)
-        assert len(log_many) == len(set(log_many))
+        # the loop's points, each once, in record order: a record's t, then
+        # its left side's rho (rho(-2) = -3) or probes, then its right
+        # side's sigma or probes (the loop may read a point again once its
+        # probes have left the memo cache)
+        want = []
+        for t in pts:
+            pc = MIXED.classify(t)
+            want.append(t)
+            for side, density, neighbor in (("left", pc.left, pc.rho),
+                                            ("right", pc.right, pc.sigma)):
+                want += ([neighbor] if density is Side.SCATTERED else
+                         [p for s in MIXED.approach_streams(t, side, 8)
+                          for p in s.points])
         assert set(log_many) == set(log_loop)
-        assert sorted(log_many[:9]) == sorted(pts + [-3.0])
+        assert log_many == list(dict.fromkeys(want))
 
     def test_earlier_record_raises_first(self):
         # 0.5's right probes fail, and f returns no fuzzy number at 3: the
@@ -1238,6 +1267,17 @@ def chunk_scale(bad=()) -> TimeScale:
     return parse_timescale(spec + ")")
 
 
+def chunk_bounds(ts: TimeScale, pts, width: int) -> list[tuple[int, int]]:
+    """The index of the first and of the last record of each chunk of a
+    pass of width functions over pts."""
+    records, _err = nabla._records(ts, pts)
+    bounds, start = [], 0
+    for chunk, _slot in nabla._chunks(ts, records, width, ProbeConfig()):
+        bounds.append((start, start + len(chunk) - 1))
+        start += len(chunk)
+    return bounds
+
+
 @st.composite
 def chunked_points(draw):
     """65 to 200 points of chunk_scale, in drawn order, and the points
@@ -1251,10 +1291,9 @@ def chunked_points(draw):
     if draw(st.booleans()):
         draw(st.randoms(use_true_random=False)).shuffle(pts)
     bad = set()
-    chunks = -(-n // nabla.CHUNK_RECORDS)
+    bounds = chunk_bounds(chunk_scale(), pts, 1)
     for _ in range(draw(st.integers(0, 2))):
-        c = draw(st.integers(0, chunks - 1)) * nabla.CHUNK_RECORDS
-        i = draw(st.sampled_from([c, min(c + nabla.CHUNK_RECORDS, n) - 1]))
+        i = draw(st.sampled_from(draw(st.sampled_from(bounds))))
         if pts[i] >= 0:
             pts[i] += 0.5
             bad.add(pts[i])
@@ -1274,8 +1313,10 @@ RULE_POINTS = [
 
 
 class TestChunkedPass:
-    """A pass over many records runs per chunk of CHUNK_RECORDS records:
-    one stack each, with results and raised errors those of the per-point
+    """A pass over many records runs per chunk of records that read at
+    most CHUNK_ROWS points (a chunk of consecutive grid points reads its
+    records' t, the first one's rho and the last one's sigma): one stack
+    each, with results and raised errors those of the per-point
     loop, also when a point's rho lies in an earlier chunk or f fails at
     the first or the last record of a chunk."""
 
@@ -1306,7 +1347,7 @@ class TestChunkedPass:
             lambda: nabla_many(unchecked(src, ts, K=4), ts, pts))
         assert many == (loop[0] if loop[1] is None else loop[1])
 
-    @pytest.mark.parametrize("n", [2, 63, 64, 65, 128, 129, 200])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 126, 127, 128, 129, 200])
     def test_one_stack_per_chunk(self, n, monkeypatch):
         ts = chunk_scale()
         f = bind_function(parse_function(CHUNK_SOURCES[0]), ts, K=K)
@@ -1319,9 +1360,9 @@ class TestChunkedPass:
 
         monkeypatch.setattr(FuzzyFunction, "stack", counted)
         nabla_many(f, ts, [float(k) for k in range(1, n + 1)])
-        assert len(sizes) == -(-n // nabla.CHUNK_RECORDS)
         # a chunk stacks its records' t, their rho and the last one's sigma
-        assert sizes[0] == min(n, nabla.CHUNK_RECORDS) + 2
+        size = nabla.CHUNK_ROWS - 2
+        assert sizes == [min(size, n - start) + 2 for start in range(0, n, size)]
 
     @staticmethod
     def jump_passes(monkeypatch) -> list:
@@ -1348,7 +1389,7 @@ class TestChunkedPass:
         got = [json.dumps(r.to_dict(), sort_keys=True) for r in nabla_many(f, ts, pts)]
         assert got == expect
         # a chunk's pairs are its records' jumps and the last one's right side
-        size = nabla.CHUNK_RECORDS
+        size = nabla.CHUNK_ROWS - 2
         assert rows == [min(size, n - start) + 1 for start in range(0, n, size)]
 
     def test_no_jump_pass_without_a_jump(self, monkeypatch):
@@ -1398,11 +1439,11 @@ class TestJointPass:
     every function's rows through one kernel call per step."""
 
     def test_check_sum_stacks_f_and_g_once(self, monkeypatch, capsys):
-        # the rule-check benchmark's check sum: f and g are each stacked at
-        # every chunk's t, rho and sigma and at every probe, once, and
-        # f + g never is (each was stacked 1,584 times when f + g was a
-        # pass of its own); no chunk's array reaches glibc's 128 KB mmap
-        # threshold
+        # the rule-check benchmark's check sum: f and g are each stacked
+        # once a chunk at every t, rho, sigma and probe its records read,
+        # and f + g never is (each was stacked 1,584 times when f + g was
+        # a pass of its own, 820 when a chunk's probes were stacked side by
+        # side); no chunk's array reaches glibc's 128 KB mmap threshold
         stacked, sizes = {}, []
         stack, jump_rows, joint = FuzzyFunction.stack, nabla._jump_rows, nabla._stacked
 
@@ -1427,19 +1468,22 @@ class TestJointPass:
                          "--fn", RULE_G, points]) == 0
         capsys.readouterr()
 
+        # a chunk takes records while the points they read, t, rho, sigma
+        # at a scattered right side and the probes of each dense side, are
+        # at most CHUNK_ROWS // 3
         ts = parse_timescale(RULE_SCALE)
-        records = [ts.classify(t) for t in RULE_POINTS]
-        size = nabla.CHUNK_RECORDS // 3
-        want = 0
-        for start in range(0, len(records), size):
-            chunk = records[start:start + size]
-            want += len({p for pc in chunk for p in (pc.t, pc.rho) + (
-                (pc.sigma,) if pc.right is Side.SCATTERED else ())})
-            want += sum(len(s.points) for pc in chunk
-                        for side, density in (("left", pc.left), ("right", pc.right))
-                        if density is Side.DENSE
-                        for s in ts.approach_streams(pc.t, side, 8))
-        assert sorted(stacked.values()) == [want, want] == [820, 820]
+        want, chunk = 0, set()
+        for t in RULE_POINTS:
+            pc = ts.classify(t)
+            pts = {pc.t, pc.rho} | ({pc.sigma} if pc.right is Side.SCATTERED else set())
+            pts |= {p for side, density in (("left", pc.left), ("right", pc.right))
+                    if density is Side.DENSE
+                    for s in ts.approach_streams(pc.t, side, 8) for p in s.points}
+            if chunk and 3 * len(chunk | pts) > nabla.CHUNK_ROWS:
+                want, chunk = want + len(chunk), set()
+            chunk |= pts
+        want += len(chunk)
+        assert sorted(stacked.values()) == [want, want] == [798, 798]
         assert sizes and max(sizes) < 128 * 1024
 
     @pytest.mark.parametrize("t, pair_rows", [(-2.0, 6), (0.0, 3)])
@@ -1459,6 +1503,80 @@ class TestJointPass:
         monkeypatch.setattr(nabla, "_jump_rows", counted_jumps)
         sum_rule(f, g, MIXED, t)
         assert calls == [(pair_rows, 3)]
+
+
+class TestDenseChunk:
+    """A chunk of probed records reads each function once, at its records'
+    t and probes, in one evaluation step, and takes every probe's quotient
+    from one gh_exists call; its level stack stays under 128 KB at 101
+    levels; a plain callable is called in record order and stops at the
+    first point that raises, which is raised at its record's turn."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_one_step_and_one_kernel_call_per_chunk(self, width, monkeypatch):
+        # the rule-check benchmark's 20 interval points, each read at t and
+        # at 8 probes on either side: as many of them in a chunk as fit
+        # 128 rows of the functions' stack
+        ts = parse_timescale(RULE_SCALE)
+        pts = RULE_POINTS[:20]
+        f = bind_function(parse_function(RULE_F), ts)
+        g = bind_function(parse_function(RULE_G), ts)
+        run = ((lambda: nabla_many(f, ts, pts)) if width == 1 else
+               (lambda: list(_graded_many("sum", f, g, ts, pts))))
+        expect = [json.dumps(r.to_dict(), sort_keys=True, default=str) for r in run()]
+        steps, kernel, sizes = {}, [], []
+        stack, gh_exists, joint = FuzzyFunction.stack, nabla.gh_exists, nabla._stacked
+
+        def counted_stack(self, t):
+            steps.setdefault(id(self), []).append(len(t))
+            return stack(self, t)
+
+        def counted_kernel(d_lo, d_hi):
+            kernel.append(len(d_lo))
+            return gh_exists(d_lo, d_hi)
+
+        def counted_joint(cols, n):
+            lo, hi = joint(cols, n)
+            sizes.append(lo.nbytes)
+            return lo, hi
+
+        monkeypatch.setattr(FuzzyFunction, "stack", counted_stack)
+        monkeypatch.setattr(nabla, "gh_exists", counted_kernel)
+        monkeypatch.setattr(nabla, "_stacked", counted_joint)
+        assert [json.dumps(r.to_dict(), sort_keys=True, default=str)
+                for r in run()] == expect
+        size = nabla.CHUNK_ROWS // (17 * width)
+        chunks = [min(size, 20 - start) for start in range(0, 20, size)]
+        assert len(chunks) > 1
+        assert list(steps.values()) == [[17 * n for n in chunks]] * min(width, 2)
+        assert kernel == [16 * width * n for n in chunks]
+        assert len(sizes) == len(chunks) and max(sizes) < 128 * 1024
+
+    def test_plain_callable_in_record_order(self):
+        # f fails at the third right probe of 0.5: it is called at 0.25's
+        # points, then at 0.5's up to that probe, and 0.25's result comes
+        # before the error
+        pts = [0.25, 0.5, 0.75]
+        bad = 0.5 + 2.5e-05
+        log = []
+
+        def fn(t):
+            log.append(t)
+            if t == bad:
+                raise ValidationError(f"no value at t={t!r}")
+            return triangular(t - 1.0, t, t + 1.0 + t * t, K)
+
+        records, _err = nabla._records(UNIT, pts)
+        results = nabla._derivatives(FuzzyFunction(fn, K=K), UNIT, records,
+                                     ProbeConfig(), report=True)
+        assert next(results).t == 0.25
+        with pytest.raises(ValidationError, match="no value at t=0.500025"):
+            next(results)
+        reads = [p for t in pts for p in [t] + [
+            p for side in ("left", "right")
+            for s in UNIT.approach_streams(t, side, 8) for p in s.points]]
+        assert bad in reads
+        assert log == reads[:reads.index(bad) + 1]
 
 
 # -- the row operations as they were before the stacked step, kept as the ----
@@ -1709,7 +1827,7 @@ class TestRowKernels:
         assert got == expect
         # a chunk of consecutive points reads its records' jumps and the
         # last one's right side: one pair row more than its records
-        size = nabla.CHUNK_RECORDS
+        size = nabla.CHUNK_ROWS - 2
         assert steps == [min(size, n - start) + 1 for start in range(0, n, size)]
 
     def test_chunk_results_share_no_writable_array(self):

@@ -837,15 +837,14 @@ def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
             rights[pc.t, pc.sigma] = None
         elif right:
             probed.append((pc.t, "right", right))
-    pairs = {pair: j for j, pair in enumerate({**jumps, **rights})}
+    pairs = dict(zip({**jumps, **rights}, itertools.count()))
     if pairs:  # only a scattered side reads its pair's rows
         # function i's row of pair j is j * width + i, so the jumps lead
         shift = range(0, width * npts, npts)  # each function's first row
-        a = [slot[p] + s for p, _q in pairs for s in shift]
-        b = [slot[q] + s for _p, q in pairs for s in shift]
+        a, b, nu = zip(*[(slot[p] + s, slot[q] + s, q - p)
+                         for p, q in pairs for s in shift])
         quotient = _jump_rows(lo.take(b, axis=0), hi.take(b, axis=0),
-                              lo.take(a, axis=0), hi.take(a, axis=0),
-                              np.array([q - p for p, q in pairs for _s in shift]),
+                              lo.take(a, axis=0), hi.take(a, axis=0), np.array(nu),
                               cfg, width * len(jumps))
     if probed:  # only a probed side reads the probe kernel
         gh, probed_side = _probe_rows(lo, hi, npts, width, slot, probed)
@@ -930,7 +929,8 @@ def _joint_pass(rows, width: int, ts: TimeScale, records: list[PointClass],
     once a chunk."""
     chunks = _chunks(ts, records, width, cfg)
     if len(records) == 1:
-        return _analyses(rows, width, *next(chunks), cfg, _CACHED_POINTS)
+        (chunk, slot), = chunks  # run to its end, not left suspended
+        return _analyses(rows, width, chunk, slot, cfg, _CACHED_POINTS)
     return itertools.chain.from_iterable(
         _analyses(rows, width, chunk, slot, cfg, 0) for chunk, slot in chunks)
 

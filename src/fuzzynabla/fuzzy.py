@@ -74,14 +74,14 @@ class FuzzyNumber:
     def __init__(self, lower, upper, validate: bool = True):
         lo = np.array(lower, dtype=float)
         hi = np.array(upper, dtype=float)
-        if lo.ndim != 1 or hi.ndim != 1 or len(lo) != len(hi) or len(lo) < 1:
+        if lo.ndim != 1 or lo.shape != hi.shape or not lo.size:
             raise OrderViolation("level arrays must be 1-d, equal length, nonempty")
         self._lower = lo
         self._upper = hi
         if validate:
             self.validate()
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        lo.setflags(write=False)
+        hi.setflags(write=False)
 
     # -- construction ---------------------------------------------------
 
@@ -246,22 +246,26 @@ class GhDiffResult:
 
 
 def _require_same_grid(u: FuzzyNumber, v: FuzzyNumber) -> None:
-    if u.K != v.K:
+    if len(u._lower) != len(v._lower):
         raise GridMismatch(f"level grids differ: K={u.K} vs K={v.K}")
 
 
 def add(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
     """Level-wise sum: [u+v]_a = [u_a^- + v_a^-, u_a^+ + v_a^+]."""
     _require_same_grid(u, v)
-    return FuzzyNumber(u.lower + v.lower, u.upper + v.upper, validate=False)
+    return FuzzyNumber(u._lower + v._lower, u._upper + v._upper, validate=False)
 
 
 def scalar_mul(k: float, u: FuzzyNumber) -> FuzzyNumber:
     """Level-wise scalar multiple; a negative k swaps the endpoints."""
     k = float(k)
     if k >= 0:
-        return FuzzyNumber(k * u.lower, k * u.upper, validate=False)
-    return FuzzyNumber(k * u.upper, k * u.lower, validate=False)
+        return FuzzyNumber(k * u._lower, k * u._upper, validate=False)
+    return FuzzyNumber(k * u._upper, k * u._lower, validate=False)
+
+
+# the gH case by its code, 2 * (case (i) exists) + (case (ii) exists)
+_GH_CASES = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
 
 
 class GhRows(NamedTuple):
@@ -283,8 +287,7 @@ class GhRows(NamedTuple):
             raise OrderViolation(_NOT_FINITE)
 
     def cases(self) -> list[GhCase]:
-        by_code = (GhCase.NONE, GhCase.CASE_II, GhCase.CASE_I, GhCase.BOTH)
-        return [by_code[2 * i + ii]
+        return [_GH_CASES[2 * i + ii]
                 for i, ii in zip(self.ok_i.tolist(), self.ok_ii.tolist())]
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -303,33 +306,33 @@ class GhRows(NamedTuple):
 
 
 def gh_exists(d_lo: np.ndarray, d_hi: np.ndarray) -> GhRows:
-    """The row-wise gH test on (N, K+1) stacks of candidate endpoints
+    """The row-wise gH test on (N, K+1) float stacks of candidate endpoints
     u^- - v^- and u^+ - v^+: case (i) exists when d_lo is non-decreasing,
     d_hi is non-increasing and d_lo <= d_hi; case (ii) is the same test
     with the roles swapped. Violations up to MONO_RTOL * (1 + row
     magnitude) are forgiven. Levels are a fuzzy number exactly when they
-    are finite and their case (i) against 0 exists."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one (N, K+1) buffer holds |d_lo|, |d_hi|, then the gaps
-        buf = np.abs(d_lo, dtype=float)
-        mag_lo = np.maximum.reduce(buf, axis=1)
-        mag_hi = np.maximum.reduce(np.abs(d_hi, out=buf), axis=1)
-        # mag_hi if mag_hi > mag_lo else mag_lo, as Python's max: a NaN upper
-        # candidate leaves the tests on
-        mag = np.maximum(mag_lo, np.fmax(mag_hi, mag_lo))
-        tol = MONO_RTOL * (1.0 + mag)
-        # the steps of d_lo and of -d_hi: case (i) needs each >= -tol, case
-        # (ii) each <= tol, and a NaN step fails no test (their maxima
-        # overwrite dl)
-        dl = d_lo[:, 1:] - d_lo[:, :-1]
-        ndh = d_hi[:, :-1] - d_hi[:, 1:]
-        gap = np.subtract(d_lo, d_hi, out=buf)
-        ntol = -tol
-        ok_i = ~((np.fmin.reduce(np.fmin(dl, ndh), axis=1, initial=np.inf) < ntol)
-                 | (np.maximum.reduce(gap, axis=1) > tol))
-        ok_ii = ~((np.fmax.reduce(np.fmax(dl, ndh, out=dl), axis=1, initial=-np.inf) > tol)
-                  | (np.minimum.reduce(gap, axis=1) < ntol))
-        finite = np.isfinite(np.maximum(mag_lo, mag_hi))
+    are finite and their case (i) against 0 exists. Run under
+    np.errstate(over="ignore", invalid="ignore")."""
+    # one (N, K+1) buffer holds |d_lo|, |d_hi|, then the gaps
+    buf = np.abs(d_lo)
+    mag_lo = np.maximum.reduce(buf, axis=1)
+    mag_hi = np.maximum.reduce(np.abs(d_hi, out=buf), axis=1)
+    # mag_hi if mag_hi > mag_lo else mag_lo, as Python's max: a NaN upper
+    # candidate leaves the tests on
+    mag = np.maximum(mag_lo, np.fmax(mag_hi, mag_lo))
+    tol = MONO_RTOL * (1.0 + mag)
+    # the steps of d_lo and of -d_hi: case (i) needs each >= -tol, case
+    # (ii) each <= tol, and a NaN step fails no test (their maxima
+    # overwrite dl)
+    dl = d_lo[:, 1:] - d_lo[:, :-1]
+    ndh = d_hi[:, :-1] - d_hi[:, 1:]
+    gap = np.subtract(d_lo, d_hi, out=buf)
+    ntol = -tol
+    ok_i = ~((np.fmin.reduce(np.fmin(dl, ndh), axis=1, initial=np.inf) < ntol)
+             | (np.maximum.reduce(gap, axis=1) > tol))
+    ok_ii = ~((np.fmax.reduce(np.fmax(dl, ndh, out=dl), axis=1, initial=-np.inf) > tol)
+              | (np.minimum.reduce(gap, axis=1) < ntol))
+    finite = np.isfinite(np.maximum(mag_lo, mag_hi))
     return GhRows(ok_i, ok_ii, tol, finite, d_lo, d_hi, mag)
 
 
@@ -351,7 +354,8 @@ def require_fuzzy(lo: np.ndarray, hi: np.ndarray) -> None:
     if (np.logical_and.reduce(seq[:, 1:] >= seq[:, :-1], axis=None)
             and np.logical_and.reduce(np.isfinite(seq), axis=None)):
         return
-    rows = gh_exists(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = gh_exists(lo, hi)
     bad = ~(rows.ok_i & rows.finite)
     if not bad.any():
         return
@@ -407,9 +411,8 @@ def h_diff(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber | None:
 def hausdorff(u: FuzzyNumber, v: FuzzyNumber) -> float:
     """Supremum over levels of the endpoint distance."""
     _require_same_grid(u, v)
-    return float(
-        max(np.max(np.abs(u.lower - v.lower)), np.max(np.abs(u.upper - v.upper)))
-    )
+    return float(max(np.maximum.reduce(np.abs(u._lower - v._lower)),
+                     np.maximum.reduce(np.abs(u._upper - v._upper))))
 
 
 def triangular(a: float, b: float, c: float, K: int = 100) -> FuzzyNumber:

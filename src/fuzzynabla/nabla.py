@@ -175,8 +175,7 @@ def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
             return lo, hi, None
         except (FuzzyNablaError, ArithmeticError):
             pass  # f(p), in order, meets the error where it arises
-    lo = np.empty((len(pts), f.K + 1))
-    hi = np.empty_like(lo)
+    lo, hi = np.empty((2, len(pts), f.K + 1))
     for j, p in enumerate(pts):
         try:
             Fp = f(p)
@@ -212,15 +211,15 @@ class _SideProbes:
     near: list[int]
 
 
-# an overflowing quotient stays in the data; _dense_value rejects it by name
-@np.errstate(over="ignore", invalid="ignore")
 def _probe_rows(lo: np.ndarray, hi: np.ndarray, npts: int, width: int,
                 slot: dict[float, int], probed: list):
     """The probe kernel of a chunk whose level stacks hold function i's
     levels at p in row slot[p] + i * npts: the quotient rows of each probe
-    of each probed side (t, name, streams), function by function. One
-    gh_exists call, on f(p) gH- f(t) right of t and f(t) gH- f(p) left of
-    it, gives every gH case, diagnostic (as gh_diff gives them) and
+    of each probed side (t, name, streams), function by function, under
+    the caller's np.errstate(over="ignore", invalid="ignore"): an
+    overflowing quotient stays in the data, and _dense_value rejects it by
+    name. One gh_exists call, on f(p) gH- f(t) right of t and f(t) gH- f(p)
+    left of it, gives every gH case, diagnostic (as gh_diff gives them) and
     continuity gap. A stream's estimate is its nearest probe's quotient,
     Richardson extrapolated (2 Q[j] - Q[j-1]) when synthetic; its tail
     spread, that sequence's max pairwise spread over its trailing half (of
@@ -557,9 +556,10 @@ class _Jumps:
     gh: GhRows
 
 
-# an overflowing quotient stays in the report, as its own value; a jump
-# whose quotient is not finite is flagged (finite) and rejected in _derive
-@np.errstate(over="ignore", invalid="ignore")
+# a jump's case by its code, 2 * (crisp) + (case (i) exists)
+_JUMP_CASES = (DiffCase.CASE_II, DiffCase.CASE_I, DiffCase.CRISP, DiffCase.CRISP)
+
+
 def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
                fr_hi: np.ndarray, nu: np.ndarray, cfg: ProbeConfig,
                jumps: int) -> _Jumps:
@@ -577,25 +577,29 @@ def _jump_rows(ft_lo: np.ndarray, ft_hi: np.ndarray, fr_lo: np.ndarray,
     A row's quotient is finite exactly when its difference is (the
     kernel's finite) and so is the difference's largest magnitude (the
     kernel's mag) times 1/nu, since rounding keeps the order of |d|/nu.
+    Run under np.errstate(over="ignore", invalid="ignore"): an overflowing
+    quotient stays in the report, and a jump whose quotient is not finite
+    is flagged (finite) and rejected in _derive.
     """
-    d_lo, d_hi = ft_lo - fr_lo, ft_hi - fr_hi
+    # the differences and the quotients, lower endpoints in row 0
+    d = np.empty((2, *ft_lo.shape))
+    np.subtract(ft_lo, fr_lo, out=d[0])
+    np.subtract(ft_hi, fr_hi, out=d[1])
     k = 1.0 / nu
-    side_lo, side_hi = d_lo * k[:, None], d_hi * k[:, None]
-    side_lo.flags.writeable = side_hi.flags.writeable = False
+    sides = d * k[:, None]
+    sides.setflags(write=False)
     j = slice(jumps)
-    gh = gh_exists(d_lo[j], d_hi[j])
-    keep = gh.ok_i[:, None]
-    lower = np.where(keep, side_lo[j], side_hi[j])
-    upper = np.where(keep, side_hi[j], side_lo[j])
+    gh = gh_exists(d[0, j], d[1, j])
+    lower, upper = np.where(gh.ok_i[:, None], sides[:, j], sides[::-1, j])
     finite = gh.finite & np.isfinite(gh.mag * k[j])
     # the operands' magnitude is that of their supports, where the cuts nest
-    mag = np.maximum.reduce(
-        np.abs([ft_lo[j, 0], ft_hi[j, 0], fr_lo[j, 0], fr_hi[j, 0]]), axis=0)
+    ends = np.concatenate((ft_lo[j, :1], ft_hi[j, :1], fr_lo[j, :1], fr_hi[j, :1]),
+                          axis=1)
+    mag = np.maximum.reduce(np.abs(ends, out=ends), axis=1)
     crisp = (np.maximum.reduce(upper - lower, axis=1)
              <= cfg.agreement_tol + JUMP_ROUND_OFF * mag / nu[j])
-    case = [DiffCase.CRISP if c else DiffCase.CASE_I if i else DiffCase.CASE_II
-            for c, i in zip(crisp.tolist(), gh.ok_i.tolist())]
-    return _Jumps(side_lo, side_hi, lower, upper, gh.cases(), case, finite, gh)
+    return _Jumps(sides[0], sides[1], lower, upper, gh.cases(),
+                  [_JUMP_CASES[c] for c in (2 * crisp + gh.ok_i).tolist()], finite, gh)
 
 
 def classify_case(value: FuzzyNumber, report: EndpointReport,
@@ -672,13 +676,13 @@ def _derive(report: EndpointReport, probes: dict[str, _SideProbes],
     """
     pc = report.point
     t = pc.t
-    evidence: dict = {}
     try:
         if failure is not None:
             raise failure
-        if pc.left is Side.SCATTERED:
+        if jump is not None:  # a left-scattered point
             jumps, i = jump
-            if jumps.gh_case[i] is GhCase.NONE:
+            gh_case = jumps.gh_case[i]
+            if gh_case is GhCase.NONE:
                 raise GhNonexistent(
                     f"generalized difference of f({t!r}) and f({pc.rho!r}) "
                     f"does not exist", jumps.gh.diagnostics(i))
@@ -690,19 +694,19 @@ def _derive(report: EndpointReport, probes: dict[str, _SideProbes],
             value = FuzzyNumber(jumps.lower[i], jumps.upper[i], validate=False)
             case = jumps.case[i]
             residual = 0.0
-            evidence["path"] = "backward-quotient"
-            evidence["gh_case"] = jumps.gh_case[i].value
+            evidence = {"path": "backward-quotient", "gh_case": gh_case.value}
             if "right" in probes:
                 evidence["h_orientations"] = _h_orientations(*fr, probes["right"])
         else:
             value, residual = _dense_value(probes, cfg, t)
             case = classify_case(value, report, cfg, residual)
-            evidence["path"] = "one-sided-limits"
-            evidence["gh_cases"] = {side: dict(zip(p.labels, p.gh_cases))
-                                    for side, p in probes.items()}
+            evidence = {"path": "one-sided-limits",
+                        "gh_cases": {side: dict(zip(p.labels, p.gh_cases))
+                                     for side, p in probes.items()}}
 
-        evidence["continuity_gaps"] = {side: dict(zip(p.labels, p.gaps))
-                                       for side, p in probes.items()}
+        evidence["continuity_gaps"] = ({side: dict(zip(p.labels, p.gaps))
+                                        for side, p in probes.items()}
+                                       if probes else {})
 
         if case is DiffCase.NOT_DIFFERENTIABLE:
             raise LimitDisagreement(
@@ -796,11 +800,9 @@ def _stacked(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
     evaluation gave are filler, which its records raise before reading."""
     if len(cols) == 1 and len(cols[0][0]) == n:
         return cols[0][0], cols[0][1]
-
-    def full(a):
-        return a if len(a) == n else np.resize(a, (n, a.shape[1]))
-    return (np.concatenate([full(lo) for lo, _hi, _err in cols]),
-            np.concatenate([full(hi) for _lo, hi, _err in cols]))
+    los = [lo if len(lo) == n else np.resize(lo, (n, lo.shape[1])) for lo, _hi, _err in cols]
+    his = [hi if len(hi) == n else np.resize(hi, (n, hi.shape[1])) for _lo, hi, _err in cols]
+    return np.concatenate(los), np.concatenate(his)
 
 
 def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
@@ -838,16 +840,21 @@ def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
         elif right:
             probed.append((pc.t, "right", right))
     pairs = dict(zip({**jumps, **rights}, itertools.count()))
-    if pairs:  # only a scattered side reads its pair's rows
-        # function i's row of pair j is j * width + i, so the jumps lead
-        shift = range(0, width * npts, npts)  # each function's first row
-        a, b, nu = zip(*[(slot[p] + s, slot[q] + s, q - p)
-                         for p, q in pairs for s in shift])
-        quotient = _jump_rows(lo.take(b, axis=0), hi.take(b, axis=0),
-                              lo.take(a, axis=0), hi.take(a, axis=0), np.array(nu),
-                              cfg, width * len(jumps))
-    if probed:  # only a probed side reads the probe kernel
-        gh, probed_side = _probe_rows(lo, hi, npts, width, slot, probed)
+    # the kernels keep what is not finite in their rows; the records reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pairs:  # only a scattered side reads its pair's rows
+            # function i's row of pair j is j * width + i, so the jumps lead
+            shift = range(0, width * npts, npts)  # each function's first row
+            a, b, nu = zip(*[(slot[p] + s, slot[q] + s, q - p)
+                             for p, q in pairs for s in shift])
+            n = len(b)
+            at = np.array(b + a)  # the rows' points b, then their rho a
+            at_lo, at_hi = lo.take(at, axis=0), hi.take(at, axis=0)
+            quotient = _jump_rows(at_lo[:n], at_hi[:n], at_lo[n:], at_hi[n:],
+                                  np.array(nu), cfg, width * len(jumps))
+            side_lo, side_hi = quotient.side_lo, quotient.side_hi
+        if probed:  # only a probed side reads the probe kernel
+            gh, probed_side = _probe_rows(lo, hi, npts, width, slot, probed)
     alphas = alpha_grid(lo.shape[1] - 1)
     m, err = width, None  # the functions a record reads, and the next's error
     short = min(have) < npts  # only then may a record read past some rows
@@ -861,28 +868,27 @@ def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
                 return
 
     k = 0  # the chunk's probed sides before the record's
-    for pc, sides in chunk:
+    for pc, (left, right) in chunk:
         m, err = width, None
         if short:
             reach(pc.t)
-        it = slot[pc.t]
-        ft = [(lo[i * npts + it], hi[i * npts + it]) for i in range(m)]
-        found = [([], {}, [None]) for _ in range(width)]  # sides, probes, failure
+        # each function's probe data and first failed probe; each side's
+        # SideData of each function
+        probes, failure, report_sides = [{} for _ in range(width)], [None] * width, []
         for name, streams, neighbor, pair in (
-                ("left", sides[0], pc.rho, (pc.rho, pc.t)),
-                ("right", sides[1], pc.sigma, (pc.t, pc.sigma))):
-            if streams is None:
+                ("left", left, pc.rho, (pc.rho, pc.t)),
+                ("right", right, pc.sigma, (pc.t, pc.sigma))):
+            if streams is None:  # scattered: the rows of its pair
                 if short:
                     reach(neighbor)
-                for i in range(m):
-                    row = pairs[pair] * width + i
-                    found[i][0].append(SideData(
-                        "scattered", quotient.side_lo[row], quotient.side_hi[row]))
+                row = pairs[pair] * width
+                report_sides.append([SideData("scattered", side_lo[r], side_hi[r])
+                                     for r in range(row, row + m)])
                 continue
             if not streams:
-                for report_sides, _probes, _failure in found[:m]:
-                    report_sides.append(SideData(kind="absent"))
+                report_sides.append([SideData(kind="absent") for _ in range(m)])
                 continue
+            sides = []
             for i in range(m):
                 own, got = probed_side(k, i)
                 # a function raises a difference that is not finite among
@@ -898,25 +904,28 @@ def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
                 if reached < n:
                     m, err = i, cols[i][2]
                     break
-                report_sides, probes, failure = found[i]
                 cases = [c for stream in got.gh_cases for c in stream]
-                if failure[0] is None and GhCase.NONE.value in cases:
+                if failure[i] is None and GhCase.NONE.value in cases:
                     j = cases.index(GhCase.NONE.value)
-                    failure[0] = GhNonexistent(
+                    failure[i] = GhNonexistent(
                         f"generalized difference does not exist at probe "
                         f"{got.points[j]!r} ({name} of {pc.t!r})",
                         {"probe": got.points[j], "side": name,
                          **gh.diagnostics(own.start + j)})
-                probes[name] = got
-                report_sides.append(_limit_side(got, cfg))
+                probes[i][name] = got
+                sides.append(_limit_side(got, cfg))
+            report_sides.append(sides)
             k += 1
         if short:
             reach(pc.rho)
-        ir = slot[pc.rho]
-        yield [(EndpointReport(pc.t, alphas, *report_sides, pc), probes, failure[0],
-                ft[i], (lo[i * npts + ir], hi[i * npts + ir]),
-                (quotient, pairs[pc.rho, pc.t] * width + i) if sides[0] is None else None)
-               for i, (report_sides, probes, failure) in enumerate(found[:m])], err
+        it, ir = slot[pc.t], slot[pc.rho]
+        jump = None if left is not None else pairs[pc.rho, pc.t] * width
+        minus, plus = report_sides
+        yield [(EndpointReport(pc.t, alphas, minus[i], plus[i], pc), probes[i], failure[i],
+                (lo[it + i * npts], hi[it + i * npts]),
+                (lo[ir + i * npts], hi[ir + i * npts]),
+                None if jump is None else (quotient, jump + i))
+               for i in range(m)], err
 
 
 def _joint_pass(rows, width: int, ts: TimeScale, records: list[PointClass],
@@ -1037,17 +1046,11 @@ def check_rho_identity(f: FuzzyFunction, ts: TimeScale, t: float,
     return _rho_residual(analysis, _derived(analysis, cfg))
 
 
-def _values(analysis) -> tuple[FuzzyNumber, FuzzyNumber]:
-    """f(t) and f(rho) at a record, from the levels its analysis holds."""
-    _report, _probes, _failure, ft, fr, _jump = analysis
-    return FuzzyNumber(*ft, validate=False), FuzzyNumber(*fr, validate=False)
-
-
 def _rho_residual(analysis, r: DerivativeResult) -> float:
-    """check_rho_identity from a record's analysis (_pass) and the
-    derivative r derived from it."""
+    """check_rho_identity from a record's analysis (_pass), whose levels at
+    t and rho are f(t) and f(rho), and the derivative r derived from it."""
     nu = r.endpoint_report.point.nu
-    Ft, Fr = _values(analysis)
+    Ft, Fr = (FuzzyNumber(*levels, validate=False) for levels in analysis[3:5])
     first = hausdorff(Ft, add(Fr, scalar_mul(nu, r.value)))
     second = hausdorff(Fr, add(Ft, scalar_mul(-nu, r.value)))
     return min(first, second)

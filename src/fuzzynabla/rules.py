@@ -22,8 +22,9 @@ from .errors import (
     LengthDirectionUndetermined,
     OrderViolation,
     SignHypothesisFailed,
+    ValidationError,
 )
-from .fuzzy import _NOT_FINITE, FuzzyNumber, add, hausdorff, scalar_mul
+from .fuzzy import _NOT_FINITE, FuzzyNumber, add, hausdorff
 from .nabla import (
     DEFAULT_CONFIG,
     DiffCase,
@@ -36,7 +37,6 @@ from .nabla import (
     _pass,
     _records,
     _require_function,
-    _values,
     nabla_gh,
 )
 from .timescale import PointClass, Side, TimeScale
@@ -93,8 +93,14 @@ def _point_tol(pc: PointClass) -> float:
 
 
 def default_residual_tol(ts: TimeScale, t: float) -> float:
-    """The residual tolerance the checkers use at t unless given one."""
-    return _point_tol(ts.classify(t))
+    """The residual tolerance the checkers use at t unless given one; a t
+    outside the derivative domain raises NotInDomain, as the checkers do."""
+    return _point_tol(_classify_in_domain(ts, float(t)))
+
+
+# the endpoint ordering a derivative's case realizes
+_TAG_OF_CASE = {case: Tag.NEITHER for case in DiffCase} | {
+    DiffCase.CRISP: Tag.BOTH, DiffCase.CASE_I: Tag.I, DiffCase.CASE_II: Tag.II}
 
 
 def _tag_of(result) -> Tag:
@@ -105,13 +111,7 @@ def _tag_of(result) -> Tag:
                 raise EndpointDerivativeMissing(
                     f"one-sided endpoint derivatives on the {label} of "
                     f"{result.t!r} do not settle to single limits")
-    if result.case is DiffCase.CRISP:
-        return Tag.BOTH
-    if result.case is DiffCase.CASE_I:
-        return Tag.I
-    if result.case is DiffCase.CASE_II:
-        return Tag.II
-    return Tag.NEITHER
+    return _TAG_OF_CASE[result.case]
 
 
 def tag_i_ii(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -179,14 +179,13 @@ def _sum_graded(pc: PointClass, cfg: ProbeConfig, analysis,
     tf = _tag_of(rf)
     tg = _tag_of(rg)
     compatible = _tags_compatible(tf, tg)
-    checks = [HypothesisCheck(
-        "matching-orderings", compatible,
-        f"f is {tf.value}, g is {tg.value}")]
+    tf, tg = tf.value, tg.value
+    checks = [HypothesisCheck("matching-orderings", compatible, f"f is {tf}, g is {tg}")]
     rhs = add(rf.value, rg.value)
 
     if tol is None:
         tol = _point_tol(pc)
-    extras = {"tag_f": tf.value, "tag_g": tg.value, "tol": tol}
+    extras = {"tag_f": tf, "tag_g": tg, "tol": tol}
     return _graded("sum", checks,
                    lambda: _derived(analysis(2), cfg, report=True), extras, rhs,
                    lambda lhs: (lhs, rhs, hausdorff(lhs, rhs)))
@@ -194,15 +193,15 @@ def _sum_graded(pc: PointClass, cfg: ProbeConfig, analysis,
 
 def _sign_checked(cfg: ProbeConfig, analysis, sign_i: float, enforce: bool):
     """nabla fs, fs(t) and fs(rho) from fs's analysis (analysis(0)), sigma =
-    fs(t) * nabla fs, then g's derivative and tag and g at t and rho from
-    g's analysis (analysis(1)), and the product rules' hypothesis that
-    sigma has the sign of sign_i with g realizing ordering I, or the other
-    sign with ordering II. fs is a crisp function to the engine, so nabla
-    fs is its jump row or the limit of its probes (_derived), and raises
-    as g's derivative does."""
-    analysis_fs = analysis(0)
+    fs(t) * nabla fs, then g's derivative and tag and g's levels at t and
+    rho from g's analysis (analysis(1)), and the product rules' hypothesis
+    that sigma has the sign of sign_i with g realizing ordering I, or the
+    other sign with ordering II. fs is a crisp function to the engine, so
+    nabla fs is its jump row or the limit of its probes (_derived), and
+    raises as g's derivative does; fs(t) and fs(rho) are its levels."""
+    _report, _probes, _failure, fs_t, fs_rho, _jump = analysis_fs = analysis(0)
     dfs = float(_derived(analysis_fs, cfg).value.lower[0])
-    fs_t, fs_rho = (float(u.lower[0]) for u in _values(analysis_fs))
+    fs_t, fs_rho = float(fs_t[0][0]), float(fs_rho[0][0])
     sigma = fs_t * dfs
     analysis_g = analysis(1)
     rg = _derived(analysis_g, cfg)
@@ -218,7 +217,26 @@ def _sign_checked(cfg: ProbeConfig, analysis, sign_i: float, enforce: bool):
     if enforce and not sign_ok:
         raise SignHypothesisFailed(
             f"fs(t)*nabla_fs(t) = {sigma:.6g} does not match ordering {tg.value}")
-    return dfs, fs_t, fs_rho, sigma, rg, tg, checks, *_values(analysis_g)
+    return dfs, fs_t, fs_rho, sigma, rg, tg, checks, analysis_g[3], analysis_g[4]
+
+
+def _levels(u: FuzzyNumber) -> np.ndarray:
+    """u's lower and upper levels as the rows of one (2, K+1) array, on which
+    + and _scaled are add and scalar_mul, bit for bit."""
+    return np.array((u.lower, u.upper))
+
+
+def _scaled(k: float, u: np.ndarray) -> np.ndarray:
+    """scalar_mul(k, u) on u's levels (_levels)."""
+    k = float(k)
+    return k * u if k >= 0 else k * u[::-1]
+
+
+def _distance(u: np.ndarray, v: np.ndarray) -> float:
+    """hausdorff(u, v) on their levels (_levels), with one reduction: the
+    lower endpoints' distance unless the upper endpoints' is larger."""
+    lo, hi = np.maximum.reduce(np.abs(u - v), axis=1).tolist()
+    return max(lo, hi)
 
 
 def product_fuzzy(fs: Callable[[float], float], g: FuzzyFunction,
@@ -244,9 +262,11 @@ def _product_fuzzy_graded(pc: PointClass, cfg: ProbeConfig, analysis,
     (_graded_many)."""
     dfs, fs_t, fs_rho, sigma, rg, tg, checks, g_t, g_rho = _sign_checked(
         cfg, analysis, 1.0, enforce)
-    rhs1 = add(scalar_mul(dfs, g_rho), scalar_mul(fs_t, rg.value))
-    rhs2 = add(scalar_mul(fs_rho, rg.value), scalar_mul(dfs, g_t))
-    cross = hausdorff(rhs1, rhs2)
+    dg = _levels(rg.value)
+    rhs1 = _scaled(dfs, np.array(g_rho)) + _scaled(fs_t, dg)
+    rhs2 = _scaled(fs_rho, dg) + _scaled(dfs, np.array(g_t))
+    cross = _distance(rhs1, rhs2)
+    rhs = FuzzyNumber(*rhs1, validate=False)
 
     if tol is None:
         tol = _point_tol(pc)
@@ -257,10 +277,14 @@ def _product_fuzzy_graded(pc: PointClass, cfg: ProbeConfig, analysis,
         "rhs_cross_gap": cross,
         "tol": tol,
     }
+
+    def measure(dh):
+        lhs = _levels(dh)
+        return dh, rhs, max(_distance(lhs, rhs1), _distance(lhs, rhs2))
+
     return _graded("product-fuzzy", checks,
-                   lambda: _derived(analysis(2), cfg, report=True), extras, rhs1,
-                   lambda lhs: (lhs, rhs1, max(hausdorff(lhs, rhs1),
-                                               hausdorff(lhs, rhs2))))
+                   lambda: _derived(analysis(2), cfg, report=True), extras, rhs,
+                   measure)
 
 
 def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
@@ -282,8 +306,9 @@ def len_direction(f: FuzzyFunction, ts: TimeScale, t: float,
 
 
 def _width(lo: np.ndarray, hi: np.ndarray) -> float:
-    """The support width of the number with levels lo and hi."""
-    return FuzzyNumber(lo, hi, validate=False).len_alpha(0.0)
+    """The support width of the number with levels lo and hi, as level(0) has it."""
+    a, b = float(lo[0]), float(hi[0])
+    return max(a, b) - min(a, b)
 
 
 def _analysis_slopes(analysis) -> tuple[float, list[float]]:
@@ -369,31 +394,24 @@ def _product_interval_graded(pc: PointClass, cfg: ProbeConfig, analysis,
     }
     use_tag = tg if tg in (Tag.I, Tag.II) else (Tag.I if sigma < 0 else Tag.II)
 
+    # the equation's two products, each a factor and a number's levels:
+    # widening moves the first to the left-hand side, narrowing the second
+    dg = _levels(rg.value)
+    terms = (((dfs, np.array(g_rho)), (fs_t, dg)) if use_tag is Tag.I
+             else ((fs_rho, dg), (dfs, np.array(g_t))))
+    forms = {"Increasing": ["widening"], "Decreasing": ["narrowing"]}.get(
+        direction, ["widening", "narrowing"])
+
     def measure(dh):
-        def widening_eq():
-            if use_tag is Tag.I:
-                return (add(dh, scalar_mul(-dfs, g_rho)),
-                        scalar_mul(fs_t, rg.value), "widening")
-            return (add(dh, scalar_mul(-fs_rho, rg.value)),
-                    scalar_mul(dfs, g_t), "widening")
-
-        def narrowing_eq():
-            if use_tag is Tag.I:
-                return (add(dh, scalar_mul(-fs_t, rg.value)),
-                        scalar_mul(dfs, g_rho), "narrowing")
-            return (add(dh, scalar_mul(-dfs, g_t)),
-                    scalar_mul(fs_rho, rg.value), "narrowing")
-
-        if direction == "Increasing":
-            candidates = [widening_eq()]
-        elif direction == "Decreasing":
-            candidates = [narrowing_eq()]
-        else:
-            candidates = [widening_eq(), narrowing_eq()]
-
-        lhs, rhs, form = min(candidates, key=lambda c: hausdorff(c[0], c[1]))
-        extras["equation"] = form
-        return lhs, rhs, hausdorff(lhs, rhs)
+        dh = _levels(dh)
+        candidates = []
+        for form in forms:
+            (a, u), (b, v) = terms if form == "widening" else terms[::-1]
+            lhs, rhs = dh + _scaled(-a, u), _scaled(b, v)
+            candidates.append((_distance(lhs, rhs), form, lhs, rhs))
+        residual, extras["equation"], lhs, rhs = min(candidates, key=lambda c: c[0])
+        return (FuzzyNumber(*lhs, validate=False), FuzzyNumber(*rhs, validate=False),
+                residual)
 
     return _graded("product-interval", checks,
                    lambda: _derived(h, cfg, report=True), extras, None, measure)
@@ -434,7 +452,7 @@ def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
             except Exception as e:
                 k, err = k[:j], e
                 break
-        levels = np.repeat(k[:, None], g.K + 1, axis=1)
+        levels = k[:, None].repeat(g.K + 1, axis=1)
         glo, ghi, gerr = got = _evaluate(g, pts, cached)
         n = min(len(k), len(glo))
         lo, hi = k[:n, None] * glo[:n], k[:n, None] * ghi[:n]
@@ -469,6 +487,8 @@ def _graded_many(rule: str, a, g: FuzzyFunction, ts: TimeScale, points,
     else:
         _require_function(g)
         rows = _product_rows(a, g)
+    if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be finite and not negative, got {tol!r}")
     graded = _GRADERS[rule]
     records, err = _records(ts, points)
     passes = _joint_pass(rows, 3, ts, records, cfg)

@@ -551,7 +551,7 @@ class TimeScale:
 
     def _realized_class(self, i: int) -> PointClass:
         """The record of the i-th realized point, read from the arrays."""
-        return _point_class(float(self._points[i]), *(a[i] for a in self._jumps))
+        return _point_class(self._points.item(i), *[a.item(i) for a in self._jumps])
 
     def classify(self, t: float) -> PointClass:
         """Every fact about one member point: density per side, jumps and

@@ -429,6 +429,7 @@ nudged_rows = st.lists(
     min_size=1, max_size=6)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as require_fuzzy runs the kernel
 def invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The rows of (N, K+1) level stacks that are not fuzzy numbers, by
     the row test require_fuzzy raises from: finite, and case (i) of the
@@ -565,7 +566,8 @@ def test_gh_kernel_matches_oracle(drawn):
         d_lo = [a - b for a, b in zip(ulo, vlo)]
         d_hi = [a - b for a, b in zip(uhi, vhi)]
         ok_i, ok_ii, finite = oracle_row(d_lo, d_hi)
-        got = gh_exists(np.array([d_lo]), np.array([d_hi]))
+        with np.errstate(over="ignore", invalid="ignore"):  # as its callers run it
+            got = gh_exists(np.array([d_lo]), np.array([d_hi]))
         assert (bool(got[0][0]), bool(got[1][0])) == (ok_i, ok_ii)
         u = FuzzyNumber(ulo, uhi, validate=False)
         v = FuzzyNumber(vlo, vhi, validate=False)
@@ -591,7 +593,8 @@ def test_gh_kernel_matches_oracle(drawn):
 def require_fuzzy_reference(lo, hi):
     """require_fuzzy as it was before it accepted nested rows without the
     kernel: gh_exists decides every stack."""
-    rows = gh_exists(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = gh_exists(lo, hi)
     bad = ~(rows.ok_i & rows.finite)
     if not bad.any():
         return

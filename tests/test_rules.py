@@ -2,6 +2,7 @@
 Hand-worked instances pin every equation branch."""
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -29,6 +30,7 @@ from fuzzynabla.errors import (
     NotInDomain,
     OrderViolation,
     SignHypothesisFailed,
+    ValidationError,
 )
 from fuzzynabla.fuzzy import FuzzyNumber, crisp, hausdorff, scalar_mul, triangular
 from fuzzynabla.nabla import FuzzyFunction, ProbeConfig, derivative_report, nabla_gh
@@ -356,6 +358,51 @@ class TestDefaults:
                 sum_rule(f, g, ZZ, 4.5, tol=tol)
             with pytest.raises(NotInDomain):
                 product_fuzzy(lambda s: s + 1.0, g, ZZ, 4.5, tol=tol)
+
+    def test_residual_tol_outside_the_domain(self):
+        # a right-scattered minimum and a non-member raise what every
+        # checker raises there, with its message
+        ts = parse_timescale("hgrid(1,5,1)")
+        f = grow(U123)
+        for t in (1.0, 1.5):
+            with pytest.raises(NotInDomain) as want:
+                sum_rule(f, f, ts, t)
+            with pytest.raises(NotInDomain) as got:
+                default_residual_tol(ts, t)
+            assert str(got.value) == str(want.value)
+        assert default_residual_tol(ts, 2.0) == 1e-9
+
+    # a scale with a dense part and jumps, and f + g, fs * g defined on it
+    TOL_TS = "union(interval(0,1), hgrid(1,5,1))"
+    TOL_CHECKS = {
+        "sum": lambda f, g, ts, t, tol: sum_rule(f, g, ts, t, tol=tol),
+        "product-interval": lambda f, g, ts, t, tol: product_interval(
+            lambda s: 1.0 - s / 10.0, g, ts, t, tol=tol),
+        "product-fuzzy": lambda f, g, ts, t, tol: product_fuzzy(
+            lambda s: s + 1.0, g, ts, t, tol=tol),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(TOL_CHECKS))
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_tol_is_refused(self, rule, tol):
+        ts = parse_timescale(self.TOL_TS)
+        f, g = (bind_function(parse_function(src), ts)
+                for src in ("tri(t, t+1, t+2)", "tri(t, 2*t+1, 3*t+2)"))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"tol must be finite and not negative, "
+                                           f"got {tol!r}")):
+            self.TOL_CHECKS[rule](f, g, ts, 3.0, tol)
+        # refused before any point: also where the point is not a member
+        with pytest.raises(ValidationError):
+            self.TOL_CHECKS[rule](f, g, ts, 3.5, tol)
+
+    @pytest.mark.parametrize("rule", sorted(TOL_CHECKS))
+    def test_zero_tol_is_taken(self, rule):
+        ts = parse_timescale(self.TOL_TS)
+        f, g = (bind_function(parse_function(src), ts)
+                for src in ("tri(t, t+1, t+2)", "tri(t, 2*t+1, 3*t+2)"))
+        rep = self.TOL_CHECKS[rule](f, g, ts, 3.0, 0.0)
+        assert rep.extras["tol"] == 0.0
 
     @pytest.mark.parametrize("check", [
         lambda f, ts, t: sum_rule(f, f, ts, t),
@@ -833,3 +880,90 @@ class TestChunkedRulePass:
         loop = TestBatchedPass.outcome(
             (BATCH_RULES[rule](a, g, ts, t, cfg) for t in pts), pts)
         assert many == loop
+
+
+# The rule-check benchmark's seed-1 instance: the grid points 1..430 jump on
+# both sides, and 20 points of [0, 1) are probed.
+DIGEST_TS = "union(interval(0,1), hgrid(1,430,1))"
+DIGEST_F = "tri(0.18*t^2, 0.41*t^2+t, 0.76*t^2+2*t)"
+DIGEST_G = "endpoints(0.34*t - 0.5; 1.74*t + 0.7)"
+DIGEST_FS_NEG = "1-t/945"
+DIGEST_FS_POS = "t+3.67"
+DIGEST_INTERVAL_PTS = [
+    0.028778, 0.031642, 0.055698, 0.068533, 0.083997, 0.09327, 0.169395,
+    0.284847, 0.290702, 0.314277, 0.386953, 0.413023, 0.562173, 0.594526,
+    0.701035, 0.800774, 0.828848, 0.830569, 0.890609, 0.91255]
+DIGEST_PTS = DIGEST_INTERVAL_PTS + [float(k) for k in range(1, 431)]
+
+
+def digest_instance():
+    """The scale, f and g bound on it, and the real factors of
+    product_interval and product_fuzzy, as the CLI compiles them."""
+    ts = parse_timescale(DIGEST_TS)
+    f, g = (bind_function(parse_function(src), ts) for src in (DIGEST_F, DIGEST_G))
+    fs_neg, fs_pos = (_scalar_fn(argparse.Namespace(scalar_fn=src))
+                      for src in (DIGEST_FS_NEG, DIGEST_FS_POS))
+    return ts, f, g, fs_neg, fs_pos
+
+
+class TestOnePointDigests:
+    """The library's one-point reports, pinned by the sha256 of their JSON,
+    one line per point: each rule at all 450 points, and f's derivative at
+    the 20 probed points."""
+
+    @staticmethod
+    def digest(reports) -> str:
+        return hashlib.sha256("".join(
+            json.dumps(rep.to_dict(), sort_keys=True) + "\n"
+            for rep in reports).encode()).hexdigest()
+
+    @pytest.mark.parametrize("check, digest", [
+        ("sum", "bb1e2b90acb63475eb7b1215dcec76bd6f02bde29e44ff78cf7379b730db7aaa"),
+        ("product-interval",
+         "248d4b4c3d2a93497e8061a49f4cd0750649d56a5752bfd3cd2bc2cb2d3b1ed7"),
+        ("product-fuzzy",
+         "1a955f8114c77efb901cbdec102f145e85f289f5c05a3fc813006a6cd92e2846"),
+        ("derivative",
+         "6c82547a90b69cdb42c59c5c9ac2d876f444ea8f660d7432af4ac291a32e401f"),
+    ])
+    def test_reports_are_pinned(self, check, digest):
+        ts, f, g, fs_neg, fs_pos = digest_instance()
+        calls = {
+            "sum": lambda t: sum_rule(f, g, ts, t),
+            "product-interval": lambda t: product_interval(fs_neg, g, ts, t),
+            "product-fuzzy": lambda t: product_fuzzy(fs_pos, g, ts, t),
+            "derivative": lambda t: derivative_report(f, ts, t),
+        }
+        pts = DIGEST_INTERVAL_PTS if check == "derivative" else DIGEST_PTS
+        assert self.digest(calls[check](t) for t in pts) == digest
+
+
+class TestOnePointCost:
+    """A one-point check at a jump builds a FuzzyNumber only for each
+    derivative's value and its own lhs and rhs, and runs the gH kernel once."""
+
+    @pytest.mark.parametrize("rule, most", [
+        ("sum", 4), ("product-interval", 5), ("product-fuzzy", 5)])
+    def test_numbers_built_at_a_jump(self, rule, most, monkeypatch):
+        ts, f, g, fs_neg, fs_pos = digest_instance()
+        check = {"sum": lambda: sum_rule(f, g, ts, 200.0),
+                 "product-interval": lambda: product_interval(fs_neg, g, ts, 200.0),
+                 "product-fuzzy": lambda: product_fuzzy(fs_pos, g, ts, 200.0)}[rule]
+        want = json.dumps(check().to_dict(), sort_keys=True)  # f and g memoized
+        built, kernel_calls = [], []
+        init, kernel = FuzzyNumber.__init__, nabla.gh_exists
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counted_kernel(d_lo, d_hi):
+            kernel_calls.append(len(d_lo))
+            return kernel(d_lo, d_hi)
+
+        monkeypatch.setattr(FuzzyNumber, "__init__", counted_init)
+        monkeypatch.setattr(nabla, "gh_exists", counted_kernel)
+        rep = check()
+        assert json.dumps(rep.to_dict(), sort_keys=True) == want
+        assert len(built) <= most
+        assert kernel_calls == [3]  # the jump rows of f (or fs), g and h

@@ -242,15 +242,17 @@ def _bind(args, want: int | None = 1):
 
 
 def _scalar_fn(args):
-    """Parse --scalar-fn, read once, into a float -> float callable."""
+    """Parse --scalar-fn, read once, into a float -> float callable whose
+    piecewise arms dispatch on args.scale, the command's bound scale."""
     from .dsl import eval_expr, parse_scalar
 
     if not args.scalar_fn:
         raise ValidationError("--scalar-fn is required for product rules")
     expr = parse_scalar(_read_spec(args.scalar_fn))
+    ts = getattr(args, "scale", None)
 
     def fs(t):
-        return float(eval_expr(expr, t))
+        return float(eval_expr(expr, t, None, ts))
 
     return fs
 
@@ -454,6 +456,7 @@ def cmd_check(args) -> int:
 
     # product rules: one fuzzy --fn plus --scalar-fn
     ts, (g,) = _bind(args)
+    args.scale = ts
     fs = _scalar_fn(args)
     cfg = _probe_config(args)
     points = _select_points(ts, args.points)

@@ -629,16 +629,23 @@ def eval_expr(e: Expr, t: float, alpha=None, ts: TimeScale | None = None):
 
     Numpy arithmetic (alpha arrays) runs under np.errstate: a level that
     overflows, or is 0 * inf, comes out inf or NaN, and FuzzyNumber
-    validation rejects it, as in the compiled form. Float arithmetic
-    raises where it fails."""
-    if alpha is None and not isinstance(t, (np.ndarray, np.generic)):
+    validation rejects it. Float arithmetic raises where it fails."""
+    t = float(t)
+    if alpha is None:
         return _eval(e, t, None, ts)
     with np.errstate(all="ignore"):
         return _eval(e, t, alpha, ts)
 
 
-def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
-    """eval_expr, without its np.errstate."""
+def _eval(e: Expr, t, alpha, ts: TimeScale | None):
+    """eval_expr, without its np.errstate, at a float t or at a column of
+    points t of shape (n, 1), where alpha is a row of shape (1, K+1).
+
+    On a column, each row is bit for bit the value at that row's t, and the
+    value broadcasts to (n, K+1): (n, 1) when it depends on t alone,
+    (1, K+1) on alpha alone, a float on neither. The column raises
+    ValidationError when any row fails. A power of a value that is an alpha
+    array at some points only has no column form (compile_function)."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Name):
@@ -658,11 +665,13 @@ def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
             raise ValidationError("sqrt of a negative value", sample={"t": t})
         return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
     if isinstance(e, Piecewise):
-        for arm in e.arms:
-            if _arm_applies(arm.piece, ts, t):
-                return _eval(arm.body, t, alpha, ts)
-        raise ValidationError(
-            f"no piecewise arm covers t={t!r}", sample={"t": t})
+        if isinstance(t, float):
+            for arm in e.arms:
+                if _arm_applies(arm.piece, ts, t):
+                    return _eval(arm.body, t, alpha, ts)
+            raise ValidationError(
+                f"no piecewise arm covers t={t!r}", sample={"t": t})
+        return _piecewise_column(e, t, alpha, ts)
     if isinstance(e, BinOp):
         a = _eval(e.left, t, alpha, ts)
         b = _eval(e.right, t, alpha, ts)
@@ -677,8 +686,21 @@ def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
                 raise ValidationError("division by zero", sample={"t": t})
             return a / b
         if e.op == "^":
+            n = int(b)
             try:
-                return a ** int(b)
+                if isinstance(t, float) or not isinstance(a, np.ndarray):
+                    return a ** n
+                kind = _alpha_kind(e.left)
+                if kind == "always":
+                    # numpy's power, as at a float t: the same bits for a
+                    # row and for a stack of rows
+                    return a ** n
+                if kind == "some":
+                    raise TypeError("a power of a value that is an alpha "
+                                    "array at some points only has no column form")
+                # float ** int row by row, as at a float t: numpy's power
+                # differs from it in the last bit for a few percent of inputs
+                return np.array([x ** n for x in a[:, 0].tolist()]).reshape(-1, 1)
             except ArithmeticError as err:  # float overflow, or 0 to a negative power
                 raise ValidationError(f"power fails at t={t!r}: {err}",
                                       sample={"t": t}) from None
@@ -688,6 +710,7 @@ def _eval(e: Expr, t: float, alpha, ts: TimeScale | None):
 def eval_function(d: FuzzyFuncDef, t: float, K: int = 100,
                   ts: TimeScale | None = None) -> FuzzyNumber:
     """Evaluate a definition at one point on a K-level grid."""
+    t = float(t)
     if isinstance(d, TriDef):
         a = float(eval_expr(d.left, t, None, ts))
         b = float(eval_expr(d.peak, t, None, ts))
@@ -703,23 +726,6 @@ def eval_function(d: FuzzyFuncDef, t: float, K: int = 100,
     lo = np.broadcast_to(np.asarray(eval_expr(d.lower, t, grid, ts), dtype=float), grid.shape)
     hi = np.broadcast_to(np.asarray(eval_expr(d.upper, t, grid, ts), dtype=float), grid.shape)
     return FuzzyNumber(np.array(lo, dtype=float), np.array(hi, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# vector evaluation
-#
-# A compiled expression evaluates at a column of points t, shape (n, 1), and
-# a row of levels alpha, shape (1, K+1), in one pass. Its value broadcasts
-# to (n, K+1): (n, 1) when it depends on t alone, (1, K+1) on alpha alone, a
-# float on neither. With the value comes a mask of the n rows where
-# eval_expr raises (None when no row can fail); the values in those rows are
-# meaningless. Every operation is the one eval_expr applies to the same
-# operands, so each row is bit for bit eval_expr's value at that t.
-
-
-class _NotCompiled(Exception):
-    """An expression outside the vector form: a non-constant exponent, or a
-    power of a piecewise whose arms are alpha arrays at some points only."""
 
 
 def _alpha_kind(e: Expr) -> str:
@@ -739,122 +745,11 @@ def _alpha_kind(e: Expr) -> str:
     return "never"
 
 
-def _rows(cond, n: int) -> np.ndarray:
-    """The rows (of n) where cond holds at some level."""
-    cond = np.asarray(cond)
-    if cond.ndim == 0:
-        return np.full(n, bool(cond))
-    return np.broadcast_to(cond.any(axis=1), (n,))
-
-
-def _either(a, b):
-    if a is None:
-        return b
-    return a if b is None else a | b
-
-
-def _compile(e: Expr, ts: TimeScale):
-    """e as a function (t, alpha) -> (value, failing rows); see above."""
-    if isinstance(e, Const):
-        v = e.value
-        return lambda t, alpha: (v, None)
-    if isinstance(e, Name):
-        if e.ident == "t":
-            return lambda t, alpha: (t, None)
-        if e.ident == "alpha":
-            return lambda t, alpha: ((0.0, _rows(True, len(t))) if alpha is None
-                                     else (alpha, None))
-        v = _CONSTANTS[e.ident]
-        return lambda t, alpha: (v, None)
-    if isinstance(e, Neg):
-        arg = _compile(e.arg, ts)
-
-        def neg(t, alpha):
-            v, bad = arg(t, alpha)
-            return -v, bad
-        return neg
-    if isinstance(e, Sqrt):
-        return _compile_sqrt(_compile(e.arg, ts))
-    if isinstance(e, Piecewise):
-        return _compile_piecewise(e, ts)
-    if isinstance(e, BinOp):
-        left, right = _compile(e.left, ts), _compile(e.right, ts)
-        if e.op == "^":
-            if not isinstance(e.right, Const):
-                raise _NotCompiled
-            return _compile_power(left, int(e.right.value), _alpha_kind(e.left))
-        return _compile_arith(e.op, left, right)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _compile_sqrt(arg):
-    def sqrt(t, alpha):
-        v, bad = arg(t, alpha)
-        if isinstance(v, float):
-            if v < 0:
-                return math.nan, _rows(True, len(t))
-            return math.sqrt(v), bad
-        return np.sqrt(v), _either(bad, _rows(v < 0, len(t)))
-    return sqrt
-
-
-def _compile_arith(op: str, left, right):
-    def arith(t, alpha):
-        a, bad_a = left(t, alpha)
-        b, bad_b = right(t, alpha)
-        bad = _either(bad_a, bad_b)
-        if op == "+":
-            return a + b, bad
-        if op == "-":
-            return a - b, bad
-        if op == "*":
-            return a * b, bad
-        zero = _rows(np.asarray(b) == 0, len(t))
-        if isinstance(a, float) and isinstance(b, float) and b == 0:
-            return math.nan, zero
-        return a / b, _either(bad, zero)
-    return arith
-
-
-def _power_float(x: float, e: int) -> tuple[float, bool]:
-    try:
-        return x ** e, False
-    except ArithmeticError:  # overflow, or 0 to a negative power
-        return math.nan, True
-
-
-def _compile_power(base, e: int, alpha_kind: str):
-    if alpha_kind == "some":
-        # eval_expr takes numpy's power at some points and float ** int at
-        # others, which a mask of rows does not follow
-        raise _NotCompiled
-
-    def power(t, alpha):
-        v, bad = base(t, alpha)
-        if isinstance(v, float):
-            x, fails = _power_float(v, e)
-            return x, _either(bad, _rows(fails, len(t)))
-        if alpha_kind == "always":
-            # eval_expr raises an array to the power: numpy's power, which
-            # gives the same bits for a row and for a stack of rows
-            return v ** e, bad
-        # eval_expr's float ** int, point by point: numpy's power differs
-        # from it in the last bit for a few percent of inputs
-        col = v[:, 0].tolist()
-        try:
-            return np.array([x ** e for x in col]).reshape(-1, 1), bad
-        except ArithmeticError:
-            vals, fails = zip(*(_power_float(x, e) for x in col))
-            return (np.array(vals).reshape(-1, 1),
-                    _either(bad, np.array(fails)))
-    return power
-
-
-def _arm_mask(pieces: tuple, t: np.ndarray) -> np.ndarray:
-    """_arm_applies at every entry of t, for the pieces an arm names: in
-    one pass for a reciprocal grid, point by point for the others."""
+def _arm_mask(ref: PieceRef, ts: TimeScale | None, t: np.ndarray) -> np.ndarray:
+    """_arm_applies at every entry of t: in one pass for a reciprocal grid,
+    point by point for the other pieces."""
     hit = np.zeros(len(t), dtype=bool)
-    for piece in pieces:
+    for piece in () if ts is None else ts.pieces_named(ref.kind, ref.args):
         if isinstance(piece, ReciprocalGrid):
             hit |= piece.predicate_contains_many(t)
         else:
@@ -862,65 +757,72 @@ def _arm_mask(pieces: tuple, t: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _compile_piecewise(e: Piecewise, ts: TimeScale):
-    arms = [(ts.pieces_named(a.piece.kind, a.piece.args), _compile(a.body, ts))
-            for a in e.arms]
+def _piecewise_column(e: Piecewise, t: np.ndarray, alpha, ts: TimeScale | None):
+    """_eval of a piecewise at a column of points: each arm's body at the
+    rows that arm is the first to cover."""
+    free = np.ones(len(t), dtype=bool)  # rows no earlier arm took
+    parts = []
+    for arm in e.arms:
+        took = free & _arm_mask(arm.piece, ts, t[:, 0])
+        if took.any():
+            parts.append((took, _eval(arm.body, t[took], alpha, ts)))
+            free &= ~took
+    if free.any():
+        first = float(t[np.argmax(free), 0])
+        raise ValidationError(f"no piecewise arm covers t={first!r}", sample={"t": first})
+    width = max((np.shape(v)[1] for _, v in parts if np.ndim(v)), default=1)
+    out = np.empty((len(t), width))
+    for took, v in parts:
+        out[took] = v
+    return out
 
-    def piecewise(t, alpha):
-        n = len(t)
-        free = np.ones(n, dtype=bool)  # rows no earlier arm took
-        parts = []
-        for pieces, body in arms:
-            took = free & _arm_mask(pieces, t[:, 0])
-            if took.any():
-                parts.append((took, *body(t[took], alpha)))
-                free &= ~took
-        width = max((np.shape(v)[1] for _, v, _ in parts if np.ndim(v)),
-                    default=1)
-        out = np.full((n, width), math.nan)
-        bad = free.copy()  # no arm covers these rows
-        for took, v, b in parts:
-            out[took] = v
-            if b is not None:
-                bad[took] |= b
-        return out, bad
-    return piecewise
+
+def _has_column_form(e: Expr) -> bool:
+    """False when e holds a power of a value that is an alpha array at some
+    points only, which _eval does not take at a column."""
+    if isinstance(e, BinOp):
+        return ((e.op != "^" or _alpha_kind(e.left) != "some")
+                and _has_column_form(e.left) and _has_column_form(e.right))
+    if isinstance(e, (Neg, Sqrt)):
+        return _has_column_form(e.arg)
+    if isinstance(e, Piecewise):
+        return all(_has_column_form(a.body) for a in e.arms)
+    return True
 
 
 def compile_function(d: FuzzyFuncDef, ts: TimeScale, K: int = 100):
     """The definition as a vector form of eval_function: a function of a
     vector of points t that returns the (len(t), K+1) lower and upper level
-    stacks, row i bit for bit eval_function(d, t[i], K, ts). Where
-    eval_function raises, it raises the error eval_function raises at the
-    first such t. None when the definition has no vector form."""
+    stacks, row i bit for bit eval_function(d, t[i], K, ts), from one
+    evaluation at the column of points (_eval). Where eval_function raises,
+    it raises the error eval_function raises at the first such t. None when
+    the definition has no column form."""
     exprs = ((d.left, d.peak, d.right) if isinstance(d, TriDef)
              else (d.lower, d.upper))
-    try:
-        fns = [_compile(x, ts) for x in exprs]
-    except _NotCompiled:
+    if not all(_has_column_form(x) for x in exprs):
         return None
     grid = alpha_grid(K)
 
     def levels(t):
         t = np.asarray(t, dtype=float)
         col = t.reshape(-1, 1)
-        n = len(t)
-        with np.errstate(all="ignore"):
-            if isinstance(d, TriDef):
-                (a, ba), (b, bb), (c, bc) = (fn(col, None) for fn in fns)
-                a, b, c = (np.broadcast_to(x, col.shape) for x in (a, b, c))
-                bad = _either(_either(ba, bb), bc)
-                bad = _either(bad, _rows(~((a <= b) & (b <= c)), n))
-                lo, hi = a + grid * (b - a), c + grid * (b - c)
-            else:
-                (lo, bl), (hi, bh) = (fn(col, grid.reshape(1, -1)) for fn in fns)
-                bad = _either(bl, bh)
-                lo = np.array(np.broadcast_to(lo, (n, K + 1)), dtype=float)
-                hi = np.array(np.broadcast_to(hi, (n, K + 1)), dtype=float)
-        if bad is not None and bad.any():
-            eval_function(d, float(t[int(np.argmax(bad))]), K, ts)
-            raise AssertionError("eval_function does not fail where its vector form does")
-        return lo, hi
+        try:
+            with np.errstate(all="ignore"):
+                if isinstance(d, TriDef):
+                    a, b, c = (np.broadcast_to(_eval(x, col, None, ts), col.shape)
+                               for x in exprs)
+                    if ((a <= b) & (b <= c)).all():
+                        return a + grid * (b - a), c + grid * (b - c)
+                else:
+                    lo, hi = (_eval(x, col, grid.reshape(1, -1), ts) for x in exprs)
+                    shape = (len(t), K + 1)
+                    return (np.array(np.broadcast_to(lo, shape), dtype=float),
+                            np.array(np.broadcast_to(hi, shape), dtype=float))
+        except ValidationError:
+            pass
+        for x in t.tolist():  # the first failing row raises its own error
+            eval_function(d, x, K, ts)
+        raise AssertionError("eval_function does not fail where its vector form does")
     return levels
 
 

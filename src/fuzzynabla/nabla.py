@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -67,6 +68,8 @@ class ProbeConfig:
     agreement_tol: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.probe_count, numbers.Integral):
+            raise ValueError(f"probe_count must be an integer, got {self.probe_count!r}")
         if self.probe_count < 3:
             raise ValueError("probe_count must be at least 3")
         # past this count a synthetic probe, SYNTHETIC_H0 / 2**(n - 1) from
@@ -101,12 +104,15 @@ class FuzzyFunction:
 
     A pass reads f at every point of a chunk's records at once
     (_analyses): by vector when given, else by fn point by point through
-    the memo cache.
-    vector maps a vector of points to (N, K+1) stacks of lower and upper
-    endpoints whose rows are bit for bit the levels fn returns; it raises
-    when fn raises at any of the points, and callers then call fn point by
-    point, in order, which raises fn's own error (bind_function passes the
-    compiled definition, which raises that error itself). The memo cache
+    the memo cache. A chunk of at most _CACHED_POINTS points, such as one
+    jump's t, rho and sigma, also reads through the memo cache: there a
+    memoized scalar read costs about one evaluation a point, less than a
+    stack. vector maps a vector of points to (N, K+1) stacks of lower and
+    upper endpoints whose rows are bit for bit the levels fn returns; it
+    raises when fn raises at any of the points, and callers then call fn
+    point by point, in order, which raises fn's own error (bind_function
+    passes the definition's tree walk at a column of points,
+    dsl.compile_function, which raises that error itself). The memo cache
     holds the last _CACHED_POINTS values of fn, the oldest evicted first;
     stack neither reads nor fills it. No analysis outlives its pass
     (_joint_pass).
@@ -159,17 +165,16 @@ def _require_function(*fns) -> None:
 # probing
 
 
-def _evaluate(f: FuzzyFunction, pts: list[float], cached: int = _CACHED_POINTS):
+def _evaluate(f: FuzzyFunction, pts: list[float]):
     """The evaluation step: the (N, K+1) lower and upper level rows of f at
     pts, and None.
 
     The rows are one stack of f's vector form when f has one, pts are more
-    than cached and the stack does not raise; else f(p) in order, through
-    the memo cache. A pass over many records makes this step per chunk of
-    records (_joint_pass), with cached 0. When f(p) raises, whatever
-    the error, the rows before p and that error, so that the caller raises
-    first what those rows (and a chunk's records before p's) raise."""
-    if f._vector is not None and len(pts) > cached:
+    than the memo cache holds and the stack does not raise; else f(p) in
+    order, through the memo cache. When f(p) raises, whatever the error,
+    the rows before p and that error, so that the caller raises first what
+    those rows (and a chunk's records before p's) raise."""
+    if f._vector is not None and len(pts) > _CACHED_POINTS:
         try:
             lo, hi = f.stack(pts)
             return lo, hi, None
@@ -806,14 +811,14 @@ def _stacked(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
-              cfg: ProbeConfig, cached: int):
+              cfg: ProbeConfig):
     """Each record's (analyses, err), in record order: the analyses of the
     first of width functions (each one's endpoint report, probe data,
     first failed probe, levels at t and rho, and jump, for _derive), and
     the error the next one raises there (None when all are there), which
     a caller that reads them in order raises at that one's turn.
 
-    rows(pts, cached) is the evaluation step of the width functions, one
+    rows(pts) is the evaluation step of the width functions, one
     (lo, hi, err) each as _evaluate gives them, at the chunk's points in
     slot order (_chunks), so that a function's rows end at the first
     record that meets its error. One _jump_rows call gives the quotient of
@@ -824,7 +829,7 @@ def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
     function's values there, bit for bit.
     """
     npts = len(slot)
-    cols = rows(list(slot), cached)
+    cols = rows(list(slot))
     have = [len(lo) for lo, _hi, _err in cols]
     lo, hi = _stacked(cols, npts)
     # the scattered pairs (a, b), a < b, the records read: the jumps, then
@@ -931,25 +936,25 @@ def _analyses(rows, width: int, chunk: list, slot: dict[float, int],
 def _joint_pass(rows, width: int, ts: TimeScale, records: list[PointClass],
                 cfg: ProbeConfig):
     """Each record's analyses (_analyses) of the width functions rows
-    evaluates, per chunk of records (_chunks): a lone record's points
-    through the memo cache when they are no more than it holds, else
-    stacked. A point that two chunks read is evaluated in each; a plain
+    evaluates, per chunk of records (_chunks): a chunk's points through
+    the memo cache when they are no more than it holds, else stacked
+    (_evaluate). A point that two chunks read is evaluated in each; a plain
     callable is called at each record's points in record order, each point
     once a chunk."""
     chunks = _chunks(ts, records, width, cfg)
     if len(records) == 1:
         (chunk, slot), = chunks  # run to its end, not left suspended
-        return _analyses(rows, width, chunk, slot, cfg, _CACHED_POINTS)
+        return _analyses(rows, width, chunk, slot, cfg)
     return itertools.chain.from_iterable(
-        _analyses(rows, width, chunk, slot, cfg, 0) for chunk, slot in chunks)
+        _analyses(rows, width, chunk, slot, cfg) for chunk, slot in chunks)
 
 
 def _pass(f: FuzzyFunction, ts: TimeScale, records: list[PointClass],
           cfg: ProbeConfig):
     """Each record's analysis of f alone, in order (_joint_pass); an error
     is raised at the turn of the record where it arises."""
-    def rows(pts, cached):
-        return [_evaluate(f, pts, cached)]
+    def rows(pts):
+        return [_evaluate(f, pts)]
 
     for analyses, err in _joint_pass(rows, 1, ts, records, cfg):
         if err is not None:

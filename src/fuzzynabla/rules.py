@@ -425,9 +425,9 @@ def _sum_rows(f: FuzzyFunction, g: FuzzyFunction):
     """The evaluation step (nabla._analyses) of f, g and f + g, whose rows
     are f's and g's added, bit for bit add(f(p), g(p)), up to the first
     point where f or g has none, with that point's error (f's first)."""
-    def rows(pts, cached):
+    def rows(pts):
         (flo, fhi, ferr), (glo, ghi, gerr) = out = [
-            _evaluate(f, pts, cached), _evaluate(g, pts, cached)]
+            _evaluate(f, pts), _evaluate(g, pts)]
         n = min(len(flo), len(glo))
         return out + [(flo[:n] + glo[:n], fhi[:n] + ghi[:n],
                        ferr if len(flo) == n else gerr)]
@@ -442,7 +442,7 @@ def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
     error. fs * g's rows are g's scaled by fs(p), bit for bit
     scalar_mul(fs(p), g(p)), up to the first point where fs or g has
     none, with that point's error (fs's first)."""
-    def rows(pts, cached):
+    def rows(pts):
         k, err = np.empty(len(pts)), None
         for j, p in enumerate(pts):
             try:
@@ -453,7 +453,7 @@ def _product_rows(fs: Callable[[float], float], g: FuzzyFunction):
                 k, err = k[:j], e
                 break
         levels = k[:, None].repeat(g.K + 1, axis=1)
-        glo, ghi, gerr = got = _evaluate(g, pts, cached)
+        glo, ghi, gerr = got = _evaluate(g, pts)
         n = min(len(k), len(glo))
         lo, hi = k[:n, None] * glo[:n], k[:n, None] * ghi[:n]
         swap = k[:n] < 0  # a negative factor swaps the endpoints

@@ -324,6 +324,15 @@ class TestCheck:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == out and code == 0
 
+    def test_scalar_fn_piecewise_reads_the_scale(self, capsys):
+        # --scalar-fn's piecewise arms dispatch on the command's scale
+        argv = ["check", "product1", "--timescale", "hgrid(0,3,1)",
+                "--fn", "tri(t,t+1,t+2)", "--points", "1,2"]
+        plain = run(argv + ["--scalar-fn", "t+1"], capsys)
+        assert plain[0] == 0 and plain[1].count("Verified") == 2
+        assert run(argv + ["--scalar-fn", "piecewise(in hgrid(0) => t+1)"],
+                   capsys) == plain
+
     @pytest.mark.parametrize("theorem", ["product-interval", "product1",
                                          "product2"])
     def test_non_finite_scalar_derivative(self, theorem, capsys):

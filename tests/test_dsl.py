@@ -23,9 +23,9 @@ from fuzzynabla.dsl import (
     Piecewise,
     Sqrt,
     TriDef,
-    _compile,
+    _eval,
     _finish,
-    _NotCompiled,
+    _has_column_form,
     _Parser,
     bind_function,
     compile_function,
@@ -38,7 +38,7 @@ from fuzzynabla.dsl import (
 )
 from fuzzynabla.errors import DslSyntaxError, OrderViolation, ValidationError
 from fuzzynabla.fuzzy import alpha_grid, hausdorff, triangular
-from fuzzynabla.nabla import FuzzyFunction
+from fuzzynabla.nabla import FuzzyFunction, derivative_report, nabla_many
 from fuzzynabla.timescale import (
     ArithmeticGrid,
     ClosedInterval,
@@ -144,6 +144,14 @@ class TestScalarExpressions:
 
     def test_negative_exponent(self):
         assert eval_expr(parse_scalar("t^-2"), 2.0) == 0.25
+
+    def test_integer_t_is_a_float(self):
+        # an int t would take Python's exact integer power past the float range
+        for run in (lambda t: eval_expr(parse_scalar("t^2000"), t),
+                    lambda t: eval_function(parse_function("tri(t^2000, t^2000, t^2000)"), t, 4)):
+            for t in (2, 2.0):
+                with pytest.raises(ValidationError, match=r"power fails at t=2\.0: "):
+                    run(t)
 
     def test_no_implicit_multiplication(self):
         with pytest.raises(DslSyntaxError):
@@ -586,34 +594,42 @@ def _same_bits(a, b) -> bool:
 
 
 class TestVectorForm:
-    """A compiled expression evaluates many points in one pass and gives,
-    row by row, the bits of eval_expr, with the rows where eval_expr
-    raises; compile_function raises the error of the first such t."""
+    """An expression evaluates at a column of points in one pass and gives,
+    row by row, the bits of eval_expr; the column raises exactly when some
+    row does, and compile_function raises the error of the first such t."""
 
-    @given(data=st.data(), with_alpha=st.booleans(),
+    @given(data=st.data(), with_alpha=st.booleans(), K=st.sampled_from([0, 1, 4]),
            pts=st.lists(st.sampled_from(VECTOR_POINTS), min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
-    def test_matches_eval_expr(self, data, with_alpha, pts):
+    def test_matches_eval_expr(self, data, with_alpha, K, pts):
         e = data.draw(EXPRS[with_alpha])
-        try:
-            fn = _compile(e, VECTOR_SCALE)
-        except _NotCompiled:
-            # only a power of a piecewise that is an alpha array at some
-            # points and a float at others has no vector form
-            assume(False)
-        alpha = alpha_grid(4) if with_alpha else None
-        width = 5 if with_alpha else 1
-        with np.errstate(all="ignore"):
-            got, failing = fn(np.array(pts).reshape(-1, 1),
-                              None if alpha is None else alpha.reshape(1, -1))
+        # only a power of a piecewise that is an alpha array at some points
+        # and a float at others has no column form
+        assume(_has_column_form(e))
+        alpha = alpha_grid(K) if with_alpha else None
+        width = K + 1 if with_alpha else 1
+
+        def column(t):
+            with np.errstate(all="ignore"):
+                return _outcome(lambda: _eval(e, np.array(t).reshape(-1, 1),
+                                              None if alpha is None else alpha.reshape(1, -1),
+                                              VECTOR_SCALE))
+
+        scalar = [_outcome(lambda: eval_expr(e, t, alpha, VECTOR_SCALE)) for t in pts]
+        for t, want in zip(pts, scalar):  # each row alone
+            row = column([t])
+            assert isinstance(row, tuple) == isinstance(want, tuple)
+            if not isinstance(want, tuple):
+                assert _same_bits(np.broadcast_to(row, (1, width))[0],
+                                  np.broadcast_to(want, (width,)))
+        got = column(pts)
+        assert isinstance(got, tuple) == any(isinstance(w, tuple) for w in scalar)
+        if isinstance(got, tuple):
+            assert got[0] is ValidationError
+            return
         rows = np.broadcast_to(got, (len(pts), width))
-        if failing is None:
-            failing = np.zeros(len(pts), dtype=bool)
-        for t, row, fails in zip(pts, rows, failing.tolist()):
-            want = _outcome(lambda: eval_expr(e, t, alpha, VECTOR_SCALE))
-            assert isinstance(want, tuple) == fails
-            if not fails:
-                assert _same_bits(row, np.broadcast_to(want, (width,)))
+        for row, want in zip(rows, scalar):
+            assert _same_bits(row, np.broadcast_to(want, (width,)))
 
     @pytest.mark.parametrize("e", [
         # 0 * inf at alpha = 0: "invalid value encountered in multiply"
@@ -632,18 +648,17 @@ class TestVectorForm:
                 eval_function(d, -1.5, 4, VECTOR_SCALE)
         assert math.isnan(want[0]) and want[1:].tolist() == [0.0] * 4
         with np.errstate(all="ignore"):
-            got, failing = _compile(e, VECTOR_SCALE)(
-                np.array([[-1.5]]), alpha.reshape(1, -1))
-        assert failing is None and _same_bits(got[0], want)
+            got = _eval(e, np.array([[-1.5]]), alpha.reshape(1, -1), VECTOR_SCALE)
+        assert _same_bits(got[0], want)
 
     @pytest.mark.parametrize("e", [2, -1, 3, -3, 5])
     def test_power_is_float_power(self, e):
         # numpy's power differs from float ** int in the last bit for a few
-        # percent of inputs; the vector form gives Python's
+        # percent of inputs; a column gives Python's
         rng = np.random.default_rng(e + 10)
         t = rng.uniform(0.1, 10.0, 2000)
-        got, _ = _compile(BinOp("^", Name("t"), Const(float(e))),
-                          VECTOR_SCALE)(t.reshape(-1, 1), None)
+        got = _eval(BinOp("^", Name("t"), Const(float(e))), t.reshape(-1, 1),
+                    None, VECTOR_SCALE)
         assert got[:, 0].tolist() == [x ** e for x in t.tolist()]
 
     @pytest.mark.parametrize("src", [
@@ -703,3 +718,17 @@ class TestVectorForm:
         assert all(_same_bits(lo[i], f(t).lower) and _same_bits(hi[i], f(t).upper)
                    for i, t in enumerate(pts))
         assert FuzzyFunction(f, K=8)._vector is None
+
+    def test_no_vector_form_reads_each_point(self):
+        # a power of a piecewise that is an alpha array at some points only
+        ts = parse_timescale("union(recip(1,40), recip(sqrt2,40))")
+        d = parse_function(
+            "endpoints(-piecewise(in recip(1) => 1 - alpha, in recip(sqrt2) => t + 1)^2; "
+            "5 + t)")
+        f = bind_function(d, ts, K=4)
+        assert f._vector is None
+        with pytest.raises(TypeError, match="no column form"):
+            _eval(d.lower, np.array([[1.0], [SQRT2]]), alpha_grid(4).reshape(1, -1), ts)
+        pts = ts._points.tolist()[1:]
+        assert ([r.to_dict() for r in nabla_many(f, ts, pts)]
+                == [derivative_report(f, ts, t).to_dict() for t in pts])

@@ -484,6 +484,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProbeConfig(probe_count=2)
 
+    def test_probe_count_integer(self):
+        # 3.5 would take 4 probes on an interval and fail slicing streams
+        with pytest.raises(ValueError, match="probe_count must be an integer"):
+            ProbeConfig(probe_count=3.5)
+
     def test_tol_positive(self):
         with pytest.raises(ValueError):
             ProbeConfig(agreement_tol=0.0)
@@ -1360,9 +1365,11 @@ class TestChunkedPass:
 
         monkeypatch.setattr(FuzzyFunction, "stack", counted)
         nabla_many(f, ts, [float(k) for k in range(1, n + 1)])
-        # a chunk stacks its records' t, their rho and the last one's sigma
+        # a chunk stacks its records' t, their rho and the last one's sigma,
+        # when they are more points than the memo cache holds
         size = nabla.CHUNK_ROWS - 2
-        assert sizes == [min(size, n - start) + 2 for start in range(0, n, size)]
+        chunks = [min(size, n - start) + 2 for start in range(0, n, size)]
+        assert sizes == [m for m in chunks if m > nabla._CACHED_POINTS]
 
     @staticmethod
     def jump_passes(monkeypatch) -> list:

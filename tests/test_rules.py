@@ -650,8 +650,9 @@ class TestProductOf:
                     break
             g = batch_function(g_src, PRODUCT_TS, False)
             (flo, fhi, ferr), (_glo, _ghi, gerr), (lo, hi, err) = (
-                _product_rows(fs, g)(pts, 0))
-        assert gerr is None and g._cache == {}  # g stacked, no memo read
+                _product_rows(fs, g)(pts))
+        # g stacked, no memo read, past the points the memo cache holds
+        assert gerr is None and (g._cache == {}) == (len(pts) > nabla._CACHED_POINTS)
         assert (None if ferr is None else _error(ferr)) == want
         assert (None if err is None else _error(err)) == want
         K1 = BATCH_K + 1
